@@ -68,7 +68,7 @@ def cmd_solve(args):
     if args.mode in ("incore", "ooc"):
         cfg = pipeline.SolveConfig(
             m_blk=args.block_size or pipeline.DEFAULT_M_BLK,
-            threads=args.threads, emit_s_inv=args.emit_sinv)
+            emit_s_inv=args.emit_sinv)
         runner = pipeline.run_incore if args.mode == "incore" else pipeline.run_ooc
         summary = runner(paths, cfg)
     else:  # dist
@@ -112,8 +112,7 @@ def cmd_bench(args):
                                          transport=args.transport)[0]
         else:
             cfg = pipeline.SolveConfig(
-                m_blk=args.block_size or pipeline.DEFAULT_M_BLK,
-                threads=args.threads)
+                m_blk=args.block_size or pipeline.DEFAULT_M_BLK)
             runner = pipeline.run_incore if args.mode == "incore" else pipeline.run_ooc
             summary = runner(paths, cfg)
         summary.seed = args.seed
@@ -148,7 +147,6 @@ def build_parser():
     s.add_argument("--geno", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--block-size", type=int, default=None)
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--np", type=int, default=1)
     s.add_argument("--transport", choices=["inproc", "socket"],
                    default="inproc")
@@ -171,7 +169,6 @@ def build_parser():
     b.add_argument("--seed", type=int, default=42)
     b.add_argument("--mode", choices=["incore", "ooc", "dist"], default="ooc")
     b.add_argument("--block-size", type=int, default=None)
-    b.add_argument("--threads", type=int, default=1)
     b.add_argument("--np", type=int, default=1)
     b.add_argument("--transport", choices=["inproc", "socket"],
                    default="inproc")

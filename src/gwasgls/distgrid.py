@@ -325,7 +325,6 @@ class DistConfig:
     m_blk: int | None = None  # default 256 * np
     emit_s_inv: bool = False
     nb: int = DEFAULT_PANEL
-    threads: int = 1
 
 
 def run_dist(t, paths, cfg=None):
@@ -380,10 +379,7 @@ def run_dist(t, paths, cfg=None):
     # local copies on every rank; the small products are redundant by design
     XLbar = _replicate_full(XLbar_d, t)
     ybar = _replicate_full(ybar_d, t)[:, 0]
-    S_TL = kernel.gram(XLbar)
-    b_T = XLbar.T @ ybar
-    ctx = kernel.PreparedContext(L=np.empty((n, 0)), XLbar=XLbar, ybar=ybar,
-                                 S_TL=S_TL, b_T=b_T)
+    ctx = kernel.prepare_whitened(np.empty((n, 0)), XLbar, ybar)
     p = ctx.p
     t_prepare = time.perf_counter() - t0
 
@@ -396,8 +392,6 @@ def run_dist(t, paths, cfg=None):
     t_compute = 0.0
     t_io_wait = 0.0
     t_redist = 0.0
-    combine_bytes = 0
-    localpart_bytes = 0
     store_ticket = None
     for bi in range(nblocks):
         cur = bi % 2
@@ -415,9 +409,7 @@ def run_dist(t, paths, cfg=None):
             ticket = None
         # combine: the local chunks are, as-is, the columns of a
         # 1D-distributed block; no communication happens here
-        c0 = t.counters()
         X1 = DistMatrix1D(gr=n, gc=m_blk, grid=grid, rank=t.rank, local=bufs[cur])
-        combine_bytes += t.counters() - c0
         t0 = time.perf_counter()
         X2 = redist_1d_to_2d(X1, t)
         t_redist += time.perf_counter() - t0
@@ -428,20 +420,16 @@ def run_dist(t, paths, cfg=None):
         Xb1 = redist_2d_to_1d(Xb2, t)
         t_redist += time.perf_counter() - t0
         # localpart: a view of this rank's columns, again zero communication
-        c0 = t.counters()
-        Xbar_local = Xb1.local
-        localpart_bytes += t.counters() - c0
         t0 = time.perf_counter()
-        results = kernel.solve_whitened_block(
-            ctx, Xbar_local[:, :valid], start, emit_s_inv=cfg.emit_s_inv)
+        block = kernel.solve_whitened_block(
+            ctx, Xb1.local[:, :valid], start, emit_s_inv=cfg.emit_s_inv)
         t_compute += time.perf_counter() - t0
         t0 = time.perf_counter()
         if store_ticket is not None:
             writer.wait(store_ticket)
         t_io_wait += time.perf_counter() - t0
         if valid:
-            store_ticket = writer.start(
-                kernel.ResultBlock(first_index=start, results=results))
+            store_ticket = writer.start(block)
         else:
             store_ticket = None
     t0 = time.perf_counter()
@@ -453,17 +441,14 @@ def run_dist(t, paths, cfg=None):
     writer.close()
 
     stats = t.allgather_obj(dict(
-        bytes_read=reader.bytes_read, bytes_written=writer.bytes_written,
-        combine=combine_bytes, localpart=localpart_bytes))
+        bytes_read=reader.bytes_read, bytes_written=writer.bytes_written))
     summary = RunSummary(
-        mode="dist", n=n, m=m, p=p, m_blk=m_blk, np_=np_, threads=1,
+        mode="dist", n=n, m=m, p=p, m_blk=m_blk, np_=np_,
         t_prepare=t_prepare, t_compute=t_compute, t_io_wait=t_io_wait,
         t_redistribute=t_redist, t_total=time.perf_counter() - t_start,
         bytes_read=sum(s["bytes_read"] for s in stats),
         bytes_written=sum(s["bytes_written"] for s in stats),
         peak_resident_est=8 * n * n // np_ + 2 * 8 * n * loc + 8 * n * p,
         buffer_regions=2,
-        combine_bytes=sum(s["combine"] for s in stats),
-        localpart_bytes=sum(s["localpart"] for s in stats),
     )
     return summary

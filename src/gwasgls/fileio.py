@@ -21,7 +21,6 @@ The packed triangle ordering is np.tril_indices order: (0,0), (1,0),
 
 from __future__ import annotations
 
-import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +36,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from .kernel import ResultBlock, SnpBlock, SnpResult
+from .kernel import ResultBlock, SnpBlock
 
 MAGIC = {
     "GWAM": b"GWAM",
@@ -209,24 +208,26 @@ class BlockReader:
 
     def start(self, first_index, count, buffer):
         """Begin loading columns [first_index, first_index+count) into the
-        leading columns of `buffer` (n x >=count, Fortran order)."""
+        leading columns of `buffer` (n x >=count, Fortran order), reading
+        the file straight into them."""
         if first_index < 0 or first_index + count > self.m:
             raise DimensionMismatch("block outside file range")
         if buffer.shape[0] != self.n or buffer.shape[1] < count:
             raise DimensionMismatch("buffer too small for block")
+        cols = buffer[:, :count]
+        # reshaping anything else would read into a silent copy
+        if cols.dtype != F64 or not cols.flags.f_contiguous:
+            raise DimensionMismatch("buffer columns must be Fortran-ordered float64")
 
         def _load():
             nbytes = 8 * self.n * count
             with open(self.path, "rb") as f:
                 f.seek(self._hdr + 8 * self.n * first_index)
-                raw = f.read(nbytes)
-            if len(raw) < nbytes:
+                got = f.readinto(cols.reshape(-1, order="F"))
+            if got < nbytes:
                 raise TruncatedFile("genotype file shorter than header promises")
-            cols = np.frombuffer(raw, dtype=F64).reshape(
-                (self.n, count), order="F")
-            buffer[:, :count] = cols
             self.bytes_read += nbytes
-            return SnpBlock(first_index=first_index, data=buffer[:, :count])
+            return SnpBlock(first_index=first_index, data=cols)
 
         return self._agent.submit(id(buffer), _load)
 
@@ -257,14 +258,17 @@ class BlockWriter:
         self._agent = _Agent()
         self.bytes_written = 0
 
-    def encode(self, block: ResultBlock):
-        """Pack a ResultBlock into a contiguous record array."""
-        cnt = len(block.results)
-        rec = np.full((cnt, self._rsz // 8), np.nan, dtype=F64)
-        for k, r in enumerate(block.results):
-            rec[k, :self.p] = r.beta
-            if self.flags & 1 and r.s_inv is not None:
-                rec[k, self.p:] = r.s_inv
+    def encode(self, block: ResultBlock, buffer=None):
+        """Pack a ResultBlock's arrays into contiguous records, in the
+        leading rows of `buffer` (count x >= record reals) when given."""
+        cnt = block.betas.shape[0]
+        if buffer is None:
+            rec = np.empty((cnt, self._rsz // 8), dtype=F64)
+        else:
+            rec = buffer[:cnt, :self._rsz // 8]
+        rec[:, :self.p] = block.betas
+        if self.flags & 1:
+            rec[:, self.p:] = block.sinv
         return rec
 
     def start(self, block: ResultBlock, buffer=None):
@@ -272,18 +276,14 @@ class BlockWriter:
 
         `buffer` (if given) receives the encoded records and is the region
         tracked for overlap; by default the encoded array itself is."""
-        rec = self.encode(block)
-        if buffer is not None:
-            buffer[:rec.shape[0], :rec.shape[1]] = rec
-            rec = buffer[:rec.shape[0], :rec.shape[1]]
+        rec = np.ascontiguousarray(self.encode(block, buffer))
         first = block.first_index
 
         def _store():
-            raw = np.ascontiguousarray(rec).tobytes()
             with open(self.path, "r+b") as f:
                 f.seek(self._hdr + first * self._rsz)
-                f.write(raw)
-            self.bytes_written += len(raw)
+                f.write(rec)
+            self.bytes_written += rec.nbytes
 
         return self._agent.submit(id(buffer) if buffer is not None else id(rec), _store)
 
@@ -294,25 +294,7 @@ class BlockWriter:
         self._agent.close()
 
 
-def results_from_payload(payload: ResultPayload, first_index=0):
-    """Rehydrate SnpResults from a read GWAB payload (testing aid)."""
-    out = []
-    for k in range(payload.betas.shape[0]):
-        beta = payload.betas[k]
-        degenerate = bool(np.all(np.isnan(beta)))
-        out.append(SnpResult(
-            snp_index=first_index + k,
-            beta=beta,
-            s_inv=None if (degenerate or payload.sinv is None) else payload.sinv[k],
-            status="degenerate" if degenerate else "ok",
-        ))
-    return out
-
-
 def total_genotype_bytes(path):
     n, m = read_dims(path, "GWAX")
     return 8 * n * m, n, m
 
-
-def exists_nonempty(path):
-    return os.path.exists(path) and os.path.getsize(path) > 0

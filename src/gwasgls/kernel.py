@@ -12,11 +12,10 @@ marker columns.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from .errors import (
@@ -49,20 +48,13 @@ class SnpBlock:
 
 
 @dataclass
-class SnpResult:
-    """Per-marker output: the p-vector of coefficients, optionally the
-    packed inverse of the small normal-equations matrix."""
-
-    snp_index: int
-    beta: np.ndarray  # length p; all-NaN iff degenerate
-    s_inv: np.ndarray | None = None  # packed lower triangle, p(p+1)/2 reals
-    status: str = "ok"  # "ok" | "degenerate"
-
-
-@dataclass
 class ResultBlock:
+    """Results of markers first_index .. first_index + count - 1, one row
+    each. A degenerate marker's row is all NaN in betas and in sinv."""
+
     first_index: int
-    results: list[SnpResult] = field(default_factory=list)
+    betas: np.ndarray               # count x p
+    sinv: np.ndarray | None = None  # count x p(p+1)/2 packed lower triangles
 
 
 @dataclass
@@ -71,7 +63,9 @@ class PreparedContext:
 
     L is the Cholesky factor of M; XLbar and ybar are the whitened
     covariates and phenotype; S_TL and b_T are the fixed top-left block of
-    the normal equations and its right-hand side.
+    the normal equations and its right-hand side. L_TL is the Cholesky
+    factor of S_TL, minpivot_TL its smallest pivot and beta_T0 =
+    S_TL^-1 b_T; every marker's bordered system shares them.
     """
 
     L: np.ndarray        # n x n lower triangular
@@ -79,6 +73,9 @@ class PreparedContext:
     ybar: np.ndarray     # n
     S_TL: np.ndarray     # (p-1) x (p-1)
     b_T: np.ndarray      # p-1
+    L_TL: np.ndarray     # (p-1) x (p-1) lower triangular
+    minpivot_TL: float
+    beta_T0: np.ndarray  # p-1
 
     @property
     def n(self):
@@ -131,108 +128,56 @@ def gram(A):
     return low + np.tril(C, -1).T
 
 
-def _spd_pivot_threshold(S):
-    return S.shape[-1] * EPS * np.max(np.abs(S), axis=(-2, -1))
-
-
-def cholesky_solve_batch(S, rhs, want_inverse=False):
-    """Solve S[k] x[k] = rhs[k] for a batch of small SPD systems.
-
-    S: (B, p, p) symmetric, rhs: (B, p). A system whose Cholesky hits a
-    pivot <= p * eps * max|S[k]| is marked failed (ok[k] = False) and its
-    solution left as NaN; the rest of the batch is unaffected.
-
-    Returns (x, ok) or (x, ok, s_inv_packed) where s_inv_packed holds the
-    lower triangle of S[k]^-1 in np.tril_indices order.
-    """
-    S = np.asarray(S, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    B, p, _ = S.shape
-    thresh = _spd_pivot_threshold(S)
-    ok = np.ones(B, dtype=bool)
-    L = np.zeros_like(S)
-    for j in range(p):
-        d = S[:, j, j].copy()
-        if j > 0:
-            d -= np.einsum("bk,bk->b", L[:, j, :j], L[:, j, :j])
-        good = np.isfinite(d) & (d > thresh)
-        ok &= good
-        d = np.where(good, d, 1.0)  # placeholder pivot keeps the batch math finite
-        L[:, j, j] = np.sqrt(d)
-        for i in range(j + 1, p):
-            s = S[:, i, j].copy()
-            if j > 0:
-                s -= np.einsum("bk,bk->b", L[:, i, :j], L[:, j, :j])
-            L[:, i, j] = s / L[:, j, j]
-
-    # forward/back substitution, vectorized over the batch
-    def _solve_factored(b):
-        z = np.empty_like(b)
-        for i in range(p):
-            acc = b[:, i].copy() if b.ndim == 2 else b[:, i, :].copy()
-            for k in range(i):
-                lik = L[:, i, k]
-                if b.ndim == 3:
-                    acc -= lik[:, None] * z[:, k, :]
-                else:
-                    acc -= lik * z[:, k]
-            if b.ndim == 3:
-                z[:, i, :] = acc / L[:, i, i][:, None]
-            else:
-                z[:, i] = acc / L[:, i, i]
-        x = np.empty_like(b)
-        for i in range(p - 1, -1, -1):
-            acc = z[:, i].copy() if b.ndim == 2 else z[:, i, :].copy()
-            for k in range(i + 1, p):
-                lki = L[:, k, i]
-                if b.ndim == 3:
-                    acc -= lki[:, None] * x[:, k, :]
-                else:
-                    acc -= lki * x[:, k]
-            if b.ndim == 3:
-                x[:, i, :] = acc / L[:, i, i][:, None]
-            else:
-                x[:, i] = acc / L[:, i, i]
-        return x
-
-    x = _solve_factored(rhs)
-    x[~ok] = np.nan
-    if not want_inverse:
-        return x, ok
-    eye = np.broadcast_to(np.eye(p), (B, p, p)).copy()
-    inv = _solve_factored(eye)
-    # symmetrize exactly from the lower triangle
-    il, jl = np.tril_indices(p)
-    packed = inv[:, il, jl]
-    packed[~ok] = np.nan
-    return x, ok, packed
+def _small_cholesky(S):
+    """Lower Cholesky factor of one small SPD matrix under the sweep's
+    pivot rule: raises NotPositiveDefinite(j) at the first pivot j that is
+    not finite or is <= p * eps * max|S|."""
+    c, info = dpotrf(S, lower=1, clean=1, overwrite_a=0)
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} to dpotrf")
+    # dpotrf stops at pivot info - 1; the pivots before it are complete
+    done = info - 1 if info > 0 else S.shape[0]
+    thresh = S.shape[0] * EPS * np.max(np.abs(S))
+    bad = np.flatnonzero(~(np.diag(c)[:done] ** 2 > thresh))
+    if bad.size or info > 0:
+        raise NotPositiveDefinite(int(bad[0]) if bad.size else done)
+    return c
 
 
 def solve_small_spd(S, rhs):
-    """Solve one small SPD system S x = rhs via Cholesky."""
+    """Solve one small SPD system S x = rhs via Cholesky, under the same
+    pivot rule as the sweep."""
     S = np.asarray(S, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     if S.shape[0] != S.shape[1] or S.shape[0] != rhs.shape[0]:
         raise DimensionMismatch("solve_small_spd: shapes disagree")
-    x, ok = cholesky_solve_batch(S[None], rhs[None])
-    if not ok[0]:
-        # recompute the failing pivot index for the error
-        thresh = _spd_pivot_threshold(S)
-        L = np.zeros_like(S)
-        for j in range(S.shape[0]):
-            d = S[j, j] - L[j, :j] @ L[j, :j]
-            if not (np.isfinite(d) and d > thresh):
-                raise NotPositiveDefinite(j)
-            L[j, j] = np.sqrt(d)
-            for i in range(j + 1, S.shape[0]):
-                L[i, j] = (S[i, j] - L[i, :j] @ L[j, :j]) / L[j, j]
-        raise NotPositiveDefinite(S.shape[0] - 1)
-    return x[0]
+    return cho_solve((_small_cholesky(S), True), rhs, check_finite=False)
+
+
+def prepare_whitened(L, XLbar, ybar):
+    """Context from the whitened covariates and phenotype: form the fixed
+    block S_TL of the normal equations and factor it once.
+
+    Shared by every engine. Raises RankDeficientCovariates when S_TL fails
+    the pivot rule.
+    """
+    S_TL = gram(XLbar)
+    b_T = XLbar.T @ ybar
+    try:
+        L_TL = _small_cholesky(S_TL)
+    except NotPositiveDefinite as e:
+        raise RankDeficientCovariates(
+            f"whitened covariates are rank deficient (pivot {e.pivot_index})"
+        ) from e
+    return PreparedContext(
+        L=L, XLbar=XLbar, ybar=ybar, S_TL=S_TL, b_T=b_T, L_TL=L_TL,
+        minpivot_TL=float(np.min(np.diag(L_TL)) ** 2),
+        beta_T0=cho_solve((L_TL, True), b_T, check_finite=False))
 
 
 def gls_prepare(M, XL, y):
     """Hoist all marker-independent work: factor M, whiten XL and y, and
-    form the fixed block of the normal equations.
+    factor the fixed block of the normal equations.
 
     O(n^3) once, regardless of the number of markers.
     """
@@ -243,103 +188,81 @@ def gls_prepare(M, XL, y):
     if XL.shape[0] != n or y.shape[0] != n:
         raise DimensionMismatch(f"gls_prepare: n={n} but XL {XL.shape}, y {y.shape}")
     L = cholesky_spd(M)
-    XLbar = trsolve_lower(L, XL)
-    ybar = trsolve_lower(L, y)
-    S_TL = gram(XLbar)
-    # fail loudly on dependent covariates: the fixed block must be SPD
-    try:
-        solve_small_spd(S_TL, np.zeros(S_TL.shape[0]))
-    except NotPositiveDefinite as e:
-        raise RankDeficientCovariates(
-            f"whitened covariates are rank deficient (pivot {e.pivot_index})"
-        ) from e
-    b_T = XLbar.T @ ybar
-    return PreparedContext(L=L, XLbar=XLbar, ybar=ybar, S_TL=S_TL, b_T=b_T)
+    return prepare_whitened(L, trsolve_lower(L, XL), trsolve_lower(L, y))
 
 
-def _column_sums(Xbar, XLbar, ybar):
-    """Per-column reductions computed with np.sum so each column's result
-    is independent of its position in the block (bitwise)."""
-    q = XLbar.shape[1]
-    cnt = Xbar.shape[1]
-    S_BL = np.empty((cnt, q))
-    for k in range(q):
-        S_BL[:, k] = np.sum(Xbar * XLbar[:, k][:, None], axis=0)
-    S_BR = np.sum(Xbar * Xbar, axis=0)
-    b_B = np.sum(Xbar * ybar[:, None], axis=0)
-    return S_BL, S_BR, b_B
+def cholesky_solve_batch(ctx, S_BL, S_BR, b_B, want_inverse=False):
+    """Solve the bordered systems of a block of markers.
+
+    Marker k's system is S_k [beta_T; beta_B] = [b_T; b_B[k]] with
+    S_k = [[S_TL, S_BL[k]^T], [S_BL[k], S_BR[k]]]. The factor of S_TL is
+    shared, so only the last Cholesky step is per marker:
+    l = L_TL^-1 S_BL[k]^T and the pivot d = S_BR[k] - |l|^2. A marker is
+    degenerate, with an all-NaN record, iff min(minpivot_TL, d) <=
+    p * eps * max|S_k| or d is not finite.
+
+    Returns (betas, sinv): betas is count x p; sinv (None unless
+    want_inverse) holds the lower triangle of S_k^-1 in np.tril_indices
+    order, count x p(p+1)/2.
+    """
+    q = ctx.S_TL.shape[0]
+    p = q + 1
+    l = solve_triangular(ctx.L_TL, S_BL.T, lower=True, check_finite=False)
+    d = S_BR - np.einsum("ij,ij->j", l, l)
+    max_S = np.maximum(np.max(np.abs(ctx.S_TL)),
+                       np.maximum(np.max(np.abs(S_BL), axis=1), np.abs(S_BR)))
+    ok = np.isfinite(d) & (np.minimum(ctx.minpivot_TL, d) > p * EPS * max_S)
+    # a NaN pivot turns every entry of a degenerate marker's record NaN
+    d = np.where(ok, d, np.nan)
+    u = solve_triangular(ctx.L_TL, l, lower=True, trans="T",
+                         check_finite=False)  # S_TL^-1 S_BL^T, q x count
+    beta_B = (b_B - S_BL @ ctx.beta_T0) / d
+    betas = np.empty((len(d), p))
+    betas[:, :q] = ctx.beta_T0 - (u * beta_B).T
+    betas[:, q] = beta_B
+    if not want_inverse:
+        return betas, None
+    # block inverse: [[S_TL^-1 + u u^T / d, -u / d], [-u^T / d, 1 / d]];
+    # the tril order lists the q x q block first, then the last row
+    S_TL_inv = cho_solve((ctx.L_TL, True), np.eye(q), check_finite=False)
+    it, jt = np.tril_indices(q)
+    w = u / d
+    sinv = np.empty((len(d), p * (p + 1) // 2))
+    sinv[:, :-p] = S_TL_inv[it, jt] + (u[it] * w[jt]).T
+    sinv[:, -p:-1] = -w.T
+    sinv[:, -1] = 1.0 / d
+    return betas, sinv
 
 
-def solve_whitened_block(ctx, Xbar, first_index, global_indices=None,
-                         emit_s_inv=False):
-    """Per-marker normal-equations assembly and solve for already-whitened
+def solve_whitened_block(ctx, Xbar, first_index, emit_s_inv=False):
+    """Normal-equations assembly and bordered solve for already-whitened
     marker columns Xbar (n x count). Shared by the in-core, streaming and
     distributed engines."""
-    q = ctx.XLbar.shape[1]
-    p = q + 1
-    cnt = Xbar.shape[1]
-    S_BL, S_BR, b_B = _column_sums(Xbar, ctx.XLbar, ctx.ybar)
-    S = np.empty((cnt, p, p))
-    S[:, :q, :q] = ctx.S_TL
-    S[:, q, :q] = S_BL
-    S[:, :q, q] = S_BL
-    S[:, q, q] = S_BR
-    rhs = np.empty((cnt, p))
-    rhs[:, :q] = ctx.b_T
-    rhs[:, q] = b_B
-    if emit_s_inv:
-        beta, ok, packed = cholesky_solve_batch(S, rhs, want_inverse=True)
-    else:
-        beta, ok = cholesky_solve_batch(S, rhs)
-        packed = None
-    results = []
-    for k in range(cnt):
-        gidx = first_index + k if global_indices is None else int(global_indices[k])
-        if ok[k]:
-            results.append(SnpResult(
-                snp_index=gidx,
-                beta=beta[k],
-                s_inv=packed[k] if packed is not None else None,
-                status="ok",
-            ))
-        else:
-            results.append(SnpResult(
-                snp_index=gidx,
-                beta=np.full(p, np.nan),
-                s_inv=None,
-                status="degenerate",
-            ))
-    return results
+    # One einsum pass per covariate column. A GEMM Xbar^T [XLbar|ybar] does
+    # the same work, but with 2 OpenBLAS threads on a 2-core host it
+    # doubled the streaming engine's compute time.
+    S_BL = np.stack([np.einsum("ij,i->j", Xbar, c) for c in ctx.XLbar.T],
+                    axis=1)
+    b_B = np.einsum("ij,i->j", Xbar, ctx.ybar)
+    S_BR = np.einsum("ij,ij->j", Xbar, Xbar)
+    betas, sinv = cholesky_solve_batch(ctx, S_BL, S_BR, b_B,
+                                       want_inverse=emit_s_inv)
+    return ResultBlock(first_index=first_index, betas=betas, sinv=sinv)
 
 
-def gls_solve_block(ctx, blk, emit_s_inv=False, threads=1):
+def gls_solve_block(ctx, blk, emit_s_inv=False):
     """Solve every marker in the block against the prepared context.
 
     The whitening of all columns is one blocked triangular solve; the
-    mixed products are stacked across the block. Markers whose small
-    system is numerically singular are flagged degenerate (all-NaN beta)
-    without aborting the rest of the block.
+    mixed products are per-column reductions. Markers whose small
+    system is numerically singular are flagged degenerate (all-NaN
+    record) without aborting the rest of the block.
     """
     if blk.n != ctx.n:
         raise DimensionMismatch(f"block has n={blk.n}, context has n={ctx.n}")
     Xbar = trsolve_lower(ctx.L, blk.data)
-    if threads <= 1 or blk.count < 2 * threads:
-        results = solve_whitened_block(ctx, Xbar, blk.first_index,
-                                       emit_s_inv=emit_s_inv)
-    else:
-        # data-parallel over disjoint column ranges; per-column math is
-        # identical regardless of the split, so results do not depend on it
-        bounds = np.linspace(0, blk.count, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda se: solve_whitened_block(
-                    ctx, Xbar[:, se[0]:se[1]], blk.first_index + se[0],
-                    emit_s_inv=emit_s_inv),
-                [(bounds[i], bounds[i + 1]) for i in range(threads)
-                 if bounds[i] < bounds[i + 1]],
-            )
-            results = [r for part in parts for r in part]
-    return ResultBlock(first_index=blk.first_index, results=results)
+    return solve_whitened_block(ctx, Xbar, blk.first_index,
+                                emit_s_inv=emit_s_inv)
 
 
 def gls_oracle(M, Xi, y):

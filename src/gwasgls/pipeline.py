@@ -56,7 +56,6 @@ class RunSummary:
     p: int = 0
     m_blk: int = 0
     np_: int = 1
-    threads: int = 1
     t_prepare: float = 0.0
     t_compute: float = 0.0
     t_io_wait: float = 0.0
@@ -66,8 +65,6 @@ class RunSummary:
     bytes_written: int = 0
     peak_resident_est: int = 0
     buffer_regions: int = 0
-    combine_bytes: int = 0
-    localpart_bytes: int = 0
     seed: int = -1
     # per-block CPU seconds of the streaming phase (load_wait + compute +
     # store_wait); profiling detail, not part of the one-line record
@@ -111,7 +108,6 @@ class SolvePaths:
 @dataclass
 class SolveConfig:
     m_blk: int = DEFAULT_M_BLK
-    threads: int = 1
     emit_s_inv: bool = False
     mem_budget_bytes: int | None = None  # None = take from env or unlimited
 
@@ -153,8 +149,7 @@ def run_incore(paths, cfg=None):
     t_read = time.perf_counter() - t0
     t0 = time.perf_counter()
     block = kernel.gls_solve_block(
-        ctx, kernel.SnpBlock(first_index=0, data=X),
-        emit_s_inv=cfg.emit_s_inv, threads=cfg.threads)
+        ctx, kernel.SnpBlock(first_index=0, data=X), emit_s_inv=cfg.emit_s_inv)
     t_compute = time.perf_counter() - t0
     flags = 1 if cfg.emit_s_inv else 0
     writer = fileio.BlockWriter(paths.out, m, p, flags)
@@ -163,7 +158,7 @@ def run_incore(paths, cfg=None):
     t_write = time.perf_counter() - t0
     writer.close()
     return RunSummary(
-        mode="incore", n=n, m=m, p=p, m_blk=m, np_=1, threads=cfg.threads,
+        mode="incore", n=n, m=m, p=p, m_blk=m, np_=1,
         t_prepare=t_prep, t_compute=t_compute, t_io_wait=t_read + t_write,
         t_total=time.perf_counter() - t_start,
         bytes_read=geno_bytes + m_bytes, bytes_written=m * fileio.record_size(p, flags),
@@ -211,8 +206,7 @@ def run_ooc(paths, cfg=None):
             nfirst, ncount = plan.blocks[bi + 1]
             load_ticket = reader.start(nfirst, ncount, in_bufs[1 - cur])
         t0 = time.perf_counter()
-        result = kernel.gls_solve_block(
-            ctx, blk, emit_s_inv=cfg.emit_s_inv, threads=cfg.threads)
+        result = kernel.gls_solve_block(ctx, blk, emit_s_inv=cfg.emit_s_inv)
         t_compute += time.perf_counter() - t0
         t0 = time.perf_counter()
         if store_ticket is not None:
@@ -228,7 +222,7 @@ def run_ooc(paths, cfg=None):
     reader.close()
     writer.close()
     return RunSummary(
-        mode="ooc", n=n, m=m, p=p, m_blk=m_blk, np_=1, threads=cfg.threads,
+        mode="ooc", n=n, m=m, p=p, m_blk=m_blk, np_=1,
         t_prepare=t_prep, t_compute=t_compute, t_io_wait=t_io_wait,
         t_total=time.perf_counter() - t_start,
         bytes_read=bytes_read + m_bytes, bytes_written=bytes_written,

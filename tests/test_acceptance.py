@@ -334,14 +334,18 @@ def test_criterion_09_numerical_invariants(tmp_path):
     assert resid <= 1e-10
 
 
-def test_criterion_10_zero_copy_views(seed42_dataset, tmp_path):
-    summaries = run_spmd(4, run_dist,
-                         solve_paths(seed42_dataset, str(tmp_path / "d.gwab")),
-                         DistConfig())
-    combine = sum(s.combine_bytes for s in summaries)
-    localpart = sum(s.localpart_bytes for s in summaries)
-    ok = combine == 0 and localpart == 0
+def test_criterion_10_zero_copy_views(seed42_dataset, tmp_path, monkeypatch):
+    # combine: each block reaches the redistribution as the reader's own
+    # buffer; localpart: each rank solves a view of the redistribution's
+    # output. A copy at either step leaves a block uncounted.
+    seen = conftest.record_block_views(monkeypatch)
+    run_spmd(4, run_dist,
+             solve_paths(seed42_dataset, str(tmp_path / "d.gwab")),
+             DistConfig(m_blk=128))
+    blocks, combine, localpart = conftest.count_zero_copy_views(seen)
+    ok = blocks == 4 * 4 and combine == blocks and localpart == blocks
     _report(10, "zero-copy views", ok,
-            f"combine={combine}B localpart={localpart}B")
-    assert combine == 0
-    assert localpart == 0
+            f"blocks={blocks} combine_views={combine} localpart_views={localpart}")
+    assert blocks == 4 * 4
+    assert combine == blocks
+    assert localpart == blocks

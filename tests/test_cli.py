@@ -97,6 +97,15 @@ class TestExitCodes:
         assert main(args) == 4
         assert 'error code=4 msg="' in capsys.readouterr().err
 
+    def test_rank_deficient_covariates_is_4(self, tmp_path):
+        d = _gen(tmp_path, n=40, m=50)
+        XL = fileio.read_matrix(f"{d}/covariates.gwac", "GWAC")
+        XL[:, 2] = XL[:, 1]
+        fileio.write_matrix(f"{d}/covariates.gwac", "GWAC", XL)
+        out = str(tmp_path / "o.gwab")
+        assert main(_solve_args(d, out, "ooc")) == 4
+        assert main(_solve_args(d, out, "dist", "--np", "2")) == 4
+
     def test_oracle_scale_limit_is_2(self, tmp_path):
         d = _gen(tmp_path, n=501, m=10)
         args = _solve_args(d, str(tmp_path / "o.gwab"), "oracle")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwasgls import distgrid, kernel
+from gwasgls import distgrid, fileio, kernel
 from gwasgls.datagen import GenSpec, compare_results, gen_dataset
 from gwasgls.distgrid import (
     DistConfig,
@@ -19,11 +19,20 @@ from gwasgls.distgrid import (
     run_dist,
     scatter_matrix,
 )
-from gwasgls.errors import ConfigError, NotPositiveDefinite
+from gwasgls.errors import (
+    ConfigError,
+    NotPositiveDefinite,
+    RankDeficientCovariates,
+)
 from gwasgls.pipeline import SolveConfig, run_incore, run_ooc
 from gwasgls.transport import run_spmd
 
-from conftest import make_spd, solve_paths
+from conftest import (
+    count_zero_copy_views,
+    make_spd,
+    record_block_views,
+    solve_paths,
+)
 
 
 class TestGrid:
@@ -281,11 +290,23 @@ class TestRunDist:
         with pytest.raises(ConfigError):
             run_spmd(3, run_dist, paths, DistConfig(m_blk=128))
 
-    def test_zero_copy_views(self, tmp_path, seed42_dataset):
+    def test_zero_copy_views(self, tmp_path, seed42_dataset, monkeypatch):
+        seen = record_block_views(monkeypatch)
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
-        s = run_spmd(4, run_dist, paths, DistConfig())[0]
-        assert s.combine_bytes == 0
-        assert s.localpart_bytes == 0
+        run_spmd(2, run_dist, paths, DistConfig(m_blk=128))
+        blocks, combine, localpart = count_zero_copy_views(seen)
+        assert blocks == 2 * 4
+        assert combine == blocks
+        assert localpart == blocks
+
+    def test_rank_deficient_covariates(self, tmp_path):
+        ds = self._dataset(tmp_path, n=40, m=50)
+        XL = fileio.read_matrix(ds.covariates, "GWAC")
+        XL[:, 2] = XL[:, 1]
+        fileio.write_matrix(ds.covariates, "GWAC", XL)
+        paths = solve_paths(ds, str(tmp_path / "d.gwab"))
+        with pytest.raises(RankDeficientCovariates):
+            run_spmd(2, run_dist, paths, DistConfig())
 
     def test_deterministic_result_files(self, tmp_path, seed42_dataset):
         a = solve_paths(seed42_dataset, str(tmp_path / "a.gwab"))

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwasgls import fileio, kernel
-from gwasgls.errors import BadMagic, OverlappingBuffer, TruncatedFile
+from gwasgls.errors import (
+    BadMagic,
+    DimensionMismatch,
+    OverlappingBuffer,
+    TruncatedFile,
+)
 
 
 def test_header_bytes_genotypes(tmp_path):
@@ -141,15 +146,31 @@ class TestBlockReader:
         r.start(4, 4, buf)  # fine once the ticket is retired
         r.close()
 
+    def test_truncated_file_raises_on_wait(self, tmp_path):
+        path, _ = self._write(tmp_path)
+        raw = open(path, "rb").read()
+        open(path, "wb").write(raw[:-16])
+        r = fileio.BlockReader(path)
+        ticket = r.start(0, 9, np.empty((6, 9), order="F"))
+        with pytest.raises(TruncatedFile):
+            r.wait(ticket)
+        r.close()
+
+    def test_non_fortran_buffer_rejected(self, tmp_path):
+        path, _ = self._write(tmp_path)
+        r = fileio.BlockReader(path)
+        with pytest.raises(DimensionMismatch):
+            r.start(0, 4, np.empty((6, 4)))
+        with pytest.raises(DimensionMismatch):
+            r.start(0, 4, np.empty((6, 8), order="F")[:, ::2])
+        r.close()
+
 
 class TestBlockWriter:
     def _results(self, first, count, p=3, seed=0):
         rng = np.random.default_rng(seed + first)
-        return kernel.ResultBlock(
-            first_index=first,
-            results=[kernel.SnpResult(snp_index=first + k,
-                                      beta=rng.standard_normal(p))
-                     for k in range(count)])
+        return kernel.ResultBlock(first_index=first,
+                                  betas=rng.standard_normal((count, p)))
 
     def test_out_of_order_blocks_identical_file(self, tmp_path):
         a, b = str(tmp_path / "a.gwab"), str(tmp_path / "b.gwab")
@@ -168,5 +189,5 @@ class TestBlockWriter:
         w.wait(w.start(blk))
         w.close()
         payload = fileio.read_matrix(path, "GWAB")
-        assert np.array_equal(payload.betas[2], blk.results[0].beta)
-        assert np.array_equal(payload.betas[3], blk.results[1].beta)
+        assert np.array_equal(payload.betas[2], blk.betas[0])
+        assert np.array_equal(payload.betas[3], blk.betas[1])

@@ -79,13 +79,6 @@ class TestEngines:
             assert np.max(np.abs(payload.betas[i] - expect)) <= \
                 1e-8 * max(np.max(np.abs(expect)), 1.0)
 
-    def test_thread_count_invariance(self, seed42_dataset, out_path):
-        p1 = solve_paths(seed42_dataset, out_path("t1.gwab"))
-        p4 = solve_paths(seed42_dataset, out_path("t4.gwab"))
-        run_ooc(p1, SolveConfig(m_blk=128, threads=1))
-        run_ooc(p4, SolveConfig(m_blk=128, threads=4))
-        assert compare_results(p1.out, p4.out, 1e-12).within
-
     def test_emit_sinv_flows_to_file(self, seed42_dataset, out_path):
         p = solve_paths(seed42_dataset, out_path("sinv.gwab"))
         run_ooc(p, SolveConfig(m_blk=200, emit_s_inv=True))
@@ -135,7 +128,7 @@ class TestMemoryBudget:
 class TestRunSummary:
     def test_record_round_trip(self):
         s = RunSummary(mode="ooc", n=10, m=20, p=4, m_blk=5, np_=1,
-                       threads=2, t_prepare=0.5, t_compute=1.25,
+                       t_prepare=0.5, t_compute=1.25,
                        bytes_read=1600, seed=42)
         back = RunSummary.from_record(s.to_record())
         assert back == s
