@@ -1,13 +1,16 @@
-"""Distributed-memory engine: the covariance matrix lives element-cyclic
-on a 2D process grid, marker blocks live as full columns on a 1D
-reordering of the same grid, and the two views are exchanged with a
-single all-to-all.
+"""Distributed-memory engine: the covariance matrix and its Cholesky
+factor live element-cyclic on a 2D process grid, and marker blocks never
+leave the rank that read them. Each rank reads its own contiguous chunk
+of every block as full columns and whitens them in place against row
+panels of L that are replicated one at a time, so the sweep moves panels
+of L and no genotype data.
 
 Index maps:
     2D: element (i, j) is owned by grid process (i mod r, j mod c) at
         local position (i div r, j div c).
     1D: column j is owned by rank (j mod np) at local column (j div np),
         ranks enumerated as the row-major concatenation of the grid rows.
+        Only the library redistributions below use it.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from . import fileio, kernel
+from . import fileio, kernel, pipeline
 from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite
-from .pipeline import RunSummary
 
 F64 = np.dtype("<f8")
 DEFAULT_PANEL = 64
@@ -288,21 +290,25 @@ def dist_cholesky(M, t, nb=DEFAULT_PANEL):
     return L
 
 
-def dist_trsolve(L, B, t, nb=DEFAULT_PANEL):
-    """Solve L X = B for a 2D-distributed lower-triangular L and RHS B.
+def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
+    """Overwrite this rank's full columns X with L^-1 X and return X.
 
-    Internally the RHS moves to the full-column 1D layout so each rank
-    runs the forward substitution on its own columns against replicated
-    row panels of L.
+    L is the 2D-distributed lower-triangular factor. X is n x k, Fortran
+    ordered float64, and k may differ between ranks or be 0. The call is
+    collective: every rank takes part in replicating each nb-row panel of
+    L, then runs forward substitution on its own columns. Nothing about X
+    is communicated or copied. At np=1 it is one in-place triangular solve.
     """
     n = L.gr
-    if B.gr != n:
+    if X.shape[0] != n:
         raise DimensionMismatch("dist_trsolve: RHS rows do not match L")
+    if X.dtype != np.float64 or not X.flags.f_contiguous:
+        raise DimensionMismatch("dist_trsolve: RHS must be Fortran-ordered float64")
     if L.grid.np_ == 1:
-        return DistMatrix2D(gr=B.gr, gc=B.gc, grid=B.grid, rank=t.rank,
-                            local=kernel.trsolve_lower(L.local, B.local))
-    B1 = redist_2d_to_1d(B, t)
-    X = B1.local.copy()
+        if X.size:
+            solve_triangular(L.local, X, lower=True, overwrite_b=True,
+                             check_finite=False)
+        return X
     for k in range(0, n, nb):
         kb = min(nb, n - k)
         panel = _replicate(L, t, k, k + kb, 0, k + kb)
@@ -310,14 +316,7 @@ def dist_trsolve(L, B, t, nb=DEFAULT_PANEL):
             rhs = X[k:k + kb] - panel[:, :k] @ X[:k]
             X[k:k + kb] = solve_triangular(panel[:, k:k + kb], rhs,
                                            lower=True, check_finite=False)
-    X1 = DistMatrix1D(gr=B.gr, gc=B.gc, grid=B.grid, rank=t.rank, local=X)
-    return redist_1d_to_2d(X1, t)
-
-
-def _replicate_full(D, t):
-    """Gather a distributed matrix and hand every rank a full copy."""
-    A = gather_matrix(D, t)
-    return t.broadcast_obj(0, A)
+    return X
 
 
 @dataclass
@@ -331,10 +330,12 @@ def run_dist(t, paths, cfg=None):
     """SPMD body of the distributed engine; call on every rank via
     transport.run_spmd. Returns a RunSummary (rank 0 carries the totals).
 
-    Each rank streams its own contiguous chunk of every marker block from
-    disk; the union of chunks is viewed, without communication, as a
-    1D-distributed block that is redistributed to the 2D grid for the
-    whitening solve and back for the local per-marker systems.
+    Only the covariance and its factor are distributed. Every rank reads
+    the covariates and phenotype and whitens [XL | y] itself. In the sweep
+    each rank reads its own contiguous chunk of every marker block into a
+    reader buffer, whitens it there with dist_trsolve and solves its
+    markers' small systems on that same memory: no block is redistributed
+    or copied.
     """
     cfg = cfg or DistConfig()
     t_start = time.perf_counter()
@@ -346,23 +347,20 @@ def run_dist(t, paths, cfg=None):
         raise ConfigError(f"m_blk={m_blk} not divisible by np={np_}")
     m_blk = min(m_blk, ((m + np_ - 1) // np_) * np_)
     loc = m_blk // np_
-    nblocks = (m + m_blk - 1) // m_blk
-
-    def chunk(bi):
-        # contiguous per-rank chunk of block bi; padding is bookkeeping only
-        first = bi * m_blk
+    # this rank's contiguous chunk of every block; the last ones may be
+    # short or empty
+    chunks = []
+    for first in range(0, m, m_blk):
         start = min(first + t.rank * loc, m)
-        valid = min(loc, m - start)
-        return start, max(valid, 0)
+        chunks.append((start, min(loc, m - start)))
 
     reader = fileio.BlockReader(paths.geno)
-    bufs = [np.zeros((n, loc), order="F"), np.zeros((n, loc), order="F")]
+    bufs = [np.empty((n, loc), order="F"), np.empty((n, loc), order="F")]
     flags = 1 if cfg.emit_s_inv else 0
 
-    # the first local block starts loading before any factoring so the
+    # the first chunk starts loading before any factoring so the
     # transfer hides behind the preparation phase
-    start0, valid0 = chunk(0)
-    ticket = reader.start(start0, valid0, bufs[0]) if valid0 else None
+    ticket = reader.start(*chunks[0], bufs[0]) if chunks[0][1] else None
 
     t0 = time.perf_counter()
     M = fileio.read_matrix(paths.cov, "GWAM") if t.rank == 0 else None
@@ -370,16 +368,17 @@ def run_dist(t, paths, cfg=None):
     del M
     Ld = dist_cholesky(Mdist, t, nb=cfg.nb)
     del Mdist
-    XL = fileio.read_matrix(paths.covariates, "GWAC") if t.rank == 0 else None
-    y = fileio.read_matrix(paths.pheno, "GWAY") if t.rank == 0 else None
-    XLd = scatter_matrix(XL, grid, t)
-    yd = scatter_matrix(None if y is None else y[:, None], grid, t)
-    XLbar_d = dist_trsolve(Ld, XLd, t, nb=cfg.nb)
-    ybar_d = dist_trsolve(Ld, yd, t, nb=cfg.nb)
-    # local copies on every rank; the small products are redundant by design
-    XLbar = _replicate_full(XLbar_d, t)
-    ybar = _replicate_full(ybar_d, t)[:, 0]
-    ctx = kernel.prepare_whitened(np.empty((n, 0)), XLbar, ybar)
+    XL = fileio.read_matrix(paths.covariates, "GWAC")
+    y = fileio.read_matrix(paths.pheno, "GWAY")
+    if XL.shape[0] != n or y.shape[0] != n:
+        raise DimensionMismatch(f"run_dist: n={n} but XL {XL.shape}, y {y.shape}")
+    # every rank whitens all of [XL | y]; the small products are redundant
+    # by design
+    W = np.empty((n, XL.shape[1] + 1), order="F")
+    W[:, :-1] = XL
+    W[:, -1] = y
+    dist_trsolve(Ld, W, t, nb=cfg.nb)
+    ctx = kernel.prepare_whitened(np.empty((n, 0)), W[:, :-1], W[:, -1])
     p = ctx.p
     t_prepare = time.perf_counter() - t0
 
@@ -389,66 +388,26 @@ def run_dist(t, paths, cfg=None):
     if t.rank != 0:
         writer = fileio.BlockWriter(paths.out, m, p, flags, create=False)
 
-    t_compute = 0.0
-    t_io_wait = 0.0
-    t_redist = 0.0
-    store_ticket = None
-    for bi in range(nblocks):
-        cur = bi % 2
-        start, valid = chunk(bi)
-        t0 = time.perf_counter()
-        if ticket is not None:
-            reader.wait(ticket)
-        t_io_wait += time.perf_counter() - t0
-        if valid < loc:
-            bufs[cur][:, valid:] = 0.0
-        if bi + 1 < nblocks:
-            nstart, nvalid = chunk(bi + 1)
-            ticket = reader.start(nstart, nvalid, bufs[1 - cur]) if nvalid else None
-        else:
-            ticket = None
-        # combine: the local chunks are, as-is, the columns of a
-        # 1D-distributed block; no communication happens here
-        X1 = DistMatrix1D(gr=n, gc=m_blk, grid=grid, rank=t.rank, local=bufs[cur])
-        t0 = time.perf_counter()
-        X2 = redist_1d_to_2d(X1, t)
-        t_redist += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        Xb2 = dist_trsolve(Ld, X2, t, nb=cfg.nb)
-        t_compute += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        Xb1 = redist_2d_to_1d(Xb2, t)
-        t_redist += time.perf_counter() - t0
-        # localpart: a view of this rank's columns, again zero communication
-        t0 = time.perf_counter()
-        block = kernel.solve_whitened_block(
-            ctx, Xb1.local[:, :valid], start, emit_s_inv=cfg.emit_s_inv)
-        t_compute += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        if store_ticket is not None:
-            writer.wait(store_ticket)
-        t_io_wait += time.perf_counter() - t0
-        if valid:
-            store_ticket = writer.start(block)
-        else:
-            store_ticket = None
-    t0 = time.perf_counter()
-    if store_ticket is not None:
-        writer.wait(store_ticket)
-    t_io_wait += time.perf_counter() - t0
+    def solve(first, columns):
+        Xbar = dist_trsolve(Ld, columns, t, nb=cfg.nb)
+        return kernel.solve_whitened_block(ctx, Xbar, first,
+                                           emit_s_inv=cfg.emit_s_inv)
+
+    t_compute, t_io_wait, block_cpu = pipeline.sweep(
+        reader, writer, chunks, bufs, ticket, solve)
     t.barrier()
     reader.close()
     writer.close()
 
     stats = t.allgather_obj(dict(
         bytes_read=reader.bytes_read, bytes_written=writer.bytes_written))
-    summary = RunSummary(
+    return pipeline.RunSummary(
         mode="dist", n=n, m=m, p=p, m_blk=m_blk, np_=np_,
         t_prepare=t_prepare, t_compute=t_compute, t_io_wait=t_io_wait,
-        t_redistribute=t_redist, t_total=time.perf_counter() - t_start,
+        t_total=time.perf_counter() - t_start,
         bytes_read=sum(s["bytes_read"] for s in stats),
         bytes_written=sum(s["bytes_written"] for s in stats),
         peak_resident_est=8 * n * n // np_ + 2 * 8 * n * loc + 8 * n * p,
         buffer_regions=2,
+        block_cpu_times=block_cpu,
     )
-    return summary

@@ -126,34 +126,37 @@ def _write_results(path, payload: ResultPayload):
 
 
 def read_matrix(path, kind):
-    """Read a whole file; inverse of write_matrix (bitwise round trip)."""
+    """Read a whole file; inverse of write_matrix (bitwise round trip).
+
+    The payload is read straight into the returned array, so the peak
+    memory is the payload once."""
     with open(path, "rb") as f:
         dims = read_header(f, kind)
-        body = f.read()
-    if kind == "GWAB":
-        m, p, flags = dims
-        rsz = record_size(p, flags)
-        if len(body) < m * rsz:
-            raise TruncatedFile(f"expected {m * rsz} payload bytes, got {len(body)}")
-        rec = np.frombuffer(body[:m * rsz], dtype=F64).reshape(m, rsz // 8)
-        betas = rec[:, :p].copy()
-        sinv = rec[:, p:].copy() if flags & 1 else None
-        return ResultPayload(betas=betas, sinv=sinv)
-    if kind == "GWAM":
-        shape = (dims[0], dims[0])
-    elif kind in ("GWAX", "GWAC"):
-        shape = dims
-    else:
-        shape = (dims[0],)
-    need = 8 * int(np.prod(shape))
-    if len(body) < need:
-        raise TruncatedFile(f"expected {need} payload bytes, got {len(body)}")
-    arr = np.frombuffer(body[:need], dtype=F64).reshape(shape, order="F").copy(order="F")
+        if kind == "GWAB":
+            m, p, flags = dims
+            rec = _read_payload(f, (m, record_size(p, flags) // 8), "C")
+            return ResultPayload(betas=rec[:, :p],
+                                 sinv=rec[:, p:] if flags & 1 else None)
+        if kind == "GWAM":
+            shape = (dims[0], dims[0])
+        elif kind in ("GWAX", "GWAC"):
+            shape = dims
+        else:
+            shape = (dims[0],)
+        arr = _read_payload(f, shape, "F")
     if kind == "GWAM":
         if not np.array_equal(arr, arr.T):
             raise AsymmetricCovariance("covariance file is not exactly symmetric")
         if not np.all(np.isfinite(arr)):
             raise AsymmetricCovariance("covariance file has non-finite entries")
+    return arr
+
+
+def _read_payload(f, shape, order):
+    arr = np.empty(shape, dtype=F64, order=order)
+    got = f.readinto(arr.reshape(-1, order=order))
+    if got < arr.nbytes:
+        raise TruncatedFile(f"expected {arr.nbytes} payload bytes, got {got}")
     return arr
 
 

@@ -1,12 +1,12 @@
 """Streaming driver: block scheduling plus double buffering so disk
 transfers overlap compute.
 
-The out-of-core loop is:
+`sweep` is the one block loop of the out-of-core and distributed engines:
 
-    load_start(first)
+    load_start(first)            # by the caller
     for each block:
         load_wait(current); if not last: load_start(next)
-        whiten + solve the current block
+        solve the current block in its input region
         if not first: store_wait(previous)
         store_start(current)
     store_wait(last)
@@ -59,7 +59,6 @@ class RunSummary:
     t_prepare: float = 0.0
     t_compute: float = 0.0
     t_io_wait: float = 0.0
-    t_redistribute: float = 0.0
     t_total: float = 0.0
     bytes_read: int = 0
     bytes_written: int = 0
@@ -191,32 +190,14 @@ def run_ooc(paths, cfg=None):
     out_bufs = [np.empty((m_blk, rsz // 8)), np.empty((m_blk, rsz // 8))]
     regions_allocated = 2
 
-    t_compute = 0.0
-    t_io_wait = 0.0
-    block_cpu = []
-    load_ticket = reader.start(plan.blocks[0][0], plan.blocks[0][1], in_bufs[0])
-    store_ticket = None
-    for bi, (first, count) in enumerate(plan.blocks):
-        cur = bi % 2
-        cpu0 = time.process_time()
-        t0 = time.perf_counter()
-        blk = reader.wait(load_ticket)
-        t_io_wait += time.perf_counter() - t0
-        if bi + 1 < len(plan.blocks):
-            nfirst, ncount = plan.blocks[bi + 1]
-            load_ticket = reader.start(nfirst, ncount, in_bufs[1 - cur])
-        t0 = time.perf_counter()
-        result = kernel.gls_solve_block(ctx, blk, emit_s_inv=cfg.emit_s_inv)
-        t_compute += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        if store_ticket is not None:
-            writer.wait(store_ticket)
-        t_io_wait += time.perf_counter() - t0
-        store_ticket = writer.start(result, buffer=out_bufs[cur])
-        block_cpu.append(time.process_time() - cpu0)
-    t0 = time.perf_counter()
-    writer.wait(store_ticket)
-    t_io_wait += time.perf_counter() - t0
+    def solve(first, columns):
+        return kernel.gls_solve_block(
+            ctx, kernel.SnpBlock(first_index=first, data=columns),
+            emit_s_inv=cfg.emit_s_inv)
+
+    load_ticket = reader.start(*plan.blocks[0], in_bufs[0])
+    t_compute, t_io_wait, block_cpu = sweep(
+        reader, writer, plan.blocks, in_bufs, load_ticket, solve, out_bufs)
     bytes_read = reader.bytes_read
     bytes_written = writer.bytes_written
     reader.close()
@@ -230,3 +211,46 @@ def run_ooc(paths, cfg=None):
         buffer_regions=regions_allocated,
         block_cpu_times=block_cpu,
     )
+
+
+def sweep(reader, writer, blocks, in_bufs, load_ticket, solve,
+          out_bufs=(None, None)):
+    """Stream blocks [(first_index, count), ...] through the two input
+    regions in_bufs. The load of blocks[0] into in_bufs[0] is already in
+    flight as load_ticket (None if that block is empty).
+
+    solve(first_index, columns) gets a view of the block in its input
+    region and returns a ResultBlock, whose records are staged in
+    out_bufs[i] when given. An empty block is neither read nor stored, but
+    solve still runs on it, because a distributed solve is collective.
+
+    Returns (t_compute, t_io_wait, per-block CPU seconds).
+    """
+    t_compute = 0.0
+    t_io_wait = 0.0
+    block_cpu = []
+    store_ticket = None
+    for bi, (first, count) in enumerate(blocks):
+        cur = bi % 2
+        cpu0 = time.process_time()
+        t0 = time.perf_counter()
+        if load_ticket is not None:
+            reader.wait(load_ticket)
+        t_io_wait += time.perf_counter() - t0
+        load_ticket = None
+        if bi + 1 < len(blocks) and blocks[bi + 1][1]:
+            load_ticket = reader.start(*blocks[bi + 1], in_bufs[1 - cur])
+        t0 = time.perf_counter()
+        result = solve(first, in_bufs[cur][:, :count])
+        t_compute += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        if store_ticket is not None:
+            writer.wait(store_ticket)
+        t_io_wait += time.perf_counter() - t0
+        store_ticket = writer.start(result, buffer=out_bufs[cur]) if count else None
+        block_cpu.append(time.process_time() - cpu0)
+    t0 = time.perf_counter()
+    if store_ticket is not None:
+        writer.wait(store_ticket)
+    t_io_wait += time.perf_counter() - t0
+    return t_compute, t_io_wait, block_cpu

@@ -147,7 +147,7 @@ class InprocTransport(Transport):
 
 
 def _frame(payload):
-    return struct.pack("<I", len(payload)) + payload
+    return struct.pack("<Q", len(payload)) + payload
 
 
 def _read_exact(sock, nbytes):
@@ -163,12 +163,12 @@ def _read_exact(sock, nbytes):
 
 
 def _read_frame(sock):
-    (ln,) = struct.unpack("<I", _read_exact(sock, 4))
+    (ln,) = struct.unpack("<Q", _read_exact(sock, 8))
     return _read_exact(sock, ln)
 
 
 class SocketTransport(Transport):
-    """Worker-process realization: frames are 4-byte LE length + payload,
+    """Worker-process realization: frames are 8-byte LE length + payload,
     routed through a star router in the launching process."""
 
     def __init__(self, port, rank, size):

@@ -42,50 +42,35 @@ def degenerate_dataset(tmp_path_factory):
 
 
 def record_block_views(monkeypatch):
-    """Wrap the dist engine's block hand-offs and keep what each received:
-    the reader buffers, the inputs of redist_1d_to_2d, the outputs of
-    redist_2d_to_1d and the Xbar of every solve_whitened_block call."""
-    from gwasgls import distgrid, fileio, kernel
+    """Wrap the dist engine's block path at both ends and keep what each
+    end saw: the buffers handed to BlockReader.start and the Xbar of every
+    solve_whitened_block call."""
+    from gwasgls import fileio, kernel
 
-    seen = {"reader": [], "to_2d": [], "to_1d": [], "solve": []}
+    seen = {"reader": [], "solve": []}
     reader_start = fileio.BlockReader.start
-    to_2d = distgrid.redist_1d_to_2d
-    to_1d = distgrid.redist_2d_to_1d
     solve = kernel.solve_whitened_block
 
     def start(self, first_index, count, buffer):
         seen["reader"].append(buffer)
         return reader_start(self, first_index, count, buffer)
 
-    def redist_1d_to_2d(X, t):
-        seen["to_2d"].append(X.local)
-        return to_2d(X, t)
-
-    def redist_2d_to_1d(X, t):
-        out = to_1d(X, t)
-        seen["to_1d"].append(out.local)
-        return out
-
     def solve_whitened_block(ctx, Xbar, *args, **kwargs):
         seen["solve"].append(Xbar)
         return solve(ctx, Xbar, *args, **kwargs)
 
     monkeypatch.setattr(fileio.BlockReader, "start", start)
-    monkeypatch.setattr(distgrid, "redist_1d_to_2d", redist_1d_to_2d)
-    monkeypatch.setattr(distgrid, "redist_2d_to_1d", redist_2d_to_1d)
     monkeypatch.setattr(kernel, "solve_whitened_block", solve_whitened_block)
     return seen
 
 
 def count_zero_copy_views(seen):
-    """(blocks solved, blocks redistributed straight from a reader buffer,
-    blocks solved straight from a redistribution's output)."""
-    def shares(a, pool):
-        return any(np.shares_memory(a, b) for b in pool)
-
-    combine = sum(shares(x, seen["reader"]) for x in seen["to_2d"])
-    localpart = sum(shares(x, seen["to_1d"]) for x in seen["solve"])
-    return len(seen["solve"]), combine, localpart
+    """(blocks solved, blocks solved in the memory of a reader buffer).
+    A copy anywhere between disk and the small solves leaves a block
+    uncounted."""
+    views = sum(any(np.shares_memory(x, b) for b in seen["reader"])
+                for x in seen["solve"])
+    return len(seen["solve"]), views
 
 
 @pytest.fixture()

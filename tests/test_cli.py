@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import gwasgls
 from gwasgls import fileio
 from gwasgls.cli import main
 
@@ -129,9 +131,14 @@ class TestBench:
 
 def test_console_script_smoke(tmp_path):
     d = str(tmp_path / "data")
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(gwasgls.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
     r = subprocess.run(
         [sys.executable, "-m", "gwasgls.cli", "gen", "--n", "20", "--m", "10",
          "--p", "3", "--out", d],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert "gen n=20 m=10 p=3" in r.stdout

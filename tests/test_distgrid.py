@@ -21,6 +21,7 @@ from gwasgls.distgrid import (
 )
 from gwasgls.errors import (
     ConfigError,
+    DimensionMismatch,
     NotPositiveDefinite,
     RankDeficientCovariates,
 )
@@ -205,28 +206,15 @@ class TestDistKernels:
     @pytest.mark.parametrize("np_", [1, 4])
     def test_dist_trsolve_identity_returns_rhs(self, np_):
         B = np.random.default_rng(4).standard_normal((12, 5))
-
-        def body(t):
-            grid = grid_create(t.size)
-            Ld = scatter_matrix(np.eye(12) if t.rank == 0 else None, grid, t)
-            Bd = scatter_matrix(B if t.rank == 0 else None, grid, t)
-            return gather_matrix(dist_trsolve(Ld, Bd, t, nb=4), t)
-
-        assert np.allclose(run_spmd(np_, body)[0], B)
+        X, _ = _trsolve_columns(np.eye(12), B, np_, nb=4)
+        assert np.allclose(X, B)
 
     def test_dist_trsolve_residual(self):
         rng = np.random.default_rng(5)
         n = 96
         L = np.tril(rng.standard_normal((n, n))) + 10 * np.eye(n)
         B = rng.standard_normal((n, 64))
-
-        def body(t):
-            grid = grid_create(t.size)
-            Ld = scatter_matrix(L if t.rank == 0 else None, grid, t)
-            Bd = scatter_matrix(B if t.rank == 0 else None, grid, t)
-            return gather_matrix(dist_trsolve(Ld, Bd, t, nb=16), t)
-
-        X = run_spmd(4, body)[0]
+        X, _ = _trsolve_columns(L, B, 4, nb=16)
         assert np.max(np.abs(L @ X - B)) / np.max(np.abs(B)) <= 1e-12
         Xref = kernel.trsolve_lower(L, B)
         assert np.max(np.abs(X - Xref)) <= 1e-10 * np.max(np.abs(Xref))
@@ -235,14 +223,46 @@ class TestDistKernels:
         rng = np.random.default_rng(6)
         L = np.tril(rng.standard_normal((10, 10))) + 5 * np.eye(10)
         B = rng.standard_normal((10, 3))
+        X, in_place = _trsolve_columns(L, B, 1)
+        assert np.array_equal(X, kernel.trsolve_lower(L, B))
+        assert in_place == [True]
 
+    def test_dist_trsolve_rank_without_columns(self):
+        # 3 columns over 4 ranks: rank 3 holds none and still takes part
+        rng = np.random.default_rng(7)
+        n = 40
+        L = np.tril(rng.standard_normal((n, n))) + 10 * np.eye(n)
+        B = rng.standard_normal((n, 3))
+        X, in_place = _trsolve_columns(L, B, 4, nb=8)
+        Xref = kernel.trsolve_lower(L, B)
+        assert np.max(np.abs(X - Xref)) <= 1e-10 * np.max(np.abs(Xref))
+        assert in_place == [True] * 4
+
+    def test_dist_trsolve_rejects_c_order_columns(self):
         def body(t):
-            grid = grid_create(1)
-            Ld = scatter_matrix(L, grid, t)
-            Bd = scatter_matrix(B, grid, t)
-            return gather_matrix(dist_trsolve(Ld, Bd, t), t)
+            Ld = scatter_matrix(np.eye(6), grid_create(1), t)
+            with pytest.raises(DimensionMismatch):
+                dist_trsolve(Ld, np.ones((6, 2)), t)
+            return True
 
-        assert np.array_equal(run_spmd(1, body)[0], kernel.trsolve_lower(L, B))
+        assert run_spmd(1, body) == [True]
+
+
+def _trsolve_columns(L, B, np_, nb=distgrid.DEFAULT_PANEL):
+    """dist_trsolve on np_ ranks, rank r holding columns r, r + np_, ...
+    Returns the assembled solution and, per rank, whether dist_trsolve
+    handed back the very array it was given."""
+    def body(t):
+        Ld = scatter_matrix(L if t.rank == 0 else None, grid_create(t.size), t)
+        Xr = np.asfortranarray(B[:, t.rank::t.size])
+        out = dist_trsolve(Ld, Xr, t, nb=nb)
+        return out, out is Xr
+
+    parts = run_spmd(np_, body)
+    X = np.empty_like(B)
+    for rank, (Xr, _) in enumerate(parts):
+        X[:, rank::np_] = Xr
+    return X, [same for _, same in parts]
 
 
 class TestRunDist:
@@ -285,6 +305,17 @@ class TestRunDist:
         assert np.all(payload.statuses == "ok")
         assert np.all(np.isfinite(payload.betas))
 
+    def test_rank_without_markers(self, tmp_path):
+        # m=5 over 4 ranks: rank 3's only chunk is empty, so it reads and
+        # stores nothing but still joins the collective solves
+        ds = self._dataset(tmp_path, n=30, m=5, p=3, seed=3)
+        ref = solve_paths(ds, str(tmp_path / "ref.gwab"))
+        run_incore(ref)
+        dist = solve_paths(ds, str(tmp_path / "d.gwab"))
+        run_spmd(4, run_dist, dist, DistConfig())
+        rep = compare_results(ref.out, dist.out, 1e-10)
+        assert rep.within, rep
+
     def test_indivisible_m_blk_rejected(self, tmp_path, seed42_dataset):
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         with pytest.raises(ConfigError):
@@ -294,10 +325,9 @@ class TestRunDist:
         seen = record_block_views(monkeypatch)
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         run_spmd(2, run_dist, paths, DistConfig(m_blk=128))
-        blocks, combine, localpart = count_zero_copy_views(seen)
+        blocks, views = count_zero_copy_views(seen)
         assert blocks == 2 * 4
-        assert combine == blocks
-        assert localpart == blocks
+        assert views == blocks
 
     def test_rank_deficient_covariates(self, tmp_path):
         ds = self._dataset(tmp_path, n=40, m=50)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,22 @@ def test_truncated_file(tmp_path):
     open(path, "wb").write(raw[:-16])
     with pytest.raises(TruncatedFile):
         fileio.read_matrix(path, "GWAX")
+
+
+def test_read_matrix_peak_is_one_payload(tmp_path):
+    # the payload is read straight into the returned array: no bytes
+    # object or second copy next to it
+    path = str(tmp_path / "x.gwax")
+    payload = np.random.default_rng(2).standard_normal((500, 400))
+    fileio.write_matrix(path, "GWAX", payload)
+    tracemalloc.start()
+    try:
+        back = fileio.read_matrix(path, "GWAX")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, payload)
+    assert peak <= 1.25 * payload.nbytes
 
 
 def test_asymmetric_covariance_rejected(tmp_path):

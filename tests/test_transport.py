@@ -1,7 +1,10 @@
+import socket
+import struct
+
 import pytest
 
 from gwasgls.errors import SizeMismatch
-from gwasgls.transport import run_spmd
+from gwasgls.transport import _frame, _read_frame, run_spmd
 
 
 def test_single_rank_alltoall_identity():
@@ -84,3 +87,20 @@ def test_socket_transport_matches_inproc(size):
         ata = t.alltoall([bytes([t.rank, d]) for d in range(t.size)])
         return gathered, ata
     assert run_spmd(size, body, transport="socket") == run_spmd(size, body)
+
+
+def test_frame_round_trip():
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(_frame(b"payload"))
+        assert _read_frame(b) == b"payload"
+
+
+def test_frame_length_beyond_u32_is_not_truncated():
+    # a u32 reader would take this header as a 1-byte frame
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(struct.pack("<Q", 2**32 + 1) + b"\x01")
+        a.close()
+        with pytest.raises(ConnectionError):
+            _read_frame(b)
