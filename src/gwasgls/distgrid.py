@@ -214,37 +214,35 @@ def redist_2d_to_1d(X, t):
     return out
 
 
+def _owned(D, rank, r0, r1, c0, c1):
+    """Global rows and columns of the window [r0:r1, c0:c1] owned by rank."""
+    prow, pcol = D.grid.coord(rank)
+    rows = _rows_of(D.gr, D.grid, prow)
+    cols = _cols_of(D.gc, D.grid, pcol)
+    return rows[(rows >= r0) & (rows < r1)], cols[(cols >= c0) & (cols < c1)]
+
+
 def _replicate(D, t, r0, r1, c0, c1):
     """Materialize the global submatrix [r0:r1, c0:c1] on every rank.
 
-    Each rank contributes its owned entries on a zero background; summing
-    the allgathered contributions is exact because supports are disjoint.
+    Each rank sends only the entries of it that it owns; every rank places
+    each source's piece by that source's global rows and columns.
     """
-    grid = D.grid
-    prow, pcol = grid.coord(t.rank)
-    rows = _rows_of(D.gr, grid, prow)
-    cols = _cols_of(D.gc, grid, pcol)
-    rsel = np.nonzero((rows >= r0) & (rows < r1))[0]
-    csel = np.nonzero((cols >= c0) & (cols < c1))[0]
-    buf = np.zeros((r1 - r0, c1 - c0))
-    buf[np.ix_(rows[rsel] - r0, cols[csel] - c0)] = D.local[np.ix_(rsel, csel)]
-    pieces = t.allgather(_as_bytes(buf))
-    out = np.zeros_like(buf)
-    for raw in pieces:
-        out += _from_bytes(raw, buf.shape)
+    rows, cols = _owned(D, t.rank, r0, r1, c0, c1)
+    mine = D.local[np.ix_(rows // D.grid.r, cols // D.grid.c)]
+    out = np.empty((r1 - r0, c1 - c0))
+    for src, raw in enumerate(t.allgather(_as_bytes(mine))):
+        rows, cols = _owned(D, src, r0, r1, c0, c1)
+        out[np.ix_(rows - r0, cols - c0)] = _from_bytes(raw, (len(rows), len(cols)))
     return out
 
 
 def _write_back(D, t, r0, c0, values):
     """Store a replicated submatrix into the owned entries of D."""
-    grid = D.grid
-    prow, pcol = grid.coord(t.rank)
-    rows = _rows_of(D.gr, grid, prow)
-    cols = _cols_of(D.gc, grid, pcol)
     r1, c1 = r0 + values.shape[0], c0 + values.shape[1]
-    rsel = np.nonzero((rows >= r0) & (rows < r1))[0]
-    csel = np.nonzero((cols >= c0) & (cols < c1))[0]
-    D.local[np.ix_(rsel, csel)] = values[np.ix_(rows[rsel] - r0, cols[csel] - c0)]
+    rows, cols = _owned(D, t.rank, r0, r1, c0, c1)
+    D.local[np.ix_(rows // D.grid.r, cols // D.grid.c)] = \
+        values[np.ix_(rows - r0, cols - c0)]
 
 
 def dist_cholesky(M, t, nb=DEFAULT_PANEL):
@@ -323,7 +321,6 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
 class DistConfig:
     m_blk: int | None = None  # default 256 * np
     emit_s_inv: bool = False
-    nb: int = DEFAULT_PANEL
 
 
 def run_dist(t, paths, cfg=None):
@@ -366,7 +363,7 @@ def run_dist(t, paths, cfg=None):
     M = fileio.read_matrix(paths.cov, "GWAM") if t.rank == 0 else None
     Mdist = scatter_matrix(M, grid, t)
     del M
-    Ld = dist_cholesky(Mdist, t, nb=cfg.nb)
+    Ld = dist_cholesky(Mdist, t)
     del Mdist
     XL = fileio.read_matrix(paths.covariates, "GWAC")
     y = fileio.read_matrix(paths.pheno, "GWAY")
@@ -377,7 +374,7 @@ def run_dist(t, paths, cfg=None):
     W = np.empty((n, XL.shape[1] + 1), order="F")
     W[:, :-1] = XL
     W[:, -1] = y
-    dist_trsolve(Ld, W, t, nb=cfg.nb)
+    dist_trsolve(Ld, W, t)
     ctx = kernel.prepare_whitened(np.empty((n, 0)), W[:, :-1], W[:, -1])
     p = ctx.p
     t_prepare = time.perf_counter() - t0
@@ -389,7 +386,7 @@ def run_dist(t, paths, cfg=None):
         writer = fileio.BlockWriter(paths.out, m, p, flags, create=False)
 
     def solve(first, columns):
-        Xbar = dist_trsolve(Ld, columns, t, nb=cfg.nb)
+        Xbar = dist_trsolve(Ld, columns, t)
         return kernel.solve_whitened_block(ctx, Xbar, first,
                                            emit_s_inv=cfg.emit_s_inv)
 

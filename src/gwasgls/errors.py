@@ -61,6 +61,9 @@ class TransportFailure(GwasGlsError):
         self.reason = reason
         super().__init__(f"transport failure at rank {rank}: {reason}")
 
+    def __reduce__(self):  # socket ranks ship their errors to the launcher
+        return type(self), (self.rank, self.reason)
+
 
 class SizeMismatch(GwasGlsError):
     """Collective called with incompatible payload sizes."""

@@ -169,7 +169,6 @@ def read_dims(path, kind):
 class IoTicket:
     future: object
     buffer_key: int
-    owner: object
 
 
 class _Agent:
@@ -186,7 +185,7 @@ class _Agent:
             if buffer_key in self._inflight:
                 raise OverlappingBuffer("buffer already referenced by an in-flight ticket")
             self._inflight.add(buffer_key)
-        return IoTicket(self._pool.submit(fn), buffer_key, self)
+        return IoTicket(self._pool.submit(fn), buffer_key)
 
     def wait(self, ticket):
         try:

@@ -1,66 +1,51 @@
 """Rank-addressed message passing for the distributed engine.
 
 Two realizations of one contract: in-process ranks (threads exchanging
-messages through queues) for tests and CI, and worker processes talking
-over local sockets with length-prefixed binary frames. The SPMD driver
-never sees which one it runs on.
+messages through queues) for tests and CI, and worker processes joined
+pairwise by local socket pairs carrying length-prefixed binary frames.
+The SPMD driver never sees which one it runs on.
 
 Messages between a fixed ordered pair of ranks are delivered in order;
 collectives are built deterministically on send/recv so two runs with the
-same inputs move the same bytes in the same order.
+same inputs move the same bytes in the same order, and no rank relays
+another's data. A rank that ends leaves a sentinel behind its last
+message to each peer, so a peer still waiting on it raises
+TransportFailure instead of hanging.
 """
 
 from __future__ import annotations
 
 import pickle
 import queue
-import selectors
 import socket
 import struct
 import threading
 
 from .errors import SizeMismatch, TransportFailure
 
-_BYE = 0xFFFFFFFF
-
-
-def _pack_list(items):
-    out = [struct.pack("<I", len(items))]
-    for it in items:
-        out.append(struct.pack("<Q", len(it)))
-        out.append(it)
-    return b"".join(out)
-
-
-def _unpack_list(data):
-    (count,) = struct.unpack_from("<I", data, 0)
-    off = 4
-    items = []
-    for _ in range(count):
-        (ln,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        items.append(data[off:off + ln])
-        off += ln
-    return items
+_GONE = None  # queued behind a rank's last message once it has ended
 
 
 class Transport:
     """Base contract: point-to-point send/recv plus collectives."""
 
-    rank: int
-    size: int
-
-    def __init__(self):
+    def __init__(self, rank, size, boxes):
+        self.rank = rank
+        self.size = size
         self.bytes_sent = 0
         self.bytes_received = 0
+        # (src, dst, channel) -> queue of messages for dst; channel 1
+        # carries collective traffic so it can never be confused with user
+        # point-to-point messages
+        self._boxes = boxes
 
-    # realizations implement these two; channel 1 carries collective
-    # traffic so it can never be confused with user point-to-point messages
     def _send(self, dst, data, channel):
+        """Deliver data to the (self.rank, dst, channel) queue of rank dst."""
         raise NotImplementedError
 
-    def _recv(self, src, channel):
-        raise NotImplementedError
+    def _gone(self, src, dst):
+        for channel in (0, 1):
+            self._boxes[(src, dst, channel)].put(_GONE)
 
     def send(self, dst, data, _channel=0):
         if not 0 <= dst < self.size:
@@ -71,7 +56,9 @@ class Transport:
     def recv(self, src, _channel=0):
         if not 0 <= src < self.size:
             raise TransportFailure(self.rank, f"bad source {src}")
-        data = self._recv(src, _channel)
+        data = self._boxes[(src, self.rank, _channel)].get()
+        if data is _GONE:
+            raise TransportFailure(self.rank, f"rank {src} ended before sending")
         self.bytes_received += len(data)
         return data
 
@@ -89,16 +76,7 @@ class Transport:
         return self.recv(root, _channel=1)
 
     def allgather(self, data):
-        if self.size == 1:
-            return [data]
-        if self.rank == 0:
-            items = [data]
-            for src in range(1, self.size):
-                items.append(self.recv(src, _channel=1))
-            self.broadcast(0, _pack_list(items))
-            return items
-        self.send(0, data, _channel=1)
-        return _unpack_list(self.broadcast(0))
+        return self.alltoall([data] * self.size)
 
     def alltoall(self, slices):
         if len(slices) != self.size:
@@ -131,19 +109,14 @@ class Transport:
 
 
 class InprocTransport(Transport):
-    """Threaded ranks exchanging messages via one queue per ordered pair."""
-
-    def __init__(self, rank, size, mailboxes):
-        super().__init__()
-        self.rank = rank
-        self.size = size
-        self._boxes = mailboxes
+    """Threaded ranks sharing one queue per ordered pair and channel."""
 
     def _send(self, dst, data, channel):
         self._boxes[(self.rank, dst, channel)].put(data)
 
-    def _recv(self, src, channel):
-        return self._boxes[(src, self.rank, channel)].get()
+    def close(self):
+        for dst in range(self.size):
+            self._gone(self.rank, dst)
 
 
 def _frame(payload):
@@ -168,92 +141,57 @@ def _read_frame(sock):
 
 
 class SocketTransport(Transport):
-    """Worker-process realization: frames are 8-byte LE length + payload,
-    routed through a star router in the launching process."""
+    """Worker-process realization: `socks[peer]` is this rank's end of the
+    socket pair it shares with each other rank. A frame is an 8-byte LE
+    length, the channel byte and the payload; one drain thread per peer
+    queues the frames that arrive."""
 
-    def __init__(self, port, rank, size):
-        super().__init__()
-        self.rank = rank
-        self.size = size
-        self._sock = socket.create_connection(("127.0.0.1", port))
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._send_lock = threading.Lock()
-        self._queues = {(src, ch): queue.Queue()
-                        for src in range(size) for ch in (0, 1)}
-        with self._send_lock:
-            self._sock.sendall(_frame(struct.pack("<I", rank)))  # hello
-        self._reader = threading.Thread(target=self._drain, daemon=True)
-        self._reader.start()
+    def __init__(self, rank, size, socks):
+        super().__init__(rank, size, {(src, rank, ch): queue.SimpleQueue()
+                                      for src in range(size) for ch in (0, 1)})
+        self._socks = socks
+        for peer, sock in socks.items():
+            threading.Thread(target=self._drain, args=(peer, sock),
+                             daemon=True).start()
 
-    def _drain(self):
+    def _drain(self, peer, sock):
         try:
             while True:
-                payload = _read_frame(self._sock)
-                (src,) = struct.unpack_from("<I", payload, 0)
-                if src == _BYE:
-                    return
-                self._queues[(src, payload[4])].put(payload[5:])
+                payload = _read_frame(sock)
+                self._boxes[(peer, self.rank, payload[0])].put(payload[1:])
         except (ConnectionError, OSError):
-            pass
+            self._gone(peer, self.rank)
 
     def _send(self, dst, data, channel):
-        with self._send_lock:
-            self._sock.sendall(_frame(struct.pack("<I", dst)
-                                      + bytes([channel]) + data))
-
-    def _recv(self, src, channel):
-        return self._queues[(src, channel)].get()
+        if dst == self.rank:
+            self._boxes[(dst, dst, channel)].put(data)
+        else:
+            self._socks[dst].sendall(_frame(bytes([channel]) + data))
 
     def close(self):
-        try:
-            with self._send_lock:
-                self._sock.sendall(_frame(struct.pack("<I", _BYE)))
-        except OSError:
-            pass
-
-
-def _router(server, size):
-    """Forward [dst][body] frames from each worker as [src][body] to dst."""
-    conns = {}
-    while len(conns) < size:
-        conn, _ = server.accept()
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        hello = _read_frame(conn)
-        (rank,) = struct.unpack("<I", hello)
-        conns[rank] = conn
-    locks = {rank: threading.Lock() for rank in conns}
-    alive = len(conns)
-    sel = selectors.DefaultSelector()
-    for rank, conn in conns.items():
-        sel.register(conn, selectors.EVENT_READ, rank)
-    done = set()
-    while len(done) < size:
-        for key, _ in sel.select():
-            src = key.data
-            if src in done:
-                continue
+        for sock in self._socks.values():
             try:
-                payload = _read_frame(key.fileobj)
-            except (ConnectionError, OSError):
-                done.add(src)
-                sel.unregister(key.fileobj)
-                continue
-            (dst,) = struct.unpack_from("<I", payload, 0)
-            if dst == _BYE:
-                done.add(src)
-                sel.unregister(key.fileobj)
-                continue
-            with locks[dst]:
-                conns[dst].sendall(_frame(struct.pack("<I", src) + payload[4:]))
-    for conn in conns.values():
-        try:
-            conn.close()
-        except OSError:
-            pass
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            sock.close()
 
 
-def _socket_worker(port, rank, size, fn, args, conn):
-    t = SocketTransport(port, rank, size)
+def _raise_first(errors):
+    """Re-raise the root cause: the first error that is not a
+    TransportFailure, else the first error."""
+    errors = [e for e in errors if e is not None]
+    if errors:
+        raise next((e for e in errors if not isinstance(e, TransportFailure)),
+                   errors[0])
+
+
+def _socket_worker(rank, size, ends, fn, args, conn):
+    for (me, _), sock in ends.items():
+        if me != rank:
+            sock.close()
+    t = SocketTransport(rank, size, {peer: sock for (me, peer), sock
+                                     in ends.items() if me == rank})
     try:
         result = fn(t, *args)
         conn.send(("ok", result))
@@ -268,7 +206,8 @@ def run_spmd(size, fn, *args, transport="inproc"):
     """Run fn(transport, *args) on `size` ranks; returns per-rank results.
 
     transport="inproc" uses threads in this process; "socket" forks worker
-    processes that exchange length-prefixed frames over local sockets.
+    processes joined pairwise by local socket pairs. If ranks raise, the
+    first error that is not a TransportFailure is re-raised here.
     """
     if transport == "inproc":
         mailboxes = {(s, d, ch): queue.SimpleQueue()
@@ -282,6 +221,8 @@ def run_spmd(size, fn, *args, transport="inproc"):
                 results[rank] = fn(t, *args)
             except BaseException as e:
                 errors[rank] = e
+            finally:
+                t.close()
 
         threads = [threading.Thread(target=_worker, args=(rank,))
                    for rank in range(size)]
@@ -289,39 +230,33 @@ def run_spmd(size, fn, *args, transport="inproc"):
             th.start()
         for th in threads:
             th.join()
-        for e in errors:
-            if e is not None:
-                raise e
+        _raise_first(errors)
         return results
 
     if transport == "socket":
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.bind(("127.0.0.1", 0))
-        server.listen(size)
-        port = server.getsockname()[1]
-        router = threading.Thread(target=_router, args=(server, size), daemon=True)
-        router.start()
+        ends = {}  # (rank, peer) -> rank's end of the pair it shares with peer
+        for a in range(size):
+            for b in range(a + 1, size):
+                ends[(a, b)], ends[(b, a)] = socket.socketpair()
         procs = []
         pipes = []
         for rank in range(size):
             parent, child = ctx.Pipe()
             proc = ctx.Process(target=_socket_worker,
-                               args=(port, rank, size, fn, args, child))
+                               args=(rank, size, ends, fn, args, child))
             proc.start()
             child.close()
             procs.append(proc)
             pipes.append(parent)
+        for sock in ends.values():
+            sock.close()
         outcomes = [pipe.recv() for pipe in pipes]
         for proc in procs:
             proc.join()
-        router.join(timeout=10)
-        server.close()
-        for status, payload in outcomes:
-            if status == "err":
-                raise payload
+        _raise_first([payload for status, payload in outcomes if status == "err"])
         return [payload for _, payload in outcomes]
 
     raise ValueError(f"unknown transport {transport!r}")

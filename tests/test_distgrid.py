@@ -238,6 +238,23 @@ class TestDistKernels:
         assert np.max(np.abs(X - Xref)) <= 1e-10 * np.max(np.abs(Xref))
         assert in_place == [True] * 4
 
+    @pytest.mark.parametrize("np_", [2, 4, 6])
+    def test_dist_trsolve_sends_only_the_l_panels(self, np_):
+        # every rank sends its owned entries of each row panel
+        # L[k:k+kb, :k+kb] to each other rank, and nothing else
+        n, nb = 100, 16
+        L = make_spd(n, seed=8)
+
+        def body(t):
+            Ld = scatter_matrix(L if t.rank == 0 else None, grid_create(t.size), t)
+            X = np.asfortranarray(np.ones((n, 2)))
+            before = t.bytes_sent
+            dist_trsolve(Ld, X, t, nb=nb)
+            return t.bytes_sent - before
+
+        panels = sum(min(nb, n - k) * (k + min(nb, n - k)) for k in range(0, n, nb))
+        assert sum(run_spmd(np_, body)) == 8 * (np_ - 1) * panels
+
     def test_dist_trsolve_rejects_c_order_columns(self):
         def body(t):
             Ld = scatter_matrix(np.eye(6), grid_create(1), t)

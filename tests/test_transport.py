@@ -1,9 +1,10 @@
 import socket
 import struct
+import threading
 
 import pytest
 
-from gwasgls.errors import SizeMismatch
+from gwasgls.errors import SizeMismatch, TransportFailure
 from gwasgls.transport import _frame, _read_frame, run_spmd
 
 
@@ -71,13 +72,58 @@ def test_counters_track_traffic():
     assert all(v >= 100 for v in moved)
 
 
-def test_worker_exception_propagates():
+def _error_within(seconds, body, transport):
+    """The error run_spmd(2, body) raises; fails if it has not returned
+    within `seconds`, so a hang fails the test instead of the suite."""
+    outcome = []
+
+    def launch():
+        try:
+            run_spmd(2, body, transport=transport)
+        except BaseException as e:
+            outcome.append(e)
+
+    th = threading.Thread(target=launch, daemon=True)
+    th.start()
+    th.join(timeout=seconds)
+    assert not th.is_alive(), "run_spmd hung"
+    assert len(outcome) == 1
+    return outcome[0]
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_worker_exception_propagates(transport):
+    # rank 0 waits for a message rank 1 never sends; the root cause, not
+    # rank 0's TransportFailure, reaches the caller
     def body(t):
         if t.rank == 1:
             raise RuntimeError("boom")
-        t.send(1 - t.rank if t.size == 2 else 0, b"") if False else None
-    with pytest.raises(RuntimeError, match="boom"):
-        run_spmd(2, body)
+        t.recv(1)
+
+    err = _error_within(30, body, transport)
+    assert isinstance(err, RuntimeError) and str(err) == "boom"
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_recv_from_ended_rank_raises(transport):
+    def body(t):
+        if t.rank == 0:
+            t.recv(1)
+
+    err = _error_within(30, body, transport)
+    assert isinstance(err, TransportFailure) and err.rank == 0
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_allgather_sends_each_peer_one_copy(transport):
+    data = b"x" * 1000
+
+    def body(t):
+        before = t.bytes_sent
+        t.allgather(data)
+        return t.bytes_sent - before
+
+    assert run_spmd(3, body, transport=transport) == [2 * len(data)] * 3
 
 
 @pytest.mark.parametrize("size", [1, 2, 4])
