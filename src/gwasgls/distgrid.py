@@ -3,7 +3,10 @@ factor live element-cyclic on a 2D process grid, and marker blocks never
 leave the rank that read them. Each rank reads its own contiguous chunk
 of every block as full columns and whitens them in place against row
 panels of L that are replicated one at a time, so the sweep moves panels
-of L and no genotype data.
+of L and no genotype data. A block is the ooc engine's, split evenly
+across ranks, so each replication of L is paid once per wide block. A
+rank's entries of any window are a slice of its local array that lands
+in a strided slice of the window, so panels move by slicing.
 
 Index maps:
     2D: element (i, j) is owned by grid process (i mod r, j mod c) at
@@ -24,9 +27,7 @@ from scipy.linalg import solve_triangular
 from . import fileio, kernel, pipeline
 from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite
 
-F64 = np.dtype("<f8")
 DEFAULT_PANEL = 64
-DEFAULT_LOCAL_BLOCK = 256  # markers per rank per block
 
 
 @dataclass(frozen=True)
@@ -214,35 +215,40 @@ def redist_2d_to_1d(X, t):
     return out
 
 
-def _owned(D, rank, r0, r1, c0, c1):
-    """Global rows and columns of the window [r0:r1, c0:c1] owned by rank."""
+def _span(lo, hi, p, step):
+    """Local and window slices of the indices i = p (mod step), lo <= i < hi."""
+    a, b = -((p - lo) // step), -((p - hi) // step)
+    return slice(a, b), slice(p + a * step - lo, hi - lo, step)
+
+
+def _window(D, rank, r0, r1, c0, c1):
+    """Slices (local, at): the entries of the window [r0:r1, c0:c1] of D
+    that rank owns are its D.local[local] and sit at window[at]."""
     prow, pcol = D.grid.coord(rank)
-    rows = _rows_of(D.gr, D.grid, prow)
-    cols = _cols_of(D.gc, D.grid, pcol)
-    return rows[(rows >= r0) & (rows < r1)], cols[(cols >= c0) & (cols < c1)]
+    lr, wr = _span(r0, r1, prow, D.grid.r)
+    lc, wc = _span(c0, c1, pcol, D.grid.c)
+    return (lr, lc), (wr, wc)
 
 
 def _replicate(D, t, r0, r1, c0, c1):
     """Materialize the global submatrix [r0:r1, c0:c1] on every rank.
 
-    Each rank sends only the entries of it that it owns; every rank places
-    each source's piece by that source's global rows and columns.
+    Each rank sends only the entries it owns, a slice of its local array;
+    every rank places each source's piece in that source's window slice.
     """
-    rows, cols = _owned(D, t.rank, r0, r1, c0, c1)
-    mine = D.local[np.ix_(rows // D.grid.r, cols // D.grid.c)]
+    local, _ = _window(D, t.rank, r0, r1, c0, c1)
     out = np.empty((r1 - r0, c1 - c0))
-    for src, raw in enumerate(t.allgather(_as_bytes(mine))):
-        rows, cols = _owned(D, src, r0, r1, c0, c1)
-        out[np.ix_(rows - r0, cols - c0)] = _from_bytes(raw, (len(rows), len(cols)))
+    for src, raw in enumerate(t.allgather(_as_bytes(D.local[local]))):
+        _, at = _window(D, src, r0, r1, c0, c1)
+        out[at] = _from_bytes(raw, out[at].shape)
     return out
 
 
 def _write_back(D, t, r0, c0, values):
     """Store a replicated submatrix into the owned entries of D."""
     r1, c1 = r0 + values.shape[0], c0 + values.shape[1]
-    rows, cols = _owned(D, t.rank, r0, r1, c0, c1)
-    D.local[np.ix_(rows // D.grid.r, cols // D.grid.c)] = \
-        values[np.ix_(rows - r0, cols - c0)]
+    local, at = _window(D, t.rank, r0, r1, c0, c1)
+    D.local[local] = values[at]
 
 
 def dist_cholesky(M, t, nb=DEFAULT_PANEL):
@@ -261,10 +267,6 @@ def dist_cholesky(M, t, nb=DEFAULT_PANEL):
                             local=kernel.cholesky_spd(M.local))
     A = DistMatrix2D(gr=n, gc=n, grid=M.grid, rank=t.rank, local=M.local.copy())
     L = DistMatrix2D.empty(n, n, M.grid, t.rank, fill=0)
-    grid = M.grid
-    prow, pcol = grid.coord(t.rank)
-    rows = _rows_of(n, grid, prow)
-    cols = _cols_of(n, grid, pcol)
     for k in range(0, n, nb):
         kb = min(nb, n - k)
         Akk = _replicate(A, t, k, k + kb, k, k + kb)
@@ -278,13 +280,10 @@ def dist_cholesky(M, t, nb=DEFAULT_PANEL):
         A21 = _replicate(A, t, k + kb, n, k, k + kb)
         L21 = solve_triangular(Lkk, A21.T, lower=True, check_finite=False).T
         _write_back(L, t, k + kb, k, L21)
-        # trailing update on owned entries only
-        rsel = np.nonzero(rows >= k + kb)[0]
-        csel = np.nonzero(cols >= k + kb)[0]
-        if len(rsel) and len(csel):
-            Lr = L21[rows[rsel] - (k + kb)]
-            Lc = L21[cols[csel] - (k + kb)]
-            A.local[np.ix_(rsel, csel)] -= Lr @ Lc.T
+        # trailing update on owned entries only; the copy keeps numpy from
+        # running an aliased pair as SYRK, which rounds unlike GEMM
+        (lr, lc), (wr, wc) = _window(A, t.rank, k + kb, n, k + kb, n)
+        A.local[lr, lc] -= L21[wr] @ L21[wc].copy().T
     return L
 
 
@@ -319,7 +318,7 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
 
 @dataclass
 class DistConfig:
-    m_blk: int | None = None  # default 256 * np
+    m_blk: int | None = None  # default pipeline.DEFAULT_M_BLK // np * np
     emit_s_inv: bool = False
 
 
@@ -339,11 +338,12 @@ def run_dist(t, paths, cfg=None):
     np_ = t.size
     grid = grid_create(np_)
     n, m = fileio.read_dims(paths.geno, "GWAX")
-    m_blk = cfg.m_blk if cfg.m_blk is not None else DEFAULT_LOCAL_BLOCK * np_
+    m_blk = cfg.m_blk if cfg.m_blk is not None else pipeline.DEFAULT_M_BLK // np_ * np_
     if m_blk % np_ != 0:
         raise ConfigError(f"m_blk={m_blk} not divisible by np={np_}")
     m_blk = min(m_blk, ((m + np_ - 1) // np_) * np_)
     loc = m_blk // np_
+    pipeline.check_budget(2 * 8 * n * loc, "two reader buffers")
     # this rank's contiguous chunk of every block; the last ones may be
     # short or empty
     chunks = []

@@ -12,6 +12,9 @@ class NotPositiveDefinite(GwasGlsError):
         self.pivot_index = pivot_index
         super().__init__(msg or f"matrix not positive definite (pivot {pivot_index})")
 
+    def __reduce__(self):  # socket ranks ship their errors to the launcher
+        return type(self), (self.pivot_index, str(self))
+
 
 class AsymmetricCovariance(GwasGlsError):
     """Covariance input is not exactly symmetric; refused rather than symmetrized."""

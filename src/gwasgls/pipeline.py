@@ -110,11 +110,14 @@ class SolveConfig:
     emit_s_inv: bool = False
     mem_budget_bytes: int | None = None  # None = take from env or unlimited
 
-    def budget(self):
-        if self.mem_budget_bytes is not None:
-            return self.mem_budget_bytes
-        env = os.environ.get(MEM_BUDGET_ENV)
-        return int(env) if env else None
+
+def check_budget(need, what, budget=None):
+    """Raise ConfigError when `what`, needing `need` bytes, exceeds the
+    memory budget: the one given, else MEM_BUDGET_ENV's value when set."""
+    if budget is None and os.environ.get(MEM_BUDGET_ENV):
+        budget = int(os.environ[MEM_BUDGET_ENV])
+    if budget is not None and need > budget:
+        raise ConfigError(f"{what} need {need} bytes, budget is {budget}")
 
 
 def _load_prepare(paths):
@@ -135,12 +138,9 @@ def run_incore(paths, cfg=None):
     cfg = cfg or SolveConfig()
     t_start = time.perf_counter()
     geno_bytes, n, m = fileio.total_genotype_bytes(paths.geno)
-    budget = cfg.budget()
     need = geno_bytes + 8 * n * n
-    if budget is not None and need > budget:
-        raise ConfigError(
-            f"in-core run needs {need} bytes (genotypes + covariance), "
-            f"budget is {budget}")
+    check_budget(need, "in-core genotypes and covariance",
+                 cfg.mem_budget_bytes)
     ctx, t_prep, m_bytes = _load_prepare(paths)
     p = ctx.p
     t0 = time.perf_counter()
@@ -177,10 +177,7 @@ def run_ooc(paths, cfg=None):
     flags = 1 if cfg.emit_s_inv else 0
     rsz = fileio.record_size(p, flags)
     region_bytes = 8 * n * m_blk + m_blk * rsz
-    budget = cfg.budget()
-    if budget is not None and 2 * region_bytes > budget:
-        raise ConfigError(
-            f"two buffer regions need {2 * region_bytes} bytes, budget is {budget}")
+    check_budget(2 * region_bytes, "two buffer regions", cfg.mem_budget_bytes)
 
     plan = block_plan(m, m_blk)
     reader = fileio.BlockReader(paths.geno)

@@ -206,8 +206,10 @@ def run_spmd(size, fn, *args, transport="inproc"):
     """Run fn(transport, *args) on `size` ranks; returns per-rank results.
 
     transport="inproc" uses threads in this process; "socket" forks worker
-    processes joined pairwise by local socket pairs. If ranks raise, the
-    first error that is not a TransportFailure is re-raised here.
+    processes joined pairwise by local socket pairs. Every rank is joined;
+    if ranks raise, the first error that is not a TransportFailure is
+    re-raised here, and a socket rank that exits without reporting raises
+    TransportFailure(rank, "exited with code N").
     """
     if transport == "inproc":
         mailboxes = {(s, d, ch): queue.SimpleQueue()
@@ -253,10 +255,20 @@ def run_spmd(size, fn, *args, transport="inproc"):
             pipes.append(parent)
         for sock in ends.values():
             sock.close()
-        outcomes = [pipe.recv() for pipe in pipes]
+        outcomes = []
+        for rank, pipe in enumerate(pipes):
+            try:
+                outcomes.append(pipe.recv())
+            except EOFError:  # the rank died without reporting
+                outcomes.append(("lost", rank))
+            pipe.close()
         for proc in procs:
             proc.join()
-        _raise_first([payload for status, payload in outcomes if status == "err"])
+        # a rank that died unreported is a root cause its peers saw only as
+        # a closed connection, so its failure goes first
+        errors = [TransportFailure(rank, f"exited with code {procs[rank].exitcode}")
+                  for status, rank in outcomes if status == "lost"]
+        _raise_first(errors + [e for status, e in outcomes if status == "err"])
         return [payload for _, payload in outcomes]
 
     raise ValueError(f"unknown transport {transport!r}")

@@ -108,6 +108,12 @@ class TestExitCodes:
         assert main(_solve_args(d, out, "ooc")) == 4
         assert main(_solve_args(d, out, "dist", "--np", "2")) == 4
 
+    def test_dist_over_budget_is_2(self, tmp_path, monkeypatch):
+        d = _gen(tmp_path, n=40, m=50)
+        monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", "1000")
+        out = str(tmp_path / "o.gwab")
+        assert main(_solve_args(d, out, "dist", "--np", "2")) == 2
+
     def test_oracle_scale_limit_is_2(self, tmp_path):
         d = _gen(tmp_path, n=501, m=10)
         args = _solve_args(d, str(tmp_path / "o.gwab"), "oracle")

@@ -1,3 +1,7 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from gwasgls.datagen import GenSpec, compare_results, gen_dataset
 from gwasgls.distgrid import (
     DistConfig,
     DistMatrix1D,
+    DistMatrix2D,
     dist_cholesky,
     dist_trsolve,
     gather_matrix,
@@ -25,7 +30,7 @@ from gwasgls.errors import (
     NotPositiveDefinite,
     RankDeficientCovariates,
 )
-from gwasgls.pipeline import SolveConfig, run_incore, run_ooc
+from gwasgls.pipeline import DEFAULT_M_BLK, SolveConfig, run_incore, run_ooc
 from gwasgls.transport import run_spmd
 
 from conftest import (
@@ -145,6 +150,34 @@ class TestDistribution:
            seed=st.integers(0, 10**6))
     def test_round_trips_bitwise_property(self, np_, gr, gc, seed):
         _dist_roundtrip(np_, gr, gc, seed)
+
+
+class TestWindow:
+    @pytest.mark.parametrize("np_", [1, 2, 4, 6])  # grids 1x1, 1x2, 2x2, 2x3
+    def test_window_matches_ix_reference(self, np_):
+        # every window of a 7x8 matrix, so windows start and end at every
+        # phase of the grid period, and some hold nothing of a rank
+        gr, gc = 7, 8
+        grid = grid_create(np_)
+        A = np.arange(gr * gc, dtype=float).reshape(gr, gc)
+        owns_nothing = 0
+        for rank in range(np_):
+            prow, pcol = grid.coord(rank)
+            D = DistMatrix2D(gr, gc, grid, rank, A[prow::grid.r, pcol::grid.c])
+            rows = distgrid._rows_of(gr, grid, prow)
+            cols = distgrid._cols_of(gc, grid, pcol)
+            for r0, r1 in itertools.combinations(range(gr + 1), 2):
+                for c0, c1 in itertools.combinations(range(gc + 1), 2):
+                    rsel = rows[(rows >= r0) & (rows < r1)]
+                    csel = cols[(cols >= c0) & (cols < c1)]
+                    W = A[r0:r1, c0:c1]
+                    local, at = distgrid._window(D, rank, r0, r1, c0, c1)
+                    ref = D.local[np.ix_(rsel // grid.r, csel // grid.c)]
+                    assert np.array_equal(D.local[local], ref)
+                    assert np.array_equal(W[at], W[np.ix_(rsel - r0, csel - c0)])
+                    assert np.array_equal(W[at], D.local[local])
+                    owns_nothing += ref.size == 0
+        assert owns_nothing > 0 if np_ > 1 else owns_nothing == 0
 
 
 class TestDistKernels:
@@ -337,6 +370,36 @@ class TestRunDist:
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         with pytest.raises(ConfigError):
             run_spmd(3, run_dist, paths, DistConfig(m_blk=128))
+
+    @pytest.mark.parametrize("np_", [2, 3])
+    def test_default_block_is_the_ooc_block(self, tmp_path, monkeypatch, np_):
+        # L is replicated once per dist_trsolve: once for [XL | y], then
+        # once per block
+        ds = self._dataset(tmp_path, n=16, m=6000, p=3, seed=4)
+        calls = Counter()
+        real = distgrid.dist_trsolve
+
+        def counting(L, X, t, *args):
+            calls[t.rank] += 1
+            return real(L, X, t, *args)
+
+        monkeypatch.setattr(distgrid, "dist_trsolve", counting)
+        paths = solve_paths(ds, str(tmp_path / "d.gwab"))
+        summary = run_spmd(np_, run_dist, paths, DistConfig())[0]
+        assert summary.m_blk == DEFAULT_M_BLK // np_ * np_
+        assert calls == {r: 1 + math.ceil(6000 / summary.m_blk) for r in range(np_)}
+
+    def test_reader_buffers_within_budget(self, tmp_path, seed42_dataset,
+                                          monkeypatch):
+        # n=100, m=500 on 2 ranks: one 500-marker block, two 100 x 250
+        # reader buffers per rank
+        need = 2 * 8 * 100 * 250
+        paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
+        monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", str(need - 1))
+        with pytest.raises(ConfigError):
+            run_spmd(2, run_dist, paths, DistConfig())
+        monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", str(need))
+        assert run_spmd(2, run_dist, paths, DistConfig())[0].m_blk == 500
 
     def test_zero_copy_views(self, tmp_path, seed42_dataset, monkeypatch):
         seen = record_block_views(monkeypatch)

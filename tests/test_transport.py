@@ -1,10 +1,12 @@
+import os
+import pickle
 import socket
 import struct
 import threading
 
 import pytest
 
-from gwasgls.errors import SizeMismatch, TransportFailure
+from gwasgls.errors import NotPositiveDefinite, SizeMismatch, TransportFailure
 from gwasgls.transport import _frame, _read_frame, run_spmd
 
 
@@ -112,6 +114,34 @@ def test_recv_from_ended_rank_raises(transport):
 
     err = _error_within(30, body, transport)
     assert isinstance(err, TransportFailure) and err.rank == 0
+
+
+def test_socket_rank_that_exits_unreported_is_a_transport_failure():
+    # rank 1 dies without raising while rank 0 waits on it; every worker
+    # is joined and the dead rank, not a bare EOFError, reaches the caller
+    def body(t):
+        if t.rank == 1:
+            os._exit(1)
+        t.recv(1)
+
+    err = _error_within(30, body, "socket")
+    assert isinstance(err, TransportFailure)
+    assert (err.rank, err.reason) == (1, "exited with code 1")
+
+
+def test_not_positive_definite_crosses_processes_intact():
+    e = pickle.loads(pickle.dumps(NotPositiveDefinite(7)))
+    assert e.pivot_index == 7
+    assert str(e) == "matrix not positive definite (pivot 7)"
+
+    def body(t):
+        if t.rank == 1:
+            raise NotPositiveDefinite(7)
+        t.recv(1)
+
+    err = _error_within(30, body, "socket")
+    assert isinstance(err, NotPositiveDefinite) and err.pivot_index == 7
+    assert str(err).count("(pivot 7)") == 1
 
 
 @pytest.mark.parametrize("transport", ["inproc", "socket"])
