@@ -1,8 +1,9 @@
 """Command-line front end for dataset generation, the three solver
 engines, result verification, and the benchmark reporter.
 
-Exit codes: 0 success, 2 usage/configuration, 3 data/file errors,
-4 numerical errors. Failures print a single machine-parsable line
+Exit codes: 0 success, 2 usage/configuration, 3 data/file errors and
+transport failures (TransportFailure, a dist rank lost), 4 numerical
+errors. Failures print a single machine-parsable line
 ``error code=<int> msg="..."`` on stderr.
 """
 
@@ -14,15 +15,10 @@ import sys
 
 from . import datagen, distgrid, pipeline, transport
 from .errors import (
-    BadMagic,
     ConfigError,
-    DimensionMismatch,
     GwasGlsError,
     NotPositiveDefinite,
     RankDeficientCovariates,
-    ShortWrite,
-    TruncatedFile,
-    UnsupportedVersion,
 )
 
 EXIT_USAGE = 2
@@ -40,10 +36,7 @@ def _classify(exc):
         return EXIT_NUMERICAL
     if isinstance(exc, ConfigError):
         return EXIT_USAGE
-    if isinstance(exc, (BadMagic, UnsupportedVersion, TruncatedFile,
-                        ShortWrite, DimensionMismatch, FileNotFoundError)):
-        return EXIT_DATA
-    if isinstance(exc, GwasGlsError):
+    if isinstance(exc, (GwasGlsError, FileNotFoundError)):
         return EXIT_DATA
     raise exc
 
@@ -58,6 +51,15 @@ def cmd_gen(args):
     return 0
 
 
+def _run(mode, paths, cfg, np_, transport_name):
+    """Run one engine; returns its RunSummary (rank 0's for dist)."""
+    if mode == "dist":
+        return transport.run_spmd(np_, distgrid.run_dist, paths, cfg,
+                                   transport=transport_name)[0]
+    runner = pipeline.run_incore if mode == "incore" else pipeline.run_ooc
+    return runner(paths, cfg)
+
+
 def cmd_solve(args):
     paths = pipeline.SolvePaths(cov=args.cov, covariates=args.covariates,
                                 pheno=args.pheno, geno=args.geno, out=args.out)
@@ -65,18 +67,8 @@ def cmd_solve(args):
         datagen.oracle_solve_all(paths, args.out)
         print(f"mode=oracle out={args.out}")
         return 0
-    if args.mode in ("incore", "ooc"):
-        cfg = pipeline.SolveConfig(
-            m_blk=args.block_size or pipeline.DEFAULT_M_BLK,
-            emit_s_inv=args.emit_sinv)
-        runner = pipeline.run_incore if args.mode == "incore" else pipeline.run_ooc
-        summary = runner(paths, cfg)
-    else:  # dist
-        cfg = distgrid.DistConfig(m_blk=args.block_size,
-                                  emit_s_inv=args.emit_sinv)
-        summaries = transport.run_spmd(args.np, distgrid.run_dist, paths, cfg,
-                                       transport=args.transport)
-        summary = summaries[0]
+    cfg = pipeline.SolveConfig(m_blk=args.block_size, emit_s_inv=args.emit_sinv)
+    summary = _run(args.mode, paths, cfg, args.np, args.transport)
     print(summary.to_record())
     return 0
 
@@ -106,15 +98,9 @@ def cmd_bench(args):
         out = os.path.join(args.workdir, f"result_{args.sweep}{v}.gwab")
         paths = pipeline.SolvePaths(cov=dpaths.cov, covariates=dpaths.covariates,
                                     pheno=dpaths.pheno, geno=dpaths.geno, out=out)
-        if args.mode == "dist" or args.sweep == "np":
-            cfg = distgrid.DistConfig(m_blk=args.block_size)
-            summary = transport.run_spmd(np_, distgrid.run_dist, paths, cfg,
-                                         transport=args.transport)[0]
-        else:
-            cfg = pipeline.SolveConfig(
-                m_blk=args.block_size or pipeline.DEFAULT_M_BLK)
-            runner = pipeline.run_incore if args.mode == "incore" else pipeline.run_ooc
-            summary = runner(paths, cfg)
+        mode = "dist" if args.sweep == "np" else args.mode
+        summary = _run(mode, paths, pipeline.SolveConfig(m_blk=args.block_size),
+                       np_, args.transport)
         summary.seed = args.seed
         records.append(summary.to_record())
         print(records[-1])

@@ -6,14 +6,17 @@ panels of L that are replicated one at a time, so the sweep moves panels
 of L and no genotype data. A block is the ooc engine's, split evenly
 across ranks, so each replication of L is paid once per wide block. A
 rank's entries of any window are a slice of its local array that lands
-in a strided slice of the window, so panels move by slicing.
+in a strided slice of the window, so every layout change, and every
+panel, moves by slicing, with no index arrays.
 
 Index maps:
     2D: element (i, j) is owned by grid process (i mod r, j mod c) at
         local position (i div r, j div c).
     1D: column j is owned by rank (j mod np) at local column (j div np),
         ranks enumerated as the row-major concatenation of the grid rows.
-        Only the library redistributions below use it.
+        Only the library redistributions below use it. Since c divides
+        np, every column of 1D rank s lies in grid column s mod c, so a
+        redistribution pairs s only with the ranks = s (mod c).
 """
 
 from __future__ import annotations
@@ -85,11 +88,10 @@ class DistMatrix2D:
     local: np.ndarray  # rows i = prow (mod r), cols j = pcol (mod c)
 
     @classmethod
-    def empty(cls, gr, gc, grid, rank, fill=None):
+    def empty(cls, gr, gc, grid, rank):
         prow, pcol = grid.coord(rank)
         shape = (len(_rows_of(gr, grid, prow)), len(_cols_of(gc, grid, pcol)))
-        local = np.zeros(shape) if fill == 0 else np.empty(shape)
-        return cls(gr=gr, gc=gc, grid=grid, rank=rank, local=local)
+        return cls(gr=gr, gc=gc, grid=grid, rank=rank, local=np.empty(shape))
 
 
 @dataclass
@@ -117,38 +119,20 @@ def _from_bytes(raw, shape):
 def scatter_matrix(A, grid, t):
     """Distribute a rank-0 global matrix to element-cyclic 2D ownership.
 
-    Rank 0 ships contiguous column panels; one all-to-all then reshuffles
-    panel pieces to their cyclic owners.
+    Rank 0 sends each rank its share, the strided slice A[prow::r, pcol::c],
+    as one message and keeps its own; nothing else moves.
     """
     gr, gc = t.broadcast_obj(0, None if A is None else A.shape)
-    np_ = grid.np_
-    # contiguous column panels, one per rank
-    bounds = [gc * k // np_ for k in range(np_ + 1)]
-    if t.rank == 0:
-        for dst in range(1, np_):
-            t.send(dst, _as_bytes(A[:, bounds[dst]:bounds[dst + 1]]))
-        panel = np.asarray(A[:, bounds[0]:bounds[1]], dtype=np.float64)
-    else:
-        panel = _from_bytes(t.recv(0), (gr, bounds[t.rank + 1] - bounds[t.rank]))
-    # reshuffle panels to cyclic ownership
-    my_lo = bounds[t.rank]
-    panel_cols = np.arange(my_lo, bounds[t.rank + 1])
-    slices = []
-    for dst in range(np_):
-        prow, pcol = grid.coord(dst)
-        sel = panel_cols[panel_cols % grid.c == pcol]
-        piece = panel[np.ix_(_rows_of(gr, grid, prow), sel - my_lo)]
-        slices.append(_as_bytes(piece))
-    received = t.alltoall(slices)
-    out = DistMatrix2D.empty(gr, gc, grid, t.rank)
-    prow, pcol = grid.coord(t.rank)
-    my_rows = _rows_of(gr, grid, prow)
-    for src in range(np_):
-        src_cols = np.arange(bounds[src], bounds[src + 1])
-        sel = src_cols[src_cols % grid.c == pcol]
-        piece = _from_bytes(received[src], (len(my_rows), len(sel)))
-        out.local[:, sel // grid.c] = piece
-    return out
+    D = DistMatrix2D.empty(gr, gc, grid, t.rank)
+    if t.rank != 0:
+        D.local[...] = _from_bytes(t.recv(0), D.local.shape)
+        return D
+    for dst in range(1, grid.np_):
+        _, share = _window(D, dst, 0, gr, 0, gc)
+        t.send(dst, _as_bytes(A[share]))
+    _, share = _window(D, 0, 0, gr, 0, gc)
+    D.local[...] = A[share]
+    return D
 
 
 def gather_matrix(D, t):
@@ -156,62 +140,45 @@ def gather_matrix(D, t):
     if t.rank != 0:
         t.send(0, _as_bytes(D.local))
         return None
-    grid = D.grid
     A = np.empty((D.gr, D.gc))
-    for src in range(grid.np_):
-        prow, pcol = grid.coord(src)
-        rows = _rows_of(D.gr, grid, prow)
-        cols = _cols_of(D.gc, grid, pcol)
-        if src == 0:
-            piece = D.local
-        else:
-            piece = _from_bytes(t.recv(src), (len(rows), len(cols)))
-        A[np.ix_(rows, cols)] = piece
+    for src in range(D.grid.np_):
+        _, share = _window(D, src, 0, D.gr, 0, D.gc)
+        A[share] = D.local if src == 0 else _from_bytes(t.recv(src), A[share].shape)
     return A
 
 
 def redist_1d_to_2d(X, t):
-    """Full-column 1D layout -> element-cyclic 2D, one all-to-all."""
+    """Full-column 1D layout -> element-cyclic 2D, one all-to-all.
+
+    1D rank s sends 2D rank d of its grid column the rows local[d//c::r],
+    which land in d's local columns [:, s//c::r].
+    """
     grid = X.grid
-    gr, gc = X.gr, X.gc
-    my_cols = _cols_1d(gc, grid, t.rank)
-    slices = []
-    for dst in range(grid.np_):
-        prow, pcol = grid.coord(dst)
-        sel = np.nonzero(my_cols % grid.c == pcol)[0]
-        piece = X.local[np.ix_(_rows_of(gr, grid, prow), sel)]
-        slices.append(_as_bytes(piece))
+    peers = range(t.rank % grid.c, grid.np_, grid.c)  # its grid column
+    slices = [b""] * grid.np_
+    for dst in peers:
+        slices[dst] = _as_bytes(X.local[dst // grid.c::grid.r])
     received = t.alltoall(slices)
-    out = DistMatrix2D.empty(gr, gc, grid, t.rank)
-    prow, pcol = grid.coord(t.rank)
-    my_rows = _rows_of(gr, grid, prow)
-    for src in range(grid.np_):
-        src_cols = _cols_1d(gc, grid, src)
-        sel = src_cols[src_cols % grid.c == pcol]
-        piece = _from_bytes(received[src], (len(my_rows), len(sel)))
-        out.local[:, sel // grid.c] = piece
+    out = DistMatrix2D.empty(X.gr, X.gc, grid, t.rank)
+    for src in peers:
+        at = out.local[:, src // grid.c::grid.r]
+        at[...] = _from_bytes(received[src], at.shape)
     return out
 
 
 def redist_2d_to_1d(X, t):
-    """Element-cyclic 2D layout -> full-column 1D, one all-to-all."""
+    """Element-cyclic 2D layout -> full-column 1D, one all-to-all; the
+    inverse of redist_1d_to_2d, slice for slice."""
     grid = X.grid
-    gr, gc = X.gr, X.gc
-    prow, pcol = grid.coord(t.rank)
-    my_cols = _cols_of(gc, grid, pcol)
-    slices = []
-    for dst in range(grid.np_):
-        sel = np.nonzero(my_cols % grid.np_ == dst)[0]
-        slices.append(_as_bytes(X.local[:, sel]))
+    peers = range(t.rank % grid.c, grid.np_, grid.c)
+    slices = [b""] * grid.np_
+    for dst in peers:
+        slices[dst] = _as_bytes(X.local[:, dst // grid.c::grid.r])
     received = t.alltoall(slices)
-    out = DistMatrix1D.empty(gr, gc, grid, t.rank)
-    for src in range(grid.np_):
-        sprow, spcol = grid.coord(src)
-        rows = _rows_of(gr, grid, sprow)
-        src_cols = _cols_of(gc, grid, spcol)
-        sel = src_cols[src_cols % grid.np_ == t.rank]
-        piece = _from_bytes(received[src], (len(rows), len(sel)))
-        out.local[np.ix_(rows, sel // grid.np_)] = piece
+    out = DistMatrix1D.empty(X.gr, X.gc, grid, t.rank)
+    for src in peers:
+        at = out.local[src // grid.c::grid.r]
+        at[...] = _from_bytes(received[src], at.shape)
     return out
 
 
@@ -252,39 +219,42 @@ def _write_back(D, t, r0, c0, values):
 
 
 def dist_cholesky(M, t, nb=DEFAULT_PANEL):
-    """Blocked right-looking Cholesky on the 2D-distributed matrix.
+    """Blocked right-looking Cholesky on the 2D-distributed matrix; it
+    overwrites M with its lower factor L and returns M.
 
     Panels of width nb are replicated on all ranks (small redundant
     factorizations), while the O(n^2) trailing update touches only locally
-    owned entries. Per-rank peak memory is the local share plus one n x nb
-    panel.
+    owned entries. Each column panel of L overwrites the entries of M it
+    was computed from, and the strict-upper entries above its diagonal
+    block, which nothing reads again, are zeroed. Per-rank peak memory is
+    the share plus one panel.
     """
     n = M.gr
     if M.gr != M.gc:
         raise DimensionMismatch("dist_cholesky needs a square matrix")
     if M.grid.np_ == 1:
-        return DistMatrix2D(gr=n, gc=n, grid=M.grid, rank=t.rank,
-                            local=kernel.cholesky_spd(M.local))
-    A = DistMatrix2D(gr=n, gc=n, grid=M.grid, rank=t.rank, local=M.local.copy())
-    L = DistMatrix2D.empty(n, n, M.grid, t.rank, fill=0)
+        M.local[...] = kernel.cholesky_spd(M.local)
+        return M
     for k in range(0, n, nb):
         kb = min(nb, n - k)
-        Akk = _replicate(A, t, k, k + kb, k, k + kb)
+        Akk = _replicate(M, t, k, k + kb, k, k + kb)
         try:
             Lkk = kernel.cholesky_spd(Akk)
         except NotPositiveDefinite as e:
             raise NotPositiveDefinite(k + e.pivot_index) from None
-        _write_back(L, t, k, k, Lkk)
+        _write_back(M, t, k, k, Lkk)
+        (lr, lc), _ = _window(M, t.rank, 0, k, k, k + kb)
+        M.local[lr, lc] = 0.0
         if k + kb >= n:
             break
-        A21 = _replicate(A, t, k + kb, n, k, k + kb)
+        A21 = _replicate(M, t, k + kb, n, k, k + kb)
         L21 = solve_triangular(Lkk, A21.T, lower=True, check_finite=False).T
-        _write_back(L, t, k + kb, k, L21)
+        _write_back(M, t, k + kb, k, L21)
         # trailing update on owned entries only; the copy keeps numpy from
         # running an aliased pair as SYRK, which rounds unlike GEMM
-        (lr, lc), (wr, wc) = _window(A, t.rank, k + kb, n, k + kb, n)
-        A.local[lr, lc] -= L21[wr] @ L21[wc].copy().T
-    return L
+        (lr, lc), (wr, wc) = _window(M, t.rank, k + kb, n, k + kb, n)
+        M.local[lr, lc] -= L21[wr] @ L21[wc].copy().T
+    return M
 
 
 def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
@@ -316,15 +286,10 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
     return X
 
 
-@dataclass
-class DistConfig:
-    m_blk: int | None = None  # default pipeline.DEFAULT_M_BLK // np * np
-    emit_s_inv: bool = False
-
-
 def run_dist(t, paths, cfg=None):
     """SPMD body of the distributed engine; call on every rank via
     transport.run_spmd. Returns a RunSummary (rank 0 carries the totals).
+    cfg.m_blk defaults to pipeline.DEFAULT_M_BLK // np * np.
 
     Only the covariance and its factor are distributed. Every rank reads
     the covariates and phenotype and whitens [XL | y] itself. In the sweep
@@ -333,17 +298,18 @@ def run_dist(t, paths, cfg=None):
     markers' small systems on that same memory: no block is redistributed
     or copied.
     """
-    cfg = cfg or DistConfig()
+    cfg = cfg or pipeline.SolveConfig()
     t_start = time.perf_counter()
     np_ = t.size
     grid = grid_create(np_)
     n, m = fileio.read_dims(paths.geno, "GWAX")
     m_blk = cfg.m_blk if cfg.m_blk is not None else pipeline.DEFAULT_M_BLK // np_ * np_
-    if m_blk % np_ != 0:
-        raise ConfigError(f"m_blk={m_blk} not divisible by np={np_}")
+    if m_blk < 1 or m_blk % np_ != 0:
+        raise ConfigError(f"m_blk={m_blk} is not a positive multiple of np={np_}")
     m_blk = min(m_blk, ((m + np_ - 1) // np_) * np_)
     loc = m_blk // np_
-    pipeline.check_budget(2 * 8 * n * loc, "two reader buffers")
+    pipeline.check_budget(2 * 8 * n * loc, "two reader buffers",
+                          cfg.mem_budget_bytes)
     # this rank's contiguous chunk of every block; the last ones may be
     # short or empty
     chunks = []
@@ -361,10 +327,9 @@ def run_dist(t, paths, cfg=None):
 
     t0 = time.perf_counter()
     M = fileio.read_matrix(paths.cov, "GWAM") if t.rank == 0 else None
-    Mdist = scatter_matrix(M, grid, t)
+    share = scatter_matrix(M, grid, t)
     del M
-    Ld = dist_cholesky(Mdist, t)
-    del Mdist
+    Ld = dist_cholesky(share, t)
     XL = fileio.read_matrix(paths.covariates, "GWAC")
     y = fileio.read_matrix(paths.pheno, "GWAY")
     if XL.shape[0] != n or y.shape[0] != n:

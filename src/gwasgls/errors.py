@@ -42,10 +42,6 @@ class TruncatedFile(GwasGlsError):
     """File is shorter than its header promises."""
 
 
-class ShortWrite(GwasGlsError):
-    """A write completed with fewer bytes than requested."""
-
-
 class OverlappingBuffer(GwasGlsError):
     """A buffer was handed to I/O while already referenced by an in-flight ticket."""
 

@@ -106,7 +106,9 @@ class SolvePaths:
 
 @dataclass
 class SolveConfig:
-    m_blk: int = DEFAULT_M_BLK
+    """Settings of one run, shared by the three engines."""
+
+    m_blk: int | None = None  # None = DEFAULT_M_BLK (dist: // np * np)
     emit_s_inv: bool = False
     mem_budget_bytes: int | None = None  # None = take from env or unlimited
 
@@ -171,7 +173,7 @@ def run_ooc(paths, cfg=None):
     cfg = cfg or SolveConfig()
     t_start = time.perf_counter()
     geno_bytes, n, m = fileio.total_genotype_bytes(paths.geno)
-    m_blk = min(cfg.m_blk, m)
+    m_blk = min(cfg.m_blk if cfg.m_blk is not None else DEFAULT_M_BLK, m)
     ctx, t_prep, m_bytes = _load_prepare(paths)
     p = ctx.p
     flags = 1 if cfg.emit_s_inv else 0

@@ -20,7 +20,6 @@ from gwasgls.datagen import (
     oracle_solve_all,
 )
 from gwasgls.distgrid import (
-    DistConfig,
     dist_cholesky,
     dist_trsolve,
     gather_matrix,
@@ -66,7 +65,7 @@ def engine_runs(seed42_dataset, tmp_path_factory):
         key = f"dist{np_}"
         outs[key] = str(d / f"{key}.gwab")
         run_spmd(np_, run_dist, solve_paths(seed42_dataset, outs[key]),
-                 DistConfig())
+                 SolveConfig())
     return outs, time.perf_counter() - t0
 
 
@@ -271,7 +270,7 @@ def test_criterion_08_degeneracy_handling(degenerate_dataset, tmp_path):
     }
     run_incore(solve_paths(ds, outs["incore"]))
     run_ooc(solve_paths(ds, outs["ooc"]), SolveConfig(m_blk=16))
-    run_spmd(4, run_dist, solve_paths(ds, outs["dist"]), DistConfig(m_blk=16))
+    run_spmd(4, run_dist, solve_paths(ds, outs["dist"]), SolveConfig(m_blk=16))
     ok = True
     for path in outs.values():
         statuses = fileio.read_matrix(path, "GWAB").statuses
@@ -346,7 +345,7 @@ def test_criterion_10_zero_copy_views(seed42_dataset, tmp_path, monkeypatch):
     seen = conftest.record_block_views(monkeypatch)
     run_spmd(4, run_dist,
              solve_paths(seed42_dataset, str(tmp_path / "d.gwab")),
-             DistConfig(m_blk=128))
+             SolveConfig(m_blk=128))
     blocks, views = conftest.count_zero_copy_views(seen)
     ok = blocks == 4 * 4 and views == blocks
     _report(10, "zero-copy views", ok, f"blocks={blocks} reader_views={views}")

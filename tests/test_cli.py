@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import gwasgls
-from gwasgls import fileio
+from gwasgls import distgrid, fileio
 from gwasgls.cli import main
+from gwasgls.errors import TransportFailure
 
 
 def _gen(tmp_path, n=100, m=500, p=4, seed=42):
@@ -113,6 +114,22 @@ class TestExitCodes:
         monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", "1000")
         out = str(tmp_path / "o.gwab")
         assert main(_solve_args(d, out, "dist", "--np", "2")) == 2
+
+    @pytest.mark.parametrize("mode", ["ooc", "dist"])
+    def test_block_size_below_one_is_2(self, tmp_path, mode):
+        d = _gen(tmp_path, n=20, m=10)
+        out = str(tmp_path / "o.gwab")
+        assert main(_solve_args(d, out, mode, "--block-size", "0")) == 2
+
+    def test_transport_failure_is_3(self, tmp_path, monkeypatch, capsys):
+        def rank_lost(t, paths, cfg):
+            raise TransportFailure(t.rank, "rank 1 ended before sending")
+
+        monkeypatch.setattr(distgrid, "run_dist", rank_lost)
+        d = _gen(tmp_path, n=20, m=10)
+        out = str(tmp_path / "o.gwab")
+        assert main(_solve_args(d, out, "dist", "--np", "2")) == 3
+        assert 'error code=3 msg="transport failure' in capsys.readouterr().err
 
     def test_oracle_scale_limit_is_2(self, tmp_path):
         d = _gen(tmp_path, n=501, m=10)

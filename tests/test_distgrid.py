@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from gwasgls import distgrid, fileio, kernel
 from gwasgls.datagen import GenSpec, compare_results, gen_dataset
 from gwasgls.distgrid import (
-    DistConfig,
     DistMatrix1D,
     DistMatrix2D,
     dist_cholesky,
@@ -145,6 +145,24 @@ class TestDistribution:
         expect = {(i, j, A[i, j]) for i in range(gr) for j in range(gc)}
         assert union == expect
 
+    @pytest.mark.parametrize("np_", [2, 4, 6])  # grids 1x2, 2x2, 2x3
+    def test_scatter_sends_each_share_once(self, np_):
+        # rank 0 sends every other rank its share and the pickled shape;
+        # no other rank sends anything
+        gr, gc = 23, 17
+        grid = grid_create(np_)
+        A = np.random.default_rng(np_).standard_normal((gr, gc))
+
+        def body(t):
+            scatter_matrix(A if t.rank == 0 else None, grid, t)
+            return t.bytes_sent
+
+        sent = run_spmd(np_, body)
+        own = len(range(0, gr, grid.r)) * len(range(0, gc, grid.c))
+        shape = len(pickle.dumps((gr, gc)))
+        assert sent[0] == 8 * (gr * gc - own) + (np_ - 1) * shape
+        assert sent[1:] == [0] * (np_ - 1)
+
     @settings(max_examples=15, deadline=None)
     @given(np_=st.integers(1, 8), gr=st.integers(1, 64), gc=st.integers(1, 64),
            seed=st.integers(0, 10**6))
@@ -195,6 +213,23 @@ class TestDistKernels:
 
         L = run_spmd(np_, body)[0]
         assert np.max(np.abs(L - Lref)) <= 1e-10 * np.max(np.abs(M))
+
+    @pytest.mark.parametrize("np_", [2, 4, 6])
+    def test_dist_cholesky_factors_in_place(self, np_):
+        n = 45
+        M = make_spd(n, 11)
+
+        def body(t):
+            D = scatter_matrix(M if t.rank == 0 else None, grid_create(t.size), t)
+            share = D.local
+            Ld = dist_cholesky(D, t, nb=8)
+            return np.shares_memory(Ld.local, share), gather_matrix(Ld, t)
+
+        parts = run_spmd(np_, body)
+        assert [same for same, _ in parts] == [True] * np_
+        L = parts[0][1]
+        assert np.all(np.triu(L, 1) == 0)
+        assert np.max(np.abs(L - kernel.cholesky_spd(M))) <= 1e-10 * np.max(np.abs(M))
 
     def test_dist_cholesky_n200_2x3(self):
         M = make_spd(200, 42)
@@ -324,7 +359,7 @@ class TestRunDist:
         ooc = solve_paths(seed42_dataset, str(tmp_path / "ooc.gwab"))
         run_ooc(ooc, SolveConfig(m_blk=256))
         dist = solve_paths(seed42_dataset, str(tmp_path / "dist.gwab"))
-        run_spmd(1, run_dist, dist, DistConfig())
+        run_spmd(1, run_dist, dist, SolveConfig())
         assert compare_results(ooc.out, dist.out, 1e-12).within
 
     @pytest.mark.parametrize("np_", [2, 4, 6])
@@ -332,7 +367,7 @@ class TestRunDist:
         ref = solve_paths(seed42_dataset, str(tmp_path / "ref.gwab"))
         run_incore(ref)
         dist = solve_paths(seed42_dataset, str(tmp_path / f"d{np_}.gwab"))
-        run_spmd(np_, run_dist, dist, DistConfig())
+        run_spmd(np_, run_dist, dist, SolveConfig())
         rep = compare_results(ref.out, dist.out, 1e-10)
         assert rep.within, rep
 
@@ -340,15 +375,15 @@ class TestRunDist:
         ds = self._dataset(tmp_path, n=200, m=2048, p=4)
         a = solve_paths(ds, str(tmp_path / "np1.gwab"))
         b = solve_paths(ds, str(tmp_path / "np4.gwab"))
-        run_spmd(1, run_dist, a, DistConfig())
-        run_spmd(4, run_dist, b, DistConfig())
+        run_spmd(1, run_dist, a, SolveConfig())
+        run_spmd(4, run_dist, b, SolveConfig())
         assert compare_results(a.out, b.out, 1e-10).within
 
     def test_partial_block_full_coverage(self, tmp_path):
         # m not divisible by m_blk: all records present, none spuriously NaN
         ds = self._dataset(tmp_path, n=60, m=333, p=4, seed=9)
         paths = solve_paths(ds, str(tmp_path / "d.gwab"))
-        run_spmd(4, run_dist, paths, DistConfig(m_blk=128))
+        run_spmd(4, run_dist, paths, SolveConfig(m_blk=128))
         from gwasgls import fileio
         payload = fileio.read_matrix(paths.out, "GWAB")
         assert payload.betas.shape == (333, 4)
@@ -362,14 +397,14 @@ class TestRunDist:
         ref = solve_paths(ds, str(tmp_path / "ref.gwab"))
         run_incore(ref)
         dist = solve_paths(ds, str(tmp_path / "d.gwab"))
-        run_spmd(4, run_dist, dist, DistConfig())
+        run_spmd(4, run_dist, dist, SolveConfig())
         rep = compare_results(ref.out, dist.out, 1e-10)
         assert rep.within, rep
 
     def test_indivisible_m_blk_rejected(self, tmp_path, seed42_dataset):
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         with pytest.raises(ConfigError):
-            run_spmd(3, run_dist, paths, DistConfig(m_blk=128))
+            run_spmd(3, run_dist, paths, SolveConfig(m_blk=128))
 
     @pytest.mark.parametrize("np_", [2, 3])
     def test_default_block_is_the_ooc_block(self, tmp_path, monkeypatch, np_):
@@ -385,7 +420,7 @@ class TestRunDist:
 
         monkeypatch.setattr(distgrid, "dist_trsolve", counting)
         paths = solve_paths(ds, str(tmp_path / "d.gwab"))
-        summary = run_spmd(np_, run_dist, paths, DistConfig())[0]
+        summary = run_spmd(np_, run_dist, paths, SolveConfig())[0]
         assert summary.m_blk == DEFAULT_M_BLK // np_ * np_
         assert calls == {r: 1 + math.ceil(6000 / summary.m_blk) for r in range(np_)}
 
@@ -397,14 +432,24 @@ class TestRunDist:
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", str(need - 1))
         with pytest.raises(ConfigError):
-            run_spmd(2, run_dist, paths, DistConfig())
+            run_spmd(2, run_dist, paths, SolveConfig())
         monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", str(need))
-        assert run_spmd(2, run_dist, paths, DistConfig())[0].m_blk == 500
+        assert run_spmd(2, run_dist, paths, SolveConfig())[0].m_blk == 500
+
+    def test_config_budget_binds_without_env(self, tmp_path, seed42_dataset,
+                                             monkeypatch):
+        need = 2 * 8 * 100 * 250  # as in test_reader_buffers_within_budget
+        paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
+        monkeypatch.delenv("GWAS_GLS_MEM_BUDGET_BYTES", raising=False)
+        with pytest.raises(ConfigError):
+            run_spmd(2, run_dist, paths, SolveConfig(mem_budget_bytes=need - 1))
+        summary = run_spmd(2, run_dist, paths, SolveConfig(mem_budget_bytes=need))[0]
+        assert summary.m_blk == 500
 
     def test_zero_copy_views(self, tmp_path, seed42_dataset, monkeypatch):
         seen = record_block_views(monkeypatch)
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
-        run_spmd(2, run_dist, paths, DistConfig(m_blk=128))
+        run_spmd(2, run_dist, paths, SolveConfig(m_blk=128))
         blocks, views = count_zero_copy_views(seen)
         assert blocks == 2 * 4
         assert views == blocks
@@ -416,19 +461,19 @@ class TestRunDist:
         fileio.write_matrix(ds.covariates, "GWAC", XL)
         paths = solve_paths(ds, str(tmp_path / "d.gwab"))
         with pytest.raises(RankDeficientCovariates):
-            run_spmd(2, run_dist, paths, DistConfig())
+            run_spmd(2, run_dist, paths, SolveConfig())
 
     def test_deterministic_result_files(self, tmp_path, seed42_dataset):
         a = solve_paths(seed42_dataset, str(tmp_path / "a.gwab"))
         b = solve_paths(seed42_dataset, str(tmp_path / "b.gwab"))
-        run_spmd(4, run_dist, a, DistConfig())
-        run_spmd(4, run_dist, b, DistConfig())
+        run_spmd(4, run_dist, a, SolveConfig())
+        run_spmd(4, run_dist, b, SolveConfig())
         assert open(a.out, "rb").read() == open(b.out, "rb").read()
 
     def test_degenerate_markers(self, tmp_path, degenerate_dataset):
         ds, (z, dup) = degenerate_dataset
         paths = solve_paths(ds, str(tmp_path / "d.gwab"))
-        run_spmd(4, run_dist, paths, DistConfig(m_blk=16))
+        run_spmd(4, run_dist, paths, SolveConfig(m_blk=16))
         from gwasgls import fileio
         statuses = fileio.read_matrix(paths.out, "GWAB").statuses
         assert statuses[z] == "degenerate"
@@ -438,6 +483,6 @@ class TestRunDist:
     def test_socket_transport_end_to_end(self, tmp_path, seed42_dataset):
         a = solve_paths(seed42_dataset, str(tmp_path / "inproc.gwab"))
         b = solve_paths(seed42_dataset, str(tmp_path / "socket.gwab"))
-        run_spmd(2, run_dist, a, DistConfig(), transport="inproc")
-        run_spmd(2, run_dist, b, DistConfig(), transport="socket")
+        run_spmd(2, run_dist, a, SolveConfig(), transport="inproc")
+        run_spmd(2, run_dist, b, SolveConfig(), transport="socket")
         assert open(a.out, "rb").read() == open(b.out, "rb").read()
