@@ -145,11 +145,23 @@ def read_matrix(path, kind):
             shape = (dims[0],)
         arr = _read_payload(f, shape, "F")
     if kind == "GWAM":
-        if not np.array_equal(arr, arr.T):
-            raise AsymmetricCovariance("covariance file is not exactly symmetric")
-        if not np.all(np.isfinite(arr)):
-            raise AsymmetricCovariance("covariance file has non-finite entries")
+        _check_symmetric(arr)
     return arr
+
+
+def _check_symmetric(A):
+    """Raise AsymmetricCovariance unless A is finite and exactly equal to
+    A.T. Each tile on or below the diagonal is compared with its mirror,
+    so no n x n temporary is built."""
+    n = A.shape[0]
+    tile = 256
+    for i in range(0, n, tile):
+        for j in range(0, i + 1, tile):
+            low = A[i:i + tile, j:j + tile]
+            if not np.isfinite(low).all():
+                raise AsymmetricCovariance("covariance file has non-finite entries")
+            if not np.array_equal(low, A[j:j + tile, i:i + tile].T):
+                raise AsymmetricCovariance("covariance file is not exactly symmetric")
 
 
 def _read_payload(f, shape, order):

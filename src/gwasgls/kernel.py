@@ -4,10 +4,17 @@ Solves, for each genetic marker i, the generalized least-squares problem
 
     b_i = (X_i^T M^-1 X_i)^-1 X_i^T M^-1 y
 
-by whitening with the Cholesky factor of M. The covariate part of X_i is
-shared across markers, so everything that does not depend on the marker
-column is hoisted into a PreparedContext and reused for every block of
-marker columns.
+by whitening with the Cholesky factor M = L L^T. The covariate part of
+X_i is shared across markers, so everything that does not depend on the
+marker column is hoisted into a PreparedContext and reused for every
+block of marker columns.
+
+The in-core and streaming engines whiten with L^-1, formed once
+(dpotrf, then dtrtri) in the memory of M: each block is one in-place
+triangular multiply (dtrmm) in the buffer it was read into, instead of
+a triangular solve (dtrsm) into a new array. cholesky_spd and
+trsolve_lower remain the substitution route, used by the distributed
+Cholesky and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import (
     DimensionMismatch,
@@ -61,25 +69,28 @@ class ResultBlock:
 class PreparedContext:
     """Marker-independent quantities, computed once per dataset.
 
-    L is the Cholesky factor of M; XLbar and ybar are the whitened
+    Linv is L^-1 for the Cholesky factor L of M, Fortran-ordered in the
+    memory of the M it was formed from (the dist engine, which whitens
+    with its distributed L, leaves it n x 0); XLbar and ybar are the whitened
     covariates and phenotype; S_TL and b_T are the fixed top-left block of
-    the normal equations and its right-hand side. L_TL is the Cholesky
-    factor of S_TL, minpivot_TL its smallest pivot and beta_T0 =
-    S_TL^-1 b_T; every marker's bordered system shares them.
+    the normal equations and its right-hand side. L_TL_inv is the inverse
+    of the Cholesky factor of S_TL, minpivot_TL that factor's smallest
+    pivot and beta_T0 = S_TL^-1 b_T; every marker's bordered system
+    shares them.
     """
 
-    L: np.ndarray        # n x n lower triangular
-    XLbar: np.ndarray    # n x (p-1)
-    ybar: np.ndarray     # n
-    S_TL: np.ndarray     # (p-1) x (p-1)
-    b_T: np.ndarray      # p-1
-    L_TL: np.ndarray     # (p-1) x (p-1) lower triangular
+    Linv: np.ndarray      # n x n lower triangular, Fortran order
+    XLbar: np.ndarray     # n x (p-1)
+    ybar: np.ndarray      # n
+    S_TL: np.ndarray      # (p-1) x (p-1)
+    b_T: np.ndarray       # p-1
+    L_TL_inv: np.ndarray  # (p-1) x (p-1) lower triangular
     minpivot_TL: float
-    beta_T0: np.ndarray  # p-1
+    beta_T0: np.ndarray   # p-1
 
     @property
     def n(self):
-        return self.L.shape[0]
+        return self.Linv.shape[0]
 
     @property
     def p(self):
@@ -93,17 +104,71 @@ def cholesky_spd(M):
     0-based pivot index) when a pivot is non-positive or non-finite.
     """
     M = np.ascontiguousarray(M, dtype=np.float64)
+    _check_covariance(M)
+    return _potrf(M, overwrite=0)
+
+
+def _check_covariance(M):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch("covariance must be square")
-    if not np.all(np.isfinite(M)):
-        bad = int(np.argwhere(~np.isfinite(M))[0][0])
-        raise NotPositiveDefinite(bad, "non-finite entry in covariance")
-    c, info = dpotrf(M, lower=1, clean=1, overwrite_a=0)
+    # the sum is finite only if every entry is, and builds no n x n mask;
+    # the mask is formed only to locate a bad entry (or rule out overflow)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = M.sum()
+    if not np.isfinite(total):
+        bad = np.argwhere(~np.isfinite(M))
+        if bad.size:
+            raise NotPositiveDefinite(int(bad[0][0]),
+                                      "non-finite entry in covariance")
+
+
+def _potrf(M, overwrite):
+    c, info = dpotrf(M, lower=1, clean=1, overwrite_a=overwrite)
     if info > 0:
         raise NotPositiveDefinite(info - 1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to dpotrf")
     return c
+
+
+def _require_fortran(B, what):
+    # anything else would reach BLAS as a silent copy
+    if B.ndim != 2 or B.dtype != np.float64 or not B.flags.f_contiguous:
+        raise DimensionMismatch(f"{what} must be a Fortran-ordered float64 matrix")
+
+
+def inverse_factor(M):
+    """Overwrite M with L^-1, the inverse of its lower Cholesky factor,
+    and return it.
+
+    M must be an n x n Fortran-ordered float64 array the caller owns; the
+    factor and its inverse are formed in its memory (dpotrf, then dtrtri)
+    with the strict upper triangle zeroed. Raises NotPositiveDefinite like
+    cholesky_spd.
+    """
+    _require_fortran(M, "inverse_factor's input")
+    _check_covariance(M)
+    return _trtri(_potrf(M, overwrite=1), overwrite=1)
+
+
+def _trtri(L, overwrite):
+    Linv, info = dtrtri(L, lower=1, overwrite_c=overwrite)
+    if info != 0:
+        raise ValueError(f"dtrtri returned info={info}")
+    return Linv
+
+
+def whiten(Linv, B):
+    """Overwrite B with Linv @ B, one triangular multiply, and return it.
+
+    B (n x k) and Linv must be Fortran-ordered float64; anything else
+    raises DimensionMismatch rather than being copied.
+    """
+    _require_fortran(Linv, "whiten's Linv")
+    _require_fortran(B, "whiten's B")
+    if Linv.shape[0] != Linv.shape[1] or Linv.shape[0] != B.shape[0]:
+        raise DimensionMismatch(f"whiten: Linv is {Linv.shape}, B is {B.shape}")
+    return dtrmm(1.0, Linv, B, lower=1, overwrite_b=1)
 
 
 def trsolve_lower(L, B):
@@ -154,7 +219,7 @@ def solve_small_spd(S, rhs):
     return cho_solve((_small_cholesky(S), True), rhs, check_finite=False)
 
 
-def prepare_whitened(L, XLbar, ybar):
+def prepare_whitened(Linv, XLbar, ybar):
     """Context from the whitened covariates and phenotype: form the fixed
     block S_TL of the normal equations and factor it once.
 
@@ -170,25 +235,38 @@ def prepare_whitened(L, XLbar, ybar):
             f"whitened covariates are rank deficient (pivot {e.pivot_index})"
         ) from e
     return PreparedContext(
-        L=L, XLbar=XLbar, ybar=ybar, S_TL=S_TL, b_T=b_T, L_TL=L_TL,
+        Linv=Linv, XLbar=XLbar, ybar=ybar, S_TL=S_TL, b_T=b_T,
+        L_TL_inv=_trtri(L_TL, overwrite=0),
         minpivot_TL=float(np.min(np.diag(L_TL)) ** 2),
         beta_T0=cho_solve((L_TL, True), b_T, check_finite=False))
+
+
+def prepare_in_place(M, XL, y):
+    """gls_prepare on arrays the caller gives up: M (n x n) becomes L^-1,
+    XL (n x (p-1)) and y (n) their whitened values, and the context holds
+    them. M and XL must be Fortran-ordered float64, y contiguous float64.
+    """
+    n = M.shape[0]
+    if XL.ndim != 2 or XL.shape[0] != n or y.shape != (n,):
+        raise DimensionMismatch(f"prepare: n={n} but XL {XL.shape}, y {y.shape}")
+    Linv = inverse_factor(M)
+    whiten(Linv, XL)
+    whiten(Linv, y.reshape(n, 1, order="F"))
+    return prepare_whitened(Linv, XL, y)
 
 
 def gls_prepare(M, XL, y):
     """Hoist all marker-independent work: factor M, whiten XL and y, and
     factor the fixed block of the normal equations.
 
-    O(n^3) once, regardless of the number of markers.
+    O(n^3) once, regardless of the number of markers. The inputs are
+    copied, never modified.
     """
-    M = np.asarray(M, dtype=np.float64)
-    XL = np.asarray(XL, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    n = M.shape[0]
-    if XL.shape[0] != n or y.shape[0] != n:
-        raise DimensionMismatch(f"gls_prepare: n={n} but XL {XL.shape}, y {y.shape}")
-    L = cholesky_spd(M)
-    return prepare_whitened(L, trsolve_lower(L, XL), trsolve_lower(L, y))
+    # np.array copies even where np.asfortranarray would return the
+    # caller's array (a single column, or an array already in order)
+    return prepare_in_place(np.array(M, dtype=np.float64, order="F"),
+                            np.array(XL, dtype=np.float64, order="F"),
+                            np.array(y, dtype=np.float64).ravel())
 
 
 def cholesky_solve_batch(ctx, S_BL, S_BR, b_B, want_inverse=False):
@@ -197,7 +275,8 @@ def cholesky_solve_batch(ctx, S_BL, S_BR, b_B, want_inverse=False):
     Marker k's system is S_k [beta_T; beta_B] = [b_T; b_B[k]] with
     S_k = [[S_TL, S_BL[k]^T], [S_BL[k], S_BR[k]]]. The factor of S_TL is
     shared, so only the last Cholesky step is per marker:
-    l = L_TL^-1 S_BL[k]^T and the pivot d = S_BR[k] - |l|^2. A marker is
+    l = L_TL^-1 S_BL[k]^T and the pivot d = S_BR[k] - |l|^2. The context
+    holds L_TL^-1, so both triangular steps are multiplies. A marker is
     degenerate, with an all-NaN record, iff min(minpivot_TL, d) <=
     p * eps * max|S_k| or d is not finite.
 
@@ -207,15 +286,14 @@ def cholesky_solve_batch(ctx, S_BL, S_BR, b_B, want_inverse=False):
     """
     q = ctx.S_TL.shape[0]
     p = q + 1
-    l = solve_triangular(ctx.L_TL, S_BL.T, lower=True, check_finite=False)
+    l = ctx.L_TL_inv @ S_BL.T
     d = S_BR - np.einsum("ij,ij->j", l, l)
     max_S = np.maximum(np.max(np.abs(ctx.S_TL)),
                        np.maximum(np.max(np.abs(S_BL), axis=1), np.abs(S_BR)))
     ok = np.isfinite(d) & (np.minimum(ctx.minpivot_TL, d) > p * EPS * max_S)
     # a NaN pivot turns every entry of a degenerate marker's record NaN
     d = np.where(ok, d, np.nan)
-    u = solve_triangular(ctx.L_TL, l, lower=True, trans="T",
-                         check_finite=False)  # S_TL^-1 S_BL^T, q x count
+    u = ctx.L_TL_inv.T @ l  # S_TL^-1 S_BL^T, q x count
     beta_B = (b_B - S_BL @ ctx.beta_T0) / d
     betas = np.empty((len(d), p))
     betas[:, :q] = ctx.beta_T0 - (u * beta_B).T
@@ -224,7 +302,7 @@ def cholesky_solve_batch(ctx, S_BL, S_BR, b_B, want_inverse=False):
         return betas, None
     # block inverse: [[S_TL^-1 + u u^T / d, -u / d], [-u^T / d, 1 / d]];
     # the tril order lists the q x q block first, then the last row
-    S_TL_inv = cho_solve((ctx.L_TL, True), np.eye(q), check_finite=False)
+    S_TL_inv = ctx.L_TL_inv.T @ ctx.L_TL_inv
     it, jt = np.tril_indices(q)
     w = u / d
     sinv = np.empty((len(d), p * (p + 1) // 2))
@@ -253,14 +331,15 @@ def solve_whitened_block(ctx, Xbar, first_index, emit_s_inv=False):
 def gls_solve_block(ctx, blk, emit_s_inv=False):
     """Solve every marker in the block against the prepared context.
 
-    The whitening of all columns is one blocked triangular solve; the
-    mixed products are per-column reductions. Markers whose small
-    system is numerically singular are flagged degenerate (all-NaN
-    record) without aborting the rest of the block.
+    The whitening of all columns is one triangular multiply, on a copy of
+    blk.data, which is not modified; the mixed products are per-column
+    reductions. Markers whose small system is numerically singular are
+    flagged degenerate (all-NaN record) without aborting the rest of the
+    block.
     """
     if blk.n != ctx.n:
         raise DimensionMismatch(f"block has n={blk.n}, context has n={ctx.n}")
-    Xbar = trsolve_lower(ctx.L, blk.data)
+    Xbar = whiten(ctx.Linv, np.array(blk.data, dtype=np.float64, order="F"))
     return solve_whitened_block(ctx, Xbar, blk.first_index,
                                 emit_s_inv=emit_s_inv)
 

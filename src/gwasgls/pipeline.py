@@ -123,11 +123,14 @@ def check_budget(need, what, budget=None):
 
 
 def _load_prepare(paths):
+    """Read the covariance, covariates and phenotype and prepare the
+    context in their memory: the covariance becomes L^-1, the others their
+    whitened values, so no n x n copy is made."""
     t0 = time.perf_counter()
     M = fileio.read_matrix(paths.cov, "GWAM")
     XL = fileio.read_matrix(paths.covariates, "GWAC")
     y = fileio.read_matrix(paths.pheno, "GWAY")
-    ctx = kernel.gls_prepare(M, XL, y)
+    ctx = kernel.prepare_in_place(M, XL, y)
     return ctx, time.perf_counter() - t0, M.nbytes
 
 
@@ -149,8 +152,8 @@ def run_incore(paths, cfg=None):
     X = fileio.read_matrix(paths.geno, "GWAX")
     t_read = time.perf_counter() - t0
     t0 = time.perf_counter()
-    block = kernel.gls_solve_block(
-        ctx, kernel.SnpBlock(first_index=0, data=X), emit_s_inv=cfg.emit_s_inv)
+    block = kernel.solve_whitened_block(ctx, kernel.whiten(ctx.Linv, X), 0,
+                                        emit_s_inv=cfg.emit_s_inv)
     t_compute = time.perf_counter() - t0
     flags = 1 if cfg.emit_s_inv else 0
     writer = fileio.BlockWriter(paths.out, m, p, flags)
@@ -174,38 +177,44 @@ def run_ooc(paths, cfg=None):
     t_start = time.perf_counter()
     geno_bytes, n, m = fileio.total_genotype_bytes(paths.geno)
     m_blk = min(cfg.m_blk if cfg.m_blk is not None else DEFAULT_M_BLK, m)
-    ctx, t_prep, m_bytes = _load_prepare(paths)
-    p = ctx.p
+    p = fileio.read_dims(paths.covariates, "GWAC")[1] + 1
     flags = 1 if cfg.emit_s_inv else 0
     rsz = fileio.record_size(p, flags)
     region_bytes = 8 * n * m_blk + m_blk * rsz
     check_budget(2 * region_bytes, "two buffer regions", cfg.mem_budget_bytes)
 
     plan = block_plan(m, m_blk)
-    reader = fileio.BlockReader(paths.geno)
-    writer = fileio.BlockWriter(paths.out, m, p, flags)
     # exactly two regions, each one input buffer + one output staging area
     in_bufs = [np.empty((n, m_blk), order="F"), np.empty((n, m_blk), order="F")]
     out_bufs = [np.empty((m_blk, rsz // 8)), np.empty((m_blk, rsz // 8))]
     regions_allocated = 2
 
     def solve(first, columns):
-        return kernel.gls_solve_block(
-            ctx, kernel.SnpBlock(first_index=first, data=columns),
+        # whitened in the reader region, which the next load overwrites
+        return kernel.solve_whitened_block(
+            ctx, kernel.whiten(ctx.Linv, columns), first,
             emit_s_inv=cfg.emit_s_inv)
 
+    reader = fileio.BlockReader(paths.geno)
+    # the first block loads while the covariance is factored
     load_ticket = reader.start(*plan.blocks[0], in_bufs[0])
-    t_compute, t_io_wait, block_cpu = sweep(
-        reader, writer, plan.blocks, in_bufs, load_ticket, solve, out_bufs)
-    bytes_read = reader.bytes_read
-    bytes_written = writer.bytes_written
-    reader.close()
-    writer.close()
+    try:
+        ctx, t_prep, m_bytes = _load_prepare(paths)
+        writer = fileio.BlockWriter(paths.out, m, p, flags)
+        try:
+            t_compute, t_io_wait, block_cpu = sweep(
+                reader, writer, plan.blocks, in_bufs, load_ticket, solve,
+                out_bufs)
+        finally:
+            writer.close()
+    finally:
+        reader.close()
     return RunSummary(
         mode="ooc", n=n, m=m, p=p, m_blk=m_blk, np_=1,
         t_prepare=t_prep, t_compute=t_compute, t_io_wait=t_io_wait,
         t_total=time.perf_counter() - t_start,
-        bytes_read=bytes_read + m_bytes, bytes_written=bytes_written,
+        bytes_read=reader.bytes_read + m_bytes,
+        bytes_written=writer.bytes_written,
         peak_resident_est=8 * n * n + 2 * region_bytes + 8 * n * p,
         buffer_regions=regions_allocated,
         block_cpu_times=block_cpu,

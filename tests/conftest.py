@@ -42,7 +42,7 @@ def degenerate_dataset(tmp_path_factory):
 
 
 def record_block_views(monkeypatch):
-    """Wrap the dist engine's block path at both ends and keep what each
+    """Wrap a streaming engine's block path at both ends and keep what each
     end saw: the buffers handed to BlockReader.start and the Xbar of every
     solve_whitened_block call."""
     from gwasgls import fileio, kernel

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from gwasgls import fileio, kernel
 from gwasgls.errors import (
+    AsymmetricCovariance,
     BadMagic,
     DimensionMismatch,
     OverlappingBuffer,
     TruncatedFile,
 )
+
+from conftest import make_spd
 
 
 def test_header_bytes_genotypes(tmp_path):
@@ -87,6 +90,34 @@ def test_asymmetric_covariance_rejected(tmp_path):
     from gwasgls.errors import AsymmetricCovariance
     with pytest.raises(AsymmetricCovariance):
         fileio.read_matrix(path, "GWAM")
+
+
+@pytest.mark.parametrize("entry", [(299, 3), (280, 270)],
+                         ids=["last-partial-tile", "diagonal-tile"])
+def test_single_asymmetric_entry_rejected(tmp_path, entry):
+    # n=300 leaves a partial last row of 256-wide tiles; (280, 270) lies
+    # inside the partial diagonal tile
+    path = str(tmp_path / "m.gwam")
+    A = make_spd(300, 1)
+    A[entry] += 2.0 ** -40
+    fileio.write_matrix(path, "GWAM", A)
+    with pytest.raises(AsymmetricCovariance, match="not exactly symmetric"):
+        fileio.read_matrix(path, "GWAM")
+
+
+def test_read_covariance_builds_no_square_temporary(tmp_path):
+    path = str(tmp_path / "m.gwam")
+    payload = make_spd(1000, 2)
+    fileio.write_matrix(path, "GWAM", payload)
+    tracemalloc.start()
+    try:
+        back = fileio.read_matrix(path, "GWAM")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, payload)
+    # an n x n boolean mask alone would add 1/8 of the payload
+    assert peak <= 1.05 * payload.nbytes
 
 
 def test_results_round_trip_with_sinv(tmp_path):

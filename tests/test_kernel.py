@@ -63,6 +63,59 @@ class TestCholesky:
             kernel.cholesky_spd(np.ones((2, 3)))
 
 
+class TestInverseFactor:
+    def test_inverse_of_the_cholesky_factor(self):
+        M = make_spd(80, 3)
+        L = kernel.cholesky_spd(M)
+        Linv = kernel.inverse_factor(np.asfortranarray(M))
+        assert maxnorm(Linv @ L - np.eye(80)) <= 1e-12
+        assert np.all(np.triu(Linv, 1) == 0)
+
+    def test_overwrites_its_owned_input(self):
+        M = np.asfortranarray(make_spd(20, 4))
+        assert np.shares_memory(kernel.inverse_factor(M), M)
+
+    def test_same_pivot_as_cholesky_spd(self):
+        M = make_spd(8, 5)
+        M[5, 5] = -1.0
+        with pytest.raises(NotPositiveDefinite) as ref:
+            kernel.cholesky_spd(M)
+        with pytest.raises(NotPositiveDefinite) as exc:
+            kernel.inverse_factor(np.asfortranarray(M))
+        assert exc.value.pivot_index == ref.value.pivot_index == 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        M = np.eye(3, order="F")
+        M[1, 1] = bad
+        with pytest.raises(NotPositiveDefinite):
+            kernel.inverse_factor(M)
+
+    def test_c_ordered_input_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            kernel.inverse_factor(np.ascontiguousarray(make_spd(4, 6)))
+
+
+class TestWhiten:
+    def test_matches_substitution_in_place(self):
+        rng = np.random.default_rng(7)
+        M = make_spd(64, 7)
+        L = kernel.cholesky_spd(M)
+        Linv = kernel.inverse_factor(np.asfortranarray(M))
+        B = np.asfortranarray(rng.standard_normal((64, 9)))
+        ref = kernel.trsolve_lower(L, B)
+        out = kernel.whiten(Linv, B)
+        assert np.shares_memory(out, B)
+        assert maxnorm(B - ref) <= 1e-12 * maxnorm(ref)
+
+    def test_c_ordered_block_rejected(self):
+        Linv = np.eye(4, order="F")
+        B = np.ascontiguousarray(np.ones((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            kernel.whiten(Linv, B)
+        assert np.array_equal(B, np.ones((4, 3)))
+
+
 class TestTrsolve:
     def test_hand_forward_substitution(self):
         L = np.array([[2.0, 0.0], [1.0, 2.0]])
@@ -140,8 +193,9 @@ class TestPrepare:
         XL = np.hstack([np.ones((n, 1)), rng.standard_normal((n, p - 2))])
         y = rng.standard_normal(n)
         ctx = kernel.gls_prepare(M, XL, y)
-        assert maxnorm(ctx.L @ ctx.XLbar - XL) <= 1e-10 * maxnorm(XL)
-        assert maxnorm(ctx.L @ ctx.ybar - y) <= 1e-10 * maxnorm(y)
+        L = kernel.cholesky_spd(M)
+        assert maxnorm(L @ ctx.XLbar - XL) <= 1e-10 * maxnorm(XL)
+        assert maxnorm(L @ ctx.ybar - y) <= 1e-10 * maxnorm(y)
         assert np.array_equal(ctx.S_TL, ctx.S_TL.T)
         assert np.allclose(ctx.b_T, ctx.XLbar.T @ ctx.ybar)
 
@@ -149,6 +203,26 @@ class TestPrepare:
         XL = np.ones((10, 2))  # duplicated intercept
         with pytest.raises(RankDeficientCovariates):
             kernel.gls_prepare(np.eye(10), XL, np.zeros(10))
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_public_api_leaves_inputs_unmodified(q):
+    # a single Fortran-ordered column is where np.asfortranarray would
+    # hand back the caller's own array
+    rng = np.random.default_rng(17)
+    n = 40
+    M = make_spd(n, 17)
+    XL = np.asfortranarray(np.hstack([np.ones((n, 1)),
+                                      rng.standard_normal((n, q - 1))]))
+    y = rng.standard_normal(n)
+    X = np.asfortranarray(rng.standard_normal((n, 6)))
+    before = [a.copy() for a in (M, XL, y, X)]
+    ctx = kernel.gls_prepare(M, XL, y)
+    kernel.gls_solve_block(ctx, kernel.SnpBlock(0, X), emit_s_inv=True)
+    for a, a0 in zip((M, XL, y, X), before):
+        assert np.array_equal(a, a0)
+    for field in (ctx.Linv, ctx.XLbar, ctx.ybar):
+        assert not any(np.shares_memory(field, a) for a in (M, XL, y))
 
 
 class TestSolveSmallSpd:
@@ -260,17 +334,19 @@ class TestSolveBlock:
     def test_emit_s_inv(self):
         rng = np.random.default_rng(11)
         n = 30
-        ctx = kernel.gls_prepare(make_spd(n, 12),
+        M = make_spd(n, 12)
+        ctx = kernel.gls_prepare(M,
                                  np.hstack([np.ones((n, 1)),
                                             rng.standard_normal((n, 2))]),
                                  rng.standard_normal(n))
         X = rng.standard_normal((n, 4))
         rb = kernel.gls_solve_block(ctx, kernel.SnpBlock(0, X), emit_s_inv=True)
         p = ctx.p
+        L = kernel.cholesky_spd(M)
         il, jl = np.tril_indices(p)
         for i in range(X.shape[1]):
             S = np.empty((p, p))
-            xb = kernel.trsolve_lower(ctx.L, X[:, i])
+            xb = kernel.trsolve_lower(L, X[:, i])
             S[:p - 1, :p - 1] = ctx.S_TL
             S[p - 1, :p - 1] = S[:p - 1, p - 1] = ctx.XLbar.T @ xb
             S[p - 1, p - 1] = xb @ xb

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gwasgls.pipeline import (
     run_ooc,
 )
 
+import conftest
 from conftest import solve_paths
 
 
@@ -87,6 +89,13 @@ class TestEngines:
         assert payload.sinv.shape == (500, 10)
         assert np.all(np.isfinite(payload.sinv))
 
+    def test_ooc_whitens_in_the_reader_buffers(self, seed42_dataset, out_path,
+                                               monkeypatch):
+        seen = conftest.record_block_views(monkeypatch)
+        run_ooc(solve_paths(seed42_dataset, out_path("views.gwab")),
+                SolveConfig(m_blk=64))
+        assert conftest.count_zero_copy_views(seen) == (8, 8)
+
     def test_degenerate_markers_flagged(self, degenerate_dataset, out_path):
         ds, (z, dup) = degenerate_dataset
         p = solve_paths(ds, out_path("deg.gwab"))
@@ -98,6 +107,26 @@ class TestEngines:
 
 
 class TestMemoryBudget:
+    # Python objects, the per-block reductions and the result arrays; one
+    # n x m_blk block copy (2.88 MB at n=m_blk=600) would exceed it
+    PEAK_SLACK = 2 ** 20
+
+    @pytest.mark.parametrize("run", [run_ooc, run_incore],
+                             ids=["ooc", "incore"])
+    def test_traced_peak_within_estimate(self, run, tmp_path):
+        from gwasgls.datagen import GenSpec, gen_dataset
+        ds = gen_dataset(GenSpec(n=600, m=1800, p=4, seed=3),
+                         str(tmp_path / "d"))
+        tracemalloc.start()
+        try:
+            s = run(solve_paths(ds, str(tmp_path / "out.gwab")),
+                    SolveConfig(m_blk=600, emit_s_inv=True))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= s.peak_resident_est + self.PEAK_SLACK, \
+            (peak, s.peak_resident_est)
+
     def test_incore_rejected_below_budget(self, seed42_dataset, out_path):
         p = solve_paths(seed42_dataset, out_path("x.gwab"))
         geno_bytes = 8 * 100 * 500
