@@ -3,11 +3,13 @@ factor live element-cyclic on a 2D process grid, and marker blocks never
 leave the rank that read them. Each rank reads its own contiguous chunk
 of every block as full columns and whitens them in place against row
 panels of L that are replicated one at a time, so the sweep moves panels
-of L and no genotype data. A block is the ooc engine's, split evenly
-across ranks, so each replication of L is paid once per wide block. A
-rank's entries of any window are a slice of its local array that lands
-in a strided slice of the window, so every layout change, and every
-panel, moves by slicing, with no index arrays.
+of L and no genotype data. Each panel [L_k,:k | D_k] is folded with the
+inverse of its diagonal block into one GEMM's left operand, and the next
+panel is sent before that GEMM runs. A block is the ooc engine's, split
+evenly across ranks, so each replication of L is paid once per wide
+block. A rank's entries of any window are a slice of its local array
+that lands in a strided slice of the window, so every layout change,
+and every panel, moves by slicing, with no index arrays.
 
 Index maps:
     2D: element (i, j) is owned by grid process (i mod r, j mod c) at
@@ -21,6 +23,7 @@ Index maps:
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -197,18 +200,29 @@ def _window(D, rank, r0, r1, c0, c1):
     return (lr, lc), (wr, wc)
 
 
-def _replicate(D, t, r0, r1, c0, c1):
-    """Materialize the global submatrix [r0:r1, c0:c1] on every rank.
-
-    Each rank sends only the entries it owns, a slice of its local array;
-    every rank places each source's piece in that source's window slice.
-    """
+def _replicate_start(D, t, r0, r1, c0, c1):
+    """First half of replicating the global submatrix [r0:r1, c0:c1] on
+    every rank: send every peer this rank's owned entries of it, a slice
+    of its local array. Returns the handle _replicate_finish takes."""
     local, _ = _window(D, t.rank, r0, r1, c0, c1)
+    piece = _as_bytes(D.local[local])
+    return (r0, r1, c0, c1), t.alltoall_start([piece] * t.size)
+
+
+def _replicate_finish(D, t, pending):
+    """Second half: receive every source's piece and place it in that
+    source's window slice; returns the replicated submatrix."""
+    (r0, r1, c0, c1), own = pending
     out = np.empty((r1 - r0, c1 - c0))
-    for src, raw in enumerate(t.allgather(_as_bytes(D.local[local]))):
+    for src, raw in enumerate(t.alltoall_finish(own)):
         _, at = _window(D, src, r0, r1, c0, c1)
         out[at] = _from_bytes(raw, out[at].shape)
     return out
+
+
+def _replicate(D, t, r0, r1, c0, c1):
+    """Materialize the global submatrix [r0:r1, c0:c1] on every rank."""
+    return _replicate_finish(D, t, _replicate_start(D, t, r0, r1, c0, c1))
 
 
 def _write_back(D, t, r0, c0, values):
@@ -262,9 +276,12 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
 
     L is the 2D-distributed lower-triangular factor. X is n x k, Fortran
     ordered float64, and k may differ between ranks or be 0. The call is
-    collective: every rank takes part in replicating each nb-row panel of
-    L, then runs forward substitution on its own columns. Nothing about X
-    is communicated or copied. At np=1 it is one in-place triangular solve.
+    collective: every rank takes part in replicating each nb-row panel
+    [L_k,:k | D_k] of L, where D_k is its diagonal block. Each rank folds
+    D_k^-1 into the panel, [-(D_k^-1 L_k,:k) | D_k^-1], and updates its
+    own columns with one GEMM, X[k:k+kb] = panel @ X[:k+kb], while the
+    next panel is already on the wire. Nothing about X is communicated.
+    At np=1 it is one in-place triangular solve.
     """
     n = L.gr
     if X.shape[0] != n:
@@ -276,14 +293,47 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
             solve_triangular(L.local, X, lower=True, overwrite_b=True,
                              check_finite=False)
         return X
+
+    def start(k):
+        end = min(k + nb, n)
+        return _replicate_start(L, t, k, end, 0, end)
+
+    pending = start(0) if n else None
     for k in range(0, n, nb):
-        kb = min(nb, n - k)
-        panel = _replicate(L, t, k, k + kb, 0, k + kb)
+        panel = _replicate_finish(L, t, pending)
+        if k + nb < n:
+            pending = start(k + nb)
         if X.shape[1]:
-            rhs = X[k:k + kb] - panel[:, :k] @ X[:k]
-            X[k:k + kb] = solve_triangular(panel[:, k:k + kb], rhs,
-                                           lower=True, check_finite=False)
+            X[k:k + nb] = _fold_diagonal(panel, k) @ X[:k + nb]
     return X
+
+
+def _fold_diagonal(panel, k):
+    """Turn the row panel [L_k,:k | D] into [-(D^-1 L_k,:k) | D^-1], in
+    its own memory. Only the lower triangle of D is read."""
+    Dinv = np.tril(kernel._trtri(panel[:, k:], overwrite=0))
+    np.negative(Dinv @ panel[:, :k], out=panel[:, :k])
+    panel[:, k:] = Dinv
+    return panel
+
+
+def _prepare(paths, grid, t, n):
+    """Factor the covariance on the grid and whiten [XL | y], all of it on
+    every rank (the small products are redundant by design); returns the
+    distributed factor and the kernel context."""
+    M = fileio.read_matrix(paths.cov, "GWAM") if t.rank == 0 else None
+    share = scatter_matrix(M, grid, t)
+    del M
+    Ld = dist_cholesky(share, t)
+    XL = fileio.read_matrix(paths.covariates, "GWAC")
+    y = fileio.read_matrix(paths.pheno, "GWAY")
+    if XL.shape[0] != n or y.shape[0] != n:
+        raise DimensionMismatch(f"run_dist: n={n} but XL {XL.shape}, y {y.shape}")
+    W = np.empty((n, XL.shape[1] + 1), order="F")
+    W[:, :-1] = XL
+    W[:, -1] = y
+    dist_trsolve(Ld, W, t)
+    return Ld, kernel.prepare_whitened(np.empty((n, 0)), W[:, :-1], W[:, -1])
 
 
 def run_dist(t, paths, cfg=None):
@@ -317,49 +367,40 @@ def run_dist(t, paths, cfg=None):
         start = min(first + t.rank * loc, m)
         chunks.append((start, min(loc, m - start)))
 
-    reader = fileio.BlockReader(paths.geno)
     bufs = [np.empty((n, loc), order="F"), np.empty((n, loc), order="F")]
     flags = 1 if cfg.emit_s_inv else 0
+    reader = fileio.BlockReader(paths.geno)
+    try:
+        # the first chunk starts loading before any factoring so the
+        # transfer hides behind the preparation phase
+        ticket = reader.start(*chunks[0], bufs[0]) if chunks[0][1] else None
+        t0 = time.perf_counter()
+        Ld, ctx = _prepare(paths, grid, t, n)
+        p = ctx.p
+        t_prepare = time.perf_counter() - t0
 
-    # the first chunk starts loading before any factoring so the
-    # transfer hides behind the preparation phase
-    ticket = reader.start(*chunks[0], bufs[0]) if chunks[0][1] else None
+        partial = pipeline.partial_path(paths.out)
+        if t.rank == 0:
+            writer = fileio.BlockWriter(partial, m, p, flags, create=True)
+        t.barrier()
+        if t.rank != 0:
+            writer = fileio.BlockWriter(partial, m, p, flags, create=False)
 
-    t0 = time.perf_counter()
-    M = fileio.read_matrix(paths.cov, "GWAM") if t.rank == 0 else None
-    share = scatter_matrix(M, grid, t)
-    del M
-    Ld = dist_cholesky(share, t)
-    XL = fileio.read_matrix(paths.covariates, "GWAC")
-    y = fileio.read_matrix(paths.pheno, "GWAY")
-    if XL.shape[0] != n or y.shape[0] != n:
-        raise DimensionMismatch(f"run_dist: n={n} but XL {XL.shape}, y {y.shape}")
-    # every rank whitens all of [XL | y]; the small products are redundant
-    # by design
-    W = np.empty((n, XL.shape[1] + 1), order="F")
-    W[:, :-1] = XL
-    W[:, -1] = y
-    dist_trsolve(Ld, W, t)
-    ctx = kernel.prepare_whitened(np.empty((n, 0)), W[:, :-1], W[:, -1])
-    p = ctx.p
-    t_prepare = time.perf_counter() - t0
+        def solve(first, columns):
+            Xbar = dist_trsolve(Ld, columns, t)
+            return kernel.solve_whitened_block(ctx, Xbar, first,
+                                               emit_s_inv=cfg.emit_s_inv)
 
+        try:
+            t_compute, t_io_wait, block_cpu = pipeline.sweep(
+                reader, writer, chunks, bufs, ticket, solve)
+            t.barrier()  # every rank's last store is done
+        finally:
+            writer.close()
+    finally:
+        reader.close()
     if t.rank == 0:
-        writer = fileio.BlockWriter(paths.out, m, p, flags, create=True)
-    t.barrier()
-    if t.rank != 0:
-        writer = fileio.BlockWriter(paths.out, m, p, flags, create=False)
-
-    def solve(first, columns):
-        Xbar = dist_trsolve(Ld, columns, t)
-        return kernel.solve_whitened_block(ctx, Xbar, first,
-                                           emit_s_inv=cfg.emit_s_inv)
-
-    t_compute, t_io_wait, block_cpu = pipeline.sweep(
-        reader, writer, chunks, bufs, ticket, solve)
-    t.barrier()
-    reader.close()
-    writer.close()
+        os.replace(partial, paths.out)
 
     stats = t.allgather_obj(dict(
         bytes_read=reader.bytes_read, bytes_written=writer.bytes_written))

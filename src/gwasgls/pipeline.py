@@ -122,6 +122,13 @@ def check_budget(need, what, budget=None):
         raise ConfigError(f"{what} need {need} bytes, budget is {budget}")
 
 
+def partial_path(out):
+    """Where a run writes its results until the last store is done; the
+    engine then renames the file onto `out` (rename(2) is atomic), so
+    `out` only ever holds a complete run, or is absent."""
+    return out + ".partial"
+
+
 def _load_prepare(paths):
     """Read the covariance, covariates and phenotype and prepare the
     context in their memory: the covariance becomes L^-1, the others their
@@ -143,11 +150,14 @@ def run_incore(paths, cfg=None):
     cfg = cfg or SolveConfig()
     t_start = time.perf_counter()
     geno_bytes, n, m = fileio.total_genotype_bytes(paths.geno)
-    need = geno_bytes + 8 * n * n
-    check_budget(need, "in-core genotypes and covariance",
+    p = fileio.read_dims(paths.covariates, "GWAC")[1] + 1
+    flags = 1 if cfg.emit_s_inv else 0
+    # the result arrays and their encoded records take m records each
+    need = (geno_bytes + 8 * n * n + 8 * n * p
+            + 2 * m * fileio.record_size(p, flags))
+    check_budget(need, "in-core genotypes, covariance and results",
                  cfg.mem_budget_bytes)
     ctx, t_prep, m_bytes = _load_prepare(paths)
-    p = ctx.p
     t0 = time.perf_counter()
     X = fileio.read_matrix(paths.geno, "GWAX")
     t_read = time.perf_counter() - t0
@@ -155,18 +165,20 @@ def run_incore(paths, cfg=None):
     block = kernel.solve_whitened_block(ctx, kernel.whiten(ctx.Linv, X), 0,
                                         emit_s_inv=cfg.emit_s_inv)
     t_compute = time.perf_counter() - t0
-    flags = 1 if cfg.emit_s_inv else 0
-    writer = fileio.BlockWriter(paths.out, m, p, flags)
+    writer = fileio.BlockWriter(partial_path(paths.out), m, p, flags)
     t0 = time.perf_counter()
-    writer.wait(writer.start(block))
+    try:
+        writer.wait(writer.start(block))
+    finally:
+        writer.close()
+    os.replace(writer.path, paths.out)
     t_write = time.perf_counter() - t0
-    writer.close()
     return RunSummary(
         mode="incore", n=n, m=m, p=p, m_blk=m, np_=1,
         t_prepare=t_prep, t_compute=t_compute, t_io_wait=t_read + t_write,
         t_total=time.perf_counter() - t_start,
         bytes_read=geno_bytes + m_bytes, bytes_written=m * fileio.record_size(p, flags),
-        peak_resident_est=need + 8 * n * p, buffer_regions=1,
+        peak_resident_est=need, buffer_regions=1,
     )
 
 
@@ -181,7 +193,9 @@ def run_ooc(paths, cfg=None):
     flags = 1 if cfg.emit_s_inv else 0
     rsz = fileio.record_size(p, flags)
     region_bytes = 8 * n * m_blk + m_blk * rsz
-    check_budget(2 * region_bytes, "two buffer regions", cfg.mem_budget_bytes)
+    need = 8 * n * n + 2 * region_bytes + 8 * n * p
+    check_budget(need, "covariance, covariates and two buffer regions",
+                 cfg.mem_budget_bytes)
 
     plan = block_plan(m, m_blk)
     # exactly two regions, each one input buffer + one output staging area
@@ -200,7 +214,7 @@ def run_ooc(paths, cfg=None):
     load_ticket = reader.start(*plan.blocks[0], in_bufs[0])
     try:
         ctx, t_prep, m_bytes = _load_prepare(paths)
-        writer = fileio.BlockWriter(paths.out, m, p, flags)
+        writer = fileio.BlockWriter(partial_path(paths.out), m, p, flags)
         try:
             t_compute, t_io_wait, block_cpu = sweep(
                 reader, writer, plan.blocks, in_bufs, load_ticket, solve,
@@ -209,13 +223,14 @@ def run_ooc(paths, cfg=None):
             writer.close()
     finally:
         reader.close()
+    os.replace(writer.path, paths.out)
     return RunSummary(
         mode="ooc", n=n, m=m, p=p, m_blk=m_blk, np_=1,
         t_prepare=t_prep, t_compute=t_compute, t_io_wait=t_io_wait,
         t_total=time.perf_counter() - t_start,
         bytes_read=reader.bytes_read + m_bytes,
         bytes_written=writer.bytes_written,
-        peak_resident_est=8 * n * n + 2 * region_bytes + 8 * n * p,
+        peak_resident_est=need,
         buffer_regions=regions_allocated,
         block_cpu_times=block_cpu,
     )

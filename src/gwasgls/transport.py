@@ -21,7 +21,7 @@ import socket
 import struct
 import threading
 
-from .errors import SizeMismatch, TransportFailure
+from .errors import ConfigError, SizeMismatch, TransportFailure
 
 _GONE = None  # queued behind a rank's last message once it has ended
 
@@ -79,17 +79,26 @@ class Transport:
         return self.alltoall([data] * self.size)
 
     def alltoall(self, slices):
+        return self.alltoall_finish(self.alltoall_start(slices))
+
+    def alltoall_start(self, slices):
+        """First half of alltoall: send slices[dst] to every other rank and
+        return this rank's own slice, which alltoall_finish takes. The
+        caller may compute between the halves, and may start further
+        exchanges; every rank must finish them in the order it started
+        them."""
         if len(slices) != self.size:
             raise SizeMismatch(f"alltoall needs {self.size} slices, got {len(slices)}")
-        out = [None] * self.size
-        out[self.rank] = bytes(slices[self.rank])
         for dst in range(self.size):
             if dst != self.rank:
                 self.send(dst, slices[dst], _channel=1)
-        for src in range(self.size):
-            if src != self.rank:
-                out[src] = self.recv(src, _channel=1)
-        return out
+        return bytes(slices[self.rank])
+
+    def alltoall_finish(self, own):
+        """Second half of alltoall: the slices every rank sent this one,
+        in rank order, with `own` at this rank's place."""
+        return [own if src == self.rank else self.recv(src, _channel=1)
+                for src in range(self.size)]
 
     # object-level conveniences (pickled payloads)
     def broadcast_obj(self, root, obj=None):
@@ -209,8 +218,11 @@ def run_spmd(size, fn, *args, transport="inproc"):
     processes joined pairwise by local socket pairs. Every rank is joined;
     if ranks raise, the first error that is not a TransportFailure is
     re-raised here, and a socket rank that exits without reporting raises
-    TransportFailure(rank, "exited with code N").
+    TransportFailure(rank, "exited with code N"). A size below 1 raises
+    ConfigError before any rank starts.
     """
+    if size < 1:
+        raise ConfigError(f"need at least one rank, got {size}")
     if transport == "inproc":
         mailboxes = {(s, d, ch): queue.SimpleQueue()
                      for s in range(size) for d in range(size) for ch in (0, 1)}

@@ -190,10 +190,12 @@ def test_criterion_05_memory_bound(seed42_dataset, tmp_path, monkeypatch):
         run_incore(solve_paths(seed42_dataset, str(tmp_path / "ic.gwab")))
     s = run_ooc(solve_paths(seed42_dataset, str(tmp_path / "ooc.gwab")),
                 SolveConfig(m_blk=32))
-    ok = s.buffer_regions == 2
+    ok = s.buffer_regions == 2 and s.peak_resident_est <= geno_bytes
     _report(5, "memory bound", ok,
-            f"budget={geno_bytes} regions={s.buffer_regions}")
+            f"budget={geno_bytes} regions={s.buffer_regions} "
+            f"est={s.peak_resident_est}")
     assert s.buffer_regions == 2
+    assert s.peak_resident_est <= geno_bytes
 
 
 def test_criterion_06_distribution_round_trips():

@@ -121,6 +121,17 @@ class TestExitCodes:
         out = str(tmp_path / "o.gwab")
         assert main(_solve_args(d, out, mode, "--block-size", "0")) == 2
 
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_np_below_one_is_2(self, tmp_path, transport, capsys):
+        d = _gen(tmp_path, n=20, m=10)
+        out = str(tmp_path / "o.gwab")
+        for np_ in ("0", "-1"):
+            args = _solve_args(d, out, "dist", "--np", np_,
+                               "--transport", transport)
+            assert main(args) == 2
+            assert "need at least one rank" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_transport_failure_is_3(self, tmp_path, monkeypatch, capsys):
         def rank_lost(t, paths, cfg):
             raise TransportFailure(t.rank, "rank 1 ended before sending")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import threading
 from collections import Counter
 
 import numpy as np
@@ -322,6 +323,86 @@ class TestDistKernels:
 
         panels = sum(min(nb, n - k) * (k + min(nb, n - k)) for k in range(0, n, nb))
         assert sum(run_spmd(np_, body)) == 8 * (np_ - 1) * panels
+
+    @pytest.mark.parametrize("np_", [2, 4, 6])
+    def test_dist_trsolve_schedule_moves_each_panel_once_ahead(
+            self, np_, monkeypatch):
+        # each panel is one message to each peer, and panel i+1 is sent
+        # before panel i is folded and multiplied
+        n, nb = 100, 16
+        panels = math.ceil(n / nb)
+        L = kernel.cholesky_spd(make_spd(n, seed=8))
+        events = {}
+        trtri = kernel._trtri
+
+        def logged_trtri(*args, **kwargs):
+            events[threading.get_ident()].append("fold")
+            return trtri(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "_trtri", logged_trtri)
+
+        def body(t):
+            Ld = scatter_matrix(L if t.rank == 0 else None, grid_create(t.size), t)
+            log = events[threading.get_ident()] = []
+            send = t.send
+
+            def logged_send(*args, **kwargs):
+                log.append("send")
+                return send(*args, **kwargs)
+
+            t.send = logged_send
+            dist_trsolve(Ld, np.asfortranarray(np.ones((n, 2))), t, nb=nb)
+            return log
+
+        logs = run_spmd(np_, body)
+        assert sum(log.count("send") for log in logs) == np_ * (np_ - 1) * panels
+        for log in logs:
+            folds = [i for i, e in enumerate(log) if e == "fold"]
+            assert len(folds) == panels
+            for i, at in enumerate(folds):
+                sent = log[:at].count("send")
+                assert sent == (np_ - 1) * min(i + 2, panels), (i, log)
+
+    @pytest.mark.parametrize("np_", [2, 4, 6])
+    @pytest.mark.parametrize("kappa", [2e2, 2e6, 2e9])
+    def test_dist_trsolve_ill_conditioned_factor(self, np_, kappa):
+        # M = G G^T / n + ridge I with G of rank n/4, the ridge set for
+        # cond(M) = kappa; the residual is that of a backward-stable solve
+        n, nb = 203, 16
+        G = np.random.default_rng(11).standard_normal((n, n // 4))
+        M = G @ G.T / n
+        ridge = np.linalg.eigvalsh(M)[-1] / (kappa - 1)
+        M += ridge * np.eye(n)
+        assert np.linalg.cond(M) == pytest.approx(kappa, rel=1e-2)
+        L = kernel.cholesky_spd(M)
+        B = np.random.default_rng(12).standard_normal((n, 12))
+        X, _ = _trsolve_columns(L, B, np_, nb=nb)
+        resid = np.max(np.abs(L @ X - B))
+        assert resid / (np.max(np.abs(L)) * np.max(np.abs(X))) <= 1e-14
+
+    @pytest.mark.parametrize("np_", [2, 4])
+    @pytest.mark.parametrize("n,nb", [
+        (20, 32),  # nb > n: one panel
+        (20, 20),  # nb = n: one panel
+        (48, 16),  # n a multiple of nb
+        (49, 16),  # a last panel of one row
+    ])
+    def test_dist_trsolve_panel_edges(self, np_, n, nb):
+        L = kernel.cholesky_spd(make_spd(n, seed=13))
+        B = np.random.default_rng(14).standard_normal((n, 7))
+        X, in_place = _trsolve_columns(L, B, np_, nb=nb)
+        Xref = kernel.trsolve_lower(L, B)
+        assert np.max(np.abs(X - Xref)) <= 1e-10 * np.max(np.abs(Xref))
+        assert in_place == [True] * np_
+
+    def test_dist_trsolve_empty_factor_leaves_no_message_behind(self):
+        def body(t):
+            L = scatter_matrix(np.zeros((0, 0)) if t.rank == 0 else None,
+                               grid_create(t.size), t)
+            dist_trsolve(L, np.zeros((0, 3), order="F"), t)
+            return t.allgather(bytes([t.rank]))
+
+        assert run_spmd(2, body) == [[b"\x00", b"\x01"]] * 2
 
     def test_dist_trsolve_rejects_c_order_columns(self):
         def body(t):

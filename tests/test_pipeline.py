@@ -1,9 +1,14 @@
 import os
+import pathlib
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import gwasgls
 from gwasgls import fileio, kernel
 from gwasgls.datagen import compare_results, oracle_solve_all
 from gwasgls.errors import ConfigError
@@ -11,6 +16,7 @@ from gwasgls.pipeline import (
     RunSummary,
     SolveConfig,
     block_plan,
+    partial_path,
     run_incore,
     run_ooc,
 )
@@ -142,6 +148,31 @@ class TestMemoryBudget:
         assert s.buffer_regions == 2
         assert compare_results(p1.out, p2.out, 1e-12).within
 
+    def test_ooc_budget_counts_the_covariance(self, seed42_dataset, out_path):
+        # n=100, m_blk=32, p=4: two regions of 8*100*32 + 32*32 bytes fit,
+        # the 8n^2 covariance next to them does not
+        p = solve_paths(seed42_dataset, out_path("x.gwab"))
+        regions = 2 * (8 * 100 * 32 + 32 * 32)
+        with pytest.raises(ConfigError):
+            run_ooc(p, SolveConfig(m_blk=32, mem_budget_bytes=regions))
+        need = 8 * 100 * 100 + regions + 8 * 100 * 4
+        with pytest.raises(ConfigError):
+            run_ooc(p, SolveConfig(m_blk=32, mem_budget_bytes=need - 1))
+        s = run_ooc(p, SolveConfig(m_blk=32, mem_budget_bytes=need))
+        assert s.peak_resident_est == need
+
+    @pytest.mark.parametrize("emit", [False, True])
+    def test_incore_budget_counts_the_results(self, seed42_dataset, out_path,
+                                              emit):
+        # result arrays and encoded records: two records per marker
+        p = solve_paths(seed42_dataset, out_path("x.gwab"))
+        rsz = fileio.record_size(4, int(emit))
+        need = 8 * 100 * 500 + 8 * 100 * 100 + 8 * 100 * 4 + 2 * 500 * rsz
+        with pytest.raises(ConfigError):
+            run_incore(p, SolveConfig(emit_s_inv=emit, mem_budget_bytes=need - 1))
+        s = run_incore(p, SolveConfig(emit_s_inv=emit, mem_budget_bytes=need))
+        assert s.peak_resident_est == need
+
     def test_ooc_rejected_when_buffers_exceed_budget(self, seed42_dataset, out_path):
         p = solve_paths(seed42_dataset, out_path("x.gwab"))
         with pytest.raises(ConfigError):
@@ -152,6 +183,59 @@ class TestMemoryBudget:
         p = solve_paths(seed42_dataset, out_path("x.gwab"))
         with pytest.raises(ConfigError):
             run_incore(p)
+
+
+# runs the ooc engine on argv's five paths and kills itself with SIGKILL
+# as soon as the first block's records are stored
+_KILLED_AFTER_FIRST_STORE = """
+import os, signal, sys
+from gwasgls import fileio, pipeline
+
+wait = fileio.BlockWriter.wait
+
+def wait_then_die(self, ticket):
+    wait(self, ticket)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+fileio.BlockWriter.wait = wait_then_die
+pipeline.run_ooc(pipeline.SolvePaths(*sys.argv[1:6]),
+                 pipeline.SolveConfig(m_blk=100))
+"""
+
+
+class TestInterruptedRun:
+    def _kill_after_first_store(self, p):
+        src = os.path.dirname(os.path.dirname(gwasgls.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        r = subprocess.run(
+            [sys.executable, "-c", _KILLED_AFTER_FIRST_STORE,
+             p.cov, p.covariates, p.pheno, p.geno, p.out], env=env)
+        assert r.returncode == -signal.SIGKILL
+        # the run got as far as storing records, into the partial file
+        assert os.path.getsize(partial_path(p.out)) > 0
+
+    def test_killed_run_leaves_no_results(self, seed42_dataset, out_path):
+        p = solve_paths(seed42_dataset, out_path("o.gwab"))
+        self._kill_after_first_store(p)
+        assert not os.path.exists(p.out)
+
+    def test_killed_run_keeps_the_earlier_results(self, seed42_dataset,
+                                                  out_path):
+        p = solve_paths(seed42_dataset, out_path("o.gwab"))
+        run_ooc(p, SolveConfig(m_blk=100))
+        before = pathlib.Path(p.out).read_bytes()
+        self._kill_after_first_store(p)
+        assert pathlib.Path(p.out).read_bytes() == before
+
+    @pytest.mark.parametrize("run", [run_ooc, run_incore],
+                             ids=["ooc", "incore"])
+    def test_completed_run_leaves_only_results(self, run, seed42_dataset,
+                                               out_path):
+        p = solve_paths(seed42_dataset, out_path("o.gwab"))
+        run(p, SolveConfig(m_blk=100))
+        assert os.listdir(os.path.dirname(p.out)) == ["o.gwab"]
 
 
 class TestRunSummary:

@@ -6,8 +6,32 @@ import threading
 
 import pytest
 
-from gwasgls.errors import NotPositiveDefinite, SizeMismatch, TransportFailure
+from gwasgls.errors import (
+    ConfigError,
+    NotPositiveDefinite,
+    SizeMismatch,
+    TransportFailure,
+)
 from gwasgls.transport import _frame, _read_frame, run_spmd
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+@pytest.mark.parametrize("size", [0, -1])
+def test_size_below_one_is_a_config_error(transport, size):
+    with pytest.raises(ConfigError):
+        run_spmd(size, lambda t: t.rank, transport=transport)
+
+
+def test_split_alltoall_halves_overlap_in_order():
+    # two exchanges in flight at once finish in the order they started
+    def body(t):
+        first = t.alltoall_start([bytes([t.rank, d]) for d in range(t.size)])
+        second = t.alltoall_start([bytes([9, t.rank])] * t.size)
+        return t.alltoall_finish(first), t.alltoall_finish(second)
+
+    for rank, (first, second) in enumerate(run_spmd(3, body)):
+        assert first == [bytes([src, rank]) for src in range(3)]
+        assert second == [bytes([9, src]) for src in range(3)]
 
 
 def test_single_rank_alltoall_identity():
