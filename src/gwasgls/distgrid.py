@@ -369,41 +369,46 @@ def run_dist(t, paths, cfg=None):
 
     bufs = [np.empty((n, loc), order="F"), np.empty((n, loc), order="F")]
     flags = 1 if cfg.emit_s_inv else 0
-    reader = fileio.BlockReader(paths.geno)
-    try:
-        # the first chunk starts loading before any factoring so the
-        # transfer hides behind the preparation phase
-        ticket = reader.start(*chunks[0], bufs[0]) if chunks[0][1] else None
-        t0 = time.perf_counter()
-        Ld, ctx = _prepare(paths, grid, t, n)
-        p = ctx.p
-        t_prepare = time.perf_counter() - t0
-
-        partial = pipeline.partial_path(paths.out)
-        if t.rank == 0:
-            writer = fileio.BlockWriter(partial, m, p, flags, create=True)
-        t.barrier()
-        if t.rank != 0:
-            writer = fileio.BlockWriter(partial, m, p, flags, create=False)
-
-        def solve(first, columns):
-            Xbar = dist_trsolve(Ld, columns, t)
-            return kernel.solve_whitened_block(ctx, Xbar, first,
-                                               emit_s_inv=cfg.emit_s_inv)
-
+    # np ranks share this host's cores, so each runs its BLAS calls on its
+    # share of them (imported here for the reason given at kernel.BASE)
+    from . import _blas
+    with _blas.rank_threads(np_) as blas_threads:
+        reader = fileio.BlockReader(paths.geno)
         try:
-            t_compute, t_io_wait, block_cpu = pipeline.sweep(
-                reader, writer, chunks, bufs, ticket, solve)
-            t.barrier()  # every rank's last store is done
+            # the first chunk starts loading before any factoring so the
+            # transfer hides behind the preparation phase
+            ticket = reader.start(*chunks[0], bufs[0]) if chunks[0][1] else None
+            t0 = time.perf_counter()
+            Ld, ctx = _prepare(paths, grid, t, n)
+            p = ctx.p
+            t_prepare = time.perf_counter() - t0
+
+            partial = pipeline.partial_path(paths.out)
+            if t.rank == 0:
+                writer = fileio.BlockWriter(partial, m, p, flags, create=True)
+            t.barrier()
+            if t.rank != 0:
+                writer = fileio.BlockWriter(partial, m, p, flags, create=False)
+
+            def solve(first, columns):
+                Xbar = dist_trsolve(Ld, columns, t)
+                return kernel.solve_whitened_block(ctx, Xbar, first,
+                                                   emit_s_inv=cfg.emit_s_inv)
+
+            try:
+                t_compute, t_io_wait, block_cpu = pipeline.sweep(
+                    reader, writer, chunks, bufs, ticket, solve)
+                t.barrier()  # every rank's last store is done
+            finally:
+                writer.close()
         finally:
-            writer.close()
-    finally:
-        reader.close()
+            reader.close()
     if t.rank == 0:
         os.replace(partial, paths.out)
 
     stats = t.allgather_obj(dict(
-        bytes_read=reader.bytes_read, bytes_written=writer.bytes_written))
+        bytes_read=reader.bytes_read, bytes_written=writer.bytes_written,
+        peak_rss_bytes=pipeline.peak_rss_bytes()))
     return pipeline.RunSummary(
         mode="dist", n=n, m=m, p=p, m_blk=m_blk, np_=np_,
         t_prepare=t_prepare, t_compute=t_compute, t_io_wait=t_io_wait,
@@ -412,5 +417,7 @@ def run_dist(t, paths, cfg=None):
         bytes_written=sum(s["bytes_written"] for s in stats),
         peak_resident_est=8 * n * n // np_ + 2 * 8 * n * loc + 8 * n * p,
         buffer_regions=2,
+        blas_threads=blas_threads,
+        peak_rss_bytes=max(s["peak_rss_bytes"] for s in stats),
         block_cpu_times=block_cpu,
     )

@@ -9,10 +9,11 @@ X_i is shared across markers, so everything that does not depend on the
 marker column is hoisted into a PreparedContext and reused for every
 block of marker columns.
 
-The in-core and streaming engines whiten with L^-1, formed once
-(dpotrf, then dtrtri) in the memory of M: each block is one in-place
-triangular multiply (dtrmm) in the buffer it was read into, instead of
-a triangular solve (dtrsm) into a new array. cholesky_spd and
+The in-core and streaming engines whiten with L^-1, formed once in the
+memory of M by inverse_factor (dpotrf and dtrtri up to BASE rows, a
+recursion on halves of M in level-3 BLAS above): each block is one
+in-place triangular multiply (dtrmm) in the buffer it was read into,
+instead of a triangular solve (dtrsm) into a new array. cholesky_spd and
 trsolve_lower remain the substitution route, used by the distributed
 Cholesky and as the tests' reference.
 """
@@ -33,6 +34,11 @@ from .errors import (
 )
 
 EPS = 2.0 ** -52
+# largest order inverse_factor hands to LAPACK whole; above it, it recurses.
+# Only the recursion imports the in-place binding (_blas): objects created
+# at import moved the interpreter's first cyclic collection, about 1.5 ms,
+# into the set-up of small runs.
+BASE = 128
 
 
 @dataclass
@@ -142,13 +148,77 @@ def inverse_factor(M):
     and return it.
 
     M must be an n x n Fortran-ordered float64 array the caller owns; the
-    factor and its inverse are formed in its memory (dpotrf, then dtrtri)
-    with the strict upper triangle zeroed. Raises NotPositiveDefinite like
-    cholesky_spd.
+    factor and its inverse are formed in its memory with the strict upper
+    triangle zeroed, and no n x n or smaller block temporary is made.
+    Raises NotPositiveDefinite like cholesky_spd, with the global pivot
+    index.
+
+    Up to BASE rows this is dpotrf, then dtrtri. Above, both steps recurse
+    on halves of M in place (_factor, then _invert), so nearly all of the
+    n^3/3 + n^3/3 flops run in dgemm, dsyrk and dtrmm on views of M; the
+    recursion is the recursive blocked Cholesky and triangular inverse of
+    Elmroth, Gustavson, Jonsson & Kagstrom (SIAM Review 46(1), 2004).
     """
     _require_fortran(M, "inverse_factor's input")
     _check_covariance(M)
-    return _trtri(_potrf(M, overwrite=1), overwrite=1)
+    if M.shape[0] <= BASE:
+        return _trtri(_potrf(M, overwrite=1), overwrite=1)
+    from . import _blas
+    _factor(M, 0)
+    _invert(M)
+    _blas.zero_strict_upper(M)
+    return M
+
+
+def _factor(A, offset):
+    """Lower Cholesky factor of the view A in place; its upper triangle is
+    left as it was. offset is A's first row in the whole matrix, so a
+    failed pivot is reported by its global index."""
+    from . import _blas
+    n = A.shape[0]
+    if n <= BASE:
+        info = _blas.potrf(A)
+        if info > 0:
+            raise NotPositiveDefinite(offset + info - 1)
+        return
+    h = n // 2
+    _factor(A[:h, :h], offset)
+    _solve_right(A[:h, :h], A[h:, :h])
+    _blas.syrk(-1.0, A[h:, :h], 1.0, A[h:, h:])
+    _factor(A[h:, h:], offset + h)
+
+
+def _solve_right(L, B):
+    """B <- B L^-T for lower triangular L, by halves of L: a substitution
+    (dtrsm) on each diagonal half and a dgemm between them. Forming it by
+    a multiply with an inverse of L instead lost accuracy on
+    ill-conditioned covariances."""
+    from . import _blas
+    k = L.shape[0]
+    if k <= BASE:
+        _blas.trsm_rt(L, B)
+        return
+    h = k // 2
+    _solve_right(L[:h, :h], B[:, :h])
+    _blas.gemm_nt(-1.0, B[:, :h], L[h:, :h], 1.0, B[:, h:])
+    _solve_right(L[h:, h:], B[:, h:])
+
+
+def _invert(L):
+    """Lower triangle of the view L replaced by its inverse, using
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]."""
+    from . import _blas
+    n = L.shape[0]
+    if n <= BASE:
+        info = _blas.trtri(L)
+        if info != 0:
+            raise ValueError(f"dtrtri returned info={info}")
+        return
+    h = n // 2
+    _invert(L[:h, :h])
+    _invert(L[h:, h:])
+    _blas.trmm("R", 1.0, L[:h, :h], L[h:, :h])
+    _blas.trmm("L", -1.0, L[h:, h:], L[h:, :h])
 
 
 def _trtri(L, overwrite):

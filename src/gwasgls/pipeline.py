@@ -65,6 +65,10 @@ class RunSummary:
     peak_resident_est: int = 0
     buffer_regions: int = 0
     seed: int = -1
+    # OpenBLAS threads each dist rank was capped to, 0 when none was set
+    blas_threads: int = 0
+    # measured peak resident set (dist: the largest rank's), in bytes
+    peak_rss_bytes: int = 0
     # per-block CPU seconds of the streaming phase (load_wait + compute +
     # store_wait); profiling detail, not part of the one-line record
     block_cpu_times: list = field(default_factory=list)
@@ -120,6 +124,14 @@ def check_budget(need, what, budget=None):
         budget = int(os.environ[MEM_BUDGET_ENV])
     if budget is not None and need > budget:
         raise ConfigError(f"{what} need {need} bytes, budget is {budget}")
+
+
+def peak_rss_bytes():
+    """This process's peak resident set so far (getrusage's ru_maxrss,
+    which Linux counts in KiB)."""
+    import resource  # here for the reason given at kernel.BASE
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 def partial_path(out):
@@ -179,6 +191,7 @@ def run_incore(paths, cfg=None):
         t_total=time.perf_counter() - t_start,
         bytes_read=geno_bytes + m_bytes, bytes_written=m * fileio.record_size(p, flags),
         peak_resident_est=need, buffer_regions=1,
+        peak_rss_bytes=peak_rss_bytes(),
     )
 
 
@@ -232,6 +245,7 @@ def run_ooc(paths, cfg=None):
         bytes_written=writer.bytes_written,
         peak_resident_est=need,
         buffer_regions=regions_allocated,
+        peak_rss_bytes=peak_rss_bytes(),
         block_cpu_times=block_cpu,
     )
 

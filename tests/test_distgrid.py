@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import pickle
 import threading
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwasgls import distgrid, fileio, kernel
+from gwasgls import _blas, distgrid, fileio, kernel
 from gwasgls.datagen import GenSpec, compare_results, gen_dataset
 from gwasgls.distgrid import (
     DistMatrix1D,
@@ -567,3 +568,21 @@ class TestRunDist:
         run_spmd(2, run_dist, a, SolveConfig(), transport="inproc")
         run_spmd(2, run_dist, b, SolveConfig(), transport="socket")
         assert open(a.out, "rb").read() == open(b.out, "rb").read()
+
+    def test_socket_ranks_cap_blas_threads_and_report_peak(self, tmp_path,
+                                                           seed42_dataset):
+        # each rank's BLAS gets max(1, cpu_count // np) threads when it
+        # runs more; the record carries the largest rank's measured peak
+        cap = max(1, os.cpu_count() // 2)
+        counts = [get() for get, _ in _blas._openblas_threads()]
+        paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
+        s = run_spmd(2, run_dist, paths, SolveConfig(), transport="socket")[0]
+        assert s.blas_threads == (cap if any(c > cap for c in counts) else 0)
+        assert s.peak_rss_bytes >= 8 * 100 * 100 // 2
+
+    def test_inproc_ranks_leave_the_thread_count_as_found(self, tmp_path,
+                                                          seed42_dataset):
+        before = [get() for get, _ in _blas._openblas_threads()]
+        paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
+        run_spmd(2, run_dist, paths, SolveConfig())
+        assert [get() for get, _ in _blas._openblas_threads()] == before

@@ -246,6 +246,12 @@ class TestRunSummary:
         back = RunSummary.from_record(s.to_record())
         assert back == s
 
+    def test_measured_fields_round_trip(self):
+        s = RunSummary(mode="dist", n=10, np_=2, blas_threads=1,
+                       peak_rss_bytes=123456789)
+        back = RunSummary.from_record(s.to_record())
+        assert (back.blas_threads, back.peak_rss_bytes) == (1, 123456789)
+
     def test_phase_times_nonnegative(self, seed42_dataset, out_path):
         p = solve_paths(seed42_dataset, out_path("s.gwab"))
         s = run_ooc(p, SolveConfig(m_blk=100))
