@@ -83,14 +83,19 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
-    values = [int(v) for v in args.values.split(",")]
+    try:
+        values = [int(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ConfigError(f"--values {args.values!r} is not a comma-separated "
+                          "list of integers") from None
     os.makedirs(args.workdir, exist_ok=True)
     records = []
     for v in values:
         n = v if args.sweep == "n" else args.n
         m = v if args.sweep == "m" else args.m
         np_ = v if args.sweep == "np" else args.np
-        data_dir = os.path.join(args.workdir, f"data_n{n}_m{m}_p{args.p}")
+        data_dir = os.path.join(args.workdir,
+                                f"data_n{n}_m{m}_p{args.p}_s{args.seed}")
         dpaths = datagen.DatasetPaths.in_dir(data_dir)
         if not os.path.exists(dpaths.geno):
             spec = datagen.GenSpec(n=n, m=m, p=args.p, seed=args.seed)

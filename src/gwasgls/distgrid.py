@@ -358,7 +358,12 @@ def run_dist(t, paths, cfg=None):
         raise ConfigError(f"m_blk={m_blk} is not a positive multiple of np={np_}")
     m_blk = min(m_blk, ((m + np_ - 1) // np_) * np_)
     loc = m_blk // np_
-    pipeline.check_budget(2 * 8 * n * loc, "two reader buffers",
+    flags = 1 if cfg.emit_s_inv else 0
+    p = fileio.read_dims(paths.covariates, "GWAC")[1] + 1
+    rsz = fileio.record_size(p, flags)
+    region_bytes = 8 * n * loc + loc * rsz
+    pipeline.check_budget(2 * region_bytes,
+                          "two reader buffers and their record staging",
                           cfg.mem_budget_bytes)
     # this rank's contiguous chunk of every block; the last ones may be
     # short or empty
@@ -368,7 +373,7 @@ def run_dist(t, paths, cfg=None):
         chunks.append((start, min(loc, m - start)))
 
     bufs = [np.empty((n, loc), order="F"), np.empty((n, loc), order="F")]
-    flags = 1 if cfg.emit_s_inv else 0
+    out_bufs = [np.empty((loc, rsz // 8)), np.empty((loc, rsz // 8))]
     # np ranks share this host's cores, so each runs its BLAS calls on its
     # share of them (imported here for the reason given at kernel.BASE)
     from . import _blas
@@ -380,7 +385,6 @@ def run_dist(t, paths, cfg=None):
             ticket = reader.start(*chunks[0], bufs[0]) if chunks[0][1] else None
             t0 = time.perf_counter()
             Ld, ctx = _prepare(paths, grid, t, n)
-            p = ctx.p
             t_prepare = time.perf_counter() - t0
 
             partial = pipeline.partial_path(paths.out)
@@ -397,7 +401,7 @@ def run_dist(t, paths, cfg=None):
 
             try:
                 t_compute, t_io_wait, block_cpu = pipeline.sweep(
-                    reader, writer, chunks, bufs, ticket, solve)
+                    reader, writer, chunks, bufs, ticket, solve, out_bufs)
                 t.barrier()  # every rank's last store is done
             finally:
                 writer.close()
@@ -415,7 +419,7 @@ def run_dist(t, paths, cfg=None):
         t_total=time.perf_counter() - t_start,
         bytes_read=sum(s["bytes_read"] for s in stats),
         bytes_written=sum(s["bytes_written"] for s in stats),
-        peak_resident_est=8 * n * n // np_ + 2 * 8 * n * loc + 8 * n * p,
+        peak_resident_est=8 * n * n // np_ + 2 * region_bytes + 8 * n * p,
         buffer_regions=2,
         blas_threads=blas_threads,
         peak_rss_bytes=max(s["peak_rss_bytes"] for s in stats),

@@ -272,24 +272,20 @@ class BlockWriter:
         self._agent = _Agent()
         self.bytes_written = 0
 
-    def encode(self, block: ResultBlock, buffer=None):
+    def encode(self, block: ResultBlock, buffer):
         """Pack a ResultBlock's arrays into contiguous records, in the
-        leading rows of `buffer` (count x >= record reals) when given."""
-        cnt = block.betas.shape[0]
-        if buffer is None:
-            rec = np.empty((cnt, self._rsz // 8), dtype=F64)
-        else:
-            rec = buffer[:cnt, :self._rsz // 8]
+        leading rows of `buffer` (count x >= record reals)."""
+        rec = buffer[:block.betas.shape[0], :self._rsz // 8]
         rec[:, :self.p] = block.betas
         if self.flags & 1:
             rec[:, self.p:] = block.sinv
         return rec
 
-    def start(self, block: ResultBlock, buffer=None):
+    def start(self, block: ResultBlock, buffer):
         """Begin writing the block's records at their global offsets.
 
-        `buffer` (if given) receives the encoded records and is the region
-        tracked for overlap; by default the encoded array itself is."""
+        `buffer` receives the encoded records and is the region tracked
+        for overlap; it must not be touched until the ticket is waited."""
         rec = np.ascontiguousarray(self.encode(block, buffer))
         first = block.first_index
 
@@ -299,16 +295,10 @@ class BlockWriter:
                 f.write(rec)
             self.bytes_written += rec.nbytes
 
-        return self._agent.submit(id(buffer) if buffer is not None else id(rec), _store)
+        return self._agent.submit(id(buffer), _store)
 
     def wait(self, ticket):
         return self._agent.wait(ticket)
 
     def close(self):
         self._agent.close()
-
-
-def total_genotype_bytes(path):
-    n, m = read_dims(path, "GWAX")
-    return 8 * n * m, n, m
-

@@ -1,26 +1,28 @@
 """Streaming driver: block scheduling plus double buffering so disk
 transfers overlap compute.
 
-`sweep` is the one block loop of the out-of-core and distributed engines:
+`sweep` is the one block loop of all three engines:
 
     load_start(first)            # by the caller
     for each block:
         load_wait(current); if not last: load_start(next)
         solve the current block in its input region
         if not first: store_wait(previous)
-        store_start(current)
+        store_start(current)     # staged in the region's output area
     store_wait(last)
 
-Two equally sized memory regions alternate between "being computed on"
-and "being transferred"; a region under in-flight I/O is never touched by
-compute (rendezvous at the wait calls).
+Two equally sized memory regions, each one input buffer and one output
+staging area, alternate between "being computed on" and "being
+transferred"; a region under in-flight I/O is never touched by compute
+(rendezvous at the wait calls). The in-core engine is the out-of-core
+sweep at m_blk = m: one block, so one region.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -121,7 +123,11 @@ def check_budget(need, what, budget=None):
     """Raise ConfigError when `what`, needing `need` bytes, exceeds the
     memory budget: the one given, else MEM_BUDGET_ENV's value when set."""
     if budget is None and os.environ.get(MEM_BUDGET_ENV):
-        budget = int(os.environ[MEM_BUDGET_ENV])
+        try:
+            budget = int(os.environ[MEM_BUDGET_ENV])
+        except ValueError:
+            raise ConfigError(f"{MEM_BUDGET_ENV}={os.environ[MEM_BUDGET_ENV]!r} "
+                              "is not an integer number of bytes") from None
     if budget is not None and need > budget:
         raise ConfigError(f"{what} need {need} bytes, budget is {budget}")
 
@@ -154,67 +160,39 @@ def _load_prepare(paths):
 
 
 def run_incore(paths, cfg=None):
-    """Load the whole genotype matrix and solve it as one block.
-
-    Reference engine for equivalence and overlap tests. Raises ConfigError
-    when the dataset does not fit the memory budget.
+    """Solve the whole genotype matrix as one block: the out-of-core
+    sweep with m_blk = m, which holds one buffer region. Reference engine
+    for equivalence and overlap tests. Raises ConfigError when the
+    dataset does not fit the memory budget.
     """
     cfg = cfg or SolveConfig()
-    t_start = time.perf_counter()
-    geno_bytes, n, m = fileio.total_genotype_bytes(paths.geno)
-    p = fileio.read_dims(paths.covariates, "GWAC")[1] + 1
-    flags = 1 if cfg.emit_s_inv else 0
-    # the result arrays and their encoded records take m records each
-    need = (geno_bytes + 8 * n * n + 8 * n * p
-            + 2 * m * fileio.record_size(p, flags))
-    check_budget(need, "in-core genotypes, covariance and results",
-                 cfg.mem_budget_bytes)
-    ctx, t_prep, m_bytes = _load_prepare(paths)
-    t0 = time.perf_counter()
-    X = fileio.read_matrix(paths.geno, "GWAX")
-    t_read = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    block = kernel.solve_whitened_block(ctx, kernel.whiten(ctx.Linv, X), 0,
-                                        emit_s_inv=cfg.emit_s_inv)
-    t_compute = time.perf_counter() - t0
-    writer = fileio.BlockWriter(partial_path(paths.out), m, p, flags)
-    t0 = time.perf_counter()
-    try:
-        writer.wait(writer.start(block))
-    finally:
-        writer.close()
-    os.replace(writer.path, paths.out)
-    t_write = time.perf_counter() - t0
-    return RunSummary(
-        mode="incore", n=n, m=m, p=p, m_blk=m, np_=1,
-        t_prepare=t_prep, t_compute=t_compute, t_io_wait=t_read + t_write,
-        t_total=time.perf_counter() - t_start,
-        bytes_read=geno_bytes + m_bytes, bytes_written=m * fileio.record_size(p, flags),
-        peak_resident_est=need, buffer_regions=1,
-        peak_rss_bytes=peak_rss_bytes(),
-    )
+    m = fileio.read_dims(paths.geno, "GWAX")[1]
+    summary = run_ooc(paths, replace(cfg, m_blk=m))
+    summary.mode = "incore"
+    return summary
 
 
 def run_ooc(paths, cfg=None):
     """Out-of-core engine: stream genotype blocks through two buffer
-    regions with asynchronous load/store overlapping compute."""
+    regions (one when a single block covers m) with asynchronous
+    load/store overlapping compute."""
     cfg = cfg or SolveConfig()
     t_start = time.perf_counter()
-    geno_bytes, n, m = fileio.total_genotype_bytes(paths.geno)
+    n, m = fileio.read_dims(paths.geno, "GWAX")
     m_blk = min(cfg.m_blk if cfg.m_blk is not None else DEFAULT_M_BLK, m)
     p = fileio.read_dims(paths.covariates, "GWAC")[1] + 1
     flags = 1 if cfg.emit_s_inv else 0
     rsz = fileio.record_size(p, flags)
-    region_bytes = 8 * n * m_blk + m_blk * rsz
-    need = 8 * n * n + 2 * region_bytes + 8 * n * p
-    check_budget(need, "covariance, covariates and two buffer regions",
-                 cfg.mem_budget_bytes)
-
     plan = block_plan(m, m_blk)
-    # exactly two regions, each one input buffer + one output staging area
-    in_bufs = [np.empty((n, m_blk), order="F"), np.empty((n, m_blk), order="F")]
-    out_bufs = [np.empty((m_blk, rsz // 8)), np.empty((m_blk, rsz // 8))]
-    regions_allocated = 2
+    # each region is one input buffer + one output staging area; the block
+    # being solved also holds its result arrays until they are staged
+    regions = min(2, len(plan.blocks))
+    need = (8 * n * n + 8 * n * p + regions * (8 * n * m_blk + m_blk * rsz)
+            + m_blk * rsz)
+    check_budget(need, f"covariance, covariates and {regions} buffer region(s)",
+                 cfg.mem_budget_bytes)
+    in_bufs = [np.empty((n, m_blk), order="F") for _ in range(regions)]
+    out_bufs = [np.empty((m_blk, rsz // 8)) for _ in range(regions)]
 
     def solve(first, columns):
         # whitened in the reader region, which the next load overwrites
@@ -244,22 +222,23 @@ def run_ooc(paths, cfg=None):
         bytes_read=reader.bytes_read + m_bytes,
         bytes_written=writer.bytes_written,
         peak_resident_est=need,
-        buffer_regions=regions_allocated,
+        buffer_regions=regions,
         peak_rss_bytes=peak_rss_bytes(),
         block_cpu_times=block_cpu,
     )
 
 
-def sweep(reader, writer, blocks, in_bufs, load_ticket, solve,
-          out_bufs=(None, None)):
-    """Stream blocks [(first_index, count), ...] through the two input
-    regions in_bufs. The load of blocks[0] into in_bufs[0] is already in
-    flight as load_ticket (None if that block is empty).
+def sweep(reader, writer, blocks, in_bufs, load_ticket, solve, out_bufs):
+    """Stream blocks [(first_index, count), ...] through the input regions
+    in_bufs (two, or one when blocks holds a single block). The load of
+    blocks[0] into in_bufs[0] is already in flight as load_ticket (None
+    if that block is empty).
 
     solve(first_index, columns) gets a view of the block in its input
     region and returns a ResultBlock, whose records are staged in
-    out_bufs[i] when given. An empty block is neither read nor stored, but
-    solve still runs on it, because a distributed solve is collective.
+    out_bufs[i], the output area of the same region. An empty block is
+    neither read nor stored, but solve still runs on it, because a
+    distributed solve is collective.
 
     Returns (t_compute, t_io_wait, per-block CPU seconds).
     """
@@ -284,7 +263,7 @@ def sweep(reader, writer, blocks, in_bufs, load_ticket, solve,
         if store_ticket is not None:
             writer.wait(store_ticket)
         t_io_wait += time.perf_counter() - t0
-        store_ticket = writer.start(result, buffer=out_bufs[cur]) if count else None
+        store_ticket = writer.start(result, out_bufs[cur]) if count else None
         block_cpu.append(time.process_time() - cpu0)
     t0 = time.perf_counter()
     if store_ticket is not None:

@@ -6,6 +6,7 @@ appear in the run log.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,14 +189,22 @@ def test_criterion_05_memory_bound(seed42_dataset, tmp_path, monkeypatch):
     monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", str(geno_bytes))
     with pytest.raises(ConfigError):
         run_incore(solve_paths(seed42_dataset, str(tmp_path / "ic.gwab")))
-    s = run_ooc(solve_paths(seed42_dataset, str(tmp_path / "ooc.gwab")),
-                SolveConfig(m_blk=32))
-    ok = s.buffer_regions == 2 and s.peak_resident_est <= geno_bytes
+    tracemalloc.start()
+    try:
+        s = run_ooc(solve_paths(seed42_dataset, str(tmp_path / "ooc.gwab")),
+                    SolveConfig(m_blk=32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slack = 2 ** 20  # Python objects and per-block temporaries
+    ok = (s.buffer_regions == 2 and s.peak_resident_est <= geno_bytes
+          and peak <= s.peak_resident_est + slack)
     _report(5, "memory bound", ok,
             f"budget={geno_bytes} regions={s.buffer_regions} "
-            f"est={s.peak_resident_est}")
+            f"est={s.peak_resident_est} traced={peak}")
     assert s.buffer_regions == 2
     assert s.peak_resident_est <= geno_bytes
+    assert peak <= s.peak_resident_est + slack
 
 
 def test_criterion_06_distribution_round_trips():

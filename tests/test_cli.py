@@ -109,6 +109,15 @@ class TestExitCodes:
         assert main(_solve_args(d, out, "ooc")) == 4
         assert main(_solve_args(d, out, "dist", "--np", "2")) == 4
 
+    def test_budget_not_an_integer_is_2(self, tmp_path, monkeypatch, capsys):
+        d = _gen(tmp_path, n=20, m=10)
+        monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", "lots")
+        out = str(tmp_path / "o.gwab")
+        assert main(_solve_args(d, out, "ooc")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=2 ")
+        assert "GWAS_GLS_MEM_BUDGET_BYTES" in err[0]
+
     def test_dist_over_budget_is_2(self, tmp_path, monkeypatch):
         d = _gen(tmp_path, n=40, m=50)
         monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", "1000")
@@ -161,6 +170,29 @@ class TestBench:
         for line, m in zip(lines, (40, 80)):
             assert f"m={m}" in line and "mode=ooc" in line
             assert "t_compute=" in line and "bytes_read=" in line
+
+    def test_bad_values_is_2(self, tmp_path, capsys):
+        args = ["bench", "--sweep", "m", "--values", "1,x",
+                "--report", str(tmp_path / "r.txt"),
+                "--workdir", str(tmp_path / "wk")]
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=2 ")
+
+    def test_seeds_get_their_own_datasets(self, tmp_path):
+        wk = str(tmp_path / "wk")
+        betas = []
+        for seed in (1, 2):
+            report = str(tmp_path / f"r{seed}.txt")
+            assert main(["bench", "--sweep", "m", "--values", "40",
+                         "--report", report, "--n", "30", "--p", "3",
+                         "--seed", str(seed), "--workdir", wk]) == 0
+            assert f"seed={seed}" in open(report).read()
+            betas.append(fileio.read_matrix(f"{wk}/result_m40.gwab",
+                                            "GWAB").betas)
+        assert sorted(os.listdir(wk)) == [
+            "data_n30_m40_p3_s1", "data_n30_m40_p3_s2", "result_m40.gwab"]
+        assert not np.array_equal(betas[0], betas[1])
 
 
 def test_console_script_smoke(tmp_path):

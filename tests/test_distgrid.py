@@ -509,8 +509,8 @@ class TestRunDist:
     def test_reader_buffers_within_budget(self, tmp_path, seed42_dataset,
                                           monkeypatch):
         # n=100, m=500 on 2 ranks: one 500-marker block, two 100 x 250
-        # reader buffers per rank
-        need = 2 * 8 * 100 * 250
+        # reader buffers per rank, each with 250 staged 32-byte records
+        need = 2 * (8 * 100 * 250 + 250 * 32)
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", str(need - 1))
         with pytest.raises(ConfigError):
@@ -520,7 +520,7 @@ class TestRunDist:
 
     def test_config_budget_binds_without_env(self, tmp_path, seed42_dataset,
                                              monkeypatch):
-        need = 2 * 8 * 100 * 250  # as in test_reader_buffers_within_budget
+        need = 2 * (8 * 100 * 250 + 250 * 32)  # as in test_reader_buffers_within_budget
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         monkeypatch.delenv("GWAS_GLS_MEM_BUDGET_BYTES", raising=False)
         with pytest.raises(ConfigError):

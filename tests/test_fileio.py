@@ -224,10 +224,11 @@ class TestBlockWriter:
     def test_out_of_order_blocks_identical_file(self, tmp_path):
         a, b = str(tmp_path / "a.gwab"), str(tmp_path / "b.gwab")
         blocks = [self._results(0, 4), self._results(4, 3)]
+        staging = np.empty((4, 3))
         for path, order in ((a, (0, 1)), (b, (1, 0))):
             w = fileio.BlockWriter(path, m=7, p=3, flags=0)
             for i in order:
-                w.wait(w.start(blocks[i]))
+                w.wait(w.start(blocks[i], staging))
             w.close()
         assert open(a, "rb").read() == open(b, "rb").read()
 
@@ -235,7 +236,7 @@ class TestBlockWriter:
         path = str(tmp_path / "r.gwab")
         w = fileio.BlockWriter(path, m=5, p=3, flags=0)
         blk = self._results(2, 2)
-        w.wait(w.start(blk))
+        w.wait(w.start(blk, np.empty((2, 3))))
         w.close()
         payload = fileio.read_matrix(path, "GWAB")
         assert np.array_equal(payload.betas[2], blk.betas[0])

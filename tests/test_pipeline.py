@@ -113,20 +113,21 @@ class TestEngines:
 
 
 class TestMemoryBudget:
-    # Python objects, the per-block reductions and the result arrays; one
-    # n x m_blk block copy (2.88 MB at n=m_blk=600) would exceed it
+    # Python objects and the per-block reductions; one n x m_blk block
+    # copy (2.88 MB at n=m_blk=600) would exceed it
     PEAK_SLACK = 2 ** 20
 
-    @pytest.mark.parametrize("run", [run_ooc, run_incore],
-                             ids=["ooc", "incore"])
-    def test_traced_peak_within_estimate(self, run, tmp_path):
+    @pytest.mark.parametrize("run,m_blk", [(run_ooc, 600), (run_ooc, 1800),
+                                           (run_incore, 600)],
+                             ids=["ooc", "ooc-one-block", "incore"])
+    def test_traced_peak_within_estimate(self, run, m_blk, tmp_path):
         from gwasgls.datagen import GenSpec, gen_dataset
         ds = gen_dataset(GenSpec(n=600, m=1800, p=4, seed=3),
                          str(tmp_path / "d"))
         tracemalloc.start()
         try:
             s = run(solve_paths(ds, str(tmp_path / "out.gwab")),
-                    SolveConfig(m_blk=600, emit_s_inv=True))
+                    SolveConfig(m_blk=m_blk, emit_s_inv=True))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -150,12 +151,13 @@ class TestMemoryBudget:
 
     def test_ooc_budget_counts_the_covariance(self, seed42_dataset, out_path):
         # n=100, m_blk=32, p=4: two regions of 8*100*32 + 32*32 bytes fit,
-        # the 8n^2 covariance next to them does not
+        # the 8n^2 covariance next to them does not; the block being solved
+        # adds its 32*32 bytes of result arrays
         p = solve_paths(seed42_dataset, out_path("x.gwab"))
         regions = 2 * (8 * 100 * 32 + 32 * 32)
         with pytest.raises(ConfigError):
             run_ooc(p, SolveConfig(m_blk=32, mem_budget_bytes=regions))
-        need = 8 * 100 * 100 + regions + 8 * 100 * 4
+        need = 8 * 100 * 100 + regions + 32 * 32 + 8 * 100 * 4
         with pytest.raises(ConfigError):
             run_ooc(p, SolveConfig(m_blk=32, mem_budget_bytes=need - 1))
         s = run_ooc(p, SolveConfig(m_blk=32, mem_budget_bytes=need))
@@ -172,6 +174,18 @@ class TestMemoryBudget:
             run_incore(p, SolveConfig(emit_s_inv=emit, mem_budget_bytes=need - 1))
         s = run_incore(p, SolveConfig(emit_s_inv=emit, mem_budget_bytes=need))
         assert s.peak_resident_est == need
+
+    def test_one_block_ooc_is_incore(self, seed42_dataset, out_path):
+        # m_blk >= m: one block, so one region, and the in-core estimate
+        ic = solve_paths(seed42_dataset, out_path("ic.gwab"))
+        oc = solve_paths(seed42_dataset, out_path("oc.gwab"))
+        s_ic = run_incore(ic, SolveConfig(emit_s_inv=True))
+        s_oc = run_ooc(oc, SolveConfig(m_blk=800, emit_s_inv=True))
+        assert (s_ic.mode, s_oc.mode) == ("incore", "ooc")
+        assert s_ic.buffer_regions == s_oc.buffer_regions == 1
+        assert s_oc.peak_resident_est == s_ic.peak_resident_est
+        assert pathlib.Path(oc.out).read_bytes() == \
+            pathlib.Path(ic.out).read_bytes()
 
     def test_ooc_rejected_when_buffers_exceed_budget(self, seed42_dataset, out_path):
         p = solve_paths(seed42_dataset, out_path("x.gwab"))
