@@ -1,15 +1,18 @@
-"""In-place BLAS/LAPACK calls on strided float64 views, and the per-rank
-OpenBLAS thread cap.
+"""In-place BLAS/LAPACK calls on strided float64 views, and the OpenBLAS
+thread counts of the sweep and of the dist ranks. The incore and ooc
+engines factor and invert the covariance and whiten every block through
+this module alone.
 
 scipy's f2py wrappers copy an operand that is not a whole contiguous
 array, so a level-3 call on a sub-block of a larger matrix would run on
-a copy. These functions call the same routines in the caller's memory,
-through the function pointers scipy publishes for Cython
-(scipy.linalg.cython_blas / cython_lapack), by ctypes. An operand is a
-column-major view: unit row stride, leading dimension its column
-stride. ctypes releases the GIL for the duration of each call, so other
-Python threads (the block reader) run while it computes. All triangular
-operands are lower and non-unit.
+a copy, and they hold the GIL for the whole call. These functions call
+the same routines in the caller's memory, through the function pointers
+scipy publishes for Cython (scipy.linalg.cython_blas / cython_lapack),
+by ctypes. An operand is a column-major view: unit row stride, leading
+dimension its column stride. ctypes releases the GIL for the duration of
+each call, so other Python threads (the block reader and writer) run
+while it computes. All triangular operands are lower and non-unit. The
+per-marker products use numpy's `@`, which runs in numpy's own OpenBLAS.
 """
 
 from __future__ import annotations
@@ -124,9 +127,10 @@ def _triangular(routine, side, trans, alpha, a, b):
                 pb, _i(ldb))
 
 
-def trsm_rt(a, b):
-    """b <- b a^-T."""
-    _triangular(_dtrsm, b"R", b"T", 1.0, a, b)
+def trsm(side, trans, a, b):
+    """b <- op(a)^-1 b (side "L") or b op(a)^-1 (side "R"), where op(a)
+    is a (trans "N") or a^T (trans "T")."""
+    _triangular(_dtrsm, side.encode(), trans.encode(), 1.0, a, b)
 
 
 def trmm(side, alpha, a, b):
@@ -167,51 +171,80 @@ _GET_THREADS = ("scipy_openblas_get_num_threads64_",
                 "openblas_get_num_threads64_", "openblas_get_num_threads")
 
 
+def _thread_count(module):
+    """(get, set_local) of the thread count of the OpenBLAS that the
+    extension module links, or None when it exports no such pair. dlsym
+    through the module's handle searches the libraries it links, so numpy
+    and scipy each find their own bundled build."""
+    lib = ctypes.CDLL(module.__file__)
+    get = next((getattr(lib, s) for s in _GET_THREADS if hasattr(lib, s)), None)
+    put = getattr(lib, "openblas_set_num_threads_local", None)
+    if get is None or put is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], ctypes.c_int
+    return get, put
+
+
+# numpy's build runs `@`, scipy's every routine bound above; both are one
+# build, with one count, when numpy and scipy link the same OpenBLAS
+_NUMPY_THREADS = _thread_count(np.linalg._umath_linalg)
+_SCIPY_THREADS = _thread_count(cython_blas)
+_SHARED = None not in (_NUMPY_THREADS, _SCIPY_THREADS) and (
+    ctypes.cast(_NUMPY_THREADS[1], ctypes.c_void_p).value
+    == ctypes.cast(_SCIPY_THREADS[1], ctypes.c_void_p).value)
+
+
 def _openblas_threads():
-    """[(get, set_local)] for each loaded OpenBLAS that exports both."""
+    """[(get, set_local)] for each OpenBLAS build that numpy or scipy runs."""
+    builds = [_SCIPY_THREADS] if _SHARED else [_NUMPY_THREADS, _SCIPY_THREADS]
+    return [b for b in builds if b is not None]
+
+
+@contextmanager
+def _capped(cap, builds):
+    """Lower each build's thread count above cap to cap for the body and
+    restore it after; yields whether any count was lowered. A count is
+    never raised.
+
+    The pthreads OpenBLAS keeps one count per process, so callers that
+    are threads of one process share it; each restores only a count it
+    lowered, which leaves the count as it found it once every caller is
+    done.
+    """
+    lowered = []
+    for get, put in builds:
+        old = get()
+        if cap < old:
+            put(cap)
+            lowered.append((put, old))
     try:
-        with open("/proc/self/maps") as f:
-            paths = sorted({line.split()[-1] for line in f
-                            if "openblas" in line.lower()})
-    except OSError:
-        return []
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # e.g. a mapping whose file was replaced
-            continue
-        get = next((getattr(lib, s) for s in _GET_THREADS if hasattr(lib, s)), None)
-        put = getattr(lib, "openblas_set_num_threads_local", None)
-        if get is None or put is None:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], ctypes.c_int
-        found.append((get, put))
-    return found
+        yield bool(lowered)
+    finally:
+        for put, old in lowered:
+            put(old)
+
+
+def sweep_threads():
+    """Hold numpy's OpenBLAS at one thread for the body of a sweep, and
+    restore its count after. numpy's build runs only the per-marker GEMM
+    of each block there: on a 2-core host, with each GEMM after a
+    whitening as in a sweep, two threads took 0.6-8.8 ms at 100x5000,
+    800x500 and 2000x2000 (count x n), one thread a steady 0.6, 0.4 and
+    6.5 ms. The whitening runs in scipy's build, whose count is left
+    alone, unless the two are one build."""
+    return _capped(1, [] if _SHARED or _NUMPY_THREADS is None
+                   else [_NUMPY_THREADS])
 
 
 @contextmanager
 def rank_threads(np_):
     """Cap each loaded OpenBLAS at max(1, cpu_count // np_) threads for
     the body, so np_ ranks on one host do not oversubscribe it, and
-    restore the old count after. Yields the count set, 0 when none was:
-    no OpenBLAS exports the setter, or it already runs at or below the
-    cap. A count is never raised.
-
-    The pthreads OpenBLAS keeps one count per process, so ranks that are
-    threads of one process share it; each restores only a count it
-    lowered, which leaves the count as it found it once every rank is done.
+    restore the old count after, as _capped does. Yields the count set, 0
+    when none was: no OpenBLAS exports the setter, or it already runs at or
+    below the cap.
     """
     cap = max(1, (os.cpu_count() or 1) // np_)
-    lowered = []
-    for get, put in _openblas_threads():
-        old = get()
-        if cap < old:
-            put(cap)
-            lowered.append((put, old))
-    try:
+    with _capped(cap, _openblas_threads()) as lowered:
         yield cap if lowered else 0
-    finally:
-        for put, old in lowered:
-            put(old)

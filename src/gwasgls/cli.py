@@ -10,6 +10,7 @@ errors. Failures print a single machine-parsable line
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -100,10 +101,11 @@ def cmd_bench(args):
         if not os.path.exists(dpaths.geno):
             spec = datagen.GenSpec(n=n, m=m, p=args.p, seed=args.seed)
             datagen.gen_dataset(spec, data_dir)
-        out = os.path.join(args.workdir, f"result_{args.sweep}{v}.gwab")
+        mode = "dist" if args.sweep == "np" else args.mode
+        out = os.path.join(args.workdir,
+                           f"result_{args.sweep}{v}_s{args.seed}_{mode}.gwab")
         paths = pipeline.SolvePaths(cov=dpaths.cov, covariates=dpaths.covariates,
                                     pheno=dpaths.pheno, geno=dpaths.geno, out=out)
-        mode = "dist" if args.sweep == "np" else args.mode
         summary = _run(mode, paths, pipeline.SolveConfig(m_blk=args.block_size),
                        np_, args.transport)
         summary.seed = args.seed
@@ -169,6 +171,11 @@ def build_parser():
 
 
 def main(argv=None):
+    # Objects that exist now live for the whole run. Frozen, no cyclic
+    # collection scans them, so one cannot land at a chance point of the
+    # set-up; a forked dist rank does not touch their pages either.
+    if not gc.get_freeze_count():
+        gc.freeze()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

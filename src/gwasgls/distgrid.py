@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from . import fileio, kernel, pipeline
+from . import _blas, fileio, kernel, pipeline
 from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite
 
 DEFAULT_PANEL = 64
@@ -247,7 +247,7 @@ def dist_cholesky(M, t, nb=DEFAULT_PANEL):
     if M.gr != M.gc:
         raise DimensionMismatch("dist_cholesky needs a square matrix")
     if M.grid.np_ == 1:
-        M.local[...] = kernel.cholesky_spd(M.local)
+        M.local = kernel.cholesky_spd(M.local)
         return M
     for k in range(0, n, nb):
         kb = min(nb, n - k)
@@ -281,7 +281,7 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
     D_k^-1 into the panel, [-(D_k^-1 L_k,:k) | D_k^-1], and updates its
     own columns with one GEMM, X[k:k+kb] = panel @ X[:k+kb], while the
     next panel is already on the wire. Nothing about X is communicated.
-    At np=1 it is one in-place triangular solve.
+    At np=1 it is one in-place triangular solve (dtrsm).
     """
     n = L.gr
     if X.shape[0] != n:
@@ -289,9 +289,7 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
     if X.dtype != np.float64 or not X.flags.f_contiguous:
         raise DimensionMismatch("dist_trsolve: RHS must be Fortran-ordered float64")
     if L.grid.np_ == 1:
-        if X.size:
-            solve_triangular(L.local, X, lower=True, overwrite_b=True,
-                             check_finite=False)
+        _blas.trsm("L", "N", np.asfortranarray(L.local), X)
         return X
 
     def start(k):
@@ -311,7 +309,11 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
 def _fold_diagonal(panel, k):
     """Turn the row panel [L_k,:k | D] into [-(D^-1 L_k,:k) | D^-1], in
     its own memory. Only the lower triangle of D is read."""
-    Dinv = np.tril(kernel._trtri(panel[:, k:], overwrite=0))
+    Dinv = np.array(panel[:, k:], order="F")
+    info = _blas.trtri(Dinv)
+    if info:
+        raise ValueError(f"dtrtri returned info={info}")
+    Dinv = np.tril(Dinv)
     np.negative(Dinv @ panel[:, :k], out=panel[:, :k])
     panel[:, k:] = Dinv
     return panel
@@ -325,15 +327,10 @@ def _prepare(paths, grid, t, n):
     share = scatter_matrix(M, grid, t)
     del M
     Ld = dist_cholesky(share, t)
-    XL = fileio.read_matrix(paths.covariates, "GWAC")
-    y = fileio.read_matrix(paths.pheno, "GWAY")
-    if XL.shape[0] != n or y.shape[0] != n:
-        raise DimensionMismatch(f"run_dist: n={n} but XL {XL.shape}, y {y.shape}")
-    W = np.empty((n, XL.shape[1] + 1), order="F")
-    W[:, :-1] = XL
-    W[:, -1] = y
-    dist_trsolve(Ld, W, t)
-    return Ld, kernel.prepare_whitened(np.empty((n, 0)), W[:, :-1], W[:, -1])
+    XLy = fileio.read_covariates_and_phenotype(paths.covariates, paths.pheno)
+    if XLy.shape[0] != n:
+        raise DimensionMismatch(f"run_dist: n={n} but [XL | y] is {XLy.shape}")
+    return Ld, kernel.prepare_whitened(np.empty((n, 0)), dist_trsolve(Ld, XLy, t))
 
 
 def run_dist(t, paths, cfg=None):
@@ -375,8 +372,7 @@ def run_dist(t, paths, cfg=None):
     bufs = [np.empty((n, loc), order="F"), np.empty((n, loc), order="F")]
     out_bufs = [np.empty((loc, rsz // 8)), np.empty((loc, rsz // 8))]
     # np ranks share this host's cores, so each runs its BLAS calls on its
-    # share of them (imported here for the reason given at kernel.BASE)
-    from . import _blas
+    # share of them
     with _blas.rank_threads(np_) as blas_threads:
         reader = fileio.BlockReader(paths.geno)
         try:

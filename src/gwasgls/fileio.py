@@ -166,10 +166,28 @@ def _check_symmetric(A):
 
 def _read_payload(f, shape, order):
     arr = np.empty(shape, dtype=F64, order=order)
-    got = f.readinto(arr.reshape(-1, order=order))
-    if got < arr.nbytes:
-        raise TruncatedFile(f"expected {arr.nbytes} payload bytes, got {got}")
+    _read_into(f, arr.reshape(-1, order=order))
     return arr
+
+
+def _read_into(f, flat):
+    got = f.readinto(flat)
+    if got < flat.nbytes:
+        raise TruncatedFile(f"expected {flat.nbytes} payload bytes, got {got}")
+
+
+def read_covariates_and_phenotype(covariates, pheno):
+    """[XL | y]: a GWAC file (n x q) and a GWAY file (n) read straight into
+    the columns of one n x (q + 1) Fortran-ordered array."""
+    with open(covariates, "rb") as fc, open(pheno, "rb") as fy:
+        n, q = read_header(fc, "GWAC")
+        (ny,) = read_header(fy, "GWAY")
+        if ny != n:
+            raise DimensionMismatch(f"covariates have {n} rows, phenotype {ny}")
+        XLy = np.empty((n, q + 1), dtype=F64, order="F")
+        _read_into(fc, XLy[:, :q].reshape(-1, order="F"))
+        _read_into(fy, XLy[:, q])
+    return XLy
 
 
 def read_dims(path, kind):

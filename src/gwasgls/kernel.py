@@ -10,10 +10,14 @@ marker column is hoisted into a PreparedContext and reused for every
 block of marker columns.
 
 The in-core and streaming engines whiten with L^-1, formed once in the
-memory of M by inverse_factor (dpotrf and dtrtri up to BASE rows, a
-recursion on halves of M in level-3 BLAS above): each block is one
-in-place triangular multiply (dtrmm) in the buffer it was read into,
-instead of a triangular solve (dtrsm) into a new array. cholesky_spd and
+memory of M by inverse_factor (a recursion on halves of M in level-3
+BLAS, down to dpotrf and dtrtri on blocks of at most BASE rows): each
+block is one in-place triangular multiply (dtrmm) in the buffer it was
+read into, instead of a triangular solve (dtrsm) into a new array. The
+factorizations, the inversions and the whitening call LAPACK and BLAS
+through _blas, which releases the GIL, so the block reader and writer
+threads run while a block is whitened. The per-marker products of a
+block are one GEMM against the whitened [XL | y]. cholesky_spd and
 trsolve_lower remain the substitution route, used by the distributed
 Cholesky and as the tests' reference.
 """
@@ -24,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dpotrf, dtrtri
 
+from . import _blas
 from .errors import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -34,10 +37,7 @@ from .errors import (
 )
 
 EPS = 2.0 ** -52
-# largest order inverse_factor hands to LAPACK whole; above it, it recurses.
-# Only the recursion imports the in-place binding (_blas): objects created
-# at import moved the interpreter's first cyclic collection, about 1.5 ms,
-# into the set-up of small runs.
+# largest order the recursions of inverse_factor hand to LAPACK whole
 BASE = 128
 
 
@@ -77,17 +77,17 @@ class PreparedContext:
 
     Linv is L^-1 for the Cholesky factor L of M, Fortran-ordered in the
     memory of the M it was formed from (the dist engine, which whitens
-    with its distributed L, leaves it n x 0); XLbar and ybar are the whitened
-    covariates and phenotype; S_TL and b_T are the fixed top-left block of
-    the normal equations and its right-hand side. L_TL_inv is the inverse
-    of the Cholesky factor of S_TL, minpivot_TL that factor's smallest
-    pivot and beta_T0 = S_TL^-1 b_T; every marker's bordered system
-    shares them.
+    with its distributed L, leaves it n x 0); XLybar = [XLbar | ybar] holds
+    the whitened covariates and phenotype, so one GEMM forms every
+    marker's products with them; S_TL and b_T are the fixed top-left block
+    of the normal equations and its right-hand side. L_TL_inv is the
+    inverse of the Cholesky factor of S_TL, minpivot_TL that factor's
+    smallest pivot and beta_T0 = S_TL^-1 b_T; every marker's bordered
+    system shares them.
     """
 
     Linv: np.ndarray      # n x n lower triangular, Fortran order
-    XLbar: np.ndarray     # n x (p-1)
-    ybar: np.ndarray      # n
+    XLybar: np.ndarray    # n x p, Fortran order
     S_TL: np.ndarray      # (p-1) x (p-1)
     b_T: np.ndarray       # p-1
     L_TL_inv: np.ndarray  # (p-1) x (p-1) lower triangular
@@ -95,12 +95,20 @@ class PreparedContext:
     beta_T0: np.ndarray   # p-1
 
     @property
+    def XLbar(self):
+        return self.XLybar[:, :-1]
+
+    @property
+    def ybar(self):
+        return self.XLybar[:, -1]
+
+    @property
     def n(self):
-        return self.Linv.shape[0]
+        return self.XLybar.shape[0]
 
     @property
     def p(self):
-        return self.XLbar.shape[1] + 1
+        return self.XLybar.shape[1]
 
 
 def cholesky_spd(M):
@@ -109,9 +117,11 @@ def cholesky_spd(M):
     The input is not modified. Raises NotPositiveDefinite (carrying the
     0-based pivot index) when a pivot is non-positive or non-finite.
     """
-    M = np.ascontiguousarray(M, dtype=np.float64)
-    _check_covariance(M)
-    return _potrf(M, overwrite=0)
+    L = np.array(M, dtype=np.float64, order="F")
+    _check_covariance(L)
+    _pivot(_blas.potrf(L), 0)
+    _blas.zero_strict_upper(L)
+    return L
 
 
 def _check_covariance(M):
@@ -128,13 +138,11 @@ def _check_covariance(M):
                                       "non-finite entry in covariance")
 
 
-def _potrf(M, overwrite):
-    c, info = dpotrf(M, lower=1, clean=1, overwrite_a=overwrite)
+def _pivot(info, offset):
+    """Raise NotPositiveDefinite for dpotrf's info on a block whose first
+    row is row `offset` of the whole matrix."""
     if info > 0:
-        raise NotPositiveDefinite(info - 1)
-    if info < 0:
-        raise ValueError(f"illegal argument {-info} to dpotrf")
-    return c
+        raise NotPositiveDefinite(offset + info - 1)
 
 
 def _require_fortran(B, what):
@@ -153,17 +161,15 @@ def inverse_factor(M):
     Raises NotPositiveDefinite like cholesky_spd, with the global pivot
     index.
 
-    Up to BASE rows this is dpotrf, then dtrtri. Above, both steps recurse
-    on halves of M in place (_factor, then _invert), so nearly all of the
-    n^3/3 + n^3/3 flops run in dgemm, dsyrk and dtrmm on views of M; the
-    recursion is the recursive blocked Cholesky and triangular inverse of
-    Elmroth, Gustavson, Jonsson & Kagstrom (SIAM Review 46(1), 2004).
+    Both steps recurse on halves of M in place (_factor, then _invert)
+    down to dpotrf and dtrtri on blocks of at most BASE rows, so nearly all
+    of the n^3/3 + n^3/3 flops run in dgemm, dsyrk and dtrmm on views of
+    M; the recursion is the recursive blocked Cholesky and triangular
+    inverse of Elmroth, Gustavson, Jonsson & Kagstrom (SIAM Review 46(1),
+    2004).
     """
     _require_fortran(M, "inverse_factor's input")
     _check_covariance(M)
-    if M.shape[0] <= BASE:
-        return _trtri(_potrf(M, overwrite=1), overwrite=1)
-    from . import _blas
     _factor(M, 0)
     _invert(M)
     _blas.zero_strict_upper(M)
@@ -174,12 +180,9 @@ def _factor(A, offset):
     """Lower Cholesky factor of the view A in place; its upper triangle is
     left as it was. offset is A's first row in the whole matrix, so a
     failed pivot is reported by its global index."""
-    from . import _blas
     n = A.shape[0]
     if n <= BASE:
-        info = _blas.potrf(A)
-        if info > 0:
-            raise NotPositiveDefinite(offset + info - 1)
+        _pivot(_blas.potrf(A), offset)
         return
     h = n // 2
     _factor(A[:h, :h], offset)
@@ -193,10 +196,9 @@ def _solve_right(L, B):
     (dtrsm) on each diagonal half and a dgemm between them. Forming it by
     a multiply with an inverse of L instead lost accuracy on
     ill-conditioned covariances."""
-    from . import _blas
     k = L.shape[0]
     if k <= BASE:
-        _blas.trsm_rt(L, B)
+        _blas.trsm("R", "T", L, B)
         return
     h = k // 2
     _solve_right(L[:h, :h], B[:, :h])
@@ -207,7 +209,6 @@ def _solve_right(L, B):
 def _invert(L):
     """Lower triangle of the view L replaced by its inverse, using
     [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]."""
-    from . import _blas
     n = L.shape[0]
     if n <= BASE:
         info = _blas.trtri(L)
@@ -221,24 +222,19 @@ def _invert(L):
     _blas.trmm("L", -1.0, L[h:, h:], L[h:, :h])
 
 
-def _trtri(L, overwrite):
-    Linv, info = dtrtri(L, lower=1, overwrite_c=overwrite)
-    if info != 0:
-        raise ValueError(f"dtrtri returned info={info}")
-    return Linv
-
-
 def whiten(Linv, B):
     """Overwrite B with Linv @ B, one triangular multiply, and return it.
 
     B (n x k) and Linv must be Fortran-ordered float64; anything else
-    raises DimensionMismatch rather than being copied.
+    raises DimensionMismatch rather than being copied. The multiply
+    releases the GIL.
     """
     _require_fortran(Linv, "whiten's Linv")
     _require_fortran(B, "whiten's B")
     if Linv.shape[0] != Linv.shape[1] or Linv.shape[0] != B.shape[0]:
         raise DimensionMismatch(f"whiten: Linv is {Linv.shape}, B is {B.shape}")
-    return dtrmm(1.0, Linv, B, lower=1, overwrite_b=1)
+    _blas.trmm("L", 1.0, Linv, B)
+    return B
 
 
 def trsolve_lower(L, B):
@@ -267,9 +263,9 @@ def _small_cholesky(S):
     """Lower Cholesky factor of one small SPD matrix under the sweep's
     pivot rule: raises NotPositiveDefinite(j) at the first pivot j that is
     not finite or is <= p * eps * max|S|."""
-    c, info = dpotrf(S, lower=1, clean=1, overwrite_a=0)
-    if info < 0:
-        raise ValueError(f"illegal argument {-info} to dpotrf")
+    c = np.array(S, dtype=np.float64, order="F")
+    info = _blas.potrf(c)
+    _blas.zero_strict_upper(c)
     # dpotrf stops at pivot info - 1; the pivots before it are complete
     done = info - 1 if info > 0 else S.shape[0]
     thresh = S.shape[0] * EPS * np.max(np.abs(S))
@@ -289,13 +285,15 @@ def solve_small_spd(S, rhs):
     return cho_solve((_small_cholesky(S), True), rhs, check_finite=False)
 
 
-def prepare_whitened(Linv, XLbar, ybar):
-    """Context from the whitened covariates and phenotype: form the fixed
-    block S_TL of the normal equations and factor it once.
+def prepare_whitened(Linv, XLybar):
+    """Context from the whitened covariates and phenotype [XLbar | ybar]
+    (n x p, Fortran order): form the fixed block S_TL of the normal
+    equations and factor it once.
 
     Shared by every engine. Raises RankDeficientCovariates when S_TL fails
     the pivot rule.
     """
+    XLbar, ybar = XLybar[:, :-1], XLybar[:, -1]
     S_TL = gram(XLbar)
     b_T = XLbar.T @ ybar
     try:
@@ -304,25 +302,23 @@ def prepare_whitened(Linv, XLbar, ybar):
         raise RankDeficientCovariates(
             f"whitened covariates are rank deficient (pivot {e.pivot_index})"
         ) from e
+    L_TL_inv = L_TL.copy(order="F")
+    _invert(L_TL_inv)
     return PreparedContext(
-        Linv=Linv, XLbar=XLbar, ybar=ybar, S_TL=S_TL, b_T=b_T,
-        L_TL_inv=_trtri(L_TL, overwrite=0),
+        Linv=Linv, XLybar=XLybar, S_TL=S_TL, b_T=b_T, L_TL_inv=L_TL_inv,
         minpivot_TL=float(np.min(np.diag(L_TL)) ** 2),
         beta_T0=cho_solve((L_TL, True), b_T, check_finite=False))
 
 
-def prepare_in_place(M, XL, y):
-    """gls_prepare on arrays the caller gives up: M (n x n) becomes L^-1,
-    XL (n x (p-1)) and y (n) their whitened values, and the context holds
-    them. M and XL must be Fortran-ordered float64, y contiguous float64.
+def prepare_in_place(M, XLy):
+    """gls_prepare on arrays the caller gives up: M (n x n) becomes L^-1
+    and XLy = [XL | y] (n x p) its whitened value, and the context holds
+    them. Both must be Fortran-ordered float64.
     """
-    n = M.shape[0]
-    if XL.ndim != 2 or XL.shape[0] != n or y.shape != (n,):
-        raise DimensionMismatch(f"prepare: n={n} but XL {XL.shape}, y {y.shape}")
+    if XLy.ndim != 2 or XLy.shape[0] != M.shape[0]:
+        raise DimensionMismatch(f"prepare: M is {M.shape}, [XL | y] {XLy.shape}")
     Linv = inverse_factor(M)
-    whiten(Linv, XL)
-    whiten(Linv, y.reshape(n, 1, order="F"))
-    return prepare_whitened(Linv, XL, y)
+    return prepare_whitened(Linv, whiten(Linv, XLy))
 
 
 def gls_prepare(M, XL, y):
@@ -332,11 +328,13 @@ def gls_prepare(M, XL, y):
     O(n^3) once, regardless of the number of markers. The inputs are
     copied, never modified.
     """
-    # np.array copies even where np.asfortranarray would return the
-    # caller's array (a single column, or an array already in order)
+    XL = np.asarray(XL, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if XL.ndim != 2 or y.shape != (XL.shape[0],):
+        raise DimensionMismatch(f"prepare: XL is {XL.shape}, y {y.shape}")
+    # np.array copies M even where np.asfortranarray would return it
     return prepare_in_place(np.array(M, dtype=np.float64, order="F"),
-                            np.array(XL, dtype=np.float64, order="F"),
-                            np.array(y, dtype=np.float64).ravel())
+                            np.asfortranarray(np.column_stack([XL, y])))
 
 
 def cholesky_solve_batch(ctx, S_BL, S_BR, b_B, want_inverse=False):
@@ -386,14 +384,11 @@ def solve_whitened_block(ctx, Xbar, first_index, emit_s_inv=False):
     """Normal-equations assembly and bordered solve for already-whitened
     marker columns Xbar (n x count). Shared by the in-core, streaming and
     distributed engines."""
-    # One einsum pass per covariate column. A GEMM Xbar^T [XLbar|ybar] does
-    # the same work, but with 2 OpenBLAS threads on a 2-core host it
-    # doubled the streaming engine's compute time.
-    S_BL = np.stack([np.einsum("ij,i->j", Xbar, c) for c in ctx.XLbar.T],
-                    axis=1)
-    b_B = np.einsum("ij,i->j", Xbar, ctx.ybar)
+    # [S_BL | b_B] in one GEMM, which the streaming sweep runs at one
+    # thread (_blas.sweep_threads); S_BR needs only the diagonal of Xbar^T Xbar
+    SB = Xbar.T @ ctx.XLybar
     S_BR = np.einsum("ij,ij->j", Xbar, Xbar)
-    betas, sinv = cholesky_solve_batch(ctx, S_BL, S_BR, b_B,
+    betas, sinv = cholesky_solve_batch(ctx, SB[:, :-1], S_BR, SB[:, -1],
                                        want_inverse=emit_s_inv)
     return ResultBlock(first_index=first_index, betas=betas, sinv=sinv)
 

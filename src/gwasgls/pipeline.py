@@ -21,12 +21,13 @@ sweep at m_blk = m: one block, so one region.
 from __future__ import annotations
 
 import os
+import resource
 import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import fileio, kernel
+from . import _blas, fileio, kernel
 from .errors import ConfigError
 
 DEFAULT_M_BLK = 5000
@@ -135,8 +136,6 @@ def check_budget(need, what, budget=None):
 def peak_rss_bytes():
     """This process's peak resident set so far (getrusage's ru_maxrss,
     which Linux counts in KiB)."""
-    import resource  # here for the reason given at kernel.BASE
-
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
@@ -153,9 +152,8 @@ def _load_prepare(paths):
     whitened values, so no n x n copy is made."""
     t0 = time.perf_counter()
     M = fileio.read_matrix(paths.cov, "GWAM")
-    XL = fileio.read_matrix(paths.covariates, "GWAC")
-    y = fileio.read_matrix(paths.pheno, "GWAY")
-    ctx = kernel.prepare_in_place(M, XL, y)
+    XLy = fileio.read_covariates_and_phenotype(paths.covariates, paths.pheno)
+    ctx = kernel.prepare_in_place(M, XLy)
     return ctx, time.perf_counter() - t0, M.nbytes
 
 
@@ -175,7 +173,8 @@ def run_incore(paths, cfg=None):
 def run_ooc(paths, cfg=None):
     """Out-of-core engine: stream genotype blocks through two buffer
     regions (one when a single block covers m) with asynchronous
-    load/store overlapping compute."""
+    load/store overlapping compute. numpy's OpenBLAS runs the sweep at one
+    thread (_blas.sweep_threads)."""
     cfg = cfg or SolveConfig()
     t_start = time.perf_counter()
     n, m = fileio.read_dims(paths.geno, "GWAX")
@@ -207,9 +206,10 @@ def run_ooc(paths, cfg=None):
         ctx, t_prep, m_bytes = _load_prepare(paths)
         writer = fileio.BlockWriter(partial_path(paths.out), m, p, flags)
         try:
-            t_compute, t_io_wait, block_cpu = sweep(
-                reader, writer, plan.blocks, in_bufs, load_ticket, solve,
-                out_bufs)
+            with _blas.sweep_threads():
+                t_compute, t_io_wait, block_cpu = sweep(
+                    reader, writer, plan.blocks, in_bufs, load_ticket, solve,
+                    out_bufs)
         finally:
             writer.close()
     finally:

@@ -43,7 +43,7 @@ def test_calls_work_on_views_in_place():
     A[:4, :4] = L
     B = A[4:, :4]
     want = B @ np.linalg.inv(L).T
-    _blas.trsm_rt(A[:4, :4], B)
+    _blas.trsm("R", "T", A[:4, :4], B)
     np.testing.assert_allclose(A[4:, :4], want, rtol=1e-12, atol=1e-14)
     before = A.copy()
     _blas.zero_strict_upper(A[1:7, 3:9])

@@ -181,18 +181,28 @@ class TestBench:
 
     def test_seeds_get_their_own_datasets(self, tmp_path):
         wk = str(tmp_path / "wk")
-        betas = []
         for seed in (1, 2):
             report = str(tmp_path / f"r{seed}.txt")
             assert main(["bench", "--sweep", "m", "--values", "40",
                          "--report", report, "--n", "30", "--p", "3",
                          "--seed", str(seed), "--workdir", wk]) == 0
             assert f"seed={seed}" in open(report).read()
-            betas.append(fileio.read_matrix(f"{wk}/result_m40.gwab",
-                                            "GWAB").betas)
         assert sorted(os.listdir(wk)) == [
-            "data_n30_m40_p3_s1", "data_n30_m40_p3_s2", "result_m40.gwab"]
+            "data_n30_m40_p3_s1", "data_n30_m40_p3_s2",
+            "result_m40_s1_ooc.gwab", "result_m40_s2_ooc.gwab"]
+        betas = [fileio.read_matrix(f"{wk}/result_m40_s{seed}_ooc.gwab",
+                                    "GWAB").betas for seed in (1, 2)]
         assert not np.array_equal(betas[0], betas[1])
+
+    def test_modes_keep_their_own_results(self, tmp_path):
+        wk = str(tmp_path / "wk")
+        for mode in ("ooc", "incore"):
+            assert main(["bench", "--sweep", "m", "--values", "40",
+                         "--report", str(tmp_path / f"r_{mode}.txt"),
+                         "--n", "30", "--p", "3", "--mode", mode,
+                         "--workdir", wk]) == 0
+        results = sorted(f for f in os.listdir(wk) if f.startswith("result_"))
+        assert results == ["result_m40_s42_incore.gwab", "result_m40_s42_ooc.gwab"]
 
 
 def test_console_script_smoke(tmp_path):

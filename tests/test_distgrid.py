@@ -334,13 +334,13 @@ class TestDistKernels:
         panels = math.ceil(n / nb)
         L = kernel.cholesky_spd(make_spd(n, seed=8))
         events = {}
-        trtri = kernel._trtri
+        trtri = _blas.trtri
 
         def logged_trtri(*args, **kwargs):
             events[threading.get_ident()].append("fold")
             return trtri(*args, **kwargs)
 
-        monkeypatch.setattr(kernel, "_trtri", logged_trtri)
+        monkeypatch.setattr(_blas, "trtri", logged_trtri)
 
         def body(t):
             Ld = scatter_matrix(L if t.rank == 0 else None, grid_create(t.size), t)

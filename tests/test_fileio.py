@@ -66,6 +66,25 @@ def test_truncated_file(tmp_path):
         fileio.read_matrix(path, "GWAX")
 
 
+def test_covariates_and_phenotype_read_into_one_array(tmp_path):
+    rng = np.random.default_rng(3)
+    XL, y = rng.standard_normal((7, 3)), rng.standard_normal(7)
+    xc, yc = str(tmp_path / "x.gwac"), str(tmp_path / "y.gway")
+    fileio.write_matrix(xc, "GWAC", XL)
+    fileio.write_matrix(yc, "GWAY", y)
+    XLy = fileio.read_covariates_and_phenotype(xc, yc)
+    assert XLy.flags.f_contiguous
+    assert np.array_equal(XLy, np.column_stack([XL, y]))
+    fileio.write_matrix(yc, "GWAY", y[:6])
+    with pytest.raises(DimensionMismatch):
+        fileio.read_covariates_and_phenotype(xc, yc)
+    with open(yc, "r+b") as f:  # header promises 7 entries, payload has 6
+        f.seek(8)
+        f.write((7).to_bytes(8, "little"))
+    with pytest.raises(TruncatedFile):
+        fileio.read_covariates_and_phenotype(xc, yc)
+
+
 def test_read_matrix_peak_is_one_payload(tmp_path):
     # the payload is read straight into the returned array: no bytes
     # object or second copy next to it

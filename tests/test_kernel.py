@@ -200,6 +200,36 @@ class TestWhiten:
         assert np.shares_memory(out, B)
         assert maxnorm(B - ref) <= 1e-12 * maxnorm(ref)
 
+    def test_other_threads_run_meanwhile(self):
+        # f2py's dtrmm holds the GIL for the whole call, so a spinning
+        # thread advances only at its edges and the block reader cannot
+        # start the next load while a block is whitened
+        n, k = 1500, 4000
+        Linv = kernel.inverse_factor(np.asfortranarray(make_spd(n, 12)))
+        B = np.asfortranarray(np.random.default_rng(12).standard_normal((n, k)))
+        stamps = [time.perf_counter()]
+        stop = threading.Event()
+
+        def spin():
+            while not stop.is_set():
+                now = time.perf_counter()
+                if now - stamps[-1] >= 1e-3:
+                    stamps.append(now)
+
+        th = threading.Thread(target=spin)
+        th.start()
+        try:
+            time.sleep(0.02)
+            t0 = time.perf_counter()
+            kernel.whiten(Linv, B)
+            t1 = time.perf_counter()
+        finally:
+            stop.set()
+            th.join(timeout=10)
+        assert not th.is_alive()
+        assert t1 - t0 >= 0.05, t1 - t0
+        assert any(t0 + 0.01 < s < t1 - 0.01 for s in stamps), (t0, t1)
+
     def test_c_ordered_block_rejected(self):
         Linv = np.eye(4, order="F")
         B = np.ascontiguousarray(np.ones((4, 3)))
