@@ -1,15 +1,17 @@
 """Distributed-memory engine: the covariance matrix and its Cholesky
 factor live element-cyclic on a 2D process grid, and marker blocks never
-leave the rank that read them. Each rank reads its own contiguous chunk
-of every block as full columns and whitens them in place against row
-panels of L that are replicated one at a time, so the sweep moves panels
-of L and no genotype data. Each panel [L_k,:k | D_k] is folded with the
-inverse of its diagonal block into one GEMM's left operand, and the next
-panel is sent before that GEMM runs. A block is the ooc engine's, split
-evenly across ranks, so each replication of L is paid once per wide
-block. A rank's entries of any window are a slice of its local array
-that lands in a strided slice of the window, so every layout change,
-and every panel, moves by slicing, with no index arrays.
+leave the rank that read them. The engine is pipeline.stream; this module
+gives it the prepare of np > 1 ranks, and the distributed kernels that
+step uses. Each rank reads its own contiguous chunk of every block as
+full columns and whitens them in place against row panels of L that are
+replicated one at a time, so the sweep moves panels of L and no genotype
+data. Each panel [L_k,:k | D_k] is folded with the inverse of its
+diagonal block into one GEMM's left operand, and the next panel is sent
+before that GEMM runs. A block is the ooc engine's, split evenly across
+ranks, so each replication of L is paid once per wide block. A rank's
+entries of any window are a slice of its local array that lands in a
+strided slice of the window, so every layout change, and every panel,
+moves by slicing, with no index arrays.
 
 Index maps:
     2D: element (i, j) is owned by grid process (i mod r, j mod c) at
@@ -23,8 +25,6 @@ Index maps:
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,9 +246,6 @@ def dist_cholesky(M, t, nb=DEFAULT_PANEL):
     n = M.gr
     if M.gr != M.gc:
         raise DimensionMismatch("dist_cholesky needs a square matrix")
-    if M.grid.np_ == 1:
-        M.local = kernel.cholesky_spd(M.local)
-        return M
     for k in range(0, n, nb):
         kb = min(nb, n - k)
         Akk = _replicate(M, t, k, k + kb, k, k + kb)
@@ -281,16 +278,12 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
     D_k^-1 into the panel, [-(D_k^-1 L_k,:k) | D_k^-1], and updates its
     own columns with one GEMM, X[k:k+kb] = panel @ X[:k+kb], while the
     next panel is already on the wire. Nothing about X is communicated.
-    At np=1 it is one in-place triangular solve (dtrsm).
     """
     n = L.gr
     if X.shape[0] != n:
         raise DimensionMismatch("dist_trsolve: RHS rows do not match L")
     if X.dtype != np.float64 or not X.flags.f_contiguous:
         raise DimensionMismatch("dist_trsolve: RHS must be Fortran-ordered float64")
-    if L.grid.np_ == 1:
-        _blas.trsm("L", "N", np.asfortranarray(L.local), X)
-        return X
 
     def start(k):
         end = min(k + nb, n)
@@ -319,105 +312,27 @@ def _fold_diagonal(panel, k):
     return panel
 
 
-def _prepare(paths, grid, t, n):
-    """Factor the covariance on the grid and whiten [XL | y], all of it on
-    every rank (the small products are redundant by design); returns the
-    distributed factor and the kernel context."""
+def prepare(t, paths):
+    """The prepare of np > 1 ranks: scatter the covariance from rank 0,
+    factor it on the grid, and whiten [XL | y], all of it on every rank
+    (the small products are redundant by design). Returns (ctx, whiten),
+    where whiten(columns) is dist_trsolve of a rank's own columns."""
     M = fileio.read_matrix(paths.cov, "GWAM") if t.rank == 0 else None
-    share = scatter_matrix(M, grid, t)
+    Ld = scatter_matrix(M, grid_create(t.size), t)
     del M
-    Ld = dist_cholesky(share, t)
+    dist_cholesky(Ld, t)
     XLy = fileio.read_covariates_and_phenotype(paths.covariates, paths.pheno)
-    if XLy.shape[0] != n:
-        raise DimensionMismatch(f"run_dist: n={n} but [XL | y] is {XLy.shape}")
-    return Ld, kernel.prepare_whitened(np.empty((n, 0)), dist_trsolve(Ld, XLy, t))
+    ctx = kernel.prepare_whitened(np.empty((Ld.gr, 0)), dist_trsolve(Ld, XLy, t))
+    return ctx, lambda columns: dist_trsolve(Ld, columns, t)
 
 
 def run_dist(t, paths, cfg=None):
     """SPMD body of the distributed engine; call on every rank via
     transport.run_spmd. Returns a RunSummary (rank 0 carries the totals).
-    cfg.m_blk defaults to pipeline.DEFAULT_M_BLK // np * np.
-
-    Only the covariance and its factor are distributed. Every rank reads
-    the covariates and phenotype and whitens [XL | y] itself. In the sweep
-    each rank reads its own contiguous chunk of every marker block into a
-    reader buffer, whitens it there with dist_trsolve and solves its
-    markers' small systems on that same memory: no block is redistributed
-    or copied.
+    cfg.m_blk defaults to pipeline.DEFAULT_M_BLK // np * np. It is
+    pipeline.stream with this module's prepare; on one rank it is the ooc
+    engine, whose result file it writes byte for byte.
     """
-    cfg = cfg or pipeline.SolveConfig()
-    t_start = time.perf_counter()
-    np_ = t.size
-    grid = grid_create(np_)
-    n, m = fileio.read_dims(paths.geno, "GWAX")
-    m_blk = cfg.m_blk if cfg.m_blk is not None else pipeline.DEFAULT_M_BLK // np_ * np_
-    if m_blk < 1 or m_blk % np_ != 0:
-        raise ConfigError(f"m_blk={m_blk} is not a positive multiple of np={np_}")
-    m_blk = min(m_blk, ((m + np_ - 1) // np_) * np_)
-    loc = m_blk // np_
-    flags = 1 if cfg.emit_s_inv else 0
-    p = fileio.read_dims(paths.covariates, "GWAC")[1] + 1
-    rsz = fileio.record_size(p, flags)
-    region_bytes = 8 * n * loc + loc * rsz
-    pipeline.check_budget(2 * region_bytes,
-                          "two reader buffers and their record staging",
-                          cfg.mem_budget_bytes)
-    # this rank's contiguous chunk of every block; the last ones may be
-    # short or empty
-    chunks = []
-    for first in range(0, m, m_blk):
-        start = min(first + t.rank * loc, m)
-        chunks.append((start, min(loc, m - start)))
-
-    bufs = [np.empty((n, loc), order="F"), np.empty((n, loc), order="F")]
-    out_bufs = [np.empty((loc, rsz // 8)), np.empty((loc, rsz // 8))]
-    # np ranks share this host's cores, so each runs its BLAS calls on its
-    # share of them
-    with _blas.rank_threads(np_) as blas_threads:
-        reader = fileio.BlockReader(paths.geno)
-        try:
-            # the first chunk starts loading before any factoring so the
-            # transfer hides behind the preparation phase
-            ticket = reader.start(*chunks[0], bufs[0]) if chunks[0][1] else None
-            t0 = time.perf_counter()
-            Ld, ctx = _prepare(paths, grid, t, n)
-            t_prepare = time.perf_counter() - t0
-
-            partial = pipeline.partial_path(paths.out)
-            if t.rank == 0:
-                writer = fileio.BlockWriter(partial, m, p, flags, create=True)
-            t.barrier()
-            if t.rank != 0:
-                writer = fileio.BlockWriter(partial, m, p, flags, create=False)
-
-            def solve(first, columns):
-                Xbar = dist_trsolve(Ld, columns, t)
-                return kernel.solve_whitened_block(ctx, Xbar, first,
-                                                   emit_s_inv=cfg.emit_s_inv)
-
-            try:
-                t_compute, t_io_wait, block_cpu = pipeline.sweep(
-                    reader, writer, chunks, bufs, ticket, solve, out_bufs)
-                t.barrier()  # every rank's last store is done
-            finally:
-                writer.close()
-        finally:
-            reader.close()
-    if t.rank == 0:
-        os.replace(partial, paths.out)
-
-    stats = t.allgather_obj(dict(
-        bytes_read=reader.bytes_read, bytes_written=writer.bytes_written,
-        peak_rss_bytes=pipeline.peak_rss_bytes()))
-    return pipeline.RunSummary(
-        mode="dist", n=n, m=m, p=p, m_blk=m_blk, np_=np_,
-        t_prepare=t_prepare, t_compute=t_compute, t_io_wait=t_io_wait,
-        t_total=time.perf_counter() - t_start,
-        bytes_read=sum(s["bytes_read"] for s in stats),
-        bytes_written=sum(s["bytes_written"] for s in stats),
-        peak_resident_est=8 * n * n // np_ + 2 * region_bytes + 8 * n * p,
-        buffer_regions=2,
-        blas_threads=blas_threads,
-        peak_rss_bytes=max(s["peak_rss_bytes"] for s in stats),
-        block_cpu_times=block_cpu,
-    )
+    return pipeline.stream(t, paths, cfg or pipeline.SolveConfig(),
+                           pipeline.load_prepare if t.size == 1 else prepare,
+                           "dist")

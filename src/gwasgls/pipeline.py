@@ -1,7 +1,15 @@
-"""Streaming driver: block scheduling plus double buffering so disk
-transfers overlap compute.
+"""Streaming engine: block scheduling plus double buffering so disk
+transfers overlap compute, on any number of ranks.
 
-`sweep` is the one block loop of all three engines:
+`stream` is the one engine of every mode. Where the covariance lives is
+its one parameter, a prepare step: on one rank (`load_prepare`) it is
+read whole and turned into L^-1 in its own memory; on several ranks
+(`distgrid.prepare`) it is distributed on a process grid. The ooc engine
+is `stream` on a one-rank transport in the calling thread, the in-core
+engine is the ooc engine at m_blk = m, and the dist engine is `stream`
+on np ranks, so dist at np=1 is the ooc engine.
+
+`sweep` is its block loop:
 
     load_start(first)            # by the caller
     for each block:
@@ -14,8 +22,7 @@ transfers overlap compute.
 Two equally sized memory regions, each one input buffer and one output
 staging area, alternate between "being computed on" and "being
 transferred"; a region under in-flight I/O is never touched by compute
-(rendezvous at the wait calls). The in-core engine is the out-of-core
-sweep at m_blk = m: one block, so one region.
+(rendezvous at the wait calls). A run of one block holds one region.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import _blas, fileio, kernel
+from . import _blas, fileio, kernel, transport
 from .errors import ConfigError
 
 DEFAULT_M_BLK = 5000
@@ -68,7 +75,7 @@ class RunSummary:
     peak_resident_est: int = 0
     buffer_regions: int = 0
     seed: int = -1
-    # OpenBLAS threads each dist rank was capped to, 0 when none was set
+    # OpenBLAS threads each rank was capped to, 0 when none was set
     blas_threads: int = 0
     # measured peak resident set (dist: the largest rank's), in bytes
     peak_rss_bytes: int = 0
@@ -113,7 +120,7 @@ class SolvePaths:
 
 @dataclass
 class SolveConfig:
-    """Settings of one run, shared by the three engines."""
+    """Settings of one run, shared by every engine."""
 
     m_blk: int | None = None  # None = DEFAULT_M_BLK (dist: // np * np)
     emit_s_inv: bool = False
@@ -146,15 +153,16 @@ def partial_path(out):
     return out + ".partial"
 
 
-def _load_prepare(paths):
-    """Read the covariance, covariates and phenotype and prepare the
-    context in their memory: the covariance becomes L^-1, the others their
-    whitened values, so no n x n copy is made."""
-    t0 = time.perf_counter()
+def load_prepare(t, paths):
+    """The one-rank prepare: read the covariance, covariates and
+    phenotype and prepare the context in their memory. The covariance
+    becomes L^-1 and the others their whitened values, so no n x n copy is
+    made. Returns (ctx, whiten), where whiten(columns) multiplies a block
+    by L^-1 in place. t is unused: one rank holds all of M."""
     M = fileio.read_matrix(paths.cov, "GWAM")
     XLy = fileio.read_covariates_and_phenotype(paths.covariates, paths.pheno)
     ctx = kernel.prepare_in_place(M, XLy)
-    return ctx, time.perf_counter() - t0, M.nbytes
+    return ctx, lambda columns: kernel.whiten(ctx.Linv, columns)
 
 
 def run_incore(paths, cfg=None):
@@ -171,59 +179,92 @@ def run_incore(paths, cfg=None):
 
 
 def run_ooc(paths, cfg=None):
-    """Out-of-core engine: stream genotype blocks through two buffer
-    regions (one when a single block covers m) with asynchronous
-    load/store overlapping compute. numpy's OpenBLAS runs the sweep at one
-    thread (_blas.sweep_threads)."""
-    cfg = cfg or SolveConfig()
+    """Out-of-core engine: the streaming engine on one rank, in the
+    calling thread."""
+    return stream(transport.Transport(0, 1, {}), paths, cfg or SolveConfig(),
+                  load_prepare, "ooc")
+
+
+def stream(t, paths, cfg, prepare, mode):
+    """The streaming engine, run on every rank of transport t.
+
+    Each rank reads its own contiguous chunk of every block of m_blk
+    markers into one of its buffer regions (two, or one when a single
+    block covers m), and the first chunk loads while prepare(t, paths)
+    returns (ctx, whiten): the kernel context and the in-place whitening
+    of a chunk. The budget, checked before anything is read, counts the
+    8n^2/np covariance share, the covariates, the regions and the result
+    arrays of the chunk being solved. numpy's OpenBLAS runs the sweep at
+    one thread, and np ranks split the host's cores. Returns a
+    RunSummary; rank 0's carries the totals.
+    """
     t_start = time.perf_counter()
+    np_ = t.size
     n, m = fileio.read_dims(paths.geno, "GWAX")
-    m_blk = min(cfg.m_blk if cfg.m_blk is not None else DEFAULT_M_BLK, m)
+    m_blk = cfg.m_blk if cfg.m_blk is not None else DEFAULT_M_BLK // np_ * np_
+    if m_blk < 1 or m_blk % np_ != 0:
+        raise ConfigError(f"m_blk={m_blk} is not a positive multiple of np={np_}")
+    m_blk = min(m_blk, -(-m // np_) * np_)
+    loc = m_blk // np_
+    # this rank's chunk of every block; on several ranks the last ones may
+    # be short or empty
+    starts = [min(first + t.rank * loc, m)
+              for first, _ in block_plan(m, m_blk).blocks]
+    chunks = [(start, min(loc, m - start)) for start in starts]
     p = fileio.read_dims(paths.covariates, "GWAC")[1] + 1
     flags = 1 if cfg.emit_s_inv else 0
     rsz = fileio.record_size(p, flags)
-    plan = block_plan(m, m_blk)
-    # each region is one input buffer + one output staging area; the block
-    # being solved also holds its result arrays until they are staged
-    regions = min(2, len(plan.blocks))
-    need = (8 * n * n + 8 * n * p + regions * (8 * n * m_blk + m_blk * rsz)
-            + m_blk * rsz)
-    check_budget(need, f"covariance, covariates and {regions} buffer region(s)",
-                 cfg.mem_budget_bytes)
-    in_bufs = [np.empty((n, m_blk), order="F") for _ in range(regions)]
-    out_bufs = [np.empty((m_blk, rsz // 8)) for _ in range(regions)]
-
-    def solve(first, columns):
-        # whitened in the reader region, which the next load overwrites
-        return kernel.solve_whitened_block(
-            ctx, kernel.whiten(ctx.Linv, columns), first,
-            emit_s_inv=cfg.emit_s_inv)
-
-    reader = fileio.BlockReader(paths.geno)
-    # the first block loads while the covariance is factored
-    load_ticket = reader.start(*plan.blocks[0], in_bufs[0])
-    try:
-        ctx, t_prep, m_bytes = _load_prepare(paths)
-        writer = fileio.BlockWriter(partial_path(paths.out), m, p, flags)
+    regions = min(2, len(chunks))
+    need = (8 * n * n // np_ + 8 * n * p + regions * (8 * n * loc + loc * rsz)
+            + loc * rsz)
+    check_budget(need, f"covariance share, covariates and {regions} buffer "
+                 "region(s)", cfg.mem_budget_bytes)
+    in_bufs = [np.empty((n, loc), order="F") for _ in range(regions)]
+    out_bufs = [np.empty((loc, rsz // 8)) for _ in range(regions)]
+    with _blas.rank_threads(np_) as blas_threads:
+        reader = fileio.BlockReader(paths.geno)
         try:
-            with _blas.sweep_threads():
-                t_compute, t_io_wait, block_cpu = sweep(
-                    reader, writer, plan.blocks, in_bufs, load_ticket, solve,
-                    out_bufs)
+            ticket = reader.start(*chunks[0], in_bufs[0]) if chunks[0][1] else None
+            t0 = time.perf_counter()
+            ctx, whiten = prepare(t, paths)
+            t_prepare = time.perf_counter() - t0
+            partial = partial_path(paths.out)
+            if t.rank == 0:
+                writer = fileio.BlockWriter(partial, m, p, flags, create=True)
+            t.barrier()
+            if t.rank != 0:
+                writer = fileio.BlockWriter(partial, m, p, flags, create=False)
+
+            def solve(first, columns):
+                # whitened in the reader region, which the next load overwrites
+                return kernel.solve_whitened_block(
+                    ctx, whiten(columns), first, emit_s_inv=cfg.emit_s_inv)
+
+            try:
+                with _blas.sweep_threads():
+                    t_compute, t_io_wait, block_cpu = sweep(
+                        reader, writer, chunks, in_bufs, ticket, solve, out_bufs)
+                    # every rank's last store is done, and no rank restores
+                    # a thread count while another one still sweeps
+                    t.barrier()
+            finally:
+                writer.close()
         finally:
-            writer.close()
-    finally:
-        reader.close()
-    os.replace(writer.path, paths.out)
+            reader.close()
+    if t.rank == 0:
+        os.replace(partial, paths.out)
+    stats = t.allgather_obj((reader.bytes_read, writer.bytes_written,
+                             peak_rss_bytes()))
     return RunSummary(
-        mode="ooc", n=n, m=m, p=p, m_blk=m_blk, np_=1,
-        t_prepare=t_prep, t_compute=t_compute, t_io_wait=t_io_wait,
+        mode=mode, n=n, m=m, p=p, m_blk=m_blk, np_=np_,
+        t_prepare=t_prepare, t_compute=t_compute, t_io_wait=t_io_wait,
         t_total=time.perf_counter() - t_start,
-        bytes_read=reader.bytes_read + m_bytes,
-        bytes_written=writer.bytes_written,
+        bytes_read=sum(s[0] for s in stats) + 8 * n * n,
+        bytes_written=sum(s[1] for s in stats),
         peak_resident_est=need,
         buffer_regions=regions,
-        peak_rss_bytes=peak_rss_bytes(),
+        blas_threads=blas_threads,
+        peak_rss_bytes=max(s[2] for s in stats),
         block_cpu_times=block_cpu,
     )
 

@@ -27,7 +27,9 @@ _GONE = None  # queued behind a rank's last message once it has ended
 
 
 class Transport:
-    """Base contract: point-to-point send/recv plus collectives."""
+    """Base contract: point-to-point send/recv plus collectives. Made
+    with size 1 it is the one-rank transport the ooc engine runs on: every
+    collective returns this rank's own data and nothing is sent."""
 
     def __init__(self, rank, size, boxes):
         self.rank = rank

@@ -289,14 +289,6 @@ class TestDistKernels:
         Xref = kernel.trsolve_lower(L, B)
         assert np.max(np.abs(X - Xref)) <= 1e-10 * np.max(np.abs(Xref))
 
-    def test_dist_trsolve_np1_bitwise(self):
-        rng = np.random.default_rng(6)
-        L = np.tril(rng.standard_normal((10, 10))) + 5 * np.eye(10)
-        B = rng.standard_normal((10, 3))
-        X, in_place = _trsolve_columns(L, B, 1)
-        assert np.array_equal(X, kernel.trsolve_lower(L, B))
-        assert in_place == [True]
-
     def test_dist_trsolve_rank_without_columns(self):
         # 3 columns over 4 ranks: rank 3 holds none and still takes part
         rng = np.random.default_rng(7)
@@ -381,7 +373,7 @@ class TestDistKernels:
         resid = np.max(np.abs(L @ X - B))
         assert resid / (np.max(np.abs(L)) * np.max(np.abs(X))) <= 1e-14
 
-    @pytest.mark.parametrize("np_", [2, 4])
+    @pytest.mark.parametrize("np_", [1, 2, 4])
     @pytest.mark.parametrize("n,nb", [
         (20, 32),  # nb > n: one panel
         (20, 20),  # nb = n: one panel
@@ -438,11 +430,15 @@ class TestRunDist:
                            str(tmp_path / "data"))
 
     def test_np1_equals_ooc(self, tmp_path, seed42_dataset):
-        ooc = solve_paths(seed42_dataset, str(tmp_path / "ooc.gwab"))
-        run_ooc(ooc, SolveConfig(m_blk=256))
-        dist = solve_paths(seed42_dataset, str(tmp_path / "dist.gwab"))
-        run_spmd(1, run_dist, dist, SolveConfig())
-        assert compare_results(ooc.out, dist.out, 1e-12).within
+        # one rank is the ooc engine: the same result file, byte for byte
+        for emit in (False, True):
+            cfg = SolveConfig(m_blk=97, emit_s_inv=emit)
+            ooc = solve_paths(seed42_dataset, str(tmp_path / f"ooc{emit}.gwab"))
+            run_ooc(ooc, cfg)
+            dist = solve_paths(seed42_dataset, str(tmp_path / f"dist{emit}.gwab"))
+            s = run_spmd(1, run_dist, dist, cfg)[0]
+            assert (s.mode, s.m_blk, s.buffer_regions) == ("dist", 97, 2)
+            assert open(ooc.out, "rb").read() == open(dist.out, "rb").read()
 
     @pytest.mark.parametrize("np_", [2, 4, 6])
     def test_matches_incore(self, tmp_path, seed42_dataset, np_):
@@ -506,11 +502,16 @@ class TestRunDist:
         assert summary.m_blk == DEFAULT_M_BLK // np_ * np_
         assert calls == {r: 1 + math.ceil(6000 / summary.m_blk) for r in range(np_)}
 
+    # n=100, m=500, p=4 on 2 ranks: one 500-marker block, so one region
+    # per rank, a 100 x 250 reader buffer with 250 staged 32-byte records;
+    # the block being solved holds 250 more records of results, and the
+    # rank its half of the covariance and all of the covariates
+    ONE_BLOCK_NEED = (8 * 100 * 100 // 2 + 8 * 100 * 4
+                      + (8 * 100 * 250 + 250 * 32) + 250 * 32)
+
     def test_reader_buffers_within_budget(self, tmp_path, seed42_dataset,
                                           monkeypatch):
-        # n=100, m=500 on 2 ranks: one 500-marker block, two 100 x 250
-        # reader buffers per rank, each with 250 staged 32-byte records
-        need = 2 * (8 * 100 * 250 + 250 * 32)
+        need = self.ONE_BLOCK_NEED
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", str(need - 1))
         with pytest.raises(ConfigError):
@@ -520,13 +521,27 @@ class TestRunDist:
 
     def test_config_budget_binds_without_env(self, tmp_path, seed42_dataset,
                                              monkeypatch):
-        need = 2 * (8 * 100 * 250 + 250 * 32)  # as in test_reader_buffers_within_budget
+        need = self.ONE_BLOCK_NEED
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         monkeypatch.delenv("GWAS_GLS_MEM_BUDGET_BYTES", raising=False)
         with pytest.raises(ConfigError):
             run_spmd(2, run_dist, paths, SolveConfig(mem_budget_bytes=need - 1))
         summary = run_spmd(2, run_dist, paths, SolveConfig(mem_budget_bytes=need))[0]
         assert summary.m_blk == 500
+
+    def test_budget_counts_the_covariance_share(self, tmp_path, seed42_dataset):
+        # n=100, m_blk=64, p=4 on 2 ranks: two regions of a 100 x 32 reader
+        # buffer and 32 staged 32-byte records, the 32 result records of the
+        # chunk being solved, half of the 8n^2 covariance and the covariates
+        paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
+        need = (8 * 100 * 100 // 2 + 8 * 100 * 4
+                + 2 * (8 * 100 * 32 + 32 * 32) + 32 * 32)
+        with pytest.raises(ConfigError):
+            run_spmd(2, run_dist, paths,
+                     SolveConfig(m_blk=64, mem_budget_bytes=need - 1))
+        s = run_spmd(2, run_dist, paths,
+                     SolveConfig(m_blk=64, mem_budget_bytes=need))[0]
+        assert (s.peak_resident_est, s.buffer_regions) == (need, 2)
 
     def test_zero_copy_views(self, tmp_path, seed42_dataset, monkeypatch):
         seen = record_block_views(monkeypatch)

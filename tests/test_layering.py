@@ -1,0 +1,81 @@
+"""Import layering of the package, read from the source with `ast`.
+
+The intra-package imports form no cycle, so the layers stack one way
+(distgrid -> pipeline -> transport, fileio, kernel). No gwasgls module
+is imported inside a function: a lazy import runs, and may compile its
+source, inside the call that first reaches it, such as an engine's
+set-up.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "gwasgls"
+MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _package_imports(node):
+    """The package modules an import node names, [] for any other import."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("gwasgls.")]
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0 and node.module != "gwasgls":
+            if (node.module or "").startswith("gwasgls."):
+                return [node.module.split(".")[1]]
+            return []
+        if node.module and node.level:
+            return [node.module.split(".")[0]]
+        return [alias.name for alias in node.names if alias.name in MODULES]
+    return []
+
+
+def _imports_by_depth(tree):
+    """[(package modules imported, whether inside a function)] per import."""
+    found = []
+
+    def walk(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            names = _package_imports(child)
+            if names:
+                found.append((names, in_function))
+            walk(child, in_function or isinstance(child, FUNCTIONS))
+
+    walk(tree, False)
+    return found
+
+
+IMPORTS = {name: _imports_by_depth(ast.parse(path.read_text()))
+           for name, path in MODULES.items()}
+
+
+def test_the_walk_sees_the_package():
+    assert {"pipeline", "distgrid", "transport", "kernel"} <= set(MODULES)
+    assert any("pipeline" in names for names, _ in IMPORTS["distgrid"])
+
+
+def test_no_gwasgls_module_is_imported_inside_a_function():
+    lazy = {name: [names for names, inside in found if inside]
+            for name, found in IMPORTS.items()}
+    assert {name: names for name, names in lazy.items() if names} == {}
+
+
+def test_intra_package_imports_form_no_cycle():
+    graph = {name: {m for names, _ in found for m in names}
+             for name, found in IMPORTS.items()}
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            raise AssertionError(f"import cycle: {path[path.index(name):] + [name]}")
+        if name in done:
+            return
+        path.append(name)
+        for dep in sorted(graph.get(name, ())):
+            visit(dep)
+        path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)

@@ -13,6 +13,7 @@ import pytest
 import gwasgls
 from gwasgls import _blas, fileio, kernel, pipeline
 from gwasgls.datagen import compare_results, oracle_solve_all
+from gwasgls.distgrid import run_dist
 from gwasgls.errors import ConfigError
 from gwasgls.pipeline import (
     RunSummary,
@@ -22,6 +23,7 @@ from gwasgls.pipeline import (
     run_incore,
     run_ooc,
 )
+from gwasgls.transport import run_spmd
 
 import conftest
 from conftest import solve_paths
@@ -106,7 +108,9 @@ class TestEngines:
 
     @pytest.mark.skipif(_blas._NUMPY_THREADS is None,
                         reason="numpy's BLAS exports no thread count")
-    @pytest.mark.parametrize("run", [run_ooc, run_incore], ids=["ooc", "incore"])
+    @pytest.mark.parametrize("run", [
+        run_ooc, run_incore, lambda p, cfg: run_spmd(2, run_dist, p, cfg)],
+        ids=["ooc", "incore", "dist-np2"])
     def test_sweep_holds_numpys_blas_at_one_thread(self, run, seed42_dataset,
                                                    out_path, monkeypatch):
         get, _ = _blas._NUMPY_THREADS
