@@ -1,7 +1,7 @@
 """In-place BLAS/LAPACK calls on strided float64 views, and the OpenBLAS
-thread counts of the sweep and of the dist ranks. The incore and ooc
-engines factor and invert the covariance and whiten every block through
-this module alone.
+thread counts of the sweep and of the dist ranks. The one-rank engine
+factors and inverts the covariance and whitens every block through this
+module alone; the dist kernels factor and fold their panels through it.
 
 scipy's f2py wrappers copy an operand that is not a whole contiguous
 array, so a level-3 call on a sub-block of a larger matrix would run on
@@ -11,8 +11,9 @@ scipy publishes for Cython (scipy.linalg.cython_blas / cython_lapack),
 by ctypes. An operand is a column-major view: unit row stride, leading
 dimension its column stride. ctypes releases the GIL for the duration of
 each call, so other Python threads (the block reader and writer) run
-while it computes. All triangular operands are lower and non-unit. The
-per-marker products use numpy's `@`, which runs in numpy's own OpenBLAS.
+while it computes. All triangular operands are lower and non-unit.
+numpy's `@`, in numpy's own OpenBLAS, runs the per-marker products and
+the dist engine's panel GEMMs and trailing updates.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def _info(info, name):
 
 def potrf(a):
     """Lower Cholesky factor of a in place (upper triangle not touched);
-    returns LAPACK's info, k > 0 meaning pivot k - 1 failed."""
+    returns LAPACK's info, k > 0 meaning pivot k - 1 failed. OpenBLAS
+    returns 0 on a non-finite pivot, so callers check finiteness."""
     n = _square(a)
     pa, lda = _view(a, written=True)
     info = ctypes.c_int(0)

@@ -1,17 +1,18 @@
 """Distributed-memory engine: the covariance matrix and its Cholesky
 factor live element-cyclic on a 2D process grid, and marker blocks never
 leave the rank that read them. The engine is pipeline.stream; this module
-gives it the prepare of np > 1 ranks, and the distributed kernels that
-step uses. Each rank reads its own contiguous chunk of every block as
-full columns and whitens them in place against row panels of L that are
-replicated one at a time, so the sweep moves panels of L and no genotype
-data. Each panel [L_k,:k | D_k] is folded with the inverse of its
-diagonal block into one GEMM's left operand, and the next panel is sent
-before that GEMM runs. A block is the ooc engine's, split evenly across
-ranks, so each replication of L is paid once per wide block. A rank's
-entries of any window are a slice of its local array that lands in a
-strided slice of the window, so every layout change, and every panel,
-moves by slicing, with no index arrays.
+gives it the prepare of np > 1 ranks and the distributed kernels.
+dist_cholesky factors M in its shares; besides its share, a rank holds
+one (n - k) x nb column panel and numpy's trailing-update product. Each
+rank whitens its own chunk of every block, as full columns, in place
+against row panels of L replicated one at a time, so the sweep moves
+panels of L and no genotype data. Each panel [L_k,:k | D_k] is folded
+with the inverse of its diagonal block into one GEMM's left operand, and
+the next panel is sent before that GEMM runs. A block is the ooc
+engine's, split evenly across ranks, so each replication of L is paid
+once per wide block. A rank's entries of any window are a slice of its
+local array that lands in a strided slice of the window, so every layout
+change, and every panel, moves by slicing, with no index arrays.
 
 Index maps:
     2D: element (i, j) is owned by grid process (i mod r, j mod c) at
@@ -28,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import _blas, fileio, kernel, pipeline
-from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite
+from .errors import ConfigError, DimensionMismatch
 
 DEFAULT_PANEL = 64
 
@@ -211,58 +211,45 @@ def _replicate_start(D, t, r0, r1, c0, c1):
 
 def _replicate_finish(D, t, pending):
     """Second half: receive every source's piece and place it in that
-    source's window slice; returns the replicated submatrix."""
+    source's window slice; returns the replicated submatrix, in Fortran
+    order, which _blas works in."""
     (r0, r1, c0, c1), own = pending
-    out = np.empty((r1 - r0, c1 - c0))
+    out = np.empty((r1 - r0, c1 - c0), order="F")
     for src, raw in enumerate(t.alltoall_finish(own)):
         _, at = _window(D, src, r0, r1, c0, c1)
         out[at] = _from_bytes(raw, out[at].shape)
     return out
 
 
-def _replicate(D, t, r0, r1, c0, c1):
-    """Materialize the global submatrix [r0:r1, c0:c1] on every rank."""
-    return _replicate_finish(D, t, _replicate_start(D, t, r0, r1, c0, c1))
-
-
-def _write_back(D, t, r0, c0, values):
-    """Store a replicated submatrix into the owned entries of D."""
-    r1, c1 = r0 + values.shape[0], c0 + values.shape[1]
-    local, at = _window(D, t.rank, r0, r1, c0, c1)
-    D.local[local] = values[at]
-
-
 def dist_cholesky(M, t, nb=DEFAULT_PANEL):
     """Blocked right-looking Cholesky on the 2D-distributed matrix; it
     overwrites M with its lower factor L and returns M.
 
-    Panels of width nb are replicated on all ranks (small redundant
-    factorizations), while the O(n^2) trailing update touches only locally
-    owned entries. Each column panel of L overwrites the entries of M it
-    was computed from, and the strict-upper entries above its diagonal
-    block, which nothing reads again, are zeroed. Per-rank peak memory is
-    the share plus one panel.
+    Each step replicates the column panel [k:n, k:k+nb] on every rank in
+    one exchange and factors it there in place by kernel.factor_panel
+    (small redundant factorizations); the O(n^2) trailing update touches
+    only owned entries. Each panel of L overwrites the entries of M it
+    came from, and the strict-upper entries above its diagonal block,
+    which nothing reads again, are zeroed. Besides its share, a rank
+    holds the panel and the trailing update's product, a temporary the
+    size of its part of the trailing matrix.
     """
     n = M.gr
     if M.gr != M.gc:
         raise DimensionMismatch("dist_cholesky needs a square matrix")
     for k in range(0, n, nb):
         kb = min(nb, n - k)
-        Akk = _replicate(M, t, k, k + kb, k, k + kb)
-        try:
-            Lkk = kernel.cholesky_spd(Akk)
-        except NotPositiveDefinite as e:
-            raise NotPositiveDefinite(k + e.pivot_index) from None
-        _write_back(M, t, k, k, Lkk)
+        panel = _replicate_finish(M, t, _replicate_start(M, t, k, n, k, k + kb))
+        kernel.check_covariance(panel[:kb], k)
+        kernel.factor_panel(panel, k)
+        _blas.zero_strict_upper(panel[:kb])
+        local, at = _window(M, t.rank, k, n, k, k + kb)
+        M.local[local] = panel[at]
         (lr, lc), _ = _window(M, t.rank, 0, k, k, k + kb)
         M.local[lr, lc] = 0.0
-        if k + kb >= n:
-            break
-        A21 = _replicate(M, t, k + kb, n, k, k + kb)
-        L21 = solve_triangular(Lkk, A21.T, lower=True, check_finite=False).T
-        _write_back(M, t, k + kb, k, L21)
         # trailing update on owned entries only; the copy keeps numpy from
         # running an aliased pair as SYRK, which rounds unlike GEMM
+        L21 = panel[kb:]
         (lr, lc), (wr, wc) = _window(M, t.rank, k + kb, n, k + kb, n)
         M.local[lr, lc] -= L21[wr] @ L21[wc].copy().T
     return M
@@ -302,13 +289,10 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
 def _fold_diagonal(panel, k):
     """Turn the row panel [L_k,:k | D] into [-(D^-1 L_k,:k) | D^-1], in
     its own memory. Only the lower triangle of D is read."""
-    Dinv = np.array(panel[:, k:], order="F")
-    info = _blas.trtri(Dinv)
-    if info:
-        raise ValueError(f"dtrtri returned info={info}")
-    Dinv = np.tril(Dinv)
-    np.negative(Dinv @ panel[:, :k], out=panel[:, :k])
-    panel[:, k:] = Dinv
+    D = panel[:, k:]
+    kernel.invert_lower(D)
+    _blas.zero_strict_upper(D)
+    _blas.trmm("L", -1.0, D, panel[:, :k])
     return panel
 
 

@@ -17,9 +17,9 @@ read into, instead of a triangular solve (dtrsm) into a new array. The
 factorizations, the inversions and the whitening call LAPACK and BLAS
 through _blas, which releases the GIL, so the block reader and writer
 threads run while a block is whitened. The per-marker products of a
-block are one GEMM against the whitened [XL | y]. cholesky_spd and
-trsolve_lower remain the substitution route, used by the distributed
-Cholesky and as the tests' reference.
+block are one GEMM against the whitened [XL | y]. Each step of the
+distributed Cholesky is factor_panel; cholesky_spd and trsolve_lower
+remain the substitution route, the tests' reference.
 """
 
 from __future__ import annotations
@@ -118,13 +118,15 @@ def cholesky_spd(M):
     0-based pivot index) when a pivot is non-positive or non-finite.
     """
     L = np.array(M, dtype=np.float64, order="F")
-    _check_covariance(L)
+    check_covariance(L)
     _pivot(_blas.potrf(L), 0)
     _blas.zero_strict_upper(L)
     return L
 
 
-def _check_covariance(M):
+def check_covariance(M, offset=0):
+    """Raise DimensionMismatch unless M is square, and NotPositiveDefinite
+    at row offset + i for the first row i of M with a non-finite entry."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch("covariance must be square")
     # the sum is finite only if every entry is, and builds no n x n mask;
@@ -134,7 +136,7 @@ def _check_covariance(M):
     if not np.isfinite(total):
         bad = np.argwhere(~np.isfinite(M))
         if bad.size:
-            raise NotPositiveDefinite(int(bad[0][0]),
+            raise NotPositiveDefinite(offset + int(bad[0][0]),
                                       "non-finite entry in covariance")
 
 
@@ -161,7 +163,7 @@ def inverse_factor(M):
     Raises NotPositiveDefinite like cholesky_spd, with the global pivot
     index.
 
-    Both steps recurse on halves of M in place (_factor, then _invert)
+    Both steps recurse on halves of M in place (_factor, then invert_lower)
     down to dpotrf and dtrtri on blocks of at most BASE rows, so nearly all
     of the n^3/3 + n^3/3 flops run in dgemm, dsyrk and dtrmm on views of
     M; the recursion is the recursive blocked Cholesky and triangular
@@ -169,9 +171,9 @@ def inverse_factor(M):
     2004).
     """
     _require_fortran(M, "inverse_factor's input")
-    _check_covariance(M)
+    check_covariance(M)
     _factor(M, 0)
-    _invert(M)
+    invert_lower(M)
     _blas.zero_strict_upper(M)
     return M
 
@@ -185,10 +187,17 @@ def _factor(A, offset):
         _pivot(_blas.potrf(A), offset)
         return
     h = n // 2
-    _factor(A[:h, :h], offset)
-    _solve_right(A[:h, :h], A[h:, :h])
+    factor_panel(A[:, :h], offset)
     _blas.syrk(-1.0, A[h:, :h], 1.0, A[h:, h:])
     _factor(A[h:, h:], offset + h)
+
+
+def factor_panel(P, offset):
+    """Column panel P = [A11; A21] in place: L11 in A11's lower triangle,
+    then L21 = A21 L11^-T. offset is P's first row in the whole matrix."""
+    h = P.shape[1]
+    _factor(P[:h], offset)
+    _solve_right(P[:h], P[h:])
 
 
 def _solve_right(L, B):
@@ -206,7 +215,7 @@ def _solve_right(L, B):
     _solve_right(L[h:, h:], B[:, h:])
 
 
-def _invert(L):
+def invert_lower(L):
     """Lower triangle of the view L replaced by its inverse, using
     [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]."""
     n = L.shape[0]
@@ -216,8 +225,8 @@ def _invert(L):
             raise ValueError(f"dtrtri returned info={info}")
         return
     h = n // 2
-    _invert(L[:h, :h])
-    _invert(L[h:, h:])
+    invert_lower(L[:h, :h])
+    invert_lower(L[h:, h:])
     _blas.trmm("R", 1.0, L[:h, :h], L[h:, :h])
     _blas.trmm("L", -1.0, L[h:, h:], L[h:, :h])
 
@@ -303,7 +312,7 @@ def prepare_whitened(Linv, XLybar):
             f"whitened covariates are rank deficient (pivot {e.pivot_index})"
         ) from e
     L_TL_inv = L_TL.copy(order="F")
-    _invert(L_TL_inv)
+    invert_lower(L_TL_inv)
     return PreparedContext(
         Linv=Linv, XLybar=XLybar, S_TL=S_TL, b_T=b_T, L_TL_inv=L_TL_inv,
         minpivot_TL=float(np.min(np.diag(L_TL)) ** 2),

@@ -124,20 +124,20 @@ class SolveConfig:
 
     m_blk: int | None = None  # None = DEFAULT_M_BLK (dist: // np * np)
     emit_s_inv: bool = False
-    mem_budget_bytes: int | None = None  # None = take from env or unlimited
 
 
-def check_budget(need, what, budget=None):
+def check_budget(need, what):
     """Raise ConfigError when `what`, needing `need` bytes, exceeds the
-    memory budget: the one given, else MEM_BUDGET_ENV's value when set."""
-    if budget is None and os.environ.get(MEM_BUDGET_ENV):
+    memory budget MEM_BUDGET_ENV sets; unset, there is none."""
+    value = os.environ.get(MEM_BUDGET_ENV)
+    if value:
         try:
-            budget = int(os.environ[MEM_BUDGET_ENV])
+            budget = int(value)
         except ValueError:
-            raise ConfigError(f"{MEM_BUDGET_ENV}={os.environ[MEM_BUDGET_ENV]!r} "
+            raise ConfigError(f"{MEM_BUDGET_ENV}={value!r} "
                               "is not an integer number of bytes") from None
-    if budget is not None and need > budget:
-        raise ConfigError(f"{what} need {need} bytes, budget is {budget}")
+        if need > budget:
+            raise ConfigError(f"{what} need {need} bytes, budget is {budget}")
 
 
 def peak_rss_bytes():
@@ -218,7 +218,7 @@ def stream(t, paths, cfg, prepare, mode):
     need = (8 * n * n // np_ + 8 * n * p + regions * (8 * n * loc + loc * rsz)
             + loc * rsz)
     check_budget(need, f"covariance share, covariates and {regions} buffer "
-                 "region(s)", cfg.mem_budget_bytes)
+                 "region(s)")
     in_bufs = [np.empty((n, loc), order="F") for _ in range(regions)]
     out_bufs = [np.empty((loc, rsz // 8)) for _ in range(regions)]
     with _blas.rank_threads(np_) as blas_threads:

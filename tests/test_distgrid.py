@@ -273,6 +273,50 @@ class TestDistKernels:
 
         assert run_spmd(4, body) == [9] * 4
 
+    @pytest.mark.parametrize("np_", [2, 4, 6])
+    def test_dist_cholesky_one_exchange_per_panel(self, np_):
+        # each step sends every peer this rank's entries of the column
+        # panel [k:n, k:k+kb] in one message, and nothing else
+        n, nb = 100, 16
+        M = make_spd(n, seed=8)
+
+        def body(t):
+            D = scatter_matrix(M if t.rank == 0 else None, grid_create(t.size), t)
+            sizes = []
+            send = t.send
+
+            def logged_send(dst, data, *args, **kwargs):
+                sizes.append(len(data))
+                return send(dst, data, *args, **kwargs)
+
+            t.send = logged_send
+            dist_cholesky(D, t, nb=nb)
+            return sizes
+
+        sizes = [size for log in run_spmd(np_, body) for size in log]
+        panels = sum((n - k) * min(nb, n - k) for k in range(0, n, nb))
+        assert len(sizes) == np_ * (np_ - 1) * math.ceil(n / nb)
+        assert sum(sizes) == 8 * (np_ - 1) * panels
+
+    @pytest.mark.parametrize("np_", [1, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dist_cholesky_non_finite_below_the_diagonal_block(self, np_, bad):
+        # dpotrf takes a non-finite pivot without complaint, so only the
+        # finiteness check on each diagonal block stops this: the entry at
+        # (70, 5) spreads through the trailing updates into row and column
+        # 70, which first enter a diagonal block in the panel at row 64
+        M = make_spd(100, seed=9)
+        M[70, 5] = M[5, 70] = bad
+
+        def body(t):
+            D = scatter_matrix(M if t.rank == 0 else None, grid_create(t.size), t)
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NotPositiveDefinite) as exc:
+                dist_cholesky(D, t, nb=16)
+            return exc.value.pivot_index
+
+        assert run_spmd(np_, body) == [64] * np_
+
     @pytest.mark.parametrize("np_", [1, 4])
     def test_dist_trsolve_identity_returns_rhs(self, np_):
         B = np.random.default_rng(4).standard_normal((12, 5))
@@ -519,28 +563,19 @@ class TestRunDist:
         monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", str(need))
         assert run_spmd(2, run_dist, paths, SolveConfig())[0].m_blk == 500
 
-    def test_config_budget_binds_without_env(self, tmp_path, seed42_dataset,
-                                             monkeypatch):
-        need = self.ONE_BLOCK_NEED
-        paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
-        monkeypatch.delenv("GWAS_GLS_MEM_BUDGET_BYTES", raising=False)
-        with pytest.raises(ConfigError):
-            run_spmd(2, run_dist, paths, SolveConfig(mem_budget_bytes=need - 1))
-        summary = run_spmd(2, run_dist, paths, SolveConfig(mem_budget_bytes=need))[0]
-        assert summary.m_blk == 500
-
-    def test_budget_counts_the_covariance_share(self, tmp_path, seed42_dataset):
+    def test_budget_counts_the_covariance_share(self, tmp_path, seed42_dataset,
+                                                 monkeypatch):
         # n=100, m_blk=64, p=4 on 2 ranks: two regions of a 100 x 32 reader
         # buffer and 32 staged 32-byte records, the 32 result records of the
         # chunk being solved, half of the 8n^2 covariance and the covariates
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         need = (8 * 100 * 100 // 2 + 8 * 100 * 4
                 + 2 * (8 * 100 * 32 + 32 * 32) + 32 * 32)
+        monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", str(need - 1))
         with pytest.raises(ConfigError):
-            run_spmd(2, run_dist, paths,
-                     SolveConfig(m_blk=64, mem_budget_bytes=need - 1))
-        s = run_spmd(2, run_dist, paths,
-                     SolveConfig(m_blk=64, mem_budget_bytes=need))[0]
+            run_spmd(2, run_dist, paths, SolveConfig(m_blk=64))
+        monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", str(need))
+        s = run_spmd(2, run_dist, paths, SolveConfig(m_blk=64))[0]
         assert (s.peak_resident_est, s.buffer_regions) == (need, 2)
 
     def test_zero_copy_views(self, tmp_path, seed42_dataset, monkeypatch):

@@ -4,11 +4,15 @@ The intra-package imports form no cycle, so the layers stack one way
 (distgrid -> pipeline -> transport, fileio, kernel). No gwasgls module
 is imported inside a function: a lazy import runs, and may compile its
 source, inside the call that first reaches it, such as an engine's
-set-up.
+set-up. Only _blas reaches scipy's Cython BLAS and LAPACK pointers, and
+the engines' own modules, distgrid and pipeline, import nothing from
+scipy: its f2py wrappers copy their operands and hold the GIL.
 """
 
 import ast
 import pathlib
+
+import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "gwasgls"
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
@@ -46,8 +50,22 @@ def _imports_by_depth(tree):
     return found
 
 
-IMPORTS = {name: _imports_by_depth(ast.parse(path.read_text()))
-           for name, path in MODULES.items()}
+def _absolute_imports(tree):
+    """Every dotted name an absolute import names: `import a.b` gives
+    a.b, `from a.b import c` gives a.b and a.b.c."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+TREES = {name: ast.parse(path.read_text()) for name, path in MODULES.items()}
+IMPORTS = {name: _imports_by_depth(tree) for name, tree in TREES.items()}
+ABSOLUTE = {name: _absolute_imports(tree) for name, tree in TREES.items()}
 
 
 def test_the_walk_sees_the_package():
@@ -79,3 +97,13 @@ def test_intra_package_imports_form_no_cycle():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_only_blas_reaches_the_cython_pointers():
+    cython = {"scipy.linalg.cython_blas", "scipy.linalg.cython_lapack"}
+    assert {name for name, found in ABSOLUTE.items() if found & cython} == {"_blas"}
+
+
+@pytest.mark.parametrize("name", ["distgrid", "pipeline"])
+def test_engine_modules_import_nothing_from_scipy(name):
+    assert sorted(m for m in ABSOLUTE[name] if m.split(".")[0] == "scipy") == []

@@ -16,6 +16,7 @@ from gwasgls.datagen import compare_results, oracle_solve_all
 from gwasgls.distgrid import run_dist
 from gwasgls.errors import ConfigError
 from gwasgls.pipeline import (
+    MEM_BUDGET_ENV,
     RunSummary,
     SolveConfig,
     block_plan,
@@ -252,45 +253,55 @@ class TestMemoryBudget:
         assert peak <= s.peak_resident_est + self.PEAK_SLACK, \
             (peak, s.peak_resident_est)
 
-    def test_incore_rejected_below_budget(self, seed42_dataset, out_path):
+    def test_incore_rejected_below_budget(self, seed42_dataset, out_path,
+                                          monkeypatch):
         p = solve_paths(seed42_dataset, out_path("x.gwab"))
         geno_bytes = 8 * 100 * 500
+        monkeypatch.setenv(MEM_BUDGET_ENV, str(geno_bytes))
         with pytest.raises(ConfigError):
-            run_incore(p, SolveConfig(mem_budget_bytes=geno_bytes))
+            run_incore(p)
 
-    def test_ooc_streams_within_budget(self, seed42_dataset, out_path):
+    def test_ooc_streams_within_budget(self, seed42_dataset, out_path,
+                                       monkeypatch):
         p1 = solve_paths(seed42_dataset, out_path("ref.gwab"))
         run_incore(p1)
         p2 = solve_paths(seed42_dataset, out_path("tight.gwab"))
         geno_bytes = 8 * 100 * 500
-        s = run_ooc(p2, SolveConfig(m_blk=32, mem_budget_bytes=geno_bytes))
+        monkeypatch.setenv(MEM_BUDGET_ENV, str(geno_bytes))
+        s = run_ooc(p2, SolveConfig(m_blk=32))
         assert s.buffer_regions == 2
         assert compare_results(p1.out, p2.out, 1e-12).within
 
-    def test_ooc_budget_counts_the_covariance(self, seed42_dataset, out_path):
+    def test_ooc_budget_counts_the_covariance(self, seed42_dataset, out_path,
+                                              monkeypatch):
         # n=100, m_blk=32, p=4: two regions of 8*100*32 + 32*32 bytes fit,
         # the 8n^2 covariance next to them does not; the block being solved
         # adds its 32*32 bytes of result arrays
         p = solve_paths(seed42_dataset, out_path("x.gwab"))
         regions = 2 * (8 * 100 * 32 + 32 * 32)
+        monkeypatch.setenv(MEM_BUDGET_ENV, str(regions))
         with pytest.raises(ConfigError):
-            run_ooc(p, SolveConfig(m_blk=32, mem_budget_bytes=regions))
+            run_ooc(p, SolveConfig(m_blk=32))
         need = 8 * 100 * 100 + regions + 32 * 32 + 8 * 100 * 4
+        monkeypatch.setenv(MEM_BUDGET_ENV, str(need - 1))
         with pytest.raises(ConfigError):
-            run_ooc(p, SolveConfig(m_blk=32, mem_budget_bytes=need - 1))
-        s = run_ooc(p, SolveConfig(m_blk=32, mem_budget_bytes=need))
+            run_ooc(p, SolveConfig(m_blk=32))
+        monkeypatch.setenv(MEM_BUDGET_ENV, str(need))
+        s = run_ooc(p, SolveConfig(m_blk=32))
         assert s.peak_resident_est == need
 
     @pytest.mark.parametrize("emit", [False, True])
     def test_incore_budget_counts_the_results(self, seed42_dataset, out_path,
-                                              emit):
+                                              emit, monkeypatch):
         # result arrays and encoded records: two records per marker
         p = solve_paths(seed42_dataset, out_path("x.gwab"))
         rsz = fileio.record_size(4, int(emit))
         need = 8 * 100 * 500 + 8 * 100 * 100 + 8 * 100 * 4 + 2 * 500 * rsz
+        monkeypatch.setenv(MEM_BUDGET_ENV, str(need - 1))
         with pytest.raises(ConfigError):
-            run_incore(p, SolveConfig(emit_s_inv=emit, mem_budget_bytes=need - 1))
-        s = run_incore(p, SolveConfig(emit_s_inv=emit, mem_budget_bytes=need))
+            run_incore(p, SolveConfig(emit_s_inv=emit))
+        monkeypatch.setenv(MEM_BUDGET_ENV, str(need))
+        s = run_incore(p, SolveConfig(emit_s_inv=emit))
         assert s.peak_resident_est == need
 
     def test_one_block_ooc_is_incore(self, seed42_dataset, out_path):
@@ -305,10 +316,12 @@ class TestMemoryBudget:
         assert pathlib.Path(oc.out).read_bytes() == \
             pathlib.Path(ic.out).read_bytes()
 
-    def test_ooc_rejected_when_buffers_exceed_budget(self, seed42_dataset, out_path):
+    def test_ooc_rejected_when_buffers_exceed_budget(self, seed42_dataset,
+                                                     out_path, monkeypatch):
         p = solve_paths(seed42_dataset, out_path("x.gwab"))
+        monkeypatch.setenv(MEM_BUDGET_ENV, "1000")
         with pytest.raises(ConfigError):
-            run_ooc(p, SolveConfig(m_blk=500, mem_budget_bytes=1000))
+            run_ooc(p, SolveConfig(m_blk=500))
 
     def test_env_var_budget(self, seed42_dataset, out_path, monkeypatch):
         monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", "1000")
