@@ -1,7 +1,7 @@
 """In-place BLAS/LAPACK calls on strided float64 views, and the OpenBLAS
-thread counts of the sweep and of the dist ranks. The one-rank engine
-factors and inverts the covariance and whitens every block through this
-module alone; the dist kernels factor and fold their panels through it.
+thread counts of a run. The one-rank engine factors and inverts the
+covariance and whitens every block through this module alone; the dist
+kernels factor, update and fold their panels through it.
 
 scipy's f2py wrappers copy an operand that is not a whole contiguous
 array, so a level-3 call on a sub-block of a larger matrix would run on
@@ -12,8 +12,8 @@ by ctypes. An operand is a column-major view: unit row stride, leading
 dimension its column stride. ctypes releases the GIL for the duration of
 each call, so other Python threads (the block reader and writer) run
 while it computes. All triangular operands are lower and non-unit.
-numpy's `@`, in numpy's own OpenBLAS, runs the per-marker products and
-the dist engine's panel GEMMs and trailing updates.
+numpy's `@`, in numpy's own OpenBLAS, runs the per-marker products, the
+p-column products of the set-up and the dist engine's panel GEMMs.
 """
 
 from __future__ import annotations
@@ -118,12 +118,12 @@ def zero_strict_upper(a):
 
 
 def _triangular(routine, side, trans, alpha, a, b):
+    pa, lda = _view(a)
+    pb, ldb = _view(b, written=True)
     k = _square(a)
     m, n = b.shape
     if k != (m if side == b"L" else n):
         raise DimensionMismatch(f"triangular {a.shape} against {b.shape}")
-    pa, lda = _view(a)
-    pb, ldb = _view(b, written=True)
     if m and n:
         routine(side, b"L", trans, b"N", _i(m), _i(n), _d(alpha), pa, _i(lda),
                 pb, _i(ldb))
@@ -204,49 +204,37 @@ def _openblas_threads():
 
 
 @contextmanager
-def _capped(cap, builds):
-    """Lower each build's thread count above cap to cap for the body and
-    restore it after; yields whether any count was lowered. A count is
-    never raised.
+def rank_threads(np_):
+    """Cap the OpenBLAS thread counts of a run's rank for the body and
+    restore them after; a count is never raised. Yields the rank cap,
+    max(1, cpu_count // np_), when it lowered a count to it, else 0: no
+    OpenBLAS exports the setter, or it already runs at or below the cap.
 
-    The pthreads OpenBLAS keeps one count per process, so callers that
-    are threads of one process share it; each restores only a count it
-    lowered, which leaves the count as it found it once every caller is
+    Every routine of this module runs in scipy's build, which gets the
+    rank cap, so np_ ranks on one host do not oversubscribe it. numpy's
+    own build runs only `@` and is held at one thread. Its main work is
+    the per-marker GEMM of each block, too small to split: on a 2-core
+    host, with each GEMM after a whitening as in a sweep, two threads
+    took 0.6-8.8 ms at 100x5000, 800x500 and 2000x2000 (count x n), one
+    thread a steady 0.6, 0.4 and 6.5 ms. The p-column products of the
+    set-up and the dist engine's panel GEMMs run there too, so at one
+    thread. One build shared by numpy and scipy gets the rank cap.
+
+    The pthreads OpenBLAS keeps one count per process, so ranks that are
+    threads of one process share it; each restores only a count it
+    lowered, which leaves the count as it found it once every rank is
     done.
     """
-    lowered = []
-    for get, put in builds:
-        old = get()
-        if cap < old:
-            put(cap)
-            lowered.append((put, old))
-    try:
-        yield bool(lowered)
-    finally:
-        for put, old in lowered:
-            put(old)
-
-
-def sweep_threads():
-    """Hold numpy's OpenBLAS at one thread for the body of a sweep, and
-    restore its count after. numpy's build runs only the per-marker GEMM
-    of each block there: on a 2-core host, with each GEMM after a
-    whitening as in a sweep, two threads took 0.6-8.8 ms at 100x5000,
-    800x500 and 2000x2000 (count x n), one thread a steady 0.6, 0.4 and
-    6.5 ms. The whitening runs in scipy's build, whose count is left
-    alone, unless the two are one build."""
-    return _capped(1, [] if _SHARED or _NUMPY_THREADS is None
-                   else [_NUMPY_THREADS])
-
-
-@contextmanager
-def rank_threads(np_):
-    """Cap each loaded OpenBLAS at max(1, cpu_count // np_) threads for
-    the body, so np_ ranks on one host do not oversubscribe it, and
-    restore the old count after, as _capped does. Yields the count set, 0
-    when none was: no OpenBLAS exports the setter, or it already runs at or
-    below the cap.
-    """
     cap = max(1, (os.cpu_count() or 1) // np_)
-    with _capped(cap, _openblas_threads()) as lowered:
-        yield cap if lowered else 0
+    lowered = []
+    for build in _openblas_threads():
+        get, put = build
+        old, new = get(), 1 if build is _NUMPY_THREADS else cap
+        if new < old:
+            put(new)
+            lowered.append((build, old))
+    try:
+        yield cap if any(b is not _NUMPY_THREADS for b, _ in lowered) else 0
+    finally:
+        for (_, put), old in lowered:
+            put(old)

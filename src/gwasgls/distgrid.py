@@ -2,8 +2,8 @@
 factor live element-cyclic on a 2D process grid, and marker blocks never
 leave the rank that read them. The engine is pipeline.stream; this module
 gives it the prepare of np > 1 ranks and the distributed kernels.
-dist_cholesky factors M in its shares; besides its share, a rank holds
-one (n - k) x nb column panel and numpy's trailing-update product. Each
+dist_cholesky factors M in its shares, updating each in place; besides
+its share, a rank holds one (n - k) x nb column panel and its pieces. Each
 rank whitens its own chunk of every block, as full columns, in place
 against row panels of L replicated one at a time, so the sweep moves
 panels of L and no genotype data. Each panel [L_k,:k | D_k] is folded
@@ -12,7 +12,9 @@ the next panel is sent before that GEMM runs. A block is the ooc
 engine's, split evenly across ranks, so each replication of L is paid
 once per wide block. A rank's entries of any window are a slice of its
 local array that lands in a strided slice of the window, so every layout
-change, and every panel, moves by slicing, with no index arrays.
+change, and every panel, moves by slicing, with no index arrays. Shares,
+panels and the bytes of every message are column-major, the layout
+_blas works in.
 
 Index maps:
     2D: element (i, j) is owned by grid process (i mod r, j mod c) at
@@ -88,13 +90,14 @@ class DistMatrix2D:
     gc: int
     grid: GridLayout
     rank: int
-    local: np.ndarray  # rows i = prow (mod r), cols j = pcol (mod c)
+    local: np.ndarray  # rows i = prow (mod r), cols j = pcol (mod c); Fortran
 
     @classmethod
     def empty(cls, gr, gc, grid, rank):
         prow, pcol = grid.coord(rank)
         shape = (len(_rows_of(gr, grid, prow)), len(_cols_of(gc, grid, pcol)))
-        return cls(gr=gr, gc=gc, grid=grid, rank=rank, local=np.empty(shape))
+        return cls(gr=gr, gc=gc, grid=grid, rank=rank,
+                   local=np.empty(shape, order="F"))
 
 
 @dataclass
@@ -112,11 +115,13 @@ class DistMatrix1D:
 
 
 def _as_bytes(arr):
-    return np.ascontiguousarray(arr, dtype=np.float64).tobytes()
+    """arr's entries in column-major order, the layout of the covariance
+    and of every share and panel, so a window's columns copy as runs."""
+    return np.asarray(arr, dtype=np.float64).tobytes(order="F")
 
 
 def _from_bytes(raw, shape):
-    return np.frombuffer(raw, dtype=np.float64).reshape(shape)
+    return np.frombuffer(raw, dtype=np.float64).reshape(shape, order="F")
 
 
 def scatter_matrix(A, grid, t):
@@ -227,12 +232,12 @@ def dist_cholesky(M, t, nb=DEFAULT_PANEL):
 
     Each step replicates the column panel [k:n, k:k+nb] on every rank in
     one exchange and factors it there in place by kernel.factor_panel
-    (small redundant factorizations); the O(n^2) trailing update touches
-    only owned entries. Each panel of L overwrites the entries of M it
-    came from, and the strict-upper entries above its diagonal block,
-    which nothing reads again, are zeroed. Besides its share, a rank
-    holds the panel and the trailing update's product, a temporary the
-    size of its part of the trailing matrix.
+    (small redundant factorizations); the trailing update is one GEMM
+    into the owned entries, in place. Each panel of L overwrites the
+    entries of M it came from, and the strict-upper entries above its
+    diagonal block, which nothing reads again, are zeroed. Besides its
+    share, a rank holds the panel, the pieces of its exchange, and a
+    copy of each strided part of it the update reads: O(n nb) in all.
     """
     n = M.gr
     if M.gr != M.gc:
@@ -247,12 +252,20 @@ def dist_cholesky(M, t, nb=DEFAULT_PANEL):
         M.local[local] = panel[at]
         (lr, lc), _ = _window(M, t.rank, 0, k, k, k + kb)
         M.local[lr, lc] = 0.0
-        # trailing update on owned entries only; the copy keeps numpy from
-        # running an aliased pair as SYRK, which rounds unlike GEMM
         L21 = panel[kb:]
         (lr, lc), (wr, wc) = _window(M, t.rank, k + kb, n, k + kb, n)
-        M.local[lr, lc] -= L21[wr] @ L21[wc].copy().T
+        rows, cols = _unit_rows(L21, wr), _unit_rows(L21, wc)
+        if len(rows) and len(cols):
+            _blas.gemm_nt(-1.0, rows, cols, 1.0, M.local[lr, lc])
+        del panel, L21, rows, cols  # before the next panel arrives
     return M
+
+
+def _unit_rows(A, rows):
+    """A[rows] for a Fortran A, as a view BLAS takes: a Fortran copy when
+    the slice steps by more than one row (np.asfortranarray would keep a
+    1 x 1 slice, whose row step BLAS cannot take)."""
+    return A[rows] if rows.step == 1 else np.array(A[rows], order="F")
 
 
 def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):

@@ -147,12 +147,6 @@ def _pivot(info, offset):
         raise NotPositiveDefinite(offset + info - 1)
 
 
-def _require_fortran(B, what):
-    # anything else would reach BLAS as a silent copy
-    if B.ndim != 2 or B.dtype != np.float64 or not B.flags.f_contiguous:
-        raise DimensionMismatch(f"{what} must be a Fortran-ordered float64 matrix")
-
-
 def inverse_factor(M):
     """Overwrite M with L^-1, the inverse of its lower Cholesky factor,
     and return it.
@@ -170,7 +164,6 @@ def inverse_factor(M):
     inverse of Elmroth, Gustavson, Jonsson & Kagstrom (SIAM Review 46(1),
     2004).
     """
-    _require_fortran(M, "inverse_factor's input")
     check_covariance(M)
     _factor(M, 0)
     invert_lower(M)
@@ -234,14 +227,10 @@ def invert_lower(L):
 def whiten(Linv, B):
     """Overwrite B with Linv @ B, one triangular multiply, and return it.
 
-    B (n x k) and Linv must be Fortran-ordered float64; anything else
-    raises DimensionMismatch rather than being copied. The multiply
-    releases the GIL.
+    B (n x k) and Linv must be column-major float64 views; anything else
+    raises DimensionMismatch (from _blas) rather than being copied. The
+    multiply releases the GIL.
     """
-    _require_fortran(Linv, "whiten's Linv")
-    _require_fortran(B, "whiten's B")
-    if Linv.shape[0] != Linv.shape[1] or Linv.shape[0] != B.shape[0]:
-        raise DimensionMismatch(f"whiten: Linv is {Linv.shape}, B is {B.shape}")
     _blas.trmm("L", 1.0, Linv, B)
     return B
 
@@ -393,8 +382,9 @@ def solve_whitened_block(ctx, Xbar, first_index, emit_s_inv=False):
     """Normal-equations assembly and bordered solve for already-whitened
     marker columns Xbar (n x count). Shared by the in-core, streaming and
     distributed engines."""
-    # [S_BL | b_B] in one GEMM, which the streaming sweep runs at one
-    # thread (_blas.sweep_threads); S_BR needs only the diagonal of Xbar^T Xbar
+    # [S_BL | b_B] in one GEMM, in numpy's OpenBLAS, which every engine
+    # holds at one thread (_blas.rank_threads); S_BR needs only the
+    # diagonal of Xbar^T Xbar
     SB = Xbar.T @ ctx.XLybar
     S_BR = np.einsum("ij,ij->j", Xbar, Xbar)
     betas, sinv = cholesky_solve_batch(ctx, SB[:, :-1], S_BR, SB[:, -1],

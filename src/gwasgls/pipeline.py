@@ -41,19 +41,12 @@ DEFAULT_M_BLK = 5000
 MEM_BUDGET_ENV = "GWAS_GLS_MEM_BUDGET_BYTES"
 
 
-@dataclass
-class BlockPlan:
-    m: int
-    m_blk: int
-    blocks: list  # [(first_index, count), ...]
-
-
 def block_plan(m, m_blk):
-    """Contiguous disjoint blocks of at most m_blk columns covering [0, m)."""
+    """Contiguous disjoint blocks [(first_index, count), ...] of at most
+    m_blk columns covering [0, m)."""
     if m < 1 or m_blk < 1:
         raise ConfigError("m and m_blk must be >= 1")
-    blocks = [(first, min(m_blk, m - first)) for first in range(0, m, m_blk)]
-    return BlockPlan(m=m, m_blk=m_blk, blocks=blocks)
+    return [(first, min(m_blk, m - first)) for first in range(0, m, m_blk)]
 
 
 @dataclass
@@ -194,9 +187,10 @@ def stream(t, paths, cfg, prepare, mode):
     returns (ctx, whiten): the kernel context and the in-place whitening
     of a chunk. The budget, checked before anything is read, counts the
     8n^2/np covariance share, the covariates, the regions and the result
-    arrays of the chunk being solved. numpy's OpenBLAS runs the sweep at
-    one thread, and np ranks split the host's cores. Returns a
-    RunSummary; rank 0's carries the totals.
+    arrays of the chunk being solved. For the whole run numpy's OpenBLAS
+    runs at one thread, and np ranks split the host's cores
+    (_blas.rank_threads). Returns a RunSummary; rank 0's carries the
+    totals.
     """
     t_start = time.perf_counter()
     np_ = t.size
@@ -209,7 +203,7 @@ def stream(t, paths, cfg, prepare, mode):
     # this rank's chunk of every block; on several ranks the last ones may
     # be short or empty
     starts = [min(first + t.rank * loc, m)
-              for first, _ in block_plan(m, m_blk).blocks]
+              for first, _ in block_plan(m, m_blk)]
     chunks = [(start, min(loc, m - start)) for start in starts]
     p = fileio.read_dims(paths.covariates, "GWAC")[1] + 1
     flags = 1 if cfg.emit_s_inv else 0
@@ -241,12 +235,11 @@ def stream(t, paths, cfg, prepare, mode):
                     ctx, whiten(columns), first, emit_s_inv=cfg.emit_s_inv)
 
             try:
-                with _blas.sweep_threads():
-                    t_compute, t_io_wait, block_cpu = sweep(
-                        reader, writer, chunks, in_bufs, ticket, solve, out_bufs)
-                    # every rank's last store is done, and no rank restores
-                    # a thread count while another one still sweeps
-                    t.barrier()
+                t_compute, t_io_wait, block_cpu = sweep(
+                    reader, writer, chunks, in_bufs, ticket, solve, out_bufs)
+                # every rank's last store is done, and no rank restores a
+                # thread count while another one still sweeps
+                t.barrier()
             finally:
                 writer.close()
         finally:

@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -216,6 +217,18 @@ class TestDistKernels:
         L = run_spmd(np_, body)[0]
         assert np.max(np.abs(L - Lref)) <= 1e-10 * np.max(np.abs(M))
 
+    @pytest.mark.parametrize("n,np_,nb", [(1, 6, 64), (2, 6, 1), (3, 4, 1)])
+    def test_dist_cholesky_grid_wider_than_the_matrix(self, n, np_, nb):
+        # ranks own no rows, or a single entry of a strided panel slice
+        M = make_spd(n, 3)
+
+        def body(t):
+            D = scatter_matrix(M if t.rank == 0 else None, grid_create(t.size), t)
+            return gather_matrix(dist_cholesky(D, t, nb=nb), t)
+
+        L = run_spmd(np_, body)[0]
+        assert np.max(np.abs(L - kernel.cholesky_spd(M))) <= 1e-14 * np.max(M)
+
     @pytest.mark.parametrize("np_", [2, 4, 6])
     def test_dist_cholesky_factors_in_place(self, np_):
         n = 45
@@ -297,6 +310,25 @@ class TestDistKernels:
         panels = sum((n - k) * min(nb, n - k) for k in range(0, n, nb))
         assert len(sizes) == np_ * (np_ - 1) * math.ceil(n / nb)
         assert sum(sizes) == 8 * (np_ - 1) * panels
+
+    @pytest.mark.parametrize("np_", [2, 4])
+    def test_dist_cholesky_holds_its_panels_beside_the_shares(self, np_):
+        # besides its share, each rank holds O(n nb): its column panel, the
+        # pieces of the panel's exchange and copies of the strided rows of
+        # the trailing update, which runs in place; a product the size of
+        # the rank's trailing matrix would exceed the bound at k = 0
+        n, nb = 1200, 64
+        M = make_spd(n, seed=12)
+        shares = run_spmd(np_, lambda t: scatter_matrix(
+            M if t.rank == 0 else None, grid_create(t.size), t))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_spmd(np_, lambda t: dist_cholesky(shares[t.rank], t, nb=nb))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= np_ * 4 * 8 * n * nb
 
     @pytest.mark.parametrize("np_", [1, 4])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

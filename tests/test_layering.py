@@ -5,8 +5,10 @@ The intra-package imports form no cycle, so the layers stack one way
 is imported inside a function: a lazy import runs, and may compile its
 source, inside the call that first reaches it, such as an engine's
 set-up. Only _blas reaches scipy's Cython BLAS and LAPACK pointers, and
-the engines' own modules, distgrid and pipeline, import nothing from
-scipy: its f2py wrappers copy their operands and hold the GIL.
+only _blas imports ctypes, so the BLAS calls and the OpenBLAS thread
+counts live in one module. The engines' own modules, distgrid and
+pipeline, import nothing from scipy: its f2py wrappers copy their
+operands and hold the GIL.
 """
 
 import ast
@@ -102,6 +104,11 @@ def test_intra_package_imports_form_no_cycle():
 def test_only_blas_reaches_the_cython_pointers():
     cython = {"scipy.linalg.cython_blas", "scipy.linalg.cython_lapack"}
     assert {name for name, found in ABSOLUTE.items() if found & cython} == {"_blas"}
+
+
+def test_only_blas_imports_ctypes():
+    assert {name for name, found in ABSOLUTE.items()
+            if any(m.split(".")[0] == "ctypes" for m in found)} == {"_blas"}
 
 
 @pytest.mark.parametrize("name", ["distgrid", "pipeline"])

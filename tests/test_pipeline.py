@@ -32,21 +32,21 @@ from conftest import solve_paths
 
 class TestBlockPlan:
     def test_forced_partition(self):
-        assert block_plan(10, 4).blocks == [(0, 4), (4, 4), (8, 2)]
+        assert block_plan(10, 4) == [(0, 4), (4, 4), (8, 2)]
 
     def test_single_block(self):
-        assert block_plan(5, 8).blocks == [(0, 5)]
+        assert block_plan(5, 8) == [(0, 5)]
 
     def test_three_equal_blocks_default_size(self):
         plan = block_plan(15000, 5000)
-        assert plan.blocks == [(0, 5000), (5000, 5000), (10000, 5000)]
+        assert plan == [(0, 5000), (5000, 5000), (10000, 5000)]
 
     def test_invariants(self):
         for m, m_blk in ((1, 1), (17, 3), (100, 7)):
             plan = block_plan(m, m_blk)
-            assert sum(c for _, c in plan.blocks) == m
-            assert all(1 <= c <= m_blk for _, c in plan.blocks)
-            firsts = [f for f, _ in plan.blocks]
+            assert sum(c for _, c in plan) == m
+            assert all(1 <= c <= m_blk for _, c in plan)
+            firsts = [f for f, _ in plan]
             assert firsts == sorted(firsts)
 
 
@@ -114,19 +114,26 @@ class TestEngines:
         ids=["ooc", "incore", "dist-np2"])
     def test_sweep_holds_numpys_blas_at_one_thread(self, run, seed42_dataset,
                                                    out_path, monkeypatch):
+        # numpy's build runs only `@`, and from the set-up's products to
+        # the last block's it runs them at one thread
         get, _ = _blas._NUMPY_THREADS
         before = get()
-        seen = []
-        solve = kernel.solve_whitened_block
+        seen = {"prepare_whitened": [], "solve_whitened_block": []}
 
-        def counted(*args, **kwargs):
-            seen.append(get())
-            return solve(*args, **kwargs)
+        def counted(name):
+            call = getattr(kernel, name)
 
-        monkeypatch.setattr(kernel, "solve_whitened_block", counted)
+            def record(*args, **kwargs):
+                seen[name].append(get())
+                return call(*args, **kwargs)
+            return record
+
+        for name in seen:
+            monkeypatch.setattr(kernel, name, counted(name))
         run(solve_paths(seed42_dataset, out_path("t.gwab")),
             SolveConfig(m_blk=100))
-        assert seen and set(seen) == {1}
+        assert all(counts and set(counts) == {1} for counts in seen.values()), seen
+        # restored once the run is over
         assert get() == before
 
     def test_degenerate_markers_flagged(self, degenerate_dataset, out_path):
