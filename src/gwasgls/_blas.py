@@ -1,19 +1,19 @@
 """In-place BLAS/LAPACK calls on strided float64 views, and the OpenBLAS
-thread counts of a run. The one-rank engine factors and inverts the
+thread count of a run. The one-rank engine factors and inverts the
 covariance and whitens every block through this module alone; the dist
 kernels factor, update and fold their panels through it.
 
-scipy's f2py wrappers copy an operand that is not a whole contiguous
-array, so a level-3 call on a sub-block of a larger matrix would run on
-a copy, and they hold the GIL for the whole call. These functions call
-the same routines in the caller's memory, through the function pointers
-scipy publishes for Cython (scipy.linalg.cython_blas / cython_lapack),
-by ctypes. An operand is a column-major view: unit row stride, leading
-dimension its column stride. ctypes releases the GIL for the duration of
-each call, so other Python threads (the block reader and writer) run
-while it computes. All triangular operands are lower and non-unit.
-numpy's `@`, in numpy's own OpenBLAS, runs the per-marker products, the
-p-column products of the set-up and the dist engine's panel GEMMs.
+A run has one BLAS: the scipy-openblas64 build that numpy bundles, which
+runs numpy's `@` and exports its BLAS and LAPACK routines as
+`scipy_<routine>_64_`, with 64-bit integer arguments. These functions
+call them by ctypes, through the handle of numpy's linalg extension, in
+the caller's memory: a level-3 call on a sub-block of a larger matrix
+runs on the sub-block, not on a copy. An operand is a column-major view:
+unit row stride, leading dimension its column stride. ctypes releases
+the GIL for the duration of each call, so other Python threads (the
+block reader and writer) run while it computes. All triangular operands
+are lower and non-unit. A numpy without those symbols fails the import
+with one line that names the first one missing.
 """
 
 from __future__ import annotations
@@ -23,38 +23,42 @@ import os
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import DimensionMismatch
 
-_ARG = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
-        "d": ctypes.POINTER(ctypes.c_double), "a": ctypes.c_void_p}
+_LIB = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+_ARG = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64),
+        "d": ctypes.POINTER(ctypes.c_double), "a": ctypes.c_void_p,
+        "n": ctypes.c_int}
 
 
-def _bind(module, name, codes):
-    """ctypes function for scipy's Cython export `name`; codes gives one
-    argument type per character: c char*, i int*, d double*, a array."""
-    capsule = module.__pyx_capi__[name]
-    get_name = ctypes.pythonapi.PyCapsule_GetName
-    get_name.argtypes, get_name.restype = [ctypes.py_object], ctypes.c_char_p
-    get_ptr = ctypes.pythonapi.PyCapsule_GetPointer
-    get_ptr.argtypes = [ctypes.py_object, ctypes.c_char_p]
-    get_ptr.restype = ctypes.c_void_p
-    proto = ctypes.CFUNCTYPE(None, *(_ARG[c] for c in codes))
-    return proto(get_ptr(capsule, get_name(capsule)))
+def _bind(symbol, codes, restype=None):
+    """ctypes function for numpy's OpenBLAS export `symbol`; codes gives
+    one argument type per character: c char*, i int64*, d double*,
+    a array, n int."""
+    try:
+        f = getattr(_LIB, symbol)
+    except AttributeError:
+        raise ImportError(f"numpy's OpenBLAS exports no {symbol}; gwasgls "
+                          "needs numpy's bundled scipy-openblas64") from None
+    f.argtypes, f.restype = [_ARG[c] for c in codes], restype
+    return f
 
 
-_dpotrf = _bind(cython_lapack, "dpotrf", "ciaii")
-_dtrtri = _bind(cython_lapack, "dtrtri", "cciaii")
-_dlaset = _bind(cython_lapack, "dlaset", "ciiddai")
-_dtrsm = _bind(cython_blas, "dtrsm", "cccciidaiai")
-_dtrmm = _bind(cython_blas, "dtrmm", "cccciidaiai")
-_dsyrk = _bind(cython_blas, "dsyrk", "cciidaidai")
-_dgemm = _bind(cython_blas, "dgemm", "cciiidaiaidai")
+_dpotrf = _bind("scipy_dpotrf_64_", "ciaii")
+_dtrtri = _bind("scipy_dtrtri_64_", "cciaii")
+_dlaset = _bind("scipy_dlaset_64_", "ciiddai")
+_dtrsm = _bind("scipy_dtrsm_64_", "cccciidaiai")
+_dtrmm = _bind("scipy_dtrmm_64_", "cccciidaiai")
+_dsyrk = _bind("scipy_dsyrk_64_", "cciidaidai")
+_dgemm = _bind("scipy_dgemm_64_", "cciiidaiaidai")
+# threads() is the OpenBLAS thread count in force
+threads = _bind("scipy_openblas_get_num_threads64_", "", ctypes.c_int)
+_set_threads = _bind("scipy_openblas_set_num_threads64_", "n")
 
 
 def _i(v):
-    return ctypes.byref(ctypes.c_int(v))
+    return ctypes.byref(ctypes.c_int64(v))
 
 
 def _d(v):
@@ -92,7 +96,7 @@ def potrf(a):
     returns 0 on a non-finite pivot, so callers check finiteness."""
     n = _square(a)
     pa, lda = _view(a, written=True)
-    info = ctypes.c_int(0)
+    info = ctypes.c_int64(0)
     _dpotrf(b"L", _i(n), pa, _i(lda), ctypes.byref(info))
     return _info(info, "dpotrf")
 
@@ -102,7 +106,7 @@ def trtri(a):
     k > 0 meaning diagonal entry k - 1 is zero."""
     n = _square(a)
     pa, lda = _view(a, written=True)
-    info = ctypes.c_int(0)
+    info = ctypes.c_int64(0)
     _dtrtri(b"L", b"N", _i(n), pa, _i(lda), ctypes.byref(info))
     return _info(info, "dtrtri")
 
@@ -166,75 +170,24 @@ def gemm_nt(alpha, a, b, beta, c):
                pb, _i(ldb), _d(beta), pc, _i(ldc))
 
 
-# getter names of the two bundled OpenBLAS builds: numpy's 64-bit-integer
-# build suffixes its symbols, scipy's does not
-_GET_THREADS = ("scipy_openblas_get_num_threads64_",
-                "scipy_openblas_get_num_threads",
-                "openblas_get_num_threads64_", "openblas_get_num_threads")
-
-
-def _thread_count(module):
-    """(get, set_local) of the thread count of the OpenBLAS that the
-    extension module links, or None when it exports no such pair. dlsym
-    through the module's handle searches the libraries it links, so numpy
-    and scipy each find their own bundled build."""
-    lib = ctypes.CDLL(module.__file__)
-    get = next((getattr(lib, s) for s in _GET_THREADS if hasattr(lib, s)), None)
-    put = getattr(lib, "openblas_set_num_threads_local", None)
-    if get is None or put is None:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], ctypes.c_int
-    return get, put
-
-
-# numpy's build runs `@`, scipy's every routine bound above; both are one
-# build, with one count, when numpy and scipy link the same OpenBLAS
-_NUMPY_THREADS = _thread_count(np.linalg._umath_linalg)
-_SCIPY_THREADS = _thread_count(cython_blas)
-_SHARED = None not in (_NUMPY_THREADS, _SCIPY_THREADS) and (
-    ctypes.cast(_NUMPY_THREADS[1], ctypes.c_void_p).value
-    == ctypes.cast(_SCIPY_THREADS[1], ctypes.c_void_p).value)
-
-
-def _openblas_threads():
-    """[(get, set_local)] for each OpenBLAS build that numpy or scipy runs."""
-    builds = [_SCIPY_THREADS] if _SHARED else [_NUMPY_THREADS, _SCIPY_THREADS]
-    return [b for b in builds if b is not None]
-
-
 @contextmanager
 def rank_threads(np_):
-    """Cap the OpenBLAS thread counts of a run's rank for the body and
-    restore them after; a count is never raised. Yields the rank cap,
-    max(1, cpu_count // np_), when it lowered a count to it, else 0: no
-    OpenBLAS exports the setter, or it already runs at or below the cap.
+    """Cap OpenBLAS at max(1, cpu_count // np_) threads for the body, so
+    np_ ranks on one host do not oversubscribe it, and restore the count
+    after; a count is never raised.
 
-    Every routine of this module runs in scipy's build, which gets the
-    rank cap, so np_ ranks on one host do not oversubscribe it. numpy's
-    own build runs only `@` and is held at one thread. Its main work is
-    the per-marker GEMM of each block, too small to split: on a 2-core
-    host, with each GEMM after a whitening as in a sweep, two threads
-    took 0.6-8.8 ms at 100x5000, 800x500 and 2000x2000 (count x n), one
-    thread a steady 0.6, 0.4 and 6.5 ms. The p-column products of the
-    set-up and the dist engine's panel GEMMs run there too, so at one
-    thread. One build shared by numpy and scipy gets the rank cap.
-
-    The pthreads OpenBLAS keeps one count per process, so ranks that are
-    threads of one process share it; each restores only a count it
-    lowered, which leaves the count as it found it once every rank is
-    done.
+    OpenBLAS keeps one count per process, which forked ranks inherit, so a
+    run sets it once, before its ranks start (transport.run_spmd,
+    pipeline.run_ooc): every rank then runs at that count, and no forked
+    rank calls the setter, which would restart the thread pool in that
+    rank.
     """
     cap = max(1, (os.cpu_count() or 1) // np_)
-    lowered = []
-    for build in _openblas_threads():
-        get, put = build
-        old, new = get(), 1 if build is _NUMPY_THREADS else cap
-        if new < old:
-            put(new)
-            lowered.append((build, old))
+    old = threads()
+    if cap < old:
+        _set_threads(cap)
     try:
-        yield cap if any(b is not _NUMPY_THREADS for b, _ in lowered) else 0
+        yield
     finally:
-        for (_, put), old in lowered:
-            put(old)
+        if cap < old:
+            _set_threads(old)

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import argparse
 import gc
+# argparse's messages import locale on first use; imported here, a run
+# does not pay for it inside its set-up
+import locale  # noqa: F401
 import os
 import sys
 

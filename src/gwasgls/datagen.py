@@ -12,9 +12,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from . import fileio
+from . import fileio, kernel
 from .errors import ConfigError, DimensionMismatch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -195,12 +194,12 @@ def oracle_solve_all(paths, out_path):
             f"oracle limited to n<={ORACLE_MAX_N}, m<={ORACLE_MAX_M}")
     q = XL.shape[1]
     p = q + 1
-    factor = cho_factor(M, lower=True)
+    L = kernel.cholesky_spd(M)
     betas = np.full((m, p), np.nan)
     for i in range(m):
         Xi = np.hstack([XL, X[:, i:i + 1]])
-        MinvX = cho_solve(factor, Xi)
-        Minvy = cho_solve(factor, y)
+        MinvX = kernel.cho_solve(L, Xi)
+        Minvy = kernel.cho_solve(L, y)
         A = Xi.T @ MinvX
         b = Xi.T @ Minvy
         if not _chol_pivot_ok(A):

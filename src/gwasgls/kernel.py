@@ -19,7 +19,8 @@ through _blas, which releases the GIL, so the block reader and writer
 threads run while a block is whitened. The per-marker products of a
 block are one GEMM against the whitened [XL | y]. Each step of the
 distributed Cholesky is factor_panel; cholesky_spd and trsolve_lower
-remain the substitution route, the tests' reference.
+remain the substitution route, the tests' reference; they and the
+small solves go through _blas too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from . import _blas
 from .errors import (
@@ -236,15 +236,26 @@ def whiten(Linv, B):
 
 
 def trsolve_lower(L, B):
-    """Solve L X = B for X with L lower triangular, column by column."""
+    """Solve L X = B for X with L lower triangular; B, one column or
+    several, is not modified."""
+    return _substitute(L, B, "N")
+
+
+def cho_solve(L, B):
+    """Solve L L^T X = B for X, given the lower Cholesky factor L; B, one
+    column or several, is not modified."""
+    return _substitute(L, B, "N", "T")
+
+
+def _substitute(L, B, *trans):
+    """op(L)^-1 B for each op in turn, L (trans "N") or L^T ("T"), on a
+    column-major copy of B."""
     B = np.asarray(B, dtype=np.float64)
-    squeeze = B.ndim == 1
-    if squeeze:
-        B = B[:, None]
-    if L.shape[0] != L.shape[1] or L.shape[0] != B.shape[0]:
-        raise DimensionMismatch(f"trsolve: L is {L.shape}, B is {B.shape}")
-    X = solve_triangular(L, B, lower=True, check_finite=False)
-    return X[:, 0] if squeeze else X
+    X = np.array(B[:, None] if B.ndim == 1 else B, order="F")
+    L = np.asfortranarray(L, dtype=np.float64)
+    for t in trans:
+        _blas.trsm("L", t, L, X)
+    return X.reshape(B.shape)
 
 
 def gram(A):
@@ -276,11 +287,7 @@ def _small_cholesky(S):
 def solve_small_spd(S, rhs):
     """Solve one small SPD system S x = rhs via Cholesky, under the same
     pivot rule as the sweep."""
-    S = np.asarray(S, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if S.shape[0] != S.shape[1] or S.shape[0] != rhs.shape[0]:
-        raise DimensionMismatch("solve_small_spd: shapes disagree")
-    return cho_solve((_small_cholesky(S), True), rhs, check_finite=False)
+    return cho_solve(_small_cholesky(S), rhs)
 
 
 def prepare_whitened(Linv, XLybar):
@@ -305,7 +312,7 @@ def prepare_whitened(Linv, XLybar):
     return PreparedContext(
         Linv=Linv, XLybar=XLybar, S_TL=S_TL, b_T=b_T, L_TL_inv=L_TL_inv,
         minpivot_TL=float(np.min(np.diag(L_TL)) ** 2),
-        beta_T0=cho_solve((L_TL, True), b_T, check_finite=False))
+        beta_T0=cho_solve(L_TL, b_T))
 
 
 def prepare_in_place(M, XLy):
@@ -382,9 +389,7 @@ def solve_whitened_block(ctx, Xbar, first_index, emit_s_inv=False):
     """Normal-equations assembly and bordered solve for already-whitened
     marker columns Xbar (n x count). Shared by the in-core, streaming and
     distributed engines."""
-    # [S_BL | b_B] in one GEMM, in numpy's OpenBLAS, which every engine
-    # holds at one thread (_blas.rank_threads); S_BR needs only the
-    # diagonal of Xbar^T Xbar
+    # [S_BL | b_B] in one GEMM; S_BR needs only the diagonal of Xbar^T Xbar
     SB = Xbar.T @ ctx.XLybar
     S_BR = np.einsum("ij,ij->j", Xbar, Xbar)
     betas, sinv = cholesky_solve_batch(ctx, SB[:, :-1], S_BR, SB[:, -1],

@@ -27,6 +27,7 @@ transferred"; a region under in-flight I/O is never touched by compute
 
 from __future__ import annotations
 
+import contextlib
 import os
 import resource
 import time
@@ -68,7 +69,7 @@ class RunSummary:
     peak_resident_est: int = 0
     buffer_regions: int = 0
     seed: int = -1
-    # OpenBLAS threads each rank was capped to, 0 when none was set
+    # the OpenBLAS thread count every rank ran at
     blas_threads: int = 0
     # measured peak resident set (dist: the largest rank's), in bytes
     peak_rss_bytes: int = 0
@@ -174,8 +175,9 @@ def run_incore(paths, cfg=None):
 def run_ooc(paths, cfg=None):
     """Out-of-core engine: the streaming engine on one rank, in the
     calling thread."""
-    return stream(transport.Transport(0, 1, {}), paths, cfg or SolveConfig(),
-                  load_prepare, "ooc")
+    with _blas.rank_threads(1):
+        return stream(transport.Transport(0, 1, {}), paths,
+                      cfg or SolveConfig(), load_prepare, "ooc")
 
 
 def stream(t, paths, cfg, prepare, mode):
@@ -187,10 +189,10 @@ def stream(t, paths, cfg, prepare, mode):
     returns (ctx, whiten): the kernel context and the in-place whitening
     of a chunk. The budget, checked before anything is read, counts the
     8n^2/np covariance share, the covariates, the regions and the result
-    arrays of the chunk being solved. For the whole run numpy's OpenBLAS
-    runs at one thread, and np ranks split the host's cores
-    (_blas.rank_threads). Returns a RunSummary; rank 0's carries the
-    totals.
+    arrays of the chunk being solved. OpenBLAS runs at the thread count
+    the caller set before the ranks started (_blas.rank_threads). A failed
+    run removes the partial result file. Returns a RunSummary; rank 0's
+    carries the totals.
     """
     t_start = time.perf_counter()
     np_ = t.size
@@ -215,37 +217,39 @@ def stream(t, paths, cfg, prepare, mode):
                  "region(s)")
     in_bufs = [np.empty((n, loc), order="F") for _ in range(regions)]
     out_bufs = [np.empty((loc, rsz // 8)) for _ in range(regions)]
-    with _blas.rank_threads(np_) as blas_threads:
-        reader = fileio.BlockReader(paths.geno)
+    partial = partial_path(paths.out)
+    reader = fileio.BlockReader(paths.geno)
+    try:
+        ticket = reader.start(*chunks[0], in_bufs[0]) if chunks[0][1] else None
+        t0 = time.perf_counter()
+        ctx, whiten = prepare(t, paths)
+        t_prepare = time.perf_counter() - t0
+        if t.rank == 0:
+            writer = fileio.BlockWriter(partial, m, p, flags, create=True)
+        t.barrier()
+        if t.rank != 0:
+            writer = fileio.BlockWriter(partial, m, p, flags, create=False)
+
+        def solve(first, columns):
+            # whitened in the reader region, which the next load overwrites
+            return kernel.solve_whitened_block(
+                ctx, whiten(columns), first, emit_s_inv=cfg.emit_s_inv)
+
         try:
-            ticket = reader.start(*chunks[0], in_bufs[0]) if chunks[0][1] else None
-            t0 = time.perf_counter()
-            ctx, whiten = prepare(t, paths)
-            t_prepare = time.perf_counter() - t0
-            partial = partial_path(paths.out)
-            if t.rank == 0:
-                writer = fileio.BlockWriter(partial, m, p, flags, create=True)
-            t.barrier()
-            if t.rank != 0:
-                writer = fileio.BlockWriter(partial, m, p, flags, create=False)
-
-            def solve(first, columns):
-                # whitened in the reader region, which the next load overwrites
-                return kernel.solve_whitened_block(
-                    ctx, whiten(columns), first, emit_s_inv=cfg.emit_s_inv)
-
-            try:
-                t_compute, t_io_wait, block_cpu = sweep(
-                    reader, writer, chunks, in_bufs, ticket, solve, out_bufs)
-                # every rank's last store is done, and no rank restores a
-                # thread count while another one still sweeps
-                t.barrier()
-            finally:
-                writer.close()
+            t_compute, t_io_wait, block_cpu = sweep(
+                reader, writer, chunks, in_bufs, ticket, solve, out_bufs)
+            t.barrier()  # every rank's last store is done
         finally:
-            reader.close()
-    if t.rank == 0:
-        os.replace(partial, paths.out)
+            writer.close()
+        if t.rank == 0:
+            os.replace(partial, paths.out)
+    except BaseException:
+        if t.rank == 0:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(partial)
+        raise
+    finally:
+        reader.close()
     stats = t.allgather_obj((reader.bytes_read, writer.bytes_written,
                              peak_rss_bytes()))
     return RunSummary(
@@ -256,7 +260,7 @@ def stream(t, paths, cfg, prepare, mode):
         bytes_written=sum(s[1] for s in stats),
         peak_resident_est=need,
         buffer_regions=regions,
-        blas_threads=blas_threads,
+        blas_threads=_blas.threads(),
         peak_rss_bytes=max(s[2] for s in stats),
         block_cpu_times=block_cpu,
     )

@@ -21,6 +21,7 @@ import socket
 import struct
 import threading
 
+from . import _blas
 from .errors import ConfigError, SizeMismatch, TransportFailure
 
 _GONE = None  # queued behind a rank's last message once it has ended
@@ -177,7 +178,11 @@ class SocketTransport(Transport):
         if dst == self.rank:
             self._boxes[(dst, dst, channel)].put(data)
         else:
-            self._socks[dst].sendall(_frame(bytes([channel]) + data))
+            try:
+                self._socks[dst].sendall(_frame(bytes([channel]) + data))
+            except OSError as e:  # the peer has closed its end
+                raise TransportFailure(self.rank,
+                                       f"send to rank {dst}: {e}") from None
 
     def close(self):
         for sock in self._socks.values():
@@ -221,10 +226,18 @@ def run_spmd(size, fn, *args, transport="inproc"):
     if ranks raise, the first error that is not a TransportFailure is
     re-raised here, and a socket rank that exits without reporting raises
     TransportFailure(rank, "exited with code N"). A size below 1 raises
-    ConfigError before any rank starts.
+    ConfigError before any rank starts. OpenBLAS is capped for the size
+    before the ranks start, and restored once they are joined
+    (_blas.rank_threads).
     """
     if size < 1:
         raise ConfigError(f"need at least one rank, got {size}")
+    with _blas.rank_threads(size):
+        return _launch(size, fn, args, transport)
+
+
+def _launch(size, fn, args, transport):
+    """Start, join and collect the ranks of run_spmd."""
     if transport == "inproc":
         mailboxes = {(s, d, ch): queue.SimpleQueue()
                      for s in range(size) for d in range(size) for ch in (0, 1)}

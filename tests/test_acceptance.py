@@ -168,14 +168,18 @@ def test_criterion_04_linear_m_scaling(tmp_path_factory):
         return s.block_cpu_times
 
     one_run(16384, "warmup")
-    stream = []
-    for m in sizes:
-        samples = []
-        for rep in range(3 * (max(sizes) // m)):  # ~48 samples per size
-            samples += one_run(m, f"{m}_{rep}")
-        # contention only ever adds time, so a low quantile of the pooled
-        # per-block samples estimates the uncontended cost
-        stream.append(float(np.quantile(samples, 0.1)) * (m // 1024))
+    # the sizes take turns, so a slow phase of the host lands on all of
+    # them rather than on one: every round runs m = 4096, every second
+    # round 8192 and every fourth 16384, ~48 samples per size in all
+    samples = {m: [] for m in sizes}
+    rounds = 3 * max(sizes) // min(sizes)
+    for rep in range(rounds):
+        for m in sizes:
+            if rep % (m // min(sizes)) == 0:
+                samples[m] += one_run(m, f"{m}_{rep}")
+    # contention only ever adds time, so a low quantile of the pooled
+    # per-block samples estimates the uncontended cost
+    stream = [float(np.quantile(samples[m], 0.1)) * (m // 1024) for m in sizes]
     ratios = [stream[i + 1] / stream[i] for i in range(2)]
     ok = all(1.6 <= r <= 2.4 for r in ratios)
     _report(4, "linear m-scaling", ok,

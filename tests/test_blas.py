@@ -50,3 +50,9 @@ def test_calls_work_on_views_in_place():
     want = before.copy()
     want[1:7, 3:9] = np.tril(before[1:7, 3:9])
     assert np.array_equal(A, want)
+
+
+def test_a_missing_export_fails_with_one_line_naming_it():
+    with pytest.raises(ImportError, match="scipy_dnosuch_64_") as e:
+        _blas._bind("scipy_dnosuch_64_", "")
+    assert "\n" not in str(e.value)

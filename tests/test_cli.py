@@ -9,6 +9,7 @@ import gwasgls
 from gwasgls import distgrid, fileio
 from gwasgls.cli import main
 from gwasgls.errors import TransportFailure
+from gwasgls.pipeline import partial_path
 
 
 def _gen(tmp_path, n=100, m=500, p=4, seed=42):
@@ -157,6 +158,46 @@ class TestExitCodes:
         assert main(args) == 2
 
 
+class TestFailedRuns:
+    """A run whose genotype file ends early exits 3 with one error line,
+    and leaves neither <out> nor <out>.partial behind."""
+
+    @pytest.fixture()
+    def truncated(self, tmp_path):
+        # the last 100 of 400 markers cut off
+        d = _gen(tmp_path, n=50, m=400, p=3)
+        geno = f"{d}/genotypes.gwax"
+        os.truncate(geno, os.path.getsize(geno) - 100 * 50 * 8)
+        return d
+
+    @staticmethod
+    def _left_behind(out):
+        return [f for f in (out, partial_path(out)) if os.path.exists(f)]
+
+    def test_socket_ranks_exit_3(self, truncated, tmp_path):
+        # the rank whose read fails closes its sockets while its peer may
+        # be sending to it; the peer's broken pipe must not hide the cause
+        out = str(tmp_path / "o.gwab")
+        args = _solve_args(truncated, out, "dist", "--np", "2",
+                           "--transport", "socket", "--block-size", "64")
+        for _ in range(10):
+            r = subprocess.run([sys.executable, "-m", "gwasgls.cli", *args],
+                               capture_output=True, text=True, env=_child_env())
+            err = r.stderr.splitlines()
+            assert r.returncode == 3, r.stderr
+            assert len(err) == 1 and err[0].startswith("error code=3 "), err
+            assert self._left_behind(out) == []
+
+    @pytest.mark.parametrize("mode,extra", [("ooc", ()),
+                                            ("dist", ("--np", "2"))],
+                             ids=["ooc", "dist-inproc-np2"])
+    def test_no_partial_file_is_left(self, truncated, tmp_path, mode, extra):
+        out = str(tmp_path / "o.gwab")
+        assert main(_solve_args(truncated, out, mode, "--block-size", "64",
+                                *extra)) == 3
+        assert self._left_behind(out) == []
+
+
 class TestBench:
     def test_sweep_writes_records(self, tmp_path, capsys):
         report = str(tmp_path / "report.txt")
@@ -205,16 +246,19 @@ class TestBench:
         assert results == ["result_m40_s42_incore.gwab", "result_m40_s42_ooc.gwab"]
 
 
+def _child_env():
+    """This environment, with the package this process imports, installed
+    or not, first on a child's path."""
+    src = os.path.dirname(os.path.dirname(gwasgls.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_console_script_smoke(tmp_path):
     d = str(tmp_path / "data")
-    # the child imports the same package as this process, installed or not
-    src = os.path.dirname(os.path.dirname(gwasgls.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))
     r = subprocess.run(
         [sys.executable, "-m", "gwasgls.cli", "gen", "--n", "20", "--m", "10",
          "--p", "3", "--out", d],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert r.returncode == 0
     assert "gen n=20 m=10 p=3" in r.stdout

@@ -656,15 +656,25 @@ class TestRunDist:
         # each rank's BLAS gets max(1, cpu_count // np) threads when it
         # runs more; the record carries the largest rank's measured peak
         cap = max(1, os.cpu_count() // 2)
-        counts = [get() for get, _ in _blas._openblas_threads()]
+        count = _blas.threads()
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         s = run_spmd(2, run_dist, paths, SolveConfig(), transport="socket")[0]
-        assert s.blas_threads == (cap if any(c > cap for c in counts) else 0)
+        assert s.blas_threads == min(count, cap)
         assert s.peak_rss_bytes >= 8 * 100 * 100 // 2
+
+    def test_inproc_ranks_report_one_thread_cap(self, tmp_path,
+                                                seed42_dataset):
+        # the cap is set once, before the ranks start, so no rank's report
+        # depends on which rank reached the setter first
+        want = min(_blas.threads(), max(1, os.cpu_count() // 2))
+        paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
+        for _ in range(12):
+            summaries = run_spmd(2, run_dist, paths, SolveConfig())
+            assert [s.blas_threads for s in summaries] == [want, want]
 
     def test_inproc_ranks_leave_the_thread_count_as_found(self, tmp_path,
                                                           seed42_dataset):
-        before = [get() for get, _ in _blas._openblas_threads()]
+        before = _blas.threads()
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         run_spmd(2, run_dist, paths, SolveConfig())
-        assert [get() for get, _ in _blas._openblas_threads()] == before
+        assert _blas.threads() == before

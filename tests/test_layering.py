@@ -4,15 +4,17 @@ The intra-package imports form no cycle, so the layers stack one way
 (distgrid -> pipeline -> transport, fileio, kernel). No gwasgls module
 is imported inside a function: a lazy import runs, and may compile its
 source, inside the call that first reaches it, such as an engine's
-set-up. Only _blas reaches scipy's Cython BLAS and LAPACK pointers, and
-only _blas imports ctypes, so the BLAS calls and the OpenBLAS thread
-counts live in one module. The engines' own modules, distgrid and
-pipeline, import nothing from scipy: its f2py wrappers copy their
-operands and hold the GIL.
+set-up. Only _blas imports ctypes, so the BLAS calls and the OpenBLAS
+thread count live in one module. No module imports scipy, not even
+inside a function, and importing the command line loads none of it: a
+run has one BLAS, numpy's, and does not pay scipy's import.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -101,9 +103,13 @@ def test_intra_package_imports_form_no_cycle():
         visit(name)
 
 
-def test_only_blas_reaches_the_cython_pointers():
-    cython = {"scipy.linalg.cython_blas", "scipy.linalg.cython_lapack"}
-    assert {name for name, found in ABSOLUTE.items() if found & cython} == {"_blas"}
+def test_importing_the_cli_loads_no_scipy():
+    code = ("import sys, gwasgls.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_only_blas_imports_ctypes():
@@ -111,6 +117,6 @@ def test_only_blas_imports_ctypes():
             if any(m.split(".")[0] == "ctypes" for m in found)} == {"_blas"}
 
 
-@pytest.mark.parametrize("name", ["distgrid", "pipeline"])
+@pytest.mark.parametrize("name", sorted(MODULES))
 def test_engine_modules_import_nothing_from_scipy(name):
     assert sorted(m for m in ABSOLUTE[name] if m.split(".")[0] == "scipy") == []

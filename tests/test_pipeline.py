@@ -107,34 +107,36 @@ class TestEngines:
                 SolveConfig(m_blk=64))
         assert conftest.count_zero_copy_views(seen) == (8, 8)
 
-    @pytest.mark.skipif(_blas._NUMPY_THREADS is None,
-                        reason="numpy's BLAS exports no thread count")
-    @pytest.mark.parametrize("run", [
-        run_ooc, run_incore, lambda p, cfg: run_spmd(2, run_dist, p, cfg)],
+    @pytest.mark.parametrize("run,np_", [
+        (run_ooc, 1), (run_incore, 1),
+        (lambda p, cfg: run_spmd(2, run_dist, p, cfg)[0], 2)],
         ids=["ooc", "incore", "dist-np2"])
-    def test_sweep_holds_numpys_blas_at_one_thread(self, run, seed42_dataset,
-                                                   out_path, monkeypatch):
-        # numpy's build runs only `@`, and from the set-up's products to
-        # the last block's it runs them at one thread
-        get, _ = _blas._NUMPY_THREADS
-        before = get()
+    def test_sweep_runs_at_the_rank_cap(self, run, np_, seed42_dataset,
+                                        out_path, monkeypatch):
+        # one OpenBLAS runs `@` and every _blas routine, from the set-up's
+        # products to the last block's, at one count: the rank cap
+        # max(1, cpu_count // np), never raised
+        before = _blas.threads()
+        cap = max(1, (os.cpu_count() or 1) // np_)
         seen = {"prepare_whitened": [], "solve_whitened_block": []}
 
         def counted(name):
             call = getattr(kernel, name)
 
             def record(*args, **kwargs):
-                seen[name].append(get())
+                seen[name].append(_blas.threads())
                 return call(*args, **kwargs)
             return record
 
         for name in seen:
             monkeypatch.setattr(kernel, name, counted(name))
-        run(solve_paths(seed42_dataset, out_path("t.gwab")),
-            SolveConfig(m_blk=100))
-        assert all(counts and set(counts) == {1} for counts in seen.values()), seen
+        s = run(solve_paths(seed42_dataset, out_path("t.gwab")),
+                SolveConfig(m_blk=100))
+        assert all(counts and set(counts) == {min(before, cap)}
+                   for counts in seen.values()), seen
+        assert s.blas_threads == min(before, cap)
         # restored once the run is over
-        assert get() == before
+        assert _blas.threads() == before
 
     def test_degenerate_markers_flagged(self, degenerate_dataset, out_path):
         ds, (z, dup) = degenerate_dataset
