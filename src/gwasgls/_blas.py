@@ -1,7 +1,8 @@
 """In-place BLAS/LAPACK calls on strided float64 views, and the OpenBLAS
 thread count of a run. The one-rank engine factors and inverts the
 covariance and whitens every block through this module alone; the dist
-kernels factor, update and fold their panels through it.
+kernels factor, update and fold their panels, and whiten [XL | y],
+through it.
 
 A run has one BLAS: the scipy-openblas64 build that numpy bundles, which
 runs numpy's `@` and exports its BLAS and LAPACK routines as
@@ -158,15 +159,25 @@ def syrk(alpha, a, beta, c):
 
 def gemm_nt(alpha, a, b, beta, c):
     """c <- alpha a b^T + beta c."""
+    _gemm(b"T", alpha, a, b, beta, c)
+
+
+def gemm_nn(alpha, a, b, beta, c):
+    """c <- alpha a b + beta c."""
+    _gemm(b"N", alpha, a, b, beta, c)
+
+
+def _gemm(trans_b, alpha, a, b, beta, c):
     m, n = c.shape
     k = a.shape[1]
-    if a.shape[0] != m or b.shape != (n, k):
-        raise DimensionMismatch(f"gemm: {a.shape} times {b.shape}^T into {c.shape}")
+    op_b = b.T if trans_b == b"T" else b
+    if a.shape[0] != m or op_b.shape != (k, n):
+        raise DimensionMismatch(f"gemm: {a.shape} times {op_b.shape} into {c.shape}")
     pa, lda = _view(a)
     pb, ldb = _view(b)
     pc, ldc = _view(c, written=True)
     if m and n:
-        _dgemm(b"N", b"T", _i(m), _i(n), _i(k), _d(alpha), pa, _i(lda),
+        _dgemm(b"N", trans_b, _i(m), _i(n), _i(k), _d(alpha), pa, _i(lda),
                pb, _i(ldb), _d(beta), pc, _i(ldc))
 
 

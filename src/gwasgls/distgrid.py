@@ -2,10 +2,14 @@
 factor live element-cyclic on a 2D process grid, and marker blocks never
 leave the rank that read them. The engine is pipeline.stream; this module
 gives it the prepare of np > 1 ranks and the distributed kernels.
-dist_cholesky factors M in its shares, updating each in place; besides
-its share, a rank holds one (n - k) x nb column panel and its pieces. Each
-rank whitens its own chunk of every block, as full columns, in place
-against row panels of L replicated one at a time, so the sweep moves
+No rank holds the whole covariance: each reads its own share from the
+file (read_share), checking it against the mirror entries it also reads,
+with no message sent. dist_cholesky factors M in its shares, updating
+each in place, and whitens a replicated right-hand side such as [XL | y]
+with each panel as it is factored; besides its share, a rank holds one
+(n - k) x nb column panel and its pieces. Each rank whitens its own
+chunk of every block, as full columns, in place against row panels of L
+replicated one at a time, so the sweep moves
 panels of L and no genotype data. Each panel [L_k,:k | D_k] is folded
 with the inverse of its diagonal block into one GEMM's left operand, and
 the next panel is sent before that GEMM runs. A block is the ooc
@@ -33,9 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas, fileio, kernel, pipeline
-from .errors import ConfigError, DimensionMismatch
+from .errors import AsymmetricCovariance, ConfigError, DimensionMismatch
 
 DEFAULT_PANEL = 64
+# n-row columns of set-up scratch beside the share: the larger of
+# read_share's one n x DEFAULT_PANEL buffer and dist_cholesky's panel, the
+# pieces of its exchange and the strided copies its update reads, which
+# tests hold to four n x DEFAULT_PANEL
+SETUP_COLS = 4 * DEFAULT_PANEL
 
 
 @dataclass(frozen=True)
@@ -124,8 +133,56 @@ def _from_bytes(raw, shape):
     return np.frombuffer(raw, dtype=np.float64).reshape(shape, order="F")
 
 
+def read_share(path, grid, rank):
+    """This rank's element-cyclic share of the GWAM covariance at path,
+    read straight from the file with no message sent; returns (share,
+    payload bytes read). Raises AsymmetricCovariance, as
+    fileio.read_matrix does, for a non-finite entry of the share or an
+    entry that differs from its mirror.
+
+    The rank reads every column that holds its share (j = pcol mod c) or
+    the mirror of a share row (i = prow mod r), in runs of at most
+    DEFAULT_PANEL consecutive columns through one buffer, and keeps rows
+    prow::r of its share columns. Each mirror column i is compared, as it
+    arrives, with share row i over the share columns read so far, those
+    before the run's end; those include every j < i, so each pair (i, j),
+    i > j, of the matrix is compared by the rank that owns (i, j).
+    """
+    prow, pcol = grid.coord(rank)
+    with fileio.CovarianceReader(path) as f:
+        n = f.n
+        D = DistMatrix2D.empty(n, n, grid, rank)
+        buf = np.empty((n, min(DEFAULT_PANEL, n)), order="F")
+        for c0, c1 in _share_runs(n, grid, prow, pcol):
+            cols = f.read(c0, buf[:, :c1 - c0])
+            lc, wc = _span(c0, c1, pcol, grid.c)
+            D.local[:, lc] = cols[prow::grid.r, wc]
+            if not np.isfinite(D.local[:, lc]).all():
+                raise AsymmetricCovariance("covariance file has non-finite entries")
+            lm, wm = _span(c0, c1, prow, grid.r)
+            if not np.array_equal(D.local[lm, :lc.stop],
+                                  cols[pcol::grid.c, wm][:lc.stop].T):
+                raise AsymmetricCovariance("covariance file is not exactly symmetric")
+    return D, f.bytes_read
+
+
+def _share_runs(n, grid, prow, pcol):
+    """[(c0, c1), ...]: runs of at most DEFAULT_PANEL consecutive columns,
+    in order, that cover the columns j = pcol (mod c) and i = prow (mod r)
+    of an order-n matrix and no other column."""
+    runs = []
+    for j in sorted(set(range(pcol, n, grid.c)) | set(range(prow, n, grid.r))):
+        if runs and runs[-1][1] == j and j - runs[-1][0] < DEFAULT_PANEL:
+            runs[-1][1] = j + 1
+        else:
+            runs.append([j, j + 1])
+    return runs
+
+
 def scatter_matrix(A, grid, t):
     """Distribute a rank-0 global matrix to element-cyclic 2D ownership.
+    The engine reads its shares from the file instead (read_share); this
+    and gather_matrix are the tests' reference for the layout.
 
     Rank 0 sends each rank its share, the strided slice A[prow::r, pcol::c],
     as one message and keeps its own; nothing else moves.
@@ -226,14 +283,19 @@ def _replicate_finish(D, t, pending):
     return out
 
 
-def dist_cholesky(M, t, nb=DEFAULT_PANEL):
+def dist_cholesky(M, t, nb=DEFAULT_PANEL, B=None):
     """Blocked right-looking Cholesky on the 2D-distributed matrix; it
-    overwrites M with its lower factor L and returns M.
+    overwrites M with its lower factor L and returns M. Given B, an n x k
+    Fortran-ordered float64 array replicated on every rank, it also
+    overwrites B with L^-1 B.
 
     Each step replicates the column panel [k:n, k:k+nb] on every rank in
     one exchange and factors it there in place by kernel.factor_panel
     (small redundant factorizations); the trailing update is one GEMM
-    into the owned entries, in place. Each panel of L overwrites the
+    into the owned entries, in place. With the factored panel [L_kk; L21]
+    at hand, every rank takes the same forward-substitution step on its
+    copy of B, B[k:k+kb] = L_kk^-1 B[k:k+kb] (trsm) and B[k+kb:] -= L21
+    B[k:k+kb] (GEMM), so B moves no byte. Each panel of L overwrites the
     entries of M it came from, and the strict-upper entries above its
     diagonal block, which nothing reads again, are zeroed. Besides its
     share, a rank holds the panel, the pieces of its exchange, and a
@@ -242,12 +304,18 @@ def dist_cholesky(M, t, nb=DEFAULT_PANEL):
     n = M.gr
     if M.gr != M.gc:
         raise DimensionMismatch("dist_cholesky needs a square matrix")
+    if B is not None and B.shape[0] != n:
+        raise DimensionMismatch(f"dist_cholesky: B has {B.shape[0]} rows, "
+                                f"the matrix {n}")
     for k in range(0, n, nb):
         kb = min(nb, n - k)
         panel = _replicate_finish(M, t, _replicate_start(M, t, k, n, k, k + kb))
         kernel.check_covariance(panel[:kb], k)
         kernel.factor_panel(panel, k)
         _blas.zero_strict_upper(panel[:kb])
+        if B is not None:
+            _blas.trsm("L", "N", panel[:kb], B[k:k + kb])
+            _blas.gemm_nn(-1.0, panel[kb:], B[k:k + kb], 1.0, B[k + kb:])
         local, at = _window(M, t.rank, k, n, k, k + kb)
         M.local[local] = panel[at]
         (lr, lc), _ = _window(M, t.rank, 0, k, k, k + kb)
@@ -310,26 +378,30 @@ def _fold_diagonal(panel, k):
 
 
 def prepare(t, paths):
-    """The prepare of np > 1 ranks: scatter the covariance from rank 0,
-    factor it on the grid, and whiten [XL | y], all of it on every rank
-    (the small products are redundant by design). Returns (ctx, whiten),
-    where whiten(columns) is dist_trsolve of a rank's own columns."""
-    M = fileio.read_matrix(paths.cov, "GWAM") if t.rank == 0 else None
-    Ld = scatter_matrix(M, grid_create(t.size), t)
-    del M
-    dist_cholesky(Ld, t)
+    """The prepare of np > 1 ranks, one pass over the covariance: each
+    rank reads and checks its own share (read_share), and the grid
+    factors it while every rank whitens its copy of [XL | y] with each
+    panel (dist_cholesky's B; the small products are redundant by
+    design). The only messages are dist_cholesky's panels. Returns (ctx,
+    whiten, bytes read), where whiten(columns) is dist_trsolve of a
+    rank's own columns."""
+    Ld, nbytes = read_share(paths.cov, grid_create(t.size), t.rank)
     XLy = fileio.read_covariates_and_phenotype(paths.covariates, paths.pheno)
-    ctx = kernel.prepare_whitened(np.empty((Ld.gr, 0)), dist_trsolve(Ld, XLy, t))
-    return ctx, lambda columns: dist_trsolve(Ld, columns, t)
+    dist_cholesky(Ld, t, B=XLy)
+    ctx = kernel.prepare_whitened(np.empty((Ld.gr, 0)), XLy)
+    return (ctx, lambda columns: dist_trsolve(Ld, columns, t),
+            nbytes + XLy.nbytes)
 
 
 def run_dist(t, paths, cfg=None):
     """SPMD body of the distributed engine; call on every rank via
     transport.run_spmd. Returns a RunSummary (rank 0 carries the totals).
     cfg.m_blk defaults to pipeline.DEFAULT_M_BLK // np * np. It is
-    pipeline.stream with this module's prepare; on one rank it is the ooc
-    engine, whose result file it writes byte for byte.
+    pipeline.stream with this module's prepare and SETUP_COLS of set-up
+    scratch; on one rank it is the ooc engine, whose result file it
+    writes byte for byte.
     """
-    return pipeline.stream(t, paths, cfg or pipeline.SolveConfig(),
-                           pipeline.load_prepare if t.size == 1 else prepare,
-                           "dist")
+    cfg = cfg or pipeline.SolveConfig()
+    if t.size == 1:
+        return pipeline.stream(t, paths, cfg, pipeline.load_prepare, "dist")
+    return pipeline.stream(t, paths, cfg, prepare, "dist", setup_cols=SETUP_COLS)

@@ -195,6 +195,46 @@ def read_dims(path, kind):
         return read_header(f, kind)
 
 
+class CovarianceReader:
+    """Runs of whole columns of a GWAM covariance file, each read straight
+    into a buffer the caller owns. `n` is the order of the matrix and
+    `bytes_read` the payload bytes read so far. A context manager; leaving
+    it closes the file."""
+
+    def __init__(self, path):
+        self._f = open(path, "rb")
+        try:
+            (self.n,) = read_header(self._f, "GWAM")
+        except BaseException:
+            self._f.close()
+            raise
+        self.bytes_read = 0
+
+    def read(self, first, out):
+        """Read columns [first, first + k) into out (n x k, Fortran-ordered
+        float64) with one readinto, and return out."""
+        k = out.shape[1]
+        if out.shape[0] != self.n or first < 0 or first + k > self.n:
+            raise DimensionMismatch(f"columns [{first}, {first + k}) of an "
+                                    f"order-{self.n} covariance into {out.shape}")
+        # reshaping anything else would read into a silent copy
+        if out.dtype != F64 or not out.flags.f_contiguous:
+            raise DimensionMismatch("buffer must be Fortran-ordered float64")
+        self._f.seek(header_size("GWAM") + 8 * self.n * first)
+        _read_into(self._f, out.reshape(-1, order="F"))
+        self.bytes_read += out.nbytes
+        return out
+
+    def close(self):
+        self._f.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
 @dataclass
 class IoTicket:
     future: object

@@ -4,10 +4,10 @@ transfers overlap compute, on any number of ranks.
 `stream` is the one engine of every mode. Where the covariance lives is
 its one parameter, a prepare step: on one rank (`load_prepare`) it is
 read whole and turned into L^-1 in its own memory; on several ranks
-(`distgrid.prepare`) it is distributed on a process grid. The ooc engine
-is `stream` on a one-rank transport in the calling thread, the in-core
-engine is the ooc engine at m_blk = m, and the dist engine is `stream`
-on np ranks, so dist at np=1 is the ooc engine.
+(`distgrid.prepare`) each rank reads its own share of it, on a process
+grid. The ooc engine is `stream` on a one-rank transport in the calling
+thread, the in-core engine is the ooc engine at m_blk = m, and the dist
+engine is `stream` on np ranks, so dist at np=1 is the ooc engine.
 
 `sweep` is its block loop:
 
@@ -151,12 +151,14 @@ def load_prepare(t, paths):
     """The one-rank prepare: read the covariance, covariates and
     phenotype and prepare the context in their memory. The covariance
     becomes L^-1 and the others their whitened values, so no n x n copy is
-    made. Returns (ctx, whiten), where whiten(columns) multiplies a block
-    by L^-1 in place. t is unused: one rank holds all of M."""
+    made. Returns (ctx, whiten, bytes read), where whiten(columns)
+    multiplies a block by L^-1 in place. t is unused: one rank holds all
+    of M."""
     M = fileio.read_matrix(paths.cov, "GWAM")
     XLy = fileio.read_covariates_and_phenotype(paths.covariates, paths.pheno)
+    nbytes = M.nbytes + XLy.nbytes
     ctx = kernel.prepare_in_place(M, XLy)
-    return ctx, lambda columns: kernel.whiten(ctx.Linv, columns)
+    return ctx, lambda columns: kernel.whiten(ctx.Linv, columns), nbytes
 
 
 def run_incore(paths, cfg=None):
@@ -180,19 +182,26 @@ def run_ooc(paths, cfg=None):
                       cfg or SolveConfig(), load_prepare, "ooc")
 
 
-def stream(t, paths, cfg, prepare, mode):
+def stream(t, paths, cfg, prepare, mode, setup_cols=0):
     """The streaming engine, run on every rank of transport t.
 
     Each rank reads its own contiguous chunk of every block of m_blk
     markers into one of its buffer regions (two, or one when a single
     block covers m), and the first chunk loads while prepare(t, paths)
-    returns (ctx, whiten): the kernel context and the in-place whitening
-    of a chunk. The budget, checked before anything is read, counts the
-    8n^2/np covariance share, the covariates, the regions and the result
-    arrays of the chunk being solved. OpenBLAS runs at the thread count
-    the caller set before the ranks started (_blas.rank_threads). A failed
-    run removes the partial result file. Returns a RunSummary; rank 0's
-    carries the totals.
+    returns (ctx, whiten, bytes read): the kernel context, the in-place
+    whitening of a chunk and the payload bytes prepare read. The budget,
+    checked before anything is read, counts the 8n^2/np covariance share,
+    the covariates, the regions, the result arrays of the chunk being
+    solved and setup_cols n-row columns of scratch that prepare holds
+    beside the share (0 for load_prepare, which works in the memory of
+    M):
+
+        8n^2/np + 8np + regions (8 n loc + loc rsz) + loc rsz + 8 n setup_cols
+
+    OpenBLAS runs at the thread count the caller set before the ranks
+    started (_blas.rank_threads). A failed run removes the partial result
+    file. Returns a RunSummary; rank 0's carries the totals, and its
+    bytes_read is what the ranks read, summed.
     """
     t_start = time.perf_counter()
     np_ = t.size
@@ -212,9 +221,9 @@ def stream(t, paths, cfg, prepare, mode):
     rsz = fileio.record_size(p, flags)
     regions = min(2, len(chunks))
     need = (8 * n * n // np_ + 8 * n * p + regions * (8 * n * loc + loc * rsz)
-            + loc * rsz)
-    check_budget(need, f"covariance share, covariates and {regions} buffer "
-                 "region(s)")
+            + loc * rsz + 8 * n * setup_cols)
+    check_budget(need, f"covariance share, covariates, {regions} buffer "
+                 "region(s) and set-up scratch")
     in_bufs = [np.empty((n, loc), order="F") for _ in range(regions)]
     out_bufs = [np.empty((loc, rsz // 8)) for _ in range(regions)]
     partial = partial_path(paths.out)
@@ -222,7 +231,7 @@ def stream(t, paths, cfg, prepare, mode):
     try:
         ticket = reader.start(*chunks[0], in_bufs[0]) if chunks[0][1] else None
         t0 = time.perf_counter()
-        ctx, whiten = prepare(t, paths)
+        ctx, whiten, prepare_bytes = prepare(t, paths)
         t_prepare = time.perf_counter() - t0
         if t.rank == 0:
             writer = fileio.BlockWriter(partial, m, p, flags, create=True)
@@ -250,13 +259,13 @@ def stream(t, paths, cfg, prepare, mode):
         raise
     finally:
         reader.close()
-    stats = t.allgather_obj((reader.bytes_read, writer.bytes_written,
-                             peak_rss_bytes()))
+    stats = t.allgather_obj((reader.bytes_read + prepare_bytes,
+                             writer.bytes_written, peak_rss_bytes()))
     return RunSummary(
         mode=mode, n=n, m=m, p=p, m_blk=m_blk, np_=np_,
         t_prepare=t_prepare, t_compute=t_compute, t_io_wait=t_io_wait,
         t_total=time.perf_counter() - t_start,
-        bytes_read=sum(s[0] for s in stats) + 8 * n * n,
+        bytes_read=sum(s[0] for s in stats),
         bytes_written=sum(s[1] for s in stats),
         peak_resident_est=need,
         buffer_regions=regions,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -187,6 +188,39 @@ class TestFailedRuns:
             assert r.returncode == 3, r.stderr
             assert len(err) == 1 and err[0].startswith("error code=3 "), err
             assert self._left_behind(out) == []
+
+    # a failed run of these sizes ends in about a second; a hang would not
+    DEADLINE_S = 30.0
+
+    @pytest.mark.parametrize("np_", [2, 4])
+    @pytest.mark.parametrize("bad", ["asymmetric", "non-finite"])
+    def test_bad_covariance_on_one_rank_exits_3(self, tmp_path, np_, bad):
+        # the entry (99, 1), or the diagonal entry 99, lies in the share of
+        # the last rank of the 1x2 and the 2x2 grid, and only that rank
+        # compares it with its mirror; the other ranks are waiting on its
+        # first Cholesky panel when it fails
+        d = _gen(tmp_path, n=100, m=40, p=3)
+        cov = f"{d}/covariance.gwam"
+        M = fileio.read_matrix(cov, "GWAM")
+        if bad == "asymmetric":
+            M[99, 1] += 1.0
+        else:
+            M[99, 99] = np.nan
+        fileio.write_matrix(cov, "GWAM", M)
+        out = str(tmp_path / "o.gwab")
+        args = _solve_args(d, out, "dist", "--np", str(np_),
+                           "--transport", "socket")
+        start = time.monotonic()
+        r = subprocess.run([sys.executable, "-m", "gwasgls.cli", *args],
+                           capture_output=True, text=True, env=_child_env(),
+                           timeout=4 * self.DEADLINE_S)
+        assert time.monotonic() - start < self.DEADLINE_S
+        err = r.stderr.splitlines()
+        assert r.returncode == 3, r.stderr
+        assert len(err) == 1 and err[0].startswith("error code=3 "), err
+        assert ("not exactly symmetric" if bad == "asymmetric"
+                else "non-finite") in err[0]
+        assert self._left_behind(out) == []
 
     @pytest.mark.parametrize("mode,extra", [("ooc", ()),
                                             ("dist", ("--np", "2"))],

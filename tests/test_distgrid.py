@@ -28,6 +28,7 @@ from gwasgls.distgrid import (
     scatter_matrix,
 )
 from gwasgls.errors import (
+    AsymmetricCovariance,
     ConfigError,
     DimensionMismatch,
     NotPositiveDefinite,
@@ -201,6 +202,96 @@ class TestWindow:
         assert owns_nothing > 0 if np_ > 1 else owns_nothing == 0
 
 
+def _share_columns(n, grid, rank):
+    """The columns a rank reads: those of its share and of its mirror."""
+    prow, pcol = grid.coord(rank)
+    return set(range(pcol, n, grid.c)) | set(range(prow, n, grid.r))
+
+
+def _lower_pair(n, grid, off):
+    """(rank, (i, j)): the last rank with an entry (i, j), i > j, of its
+    share, and that entry; with off, one whose mirror (j, i) the rank does
+    not own (on a square grid only the off-diagonal ranks have one)."""
+    for rank in reversed(range(grid.np_)):
+        prow, pcol = grid.coord(rank)
+        for i in range(prow, n, grid.r):
+            for j in range(pcol, i, grid.c):
+                if not off or (j % grid.r, i % grid.c) != (prow, pcol):
+                    return rank, (i, j)
+    raise AssertionError("no such entry")
+
+
+class TestShareRead:
+    @pytest.mark.parametrize("np_", [1, 2, 4, 6])  # grids 1x1, 1x2, 2x2, 2x3
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 150])
+    def test_equals_the_scattered_share(self, tmp_path, np_, n):
+        # bitwise, Fortran-ordered, from whole-column runs (150 > one run of
+        # DEFAULT_PANEL columns); n < np leaves ranks with no rows or columns
+        M = make_spd(n, seed=n)
+        path = str(tmp_path / "m.gwam")
+        fileio.write_matrix(path, "GWAM", M)
+
+        def body(t):
+            grid = grid_create(t.size)
+            D = scatter_matrix(M if t.rank == 0 else None, grid, t)
+            S, nbytes = distgrid.read_share(path, grid, t.rank)
+            return (np.array_equal(S.local, D.local) and S.local.flags.f_contiguous,
+                    nbytes == 8 * n * len(_share_columns(n, grid, t.rank)))
+
+        assert run_spmd(np_, body) == [(True, True)] * np_
+
+    CASES = [(np_, bad, off) for np_ in (1, 2, 4, 6)
+             for bad in ("pair", "nan", "inf") for off in (False, True)
+             if np_ > 1 or not off]
+
+    @pytest.mark.parametrize("np_,bad,off", CASES)
+    def test_refuses_a_bad_entry_on_or_off_its_share(self, tmp_path, np_, bad,
+                                                     off):
+        # "on" writes at an entry (i, j) of the reading rank's share, i > j
+        # (inf at its mirror too, so only the finiteness check can see it),
+        # "off" writes only at the mirror (j, i), which another rank owns
+        n = 23
+        grid = grid_create(np_)
+        rank, (i, j) = _lower_pair(n, grid, off)
+        M = make_spd(n, seed=5)
+        value = {"pair": M[i, j] * (1 + 2 ** -40), "nan": np.nan,
+                 "inf": np.inf}[bad]
+        if off:
+            M[j, i] = value
+        else:
+            M[i, j] = value
+            if bad == "inf":
+                M[j, i] = value
+        path = str(tmp_path / "m.gwam")
+        fileio.write_matrix(path, "GWAM", M)
+        with pytest.raises(AsymmetricCovariance):
+            distgrid.read_share(path, grid, rank)
+
+    @pytest.mark.parametrize("np_", [2, 4, 6])
+    def test_every_changed_entry_is_seen_by_some_rank(self, tmp_path, np_):
+        # each pair (i, j) is compared by at least one rank, whichever of its
+        # two entries differs
+        n = 9
+        grid = grid_create(np_)
+        M = make_spd(n, seed=6)
+        path = str(tmp_path / "m.gwam")
+        missed = []
+        for i, j in itertools.product(range(n), repeat=2):
+            if i == j:
+                continue
+            bad = M.copy()
+            bad[i, j] += 1.0
+            fileio.write_matrix(path, "GWAM", bad)
+            seen = 0
+            for rank in range(np_):
+                try:
+                    distgrid.read_share(path, grid, rank)
+                except AsymmetricCovariance:
+                    seen += 1
+            missed += [(i, j)] if not seen else []
+        assert missed == []
+
+
 class TestDistKernels:
     @pytest.mark.parametrize("np_", [1, 4, 6])
     @pytest.mark.parametrize("n", [16, 96])
@@ -289,12 +380,14 @@ class TestDistKernels:
     @pytest.mark.parametrize("np_", [2, 4, 6])
     def test_dist_cholesky_one_exchange_per_panel(self, np_):
         # each step sends every peer this rank's entries of the column
-        # panel [k:n, k:k+kb] in one message, and nothing else
+        # panel [k:n, k:k+kb] in one message, and nothing else; whitening a
+        # replicated B on the way adds no message and no byte
         n, nb = 100, 16
         M = make_spd(n, seed=8)
 
-        def body(t):
+        def body(t, with_b):
             D = scatter_matrix(M if t.rank == 0 else None, grid_create(t.size), t)
+            B = np.ones((n, 5), order="F") if with_b else None
             sizes = []
             send = t.send
 
@@ -303,13 +396,45 @@ class TestDistKernels:
                 return send(dst, data, *args, **kwargs)
 
             t.send = logged_send
-            dist_cholesky(D, t, nb=nb)
+            dist_cholesky(D, t, nb=nb, B=B)
             return sizes
 
-        sizes = [size for log in run_spmd(np_, body) for size in log]
         panels = sum((n - k) * min(nb, n - k) for k in range(0, n, nb))
-        assert len(sizes) == np_ * (np_ - 1) * math.ceil(n / nb)
-        assert sum(sizes) == 8 * (np_ - 1) * panels
+        for with_b in (False, True):
+            sizes = [size for log in run_spmd(np_, body, with_b) for size in log]
+            assert len(sizes) == np_ * (np_ - 1) * math.ceil(n / nb)
+            assert sum(sizes) == 8 * (np_ - 1) * panels
+
+    @pytest.mark.parametrize("np_", [1, 2, 4])
+    @pytest.mark.parametrize("n,nb", [
+        (20, 32),  # nb > n: one panel
+        (48, 16),  # n a multiple of nb
+        (49, 16),  # a last panel of one row
+    ])
+    def test_dist_cholesky_whitens_b(self, np_, n, nb):
+        # B = L^-1 B on every rank, the same bits on each
+        M = make_spd(n, seed=15)
+        B = np.random.default_rng(16).standard_normal((n, 5))
+
+        def body(t):
+            D = scatter_matrix(M if t.rank == 0 else None, grid_create(t.size), t)
+            X = np.array(B, order="F")
+            dist_cholesky(D, t, nb=nb, B=X)
+            return X
+
+        parts = run_spmd(np_, body)
+        Xref = kernel.trsolve_lower(kernel.cholesky_spd(M), B)
+        assert np.max(np.abs(parts[0] - Xref)) <= 1e-10 * np.max(np.abs(Xref))
+        assert all(np.array_equal(X, parts[0]) for X in parts)
+
+    def test_dist_cholesky_rejects_b_of_other_rows(self):
+        def body(t):
+            D = scatter_matrix(np.eye(6), grid_create(1), t)
+            with pytest.raises(DimensionMismatch):
+                dist_cholesky(D, t, B=np.ones((5, 2), order="F"))
+            return True
+
+        assert run_spmd(1, body) == [True]
 
     @pytest.mark.parametrize("np_", [2, 4])
     def test_dist_cholesky_holds_its_panels_beside_the_shares(self, np_):
@@ -562,8 +687,8 @@ class TestRunDist:
 
     @pytest.mark.parametrize("np_", [2, 3])
     def test_default_block_is_the_ooc_block(self, tmp_path, monkeypatch, np_):
-        # L is replicated once per dist_trsolve: once for [XL | y], then
-        # once per block
+        # L is replicated once per dist_trsolve, once per block; [XL | y]
+        # is whitened inside dist_cholesky
         ds = self._dataset(tmp_path, n=16, m=6000, p=3, seed=4)
         calls = Counter()
         real = distgrid.dist_trsolve
@@ -576,14 +701,16 @@ class TestRunDist:
         paths = solve_paths(ds, str(tmp_path / "d.gwab"))
         summary = run_spmd(np_, run_dist, paths, SolveConfig())[0]
         assert summary.m_blk == DEFAULT_M_BLK // np_ * np_
-        assert calls == {r: 1 + math.ceil(6000 / summary.m_blk) for r in range(np_)}
+        assert calls == {r: math.ceil(6000 / summary.m_blk) for r in range(np_)}
 
     # n=100, m=500, p=4 on 2 ranks: one 500-marker block, so one region
     # per rank, a 100 x 250 reader buffer with 250 staged 32-byte records;
     # the block being solved holds 250 more records of results, and the
-    # rank its half of the covariance and all of the covariates
+    # rank its half of the covariance, all of the covariates and the
+    # set-up scratch of SETUP_COLS columns of 100 rows
     ONE_BLOCK_NEED = (8 * 100 * 100 // 2 + 8 * 100 * 4
-                      + (8 * 100 * 250 + 250 * 32) + 250 * 32)
+                      + (8 * 100 * 250 + 250 * 32) + 250 * 32
+                      + 8 * 100 * distgrid.SETUP_COLS)
 
     def test_reader_buffers_within_budget(self, tmp_path, seed42_dataset,
                                           monkeypatch):
@@ -599,16 +726,107 @@ class TestRunDist:
                                                  monkeypatch):
         # n=100, m_blk=64, p=4 on 2 ranks: two regions of a 100 x 32 reader
         # buffer and 32 staged 32-byte records, the 32 result records of the
-        # chunk being solved, half of the 8n^2 covariance and the covariates
+        # chunk being solved, half of the 8n^2 covariance, the covariates
+        # and the set-up scratch
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         need = (8 * 100 * 100 // 2 + 8 * 100 * 4
-                + 2 * (8 * 100 * 32 + 32 * 32) + 32 * 32)
+                + 2 * (8 * 100 * 32 + 32 * 32) + 32 * 32
+                + 8 * 100 * distgrid.SETUP_COLS)
         monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", str(need - 1))
         with pytest.raises(ConfigError):
             run_spmd(2, run_dist, paths, SolveConfig(m_blk=64))
         monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", str(need))
         s = run_spmd(2, run_dist, paths, SolveConfig(m_blk=64))[0]
         assert (s.peak_resident_est, s.buffer_regions) == (need, 2)
+
+    @pytest.mark.parametrize("np_", [2, 4, 6])
+    def test_set_up_sends_only_the_cholesky_panels(self, tmp_path,
+                                                   seed42_dataset,
+                                                   monkeypatch, np_):
+        # no rank reads all of M and nothing is scattered: until prepare
+        # returns, the ranks send dist_cholesky's panels and nothing else
+        n, nb = 100, 16
+        ref = solve_paths(seed42_dataset, str(tmp_path / "ref.gwab"))
+        run_ooc(ref, SolveConfig())
+        for name in ("read_matrix", "scatter_matrix"):
+            module = fileio if name == "read_matrix" else distgrid
+
+            def refuse(*args, name=name):
+                raise AssertionError(f"prepare called {name}")
+
+            monkeypatch.setattr(module, name, refuse)
+        cholesky, prepare = distgrid.dist_cholesky, distgrid.prepare
+        monkeypatch.setattr(distgrid, "dist_cholesky",
+                            lambda M, t, B=None: cholesky(M, t, nb, B))
+        sizes = {}
+
+        def logged_prepare(t, paths):
+            log = sizes[t.rank] = []
+            send = t.send
+
+            def logged_send(dst, data, *args, **kwargs):
+                log.append(len(data))
+                return send(dst, data, *args, **kwargs)
+
+            t.send = logged_send
+            try:
+                return prepare(t, paths)
+            finally:
+                t.send = send
+
+        monkeypatch.setattr(distgrid, "prepare", logged_prepare)
+        out = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
+        run_spmd(np_, run_dist, out, SolveConfig())
+        sent = [size for log in sizes.values() for size in log]
+        panels = sum((n - k) * min(nb, n - k) for k in range(0, n, nb))
+        assert len(sent) == np_ * (np_ - 1) * math.ceil(n / nb)
+        assert sum(sent) == 8 * (np_ - 1) * panels
+        monkeypatch.undo()
+        assert compare_results(ref.out, out.out, 1e-12).within
+
+    @pytest.mark.parametrize("np_", [1, 2, 4])
+    def test_bytes_read_is_what_the_ranks_read(self, tmp_path, seed42_dataset,
+                                               np_):
+        # genotypes once over all ranks; each rank its covariates and
+        # phenotype and the whole columns of its share and mirror, which at
+        # np=1 is the covariance once
+        n, m, p = 100, 500, 4
+        paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
+        s = run_spmd(np_, run_dist, paths, SolveConfig(m_blk=100))[0]
+        grid = grid_create(np_)
+        columns = sum(len(_share_columns(n, grid, rank)) for rank in range(np_))
+        assert s.bytes_read == 8 * (n * m + n * columns + np_ * n * p)
+        if np_ == 1:
+            assert s.bytes_read == 8 * (n * m + n * n + n * p)
+            ooc = solve_paths(seed42_dataset, str(tmp_path / "o.gwab"))
+            assert run_ooc(ooc, SolveConfig(m_blk=100)).bytes_read == s.bytes_read
+
+    def test_set_up_peak_within_the_ranks_estimates(self, tmp_path,
+                                                     monkeypatch):
+        # both inproc ranks trace into one process: its peak up to the end
+        # of the later prepare is the ranks' set-up, shares, panels and read
+        # buffers included, and stays at or below their two estimates;
+        # without the set-up scratch it would not
+        ds = self._dataset(tmp_path, n=600, m=256, p=4, seed=3)
+        prepare = distgrid.prepare
+        peaks = []
+
+        def traced_prepare(t, paths):
+            out = prepare(t, paths)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(distgrid, "prepare", traced_prepare)
+        paths = solve_paths(ds, str(tmp_path / "d.gwab"))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            summaries = run_spmd(2, run_dist, paths, SolveConfig(m_blk=128))
+        finally:
+            tracemalloc.stop()
+        need = sum(s.peak_resident_est for s in summaries)
+        assert max(peaks) - base <= need
+        assert max(peaks) - base > need - 2 * 8 * 600 * distgrid.SETUP_COLS
 
     def test_zero_copy_views(self, tmp_path, seed42_dataset, monkeypatch):
         seen = record_block_views(monkeypatch)
