@@ -1,8 +1,8 @@
 """In-place BLAS/LAPACK calls on strided float64 views, and the OpenBLAS
 thread count of a run. The one-rank engine factors and inverts the
 covariance and whitens every block through this module alone; the dist
-kernels factor, update and fold their panels, and whiten [XL | y],
-through it.
+kernels factor and update their panels, and whiten blocks and
+[XL | y] with them, through it.
 
 A run has one BLAS: the scipy-openblas64 build that numpy bundles, which
 runs numpy's `@` and exports its BLAS and LAPACK routines as

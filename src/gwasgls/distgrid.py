@@ -8,17 +8,18 @@ with no message sent. dist_cholesky factors M in its shares, updating
 each in place, and whitens a replicated right-hand side such as [XL | y]
 with each panel as it is factored; besides its share, a rank holds one
 (n - k) x nb column panel and its pieces. Each rank whitens its own
-chunk of every block, as full columns, in place against row panels of L
-replicated one at a time, so the sweep moves
-panels of L and no genotype data. Each panel [L_k,:k | D_k] is folded
-with the inverse of its diagonal block into one GEMM's left operand, and
-the next panel is sent before that GEMM runs. A block is the ooc
-engine's, split evenly across ranks, so each replication of L is paid
-once per wide block. A rank's entries of any window are a slice of its
-local array that lands in a strided slice of the window, so every layout
-change, and every panel, moves by slicing, with no index arrays. Shares,
-panels and the bytes of every message are column-major, the layout
-_blas works in.
+chunk of every block, as full columns, in place by a right-looking
+forward substitution over the column panels of L, replicated one at a
+time, so the sweep moves panels of L and no genotype data. Each panel
+step (_substitute, which dist_cholesky's whitening takes too) is a
+triangular multiply by the inverse of the panel's diagonal block and
+one rank-nb GEMM below it, and the next panel is sent before the step
+runs. A block is the ooc engine's, split evenly across ranks, so each
+replication of L is paid once per wide block. A rank's entries of any
+window are a slice of its local array that lands in a strided slice of
+the window, so every layout change, and every panel, moves by slicing,
+with no index arrays. Shares, panels and the bytes of every message
+are column-major, the layout _blas works in.
 
 Index maps:
     2D: element (i, j) is owned by grid process (i mod r, j mod c) at
@@ -291,15 +292,16 @@ def dist_cholesky(M, t, nb=DEFAULT_PANEL, B=None):
 
     Each step replicates the column panel [k:n, k:k+nb] on every rank in
     one exchange and factors it there in place by kernel.factor_panel
-    (small redundant factorizations); the trailing update is one GEMM
-    into the owned entries, in place. With the factored panel [L_kk; L21]
-    at hand, every rank takes the same forward-substitution step on its
-    copy of B, B[k:k+kb] = L_kk^-1 B[k:k+kb] (trsm) and B[k+kb:] -= L21
-    B[k:k+kb] (GEMM), so B moves no byte. Each panel of L overwrites the
+    (small redundant factorizations). The trailing update runs in place
+    on the owned entries of the lower triangle, one GEMM per block of
+    columns (_update_lower), so it skips most of the entries above the
+    diagonal, which nothing reads. Each panel of L overwrites the
     entries of M it came from, and the strict-upper entries above its
-    diagonal block, which nothing reads again, are zeroed. Besides its
-    share, a rank holds the panel, the pieces of its exchange, and a
-    copy of each strided part of it the update reads: O(n nb) in all.
+    diagonal block are zeroed. Every rank then takes, on its copy of B,
+    dist_trsolve's forward-substitution step with the panel
+    (_substitute), so B moves no byte. Besides its share, a rank holds
+    the panel, the pieces of its exchange, and a copy of each strided
+    part of it the update reads: O(n nb) in all.
     """
     n = M.gr
     if M.gr != M.gc:
@@ -307,26 +309,41 @@ def dist_cholesky(M, t, nb=DEFAULT_PANEL, B=None):
     if B is not None and B.shape[0] != n:
         raise DimensionMismatch(f"dist_cholesky: B has {B.shape[0]} rows, "
                                 f"the matrix {n}")
+    # the update's column blocks: 2 DEFAULT_PANEL owned columns wide, so
+    # each GEMM runs near full rate, and a multiple of nb, so each later
+    # diagonal block lies in one of them and is updated whole
+    width = nb * -(-2 * DEFAULT_PANEL * M.grid.c // nb)
     for k in range(0, n, nb):
         kb = min(nb, n - k)
         panel = _replicate_finish(M, t, _replicate_start(M, t, k, n, k, k + kb))
         kernel.check_covariance(panel[:kb], k)
         kernel.factor_panel(panel, k)
         _blas.zero_strict_upper(panel[:kb])
-        if B is not None:
-            _blas.trsm("L", "N", panel[:kb], B[k:k + kb])
-            _blas.gemm_nn(-1.0, panel[kb:], B[k:k + kb], 1.0, B[k + kb:])
         local, at = _window(M, t.rank, k, n, k, k + kb)
         M.local[local] = panel[at]
         (lr, lc), _ = _window(M, t.rank, 0, k, k, k + kb)
         M.local[lr, lc] = 0.0
-        L21 = panel[kb:]
-        (lr, lc), (wr, wc) = _window(M, t.rank, k + kb, n, k + kb, n)
-        rows, cols = _unit_rows(L21, wr), _unit_rows(L21, wc)
-        if len(rows) and len(cols):
-            _blas.gemm_nt(-1.0, rows, cols, 1.0, M.local[lr, lc])
-        del panel, L21, rows, cols  # before the next panel arrives
+        if B is not None:
+            _substitute(panel, B, k)
+        _update_lower(M, t.rank, panel[kb:], k + kb, width)
+        del panel  # before the next panel arrives
     return M
+
+
+def _update_lower(M, rank, L21, k, width):
+    """M[k:, k:] -= L21 L21^T on the rank's owned entries, in place, for
+    the entries on or below the diagonal and those above it inside each
+    block of `width` global columns from k: one GEMM per column block,
+    against the rows from the block's first column down."""
+    n = M.gr
+    (lr, lc), (wr, wc) = _window(M, rank, k, n, k, n)
+    rows, cols = _unit_rows(L21, wr), _unit_rows(L21, wc)
+    for c0 in range(k, n, width):
+        (br, bc), _ = _window(M, rank, c0, n, c0, min(c0 + width, n))
+        below = rows[br.start - lr.start:]
+        block = cols[bc.start - lc.start:bc.stop - lc.start]
+        if len(below) and len(block):
+            _blas.gemm_nt(-1.0, below, block, 1.0, M.local[br, bc])
 
 
 def _unit_rows(A, rows):
@@ -341,11 +358,13 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
 
     L is the 2D-distributed lower-triangular factor. X is n x k, Fortran
     ordered float64, and k may differ between ranks or be 0. The call is
-    collective: every rank takes part in replicating each nb-row panel
-    [L_k,:k | D_k] of L, where D_k is its diagonal block. Each rank folds
-    D_k^-1 into the panel, [-(D_k^-1 L_k,:k) | D_k^-1], and updates its
-    own columns with one GEMM, X[k:k+kb] = panel @ X[:k+kb], while the
-    next panel is already on the wire. Nothing about X is communicated.
+    collective: every rank takes part in replicating each column panel
+    [D_k; L21] = L[k:n, k:k+nb] of L, where D_k is its diagonal block,
+    and panel k+nb is on the wire before panel k is used. With each panel
+    the rank takes one step of a right-looking forward substitution on
+    its own columns, in place (_substitute): a triangular multiply by
+    D_k^-1 and one rank-kb GEMM below it. Nothing about X is
+    communicated.
     """
     n = L.gr
     if X.shape[0] != n:
@@ -354,8 +373,7 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
         raise DimensionMismatch("dist_trsolve: RHS must be Fortran-ordered float64")
 
     def start(k):
-        end = min(k + nb, n)
-        return _replicate_start(L, t, k, end, 0, end)
+        return _replicate_start(L, t, k, n, k, min(k + nb, n))
 
     pending = start(0) if n else None
     for k in range(0, n, nb):
@@ -363,18 +381,24 @@ def dist_trsolve(L, X, t, nb=DEFAULT_PANEL):
         if k + nb < n:
             pending = start(k + nb)
         if X.shape[1]:
-            X[k:k + nb] = _fold_diagonal(panel, k) @ X[:k + nb]
+            _substitute(panel, X, k)
+        del panel  # before the next panel arrives
     return X
 
 
-def _fold_diagonal(panel, k):
-    """Turn the row panel [L_k,:k | D] into [-(D^-1 L_k,:k) | D^-1], in
-    its own memory. Only the lower triangle of D is read."""
-    D = panel[:, k:]
+def _substitute(panel, X, k):
+    """One step of a right-looking forward substitution with the factored
+    column panel [D; L21] = L[k:, k:k+kb]: X[k:k+kb] = D^-1 X[k:k+kb] by
+    a triangular multiply, then X[k+kb:] -= L21 X[k:k+kb] by one GEMM,
+    both in X's memory. D is inverted in the panel's memory (only its
+    lower triangle is read), so the step's fixed cost is one kb x kb
+    inverse whatever X's width. The multiply by D^-1 stands in for a
+    dtrsm, which OpenBLAS runs at about half of dtrmm's rate."""
+    kb = panel.shape[1]
+    D = panel[:kb]
     kernel.invert_lower(D)
-    _blas.zero_strict_upper(D)
-    _blas.trmm("L", -1.0, D, panel[:, :k])
-    return panel
+    _blas.trmm("L", 1.0, D, X[k:k + kb])
+    _blas.gemm_nn(-1.0, panel[kb:], X[k:k + kb], 1.0, X[k + kb:])
 
 
 def prepare(t, paths):

@@ -131,32 +131,47 @@ class InprocTransport(Transport):
             self._gone(self.rank, dst)
 
 
-def _frame(payload):
-    return struct.pack("<Q", len(payload)) + payload
+# a frame's header: its length (the channel byte and the payload), little
+# endian, then the channel byte
+_HEADER = struct.Struct("<QB")
+
+
+def _write_frame(sock, channel, data):
+    """Send one frame: the header, then data as it is, with no copy."""
+    sock.sendall(_HEADER.pack(len(data) + 1, channel))
+    sock.sendall(data)
 
 
 def _read_exact(sock, nbytes):
-    chunks = []
-    got = 0
-    while got < nbytes:
-        chunk = sock.recv(min(1 << 20, nbytes - got))
-        if not chunk:
+    """The next nbytes from sock, as one bytes object of that length that
+    recv with MSG_WAITALL fills straight from the socket. Unlike a zeroed
+    buffer for recv_into, its pages are touched only as data arrives, so
+    a corrupt length costs no memory. Only a receive cut short by a
+    signal is completed by a join. Raises ConnectionError when the peer
+    closes."""
+    data = sock.recv(nbytes, socket.MSG_WAITALL)
+    while len(data) < nbytes:
+        more = sock.recv(nbytes - len(data), socket.MSG_WAITALL)
+        if not more:
             raise ConnectionError("peer closed")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        data += more
+    return data
 
 
 def _read_frame(sock):
-    (ln,) = struct.unpack("<Q", _read_exact(sock, 8))
-    return _read_exact(sock, ln)
+    """(channel, payload) of the next frame on sock."""
+    ln, channel = _HEADER.unpack(_read_exact(sock, _HEADER.size))
+    if ln < 1:
+        raise ConnectionError(f"frame of length {ln} has no channel byte")
+    return channel, _read_exact(sock, ln - 1)
 
 
 class SocketTransport(Transport):
     """Worker-process realization: `socks[peer]` is this rank's end of the
     socket pair it shares with each other rank. A frame is an 8-byte LE
     length, the channel byte and the payload; one drain thread per peer
-    queues the frames that arrive."""
+    queues the payloads that arrive. Only the rank's own thread sends, so
+    the two writes of a frame are never split by another frame."""
 
     def __init__(self, rank, size, socks):
         super().__init__(rank, size, {(src, rank, ch): queue.SimpleQueue()
@@ -169,8 +184,8 @@ class SocketTransport(Transport):
     def _drain(self, peer, sock):
         try:
             while True:
-                payload = _read_frame(sock)
-                self._boxes[(peer, self.rank, payload[0])].put(payload[1:])
+                channel, payload = _read_frame(sock)
+                self._boxes[(peer, self.rank, channel)].put(payload)
         except (ConnectionError, OSError):
             self._gone(peer, self.rank)
 
@@ -179,7 +194,7 @@ class SocketTransport(Transport):
             self._boxes[(dst, dst, channel)].put(data)
         else:
             try:
-                self._socks[dst].sendall(_frame(bytes([channel]) + data))
+                _write_frame(self._socks[dst], channel, data)
             except OSError as e:  # the peer has closed its end
                 raise TransportFailure(self.rank,
                                        f"send to rank {dst}: {e}") from None

@@ -455,6 +455,29 @@ class TestDistKernels:
             tracemalloc.stop()
         assert peak <= np_ * 4 * 8 * n * nb
 
+    @pytest.mark.parametrize("np_", [1, 2])
+    @pytest.mark.parametrize("k", [50, 2000])
+    def test_dist_trsolve_holds_its_panels_whatever_the_width(self, np_, k):
+        # besides its columns, each rank holds O(n nb): the column panel in
+        # use, the pieces of its exchange and those of the next panel; a
+        # product of the panel with the columns, nb x k, would exceed the
+        # bound at k = 2000
+        n, nb = 200, 16
+        L = kernel.cholesky_spd(make_spd(n, seed=17))
+        shares = run_spmd(np_, lambda t: scatter_matrix(
+            L if t.rank == 0 else None, grid_create(t.size), t))
+        rng = np.random.default_rng(18)
+        X = [np.asfortranarray(rng.standard_normal((n, k))) for _ in range(np_)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_spmd(np_, lambda t: dist_trsolve(shares[t.rank], X[t.rank], t,
+                                                 nb=nb))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= np_ * 4 * 8 * n * nb
+
     @pytest.mark.parametrize("np_", [1, 4])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_dist_cholesky_non_finite_below_the_diagonal_block(self, np_, bad):
@@ -503,8 +526,10 @@ class TestDistKernels:
 
     @pytest.mark.parametrize("np_", [2, 4, 6])
     def test_dist_trsolve_sends_only_the_l_panels(self, np_):
-        # every rank sends its owned entries of each row panel
-        # L[k:k+kb, :k+kb] to each other rank, and nothing else
+        # every rank sends its owned entries of each column panel
+        # L[k:n, k:k+kb] to each other rank, and nothing else; the panels
+        # cover the block lower triangle, as row panels L[k:k+kb, :k+kb]
+        # would, so the bytes are the sum of kb (k + kb) over the panels
         n, nb = 100, 16
         L = make_spd(n, seed=8)
 
@@ -521,8 +546,8 @@ class TestDistKernels:
     @pytest.mark.parametrize("np_", [2, 4, 6])
     def test_dist_trsolve_schedule_moves_each_panel_once_ahead(
             self, np_, monkeypatch):
-        # each panel is one message to each peer, and panel i+1 is sent
-        # before panel i is folded and multiplied
+        # each column panel is one message to each peer, and panel i+1 is
+        # sent before the diagonal block of panel i is inverted and used
         n, nb = 100, 16
         panels = math.ceil(n / nb)
         L = kernel.cholesky_spd(make_spd(n, seed=8))
@@ -530,7 +555,7 @@ class TestDistKernels:
         trtri = _blas.trtri
 
         def logged_trtri(*args, **kwargs):
-            events[threading.get_ident()].append("fold")
+            events[threading.get_ident()].append("invert")
             return trtri(*args, **kwargs)
 
         monkeypatch.setattr(_blas, "trtri", logged_trtri)
@@ -551,9 +576,9 @@ class TestDistKernels:
         logs = run_spmd(np_, body)
         assert sum(log.count("send") for log in logs) == np_ * (np_ - 1) * panels
         for log in logs:
-            folds = [i for i, e in enumerate(log) if e == "fold"]
-            assert len(folds) == panels
-            for i, at in enumerate(folds):
+            inverts = [i for i, e in enumerate(log) if e == "invert"]
+            assert len(inverts) == panels
+            for i, at in enumerate(inverts):
                 sent = log[:at].count("send")
                 assert sent == (np_ - 1) * min(i + 2, panels), (i, log)
 

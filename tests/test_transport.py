@@ -12,7 +12,7 @@ from gwasgls.errors import (
     SizeMismatch,
     TransportFailure,
 )
-from gwasgls.transport import _frame, _read_frame, run_spmd
+from gwasgls.transport import _read_frame, _write_frame, run_spmd
 
 
 @pytest.mark.parametrize("transport", ["inproc", "socket"])
@@ -192,8 +192,8 @@ def test_socket_transport_matches_inproc(size):
 def test_frame_round_trip():
     a, b = socket.socketpair()
     with a, b:
-        a.sendall(_frame(b"payload"))
-        assert _read_frame(b) == b"payload"
+        _write_frame(a, 1, b"payload")
+        assert _read_frame(b) == (1, b"payload")
 
 
 def test_frame_length_beyond_u32_is_not_truncated():
