@@ -17,6 +17,11 @@ Kinds:
 
 The packed triangle ordering is np.tril_indices order: (0,0), (1,0),
 (1,1), (2,0), ...
+
+BlockWriter stores a block's records from a staging buffer. The engines'
+solves write the records there themselves (kernel.solve_whitened_block's
+out), so encoding such a block copies nothing; the arrays of any other
+ResultBlock are copied in.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
+from . import kernel
 from .kernel import ResultBlock, SnpBlock
 
 MAGIC = {
@@ -74,8 +80,8 @@ def read_header(f, kind):
 
 
 def record_size(p, flags):
-    extra = p * (p + 1) // 2 if flags & 1 else 0
-    return 8 * (p + extra)
+    """Bytes in one GWAB record, the width the kernel writes them at."""
+    return 8 * kernel.record_width(p, flags & 1)
 
 
 @dataclass
@@ -310,6 +316,13 @@ class BlockReader:
         self._agent.close()
 
 
+def _is_view(a, b):
+    """Whether array a is the view b: the same memory, shape and strides."""
+    return (a.shape == b.shape and a.strides == b.strides
+            and a.__array_interface__["data"][0]
+            == b.__array_interface__["data"][0])
+
+
 class BlockWriter:
     """Asynchronous record writer over a GWAB result file.
 
@@ -331,19 +344,25 @@ class BlockWriter:
         self.bytes_written = 0
 
     def encode(self, block: ResultBlock, buffer):
-        """Pack a ResultBlock's arrays into contiguous records, in the
-        leading rows of `buffer` (count x >= record reals)."""
+        """The block's records, in the leading rows of `buffer` (count x
+        >= record reals). A block solved into them, whose betas and sinv
+        are their column views, is returned as it is; the arrays of any
+        other are copied in."""
         rec = buffer[:block.betas.shape[0], :self._rsz // 8]
-        rec[:, :self.p] = block.betas
+        fields = [(rec[:, :self.p], block.betas)]
         if self.flags & 1:
-            rec[:, self.p:] = block.sinv
+            fields.append((rec[:, self.p:], block.sinv))
+        for dst, src in fields:
+            if not _is_view(src, dst):
+                dst[...] = src
         return rec
 
     def start(self, block: ResultBlock, buffer):
         """Begin writing the block's records at their global offsets.
 
-        `buffer` receives the encoded records and is the region tracked
-        for overlap; it must not be touched until the ticket is waited."""
+        `buffer` holds the encoded records (encode) and is the region
+        tracked for overlap; it must not be touched until the ticket is
+        waited."""
         rec = np.ascontiguousarray(self.encode(block, buffer))
         first = block.first_index
 

@@ -17,7 +17,12 @@ read into, instead of a triangular solve (dtrsm) into a new array. The
 factorizations, the inversions and the whitening call LAPACK and BLAS
 through _blas, which releases the GIL, so the block reader and writer
 threads run while a block is whitened. The per-marker products of a
-block are one GEMM against the whitened [XL | y]. Each step of the
+block are one GEMM against the whitened [XL | y], and the bordered
+solves of all its markers are one array pass, field by field over
+count-long rows, whose last step writes every marker's GWAB record
+(p betas, then the packed S^-1 when asked for) into an output array
+the caller may give: the engines pass the staging area their writer
+stores from, so the results are never copied again. Each step of the
 distributed Cholesky is factor_panel; cholesky_spd and trsolve_lower
 remain the substitution route, the tests' reference; they and the
 small solves go through _blas too.
@@ -64,7 +69,9 @@ class SnpBlock:
 @dataclass
 class ResultBlock:
     """Results of markers first_index .. first_index + count - 1, one row
-    each. A degenerate marker's row is all NaN in betas and in sinv."""
+    each. A degenerate marker's row is all NaN in betas and in sinv.
+    From solve_whitened_block, betas and sinv are the column views
+    [:, :p] and [:, p:] of one count x (p + p(p+1)/2) array of records."""
 
     first_index: int
     betas: np.ndarray               # count x p
@@ -82,7 +89,8 @@ class PreparedContext:
     marker's products with them; S_TL and b_T are the fixed top-left block
     of the normal equations and its right-hand side. L_TL_inv is the
     inverse of the Cholesky factor of S_TL, minpivot_TL that factor's
-    smallest pivot and beta_T0 = S_TL^-1 b_T; every marker's bordered
+    smallest pivot, beta_T0 = S_TL^-1 b_T, S_TL_inv = S_TL^-1, tril its
+    np.tril_indices and max_S_TL = max|S_TL|; every marker's bordered
     system shares them.
     """
 
@@ -93,6 +101,9 @@ class PreparedContext:
     L_TL_inv: np.ndarray  # (p-1) x (p-1) lower triangular
     minpivot_TL: float
     beta_T0: np.ndarray   # p-1
+    S_TL_inv: np.ndarray  # (p-1) x (p-1)
+    tril: tuple           # np.tril_indices(p - 1)
+    max_S_TL: float
 
     @property
     def XLbar(self):
@@ -312,7 +323,9 @@ def prepare_whitened(Linv, XLybar):
     return PreparedContext(
         Linv=Linv, XLybar=XLybar, S_TL=S_TL, b_T=b_T, L_TL_inv=L_TL_inv,
         minpivot_TL=float(np.min(np.diag(L_TL)) ** 2),
-        beta_T0=cho_solve(L_TL, b_T))
+        beta_T0=cho_solve(L_TL, b_T), S_TL_inv=L_TL_inv.T @ L_TL_inv,
+        tril=np.tril_indices(S_TL.shape[0]),
+        max_S_TL=float(np.max(np.abs(S_TL))))
 
 
 def prepare_in_place(M, XLy):
@@ -342,59 +355,85 @@ def gls_prepare(M, XL, y):
                             np.asfortranarray(np.column_stack([XL, y])))
 
 
-def cholesky_solve_batch(ctx, S_BL, S_BR, b_B, want_inverse=False):
-    """Solve the bordered systems of a block of markers.
+def record_width(p, want_inverse):
+    """Reals in one marker's GWAB record: p betas, then, when
+    want_inverse, the p(p+1)/2 of the packed lower triangle of S^-1."""
+    return p + (p * (p + 1) // 2 if want_inverse else 0)
 
-    Marker k's system is S_k [beta_T; beta_B] = [b_T; b_B[k]] with
-    S_k = [[S_TL, S_BL[k]^T], [S_BL[k], S_BR[k]]]. The factor of S_TL is
-    shared, so only the last Cholesky step is per marker:
-    l = L_TL^-1 S_BL[k]^T and the pivot d = S_BR[k] - |l|^2. The context
+
+def cholesky_solve_batch(ctx, SBt, S_BR, want_inverse=False, out=None):
+    """Solve the bordered systems of a block of markers and write their
+    records.
+
+    SBt = [S_BL^T; b_B] is p x count, column k marker k's products with
+    [XLbar | ybar]. Marker k's system is S_k [beta_T; beta_B] = [b_T;
+    b_B[k]] with S_k = [[S_TL, S_BL[k]^T], [S_BL[k], S_BR[k]]]. The factor
+    of S_TL is shared, so only the last Cholesky step is per marker:
+    l = L_TL_inv S_BL[k]^T and the pivot d = S_BR[k] - |l|^2. The context
     holds L_TL^-1, so both triangular steps are multiplies. A marker is
     degenerate, with an all-NaN record, iff min(minpivot_TL, d) <=
     p * eps * max|S_k| or d is not finite.
 
-    Returns (betas, sinv): betas is count x p; sinv (None unless
-    want_inverse) holds the lower triangle of S_k^-1 in np.tril_indices
-    order, count x p(p+1)/2.
+    Every field is computed for all markers at once, as a count-long row
+    of one scratch array, and the rows are then written, transposed, as
+    count records of record_width(p, want_inverse) reals: p betas, then
+    (want_inverse) the lower triangle of S_k^-1 in np.tril_indices order.
+    The records go to the leading rows and columns of `out` (C-ordered
+    rows, at least count x record width), or to a new array; returns
+    that count x width view.
     """
-    q = ctx.S_TL.shape[0]
+    q, count = ctx.S_TL.shape[0], SBt.shape[1]
     p = q + 1
-    l = ctx.L_TL_inv @ S_BL.T
+    S_BLt, b_B = SBt[:q], SBt[q]
+    l = ctx.L_TL_inv @ S_BLt
     d = S_BR - np.einsum("ij,ij->j", l, l)
-    max_S = np.maximum(np.max(np.abs(ctx.S_TL)),
-                       np.maximum(np.max(np.abs(S_BL), axis=1), np.abs(S_BR)))
+    max_S = np.maximum(ctx.max_S_TL,
+                       np.maximum(np.max(np.abs(S_BLt), axis=0), np.abs(S_BR)))
     ok = np.isfinite(d) & (np.minimum(ctx.minpivot_TL, d) > p * EPS * max_S)
-    # a NaN pivot turns every entry of a degenerate marker's record NaN
+    # a NaN pivot turns every field of a degenerate marker's record NaN
     d = np.where(ok, d, np.nan)
     u = ctx.L_TL_inv.T @ l  # S_TL^-1 S_BL^T, q x count
-    beta_B = (b_B - S_BL @ ctx.beta_T0) / d
-    betas = np.empty((len(d), p))
-    betas[:, :q] = ctx.beta_T0 - (u * beta_B).T
-    betas[:, q] = beta_B
-    if not want_inverse:
-        return betas, None
-    # block inverse: [[S_TL^-1 + u u^T / d, -u / d], [-u^T / d, 1 / d]];
-    # the tril order lists the q x q block first, then the last row
-    S_TL_inv = ctx.L_TL_inv.T @ ctx.L_TL_inv
-    it, jt = np.tril_indices(q)
-    w = u / d
-    sinv = np.empty((len(d), p * (p + 1) // 2))
-    sinv[:, :-p] = S_TL_inv[it, jt] + (u[it] * w[jt]).T
-    sinv[:, -p:-1] = -w.T
-    sinv[:, -1] = 1.0 / d
-    return betas, sinv
+    R = np.empty((record_width(p, want_inverse), count))
+    # S_BL beta_T0 one term at a time: elementwise, so a marker's value
+    # does not depend on its position in the block, as a gemv's does
+    Sb = ctx.beta_T0[0] * S_BLt[0]
+    for k in range(1, q):
+        Sb += ctx.beta_T0[k] * S_BLt[k]
+    beta_B = np.subtract(b_B, Sb, out=R[q])
+    beta_B /= d
+    np.multiply(u, beta_B, out=R[:q])
+    np.subtract(ctx.beta_T0[:, None], R[:q], out=R[:q])
+    if want_inverse:
+        # block inverse: [[S_TL^-1 + u u^T / d, -u / d], [-u^T / d, 1 / d]];
+        # the tril order lists the q x q block first, then the last row
+        w = np.divide(u, d, out=R[-p:-1])
+        tl = R[p:-p]
+        for row, (i, j) in zip(tl, zip(*ctx.tril)):
+            np.multiply(u[i], w[j], out=row)
+        tl += ctx.S_TL_inv[ctx.tril][:, None]
+        np.negative(w, out=w)
+        np.divide(1.0, d, out=R[-1])
+    if out is None:
+        return np.ascontiguousarray(R.T)
+    records = out[:count, :R.shape[0]]
+    records[...] = R.T
+    return records
 
 
-def solve_whitened_block(ctx, Xbar, first_index, emit_s_inv=False):
+def solve_whitened_block(ctx, Xbar, first_index, emit_s_inv=False, out=None):
     """Normal-equations assembly and bordered solve for already-whitened
-    marker columns Xbar (n x count). Shared by the in-core, streaming and
-    distributed engines."""
-    # [S_BL | b_B] in one GEMM; S_BR needs only the diagonal of Xbar^T Xbar
-    SB = Xbar.T @ ctx.XLybar
+    marker columns Xbar (n x count), with the block's records written to
+    `out` as cholesky_solve_batch writes them. Shared by the in-core,
+    streaming and distributed engines, which pass the staging area of
+    the block's buffer region as `out`."""
+    # [S_BL^T; b_B] in one GEMM; S_BR needs only the diagonal of Xbar^T Xbar
+    SBt = ctx.XLybar.T @ Xbar
     S_BR = np.einsum("ij,ij->j", Xbar, Xbar)
-    betas, sinv = cholesky_solve_batch(ctx, SB[:, :-1], S_BR, SB[:, -1],
-                                       want_inverse=emit_s_inv)
-    return ResultBlock(first_index=first_index, betas=betas, sinv=sinv)
+    records = cholesky_solve_batch(ctx, SBt, S_BR, want_inverse=emit_s_inv,
+                                   out=out)
+    p = ctx.p
+    return ResultBlock(first_index=first_index, betas=records[:, :p],
+                       sinv=records[:, p:] if emit_s_inv else None)
 
 
 def gls_solve_block(ctx, blk, emit_s_inv=False):

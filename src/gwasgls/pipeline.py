@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import _blas, fileio, kernel, transport
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 
 DEFAULT_M_BLK = 5000
 MEM_BUDGET_ENV = "GWAS_GLS_MEM_BUDGET_BYTES"
@@ -186,15 +186,16 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
     """The streaming engine, run on every rank of transport t.
 
     Each rank reads its own contiguous chunk of every block of m_blk
-    markers into one of its buffer regions (two, or one when a single
-    block covers m), and the first chunk loads while prepare(t, paths)
-    returns (ctx, whiten, bytes read): the kernel context, the in-place
-    whitening of a chunk and the payload bytes prepare read. The budget,
-    checked before anything is read, counts the 8n^2/np covariance share,
-    the covariates, the regions, the result arrays of the chunk being
-    solved and setup_cols n-row columns of scratch that prepare holds
-    beside the share (0 for load_prepare, which works in the memory of
-    M):
+    markers, an even share of it, into one of its buffer regions (two, or
+    one when a single block covers m), and the first chunk loads while
+    prepare(t, paths) returns (ctx, whiten, bytes read): the kernel
+    context, the in-place whitening of a chunk and the payload bytes
+    prepare read. The budget, checked before anything is read, counts the
+    8n^2/np covariance share, the covariates, the regions, the
+    field-by-field scratch of the small solves of the chunk being solved,
+    one record's reals per marker, and setup_cols n-row columns of scratch
+    that prepare holds beside the share (0 for load_prepare, which works
+    in the memory of M):
 
         8n^2/np + 8np + regions (8 n loc + loc rsz) + loc rsz + 8 n setup_cols
 
@@ -211,12 +212,20 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         raise ConfigError(f"m_blk={m_blk} is not a positive multiple of np={np_}")
     m_blk = min(m_blk, -(-m // np_) * np_)
     loc = m_blk // np_
-    # this rank's chunk of every block; on several ranks the last ones may
-    # be short or empty
-    starts = [min(first + t.rank * loc, m)
-              for first, _ in block_plan(m, m_blk)]
-    chunks = [(start, min(loc, m - start)) for start in starts]
-    p = fileio.read_dims(paths.covariates, "GWAC")[1] + 1
+    # this rank's chunk of every block, [first + count r / np, first +
+    # count (r + 1) / np): loc markers of a full block, and an even share
+    # of a short last one, which is empty only where count < np
+    chunks = []
+    for first, count in block_plan(m, m_blk):
+        lo = first + count * t.rank // np_
+        hi = first + count * (t.rank + 1) // np_
+        chunks.append((lo, hi - lo))
+    q = fileio.read_dims(paths.covariates, "GWAC")[1]
+    if q < 1:
+        raise DimensionMismatch(f"covariates file {paths.covariates} has no "
+                                "columns; at least one covariate column is "
+                                "needed")
+    p = q + 1
     flags = 1 if cfg.emit_s_inv else 0
     rsz = fileio.record_size(p, flags)
     regions = min(2, len(chunks))
@@ -239,10 +248,12 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         if t.rank != 0:
             writer = fileio.BlockWriter(partial, m, p, flags, create=False)
 
-        def solve(first, columns):
-            # whitened in the reader region, which the next load overwrites
+        def solve(first, columns, out):
+            # whitened in the reader region, which the next load overwrites;
+            # the records go straight to the region's staging area
             return kernel.solve_whitened_block(
-                ctx, whiten(columns), first, emit_s_inv=cfg.emit_s_inv)
+                ctx, whiten(columns), first, emit_s_inv=cfg.emit_s_inv,
+                out=out)
 
         try:
             t_compute, t_io_wait, block_cpu = sweep(
@@ -281,11 +292,12 @@ def sweep(reader, writer, blocks, in_bufs, load_ticket, solve, out_bufs):
     blocks[0] into in_bufs[0] is already in flight as load_ticket (None
     if that block is empty).
 
-    solve(first_index, columns) gets a view of the block in its input
-    region and returns a ResultBlock, whose records are staged in
-    out_bufs[i], the output area of the same region. An empty block is
-    neither read nor stored, but solve still runs on it, because a
-    distributed solve is collective.
+    solve(first_index, columns, out) gets a view of the block in its
+    input region and out_bufs[i], the output area of the same region, and
+    returns a ResultBlock whose records it has written there, from which
+    they are stored (BlockWriter.encode copies in those of a block that
+    lives elsewhere). An empty block is neither read nor stored, but
+    solve still runs on it, because a distributed solve is collective.
 
     Returns (t_compute, t_io_wait, per-block CPU seconds).
     """
@@ -304,7 +316,7 @@ def sweep(reader, writer, blocks, in_bufs, load_ticket, solve, out_bufs):
         if bi + 1 < len(blocks) and blocks[bi + 1][1]:
             load_ticket = reader.start(*blocks[bi + 1], in_bufs[1 - cur])
         t0 = time.perf_counter()
-        result = solve(first, in_bufs[cur][:, :count])
+        result = solve(first, in_bufs[cur][:, :count], out_bufs[cur])
         t_compute += time.perf_counter() - t0
         t0 = time.perf_counter()
         if store_ticket is not None:

@@ -111,6 +111,22 @@ class TestExitCodes:
         assert main(_solve_args(d, out, "ooc")) == 4
         assert main(_solve_args(d, out, "dist", "--np", "2")) == 4
 
+    @pytest.mark.parametrize("mode,extra", [
+        ("incore", ()), ("ooc", ()), ("dist", ("--np", "2")),
+        ("dist", ("--np", "2", "--transport", "socket"))])
+    def test_covariates_without_columns_is_3(self, tmp_path, capsys, mode,
+                                             extra):
+        d = _gen(tmp_path, n=20, m=10)
+        covariates = f"{d}/covariates.gwac"
+        fileio.write_matrix(covariates, "GWAC", np.empty((20, 0)))
+        out = str(tmp_path / "o.gwab")
+        assert main(_solve_args(d, out, mode, *extra)) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=3 ")
+        assert covariates in err[0]
+        assert "at least one covariate column" in err[0]
+        assert not os.path.exists(out)
+
     def test_budget_not_an_integer_is_2(self, tmp_path, monkeypatch, capsys):
         d = _gen(tmp_path, n=20, m=10)
         monkeypatch.setenv("GWAS_GLS_MEM_BUDGET_BYTES", "lots")

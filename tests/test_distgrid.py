@@ -34,7 +34,13 @@ from gwasgls.errors import (
     NotPositiveDefinite,
     RankDeficientCovariates,
 )
-from gwasgls.pipeline import DEFAULT_M_BLK, SolveConfig, run_incore, run_ooc
+from gwasgls.pipeline import (
+    DEFAULT_M_BLK,
+    SolveConfig,
+    block_plan,
+    run_incore,
+    run_ooc,
+)
 from gwasgls.transport import run_spmd
 
 from conftest import (
@@ -695,15 +701,39 @@ class TestRunDist:
         assert np.all(np.isfinite(payload.betas))
 
     def test_rank_without_markers(self, tmp_path):
-        # m=5 over 4 ranks: rank 3's only chunk is empty, so it reads and
+        # m=3 over 4 ranks: rank 0's only chunk is empty, so it reads and
         # stores nothing but still joins the collective solves
-        ds = self._dataset(tmp_path, n=30, m=5, p=3, seed=3)
+        ds = self._dataset(tmp_path, n=30, m=3, p=3, seed=3)
         ref = solve_paths(ds, str(tmp_path / "ref.gwab"))
         run_incore(ref)
         dist = solve_paths(ds, str(tmp_path / "d.gwab"))
         run_spmd(4, run_dist, dist, SolveConfig())
         rep = compare_results(ref.out, dist.out, 1e-10)
         assert rep.within, rep
+
+    @pytest.mark.parametrize("np_,m,m_blk", [(2, 333, 128), (4, 333, 128),
+                                             (3, 500, 96), (4, 6, 8)])
+    def test_every_block_splits_evenly(self, tmp_path, monkeypatch, np_, m,
+                                       m_blk):
+        # rank r reads [first + count r / np, first + count (r + 1) / np)
+        # of each block, so the ranks' chunks tile it and differ by at
+        # most one marker, the short last block's as well
+        ds = self._dataset(tmp_path, n=20, m=m, p=3, seed=6)
+        reads = []
+        start = fileio.BlockReader.start
+
+        def recording(self, first, count, buffer):
+            reads.append((first, count))
+            return start(self, first, count, buffer)
+
+        monkeypatch.setattr(fileio.BlockReader, "start", recording)
+        run_spmd(np_, run_dist, solve_paths(ds, str(tmp_path / "d.gwab")),
+                 SolveConfig(m_blk=m_blk))
+        for first, count in block_plan(m, m_blk):
+            ends = [first + count * r // np_ for r in range(np_ + 1)]
+            chunks = sorted(c for c in reads if first <= c[0] < first + count)
+            assert chunks == [(lo, hi - lo) for lo, hi in zip(ends, ends[1:])
+                              if hi > lo]
 
     def test_indivisible_m_blk_rejected(self, tmp_path, seed42_dataset):
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
@@ -730,7 +760,7 @@ class TestRunDist:
 
     # n=100, m=500, p=4 on 2 ranks: one 500-marker block, so one region
     # per rank, a 100 x 250 reader buffer with 250 staged 32-byte records;
-    # the block being solved holds 250 more records of results, and the
+    # the small solves of the block hold 250 records of scratch, and the
     # rank its half of the covariance, all of the covariates and the
     # set-up scratch of SETUP_COLS columns of 100 rows
     ONE_BLOCK_NEED = (8 * 100 * 100 // 2 + 8 * 100 * 4
@@ -750,9 +780,9 @@ class TestRunDist:
     def test_budget_counts_the_covariance_share(self, tmp_path, seed42_dataset,
                                                  monkeypatch):
         # n=100, m_blk=64, p=4 on 2 ranks: two regions of a 100 x 32 reader
-        # buffer and 32 staged 32-byte records, the 32 result records of the
-        # chunk being solved, half of the 8n^2 covariance, the covariates
-        # and the set-up scratch
+        # buffer and 32 staged 32-byte records, 32 records of small-solve
+        # scratch for the chunk being solved, half of the 8n^2 covariance,
+        # the covariates and the set-up scratch
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         need = (8 * 100 * 100 // 2 + 8 * 100 * 4
                 + 2 * (8 * 100 * 32 + 32 * 32) + 32 * 32

@@ -476,6 +476,52 @@ class TestSolveBlock:
             assert maxnorm(rb.sinv[i] - Sinv[il, jl]) <= 1e-8 * maxnorm(Sinv)
 
 
+class TestFieldMajorSolve:
+    """The block solve against an independent reference: per marker, the
+    bordered S_k and its inverse from np.linalg, with no hoisting."""
+
+    ZERO, COLLINEAR, NONFINITE = 3, 5, 8
+
+    @pytest.mark.parametrize("p", [2, 4, 7])
+    def test_records_match_bordered_inverse(self, p):
+        rng = np.random.default_rng(100 + p)
+        n, count = 40, 12
+        M = make_spd(n, p)
+        XL = np.hstack([np.ones((n, 1)), rng.standard_normal((n, p - 2))])
+        y = rng.standard_normal(n)
+        X = rng.standard_normal((n, count))
+        X[:, self.ZERO] = 0.0
+        X[:, self.COLLINEAR] = 1.0  # the intercept covariate
+        X[2, self.NONFINITE] = np.inf
+        ctx = kernel.gls_prepare(M, XL, y)
+        out = np.full((count + 2, p + p * (p + 1) // 2), -7.0)
+        with np.errstate(invalid="ignore"):  # the non-finite column
+            rb = kernel.solve_whitened_block(
+                ctx, kernel.whiten(ctx.Linv, np.asfortranarray(X)), 0,
+                emit_s_inv=True, out=out)
+        # the records are the leading rows of out, betas then packed S^-1
+        assert np.shares_memory(rb.betas, out)
+        assert np.shares_memory(rb.sinv, out)
+        assert np.array_equal(out[:count, :p], rb.betas, equal_nan=True)
+        assert np.array_equal(out[:count, p:], rb.sinv, equal_nan=True)
+        assert np.all(out[count:] == -7.0)
+        Lc = np.linalg.cholesky(M)
+        il, jl = np.tril_indices(p)
+        degenerate = (self.ZERO, self.COLLINEAR, self.NONFINITE)
+        for k in range(count):
+            if k in degenerate:
+                assert np.all(np.isnan(rb.betas[k])), k
+                assert np.all(np.isnan(rb.sinv[k])), k
+                continue
+            W = np.linalg.solve(Lc, np.column_stack([XL, X[:, k], y]))
+            S = W[:, :p].T @ W[:, :p]
+            Sinv = np.linalg.inv(S)
+            beta = Sinv @ (W[:, :p].T @ W[:, p])
+            assert maxnorm(rb.betas[k] - beta) <= 1e-10 * maxnorm(beta), k
+            err = maxnorm(rb.sinv[k] - Sinv[il, jl])
+            assert err <= 1e-10 * maxnorm(Sinv), k
+
+
 class TestOracle:
     def test_ols_case(self):
         Xi = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])

@@ -107,6 +107,29 @@ class TestEngines:
                 SolveConfig(m_blk=64))
         assert conftest.count_zero_copy_views(seen) == (8, 8)
 
+    @pytest.mark.parametrize("run,stores", [
+        (run_ooc, 5), (run_incore, 1),
+        (lambda p, cfg: run_spmd(2, run_dist, p, cfg)[0], 2 * 5)],
+        ids=["ooc", "incore", "dist-np2"])
+    def test_records_are_solved_into_the_staging_area(
+            self, run, stores, seed42_dataset, out_path, monkeypatch):
+        # the records each BlockWriter.start receives are the ones the
+        # solve wrote into the output area it stores from; a copy between
+        # the small solves and the store leaves a block uncounted
+        seen = []
+        start = fileio.BlockWriter.start
+
+        def recording(self, block, buffer):
+            seen.append(np.shares_memory(block.betas, buffer)
+                        and np.shares_memory(block.sinv, buffer))
+            return start(self, block, buffer)
+
+        monkeypatch.setattr(fileio.BlockWriter, "start", recording)
+        # incore runs one block of all m markers whatever m_blk says
+        run(solve_paths(seed42_dataset, out_path("staged.gwab")),
+            SolveConfig(m_blk=100, emit_s_inv=True))
+        assert (len(seen), sum(seen)) == (stores, stores)
+
     @pytest.mark.parametrize("run,np_", [
         (run_ooc, 1), (run_incore, 1),
         (lambda p, cfg: run_spmd(2, run_dist, p, cfg)[0], 2)],
@@ -285,7 +308,7 @@ class TestMemoryBudget:
                                               monkeypatch):
         # n=100, m_blk=32, p=4: two regions of 8*100*32 + 32*32 bytes fit,
         # the 8n^2 covariance next to them does not; the block being solved
-        # adds its 32*32 bytes of result arrays
+        # adds its 32*32 bytes of small-solve scratch
         p = solve_paths(seed42_dataset, out_path("x.gwab"))
         regions = 2 * (8 * 100 * 32 + 32 * 32)
         monkeypatch.setenv(MEM_BUDGET_ENV, str(regions))
@@ -302,7 +325,7 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("emit", [False, True])
     def test_incore_budget_counts_the_results(self, seed42_dataset, out_path,
                                               emit, monkeypatch):
-        # result arrays and encoded records: two records per marker
+        # small-solve scratch and staged records: two records per marker
         p = solve_paths(seed42_dataset, out_path("x.gwab"))
         rsz = fileio.record_size(4, int(emit))
         need = 8 * 100 * 500 + 8 * 100 * 100 + 8 * 100 * 4 + 2 * 500 * rsz
