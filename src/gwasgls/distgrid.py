@@ -420,7 +420,7 @@ def prepare(t, paths):
 def run_dist(t, paths, cfg=None):
     """SPMD body of the distributed engine; call on every rank via
     transport.run_spmd. Returns a RunSummary (rank 0 carries the totals).
-    cfg.m_blk defaults to pipeline.DEFAULT_M_BLK // np * np. It is
+    cfg.m_blk defaults to pipeline.DEFAULT_M_BLK. It is
     pipeline.stream with this module's prepare and SETUP_COLS of set-up
     scratch; on one rank it is the ooc engine, whose result file it
     writes byte for byte.

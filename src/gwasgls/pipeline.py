@@ -116,7 +116,7 @@ class SolvePaths:
 class SolveConfig:
     """Settings of one run, shared by every engine."""
 
-    m_blk: int | None = None  # None = DEFAULT_M_BLK (dist: // np * np)
+    m_blk: int | None = None  # None = DEFAULT_M_BLK
     emit_s_inv: bool = False
 
 
@@ -178,7 +178,7 @@ def run_ooc(paths, cfg=None):
     """Out-of-core engine: the streaming engine on one rank, in the
     calling thread."""
     with _blas.rank_threads(1):
-        return stream(transport.Transport(0, 1, {}), paths,
+        return stream(transport.Transport(0, 1), paths,
                       cfg or SolveConfig(), load_prepare, "ooc")
 
 
@@ -207,14 +207,14 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
     t_start = time.perf_counter()
     np_ = t.size
     n, m = fileio.read_dims(paths.geno, "GWAX")
-    m_blk = cfg.m_blk if cfg.m_blk is not None else DEFAULT_M_BLK // np_ * np_
-    if m_blk < 1 or m_blk % np_ != 0:
-        raise ConfigError(f"m_blk={m_blk} is not a positive multiple of np={np_}")
-    m_blk = min(m_blk, -(-m // np_) * np_)
-    loc = m_blk // np_
+    m_blk = cfg.m_blk if cfg.m_blk is not None else DEFAULT_M_BLK
+    if m_blk < 1:
+        raise ConfigError(f"m_blk={m_blk} is not positive")
+    m_blk = min(m_blk, m)
+    loc = -(-m_blk // np_)
     # this rank's chunk of every block, [first + count r / np, first +
-    # count (r + 1) / np): loc markers of a full block, and an even share
-    # of a short last one, which is empty only where count < np
+    # count (r + 1) / np): at most loc markers, an even share of the
+    # block, which is empty only where count < np
     chunks = []
     for first, count in block_plan(m, m_blk):
         lo = first + count * t.rank // np_
@@ -258,9 +258,12 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         try:
             t_compute, t_io_wait, block_cpu = sweep(
                 reader, writer, chunks, in_bufs, ticket, solve, out_bufs)
-            t.barrier()  # every rank's last store is done
         finally:
             writer.close()
+        # a rank sends its stats once its last store is done, so rank 0
+        # holds every rank's only when the whole file is written
+        stats = t.allgather_obj((reader.bytes_read + prepare_bytes,
+                                 writer.bytes_written, peak_rss_bytes()))
         if t.rank == 0:
             os.replace(partial, paths.out)
     except BaseException:
@@ -270,8 +273,6 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         raise
     finally:
         reader.close()
-    stats = t.allgather_obj((reader.bytes_read + prepare_bytes,
-                             writer.bytes_written, peak_rss_bytes()))
     return RunSummary(
         mode=mode, n=n, m=m, p=p, m_blk=m_blk, np_=np_,
         t_prepare=t_prepare, t_compute=t_compute, t_io_wait=t_io_wait,

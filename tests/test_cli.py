@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -236,6 +237,39 @@ class TestFailedRuns:
         assert len(err) == 1 and err[0].startswith("error code=3 "), err
         assert ("not exactly symmetric" if bad == "asymmetric"
                 else "non-finite") in err[0]
+        assert self._left_behind(out) == []
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("np_", [1, 2, 4])
+    @pytest.mark.parametrize("fault", ["truncated", "indefinite"])
+    def test_fault_matrix(self, tmp_path, capfd, transport, np_, fault):
+        # a data fault exits 3 and a numerical one 4, with one error line,
+        # in bounded time, on every rank count and launch
+        if fault == "truncated":
+            d = _gen(tmp_path, n=50, m=400, p=3)
+            geno = f"{d}/genotypes.gwax"
+            os.truncate(geno, os.path.getsize(geno) - 100 * 50 * 8)
+            extra, code = ("--block-size", "64"), 3
+        else:
+            d = _gen(tmp_path, n=100, m=40, p=3)
+            cov = f"{d}/covariance.gwam"
+            M = fileio.read_matrix(cov, "GWAM")
+            M[70, 70] = -5.0
+            fileio.write_matrix(cov, "GWAM", M)
+            extra, code = (), 4
+        capfd.readouterr()
+        out = str(tmp_path / "o.gwab")
+        args = _solve_args(d, out, "dist", "--np", str(np_),
+                           "--transport", transport, *extra)
+        exits = []
+        th = threading.Thread(target=lambda: exits.append(main(args)),
+                              daemon=True)
+        th.start()
+        th.join(timeout=self.DEADLINE_S)
+        assert not th.is_alive(), "run hung"
+        err = capfd.readouterr().err.splitlines()
+        assert exits == [code], err
+        assert len(err) == 1 and err[0].startswith(f"error code={code} "), err
         assert self._left_behind(out) == []
 
     @pytest.mark.parametrize("mode,extra", [("ooc", ()),

@@ -712,7 +712,8 @@ class TestRunDist:
         assert rep.within, rep
 
     @pytest.mark.parametrize("np_,m,m_blk", [(2, 333, 128), (4, 333, 128),
-                                             (3, 500, 96), (4, 6, 8)])
+                                             (3, 500, 96), (4, 6, 8),
+                                             (3, 333, 128), (4, 50, 7)])
     def test_every_block_splits_evenly(self, tmp_path, monkeypatch, np_, m,
                                        m_blk):
         # rank r reads [first + count r / np, first + count (r + 1) / np)
@@ -735,10 +736,17 @@ class TestRunDist:
             assert chunks == [(lo, hi - lo) for lo, hi in zip(ends, ends[1:])
                               if hi > lo]
 
-    def test_indivisible_m_blk_rejected(self, tmp_path, seed42_dataset):
-        paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
-        with pytest.raises(ConfigError):
-            run_spmd(3, run_dist, paths, SolveConfig(m_blk=128))
+    def test_block_not_a_multiple_of_np_matches_incore(self, tmp_path,
+                                                       seed42_dataset):
+        # 128-marker blocks on 3 ranks: chunks of 42 and 43 markers, and
+        # 38 and 39 of the short last block
+        ref = solve_paths(seed42_dataset, str(tmp_path / "ref.gwab"))
+        run_incore(ref)
+        dist = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
+        s = run_spmd(3, run_dist, dist, SolveConfig(m_blk=128))[0]
+        assert s.m_blk == 128
+        rep = compare_results(ref.out, dist.out, 1e-10)
+        assert rep.within, rep
 
     @pytest.mark.parametrize("np_", [2, 3])
     def test_default_block_is_the_ooc_block(self, tmp_path, monkeypatch, np_):
@@ -755,7 +763,7 @@ class TestRunDist:
         monkeypatch.setattr(distgrid, "dist_trsolve", counting)
         paths = solve_paths(ds, str(tmp_path / "d.gwab"))
         summary = run_spmd(np_, run_dist, paths, SolveConfig())[0]
-        assert summary.m_blk == DEFAULT_M_BLK // np_ * np_
+        assert summary.m_blk == DEFAULT_M_BLK
         assert calls == {r: math.ceil(6000 / summary.m_blk) for r in range(np_)}
 
     # n=100, m=500, p=4 on 2 ranks: one 500-marker block, so one region

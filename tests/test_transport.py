@@ -1,7 +1,9 @@
+import contextlib
 import os
 import pickle
 import socket
 import struct
+import sys
 import threading
 
 import pytest
@@ -189,6 +191,64 @@ def test_socket_transport_matches_inproc(size):
     assert run_spmd(size, body, transport="socket") == run_spmd(size, body)
 
 
+def test_socket_run_ending_on_an_empty_message_returns():
+    # a barrier sends empty payloads: a peer that has read the header of
+    # the last one may finish and close before its sender would write the
+    # payload, so an empty payload must not be written at all
+    for _ in range(30):
+        assert run_spmd(3, lambda t: t.barrier(), transport="socket") == [None] * 3
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_threaded_ranks_leave_no_thread_or_socket_behind(fails, monkeypatch):
+    # each rank joins its drain threads and closes its socket ends, also
+    # when a rank raises
+    pairs = []
+    real = socket.socketpair
+
+    def recording():
+        pairs.append(real())
+        return pairs[-1]
+
+    def body(t):
+        if fails and t.rank == 2:
+            raise RuntimeError("boom")
+        t.barrier()
+
+    monkeypatch.setattr(socket, "socketpair", recording)
+    before = set(threading.enumerate())
+    for _ in range(3):
+        with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
+            run_spmd(4, body)
+    assert set(threading.enumerate()) <= before
+    assert len(pairs) == 3 * 6
+    assert all(end.fileno() == -1 for pair in pairs for end in pair)
+
+
+def test_threaded_ranks_under_frequent_thread_switches():
+    # more ranks than cores, each with a drain thread per peer, switching
+    # every microsecond: each pair's messages still arrive whole and in
+    # order
+    def body(t):
+        return [t.alltoall([bytes([t.rank, dst, i]) * (i + 1)
+                            for dst in range(t.size)]) for i in range(40)]
+
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        th = threading.Thread(target=lambda: results.append(run_spmd(6, body)),
+                              daemon=True)
+        th.start()
+        th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not th.is_alive(), "run_spmd hung"
+    for rank, got in enumerate(results[0]):
+        assert got == [[bytes([src, rank, i]) * (i + 1) for src in range(6)]
+                       for i in range(40)]
+
+
 def test_frame_round_trip():
     a, b = socket.socketpair()
     with a, b:
@@ -202,5 +262,15 @@ def test_frame_length_beyond_u32_is_not_truncated():
     with a, b:
         a.sendall(struct.pack("<Q", 2**32 + 1) + b"\x01")
         a.close()
+        with pytest.raises(ConnectionError):
+            _read_frame(b)
+
+
+def test_frame_on_unknown_channel_ends_the_stream():
+    # a drain thread that took it would die without queuing the sentinel,
+    # and the rank waiting on that peer would hang
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(struct.pack("<QB", 1, 7))
         with pytest.raises(ConnectionError):
             _read_frame(b)
