@@ -18,10 +18,12 @@ Kinds:
 The packed triangle ordering is np.tril_indices order: (0,0), (1,0),
 (1,1), (2,0), ...
 
-BlockWriter stores a block's records from a staging buffer. The engines'
-solves write the records there themselves (kernel.solve_whitened_block's
-out), so encoding such a block copies nothing; the arrays of any other
-ResultBlock are copied in.
+A block travels as one array each way. BlockReader fills the leading
+columns of a caller's n x count Fortran buffer straight from the file,
+and its wait returns them. BlockWriter stores a count x record-width
+C-ordered array of records, the staging area the engines' small solves
+write them into (kernel.solve_whitened_block's out), as it is: encode
+checks that the records fit the file and copies nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .errors import (
     UnsupportedVersion,
 )
 from . import kernel
-from .kernel import ResultBlock, SnpBlock
 
 MAGIC = {
     "GWAM": b"GWAM",
@@ -122,13 +123,10 @@ def write_matrix(path, kind, payload):
 def _write_results(path, payload: ResultPayload):
     m, p = payload.betas.shape
     flags = 1 if payload.sinv is not None else 0
+    fields = [payload.betas, payload.sinv] if flags else [payload.betas]
     with open(path, "wb") as f:
         f.write(pack_header("GWAB", (m, p, flags)))
-        if flags:
-            rec = np.hstack([payload.betas, payload.sinv]).astype(F64)
-        else:
-            rec = payload.betas.astype(F64)
-        f.write(np.ascontiguousarray(rec).tobytes())
+        f.write(np.ascontiguousarray(np.hstack(fields), dtype=F64))
 
 
 def read_matrix(path, kind):
@@ -241,53 +239,51 @@ class CovarianceReader:
         self.close()
 
 
-@dataclass
-class IoTicket:
-    future: object
-    buffer_key: int
-
-
 class _Agent:
-    """One dedicated worker per transfer direction; buffers under an
-    in-flight ticket are tracked so overlapping use fails fast."""
+    """One dedicated worker thread for the transfers of a BlockReader or a
+    BlockWriter. A ticket is the transfer's future; the memory under an
+    in-flight ticket is tracked, so a transfer that overlaps it fails
+    fast. wait returns what the transfer returned."""
 
     def __init__(self):
         self._pool = ThreadPoolExecutor(max_workers=1)
-        self._inflight = set()
+        self._inflight = {}
         self._lock = threading.Lock()
 
-    def submit(self, buffer_key, fn):
+    def _submit(self, region, fn):
         with self._lock:
-            if buffer_key in self._inflight:
+            if any(np.may_share_memory(region, r)
+                   for r in self._inflight.values()):
                 raise OverlappingBuffer("buffer already referenced by an in-flight ticket")
-            self._inflight.add(buffer_key)
-        return IoTicket(self._pool.submit(fn), buffer_key)
+            ticket = self._pool.submit(fn)
+            self._inflight[ticket] = region
+        return ticket
 
     def wait(self, ticket):
         try:
-            return ticket.future.result()
+            return ticket.result()
         finally:
             with self._lock:
-                self._inflight.discard(ticket.buffer_key)
+                self._inflight.pop(ticket, None)
 
     def close(self):
         self._pool.shutdown(wait=True)
 
 
-class BlockReader:
+class BlockReader(_Agent):
     """Asynchronous column-block reader over a GWAX genotype file."""
 
     def __init__(self, path):
         self.path = path
         self.n, self.m = read_dims(path, "GWAX")
         self._hdr = header_size("GWAX")
-        self._agent = _Agent()
+        super().__init__()
         self.bytes_read = 0
 
     def start(self, first_index, count, buffer):
         """Begin loading columns [first_index, first_index+count) into the
         leading columns of `buffer` (n x >=count, Fortran order), reading
-        the file straight into them."""
+        the file straight into them; wait returns those columns."""
         if first_index < 0 or first_index + count > self.m:
             raise DimensionMismatch("block outside file range")
         if buffer.shape[0] != self.n or buffer.shape[1] < count:
@@ -305,25 +301,12 @@ class BlockReader:
             if got < nbytes:
                 raise TruncatedFile("genotype file shorter than header promises")
             self.bytes_read += nbytes
-            return SnpBlock(first_index=first_index, data=cols)
+            return cols
 
-        return self._agent.submit(id(buffer), _load)
-
-    def wait(self, ticket):
-        return self._agent.wait(ticket)
-
-    def close(self):
-        self._agent.close()
+        return self._submit(cols, _load)
 
 
-def _is_view(a, b):
-    """Whether array a is the view b: the same memory, shape and strides."""
-    return (a.shape == b.shape and a.strides == b.strides
-            and a.__array_interface__["data"][0]
-            == b.__array_interface__["data"][0])
-
-
-class BlockWriter:
+class BlockWriter(_Agent):
     """Asynchronous record writer over a GWAB result file.
 
     Records are offset-addressed by global marker index, so blocks may be
@@ -340,31 +323,30 @@ class BlockWriter:
                 f.write(pack_header("GWAB", (m, p, flags)))
                 f.seek(self._hdr + m * self._rsz - 1)
                 f.write(b"\0")
-        self._agent = _Agent()
+        super().__init__()
         self.bytes_written = 0
 
-    def encode(self, block: ResultBlock, buffer):
-        """The block's records, in the leading rows of `buffer` (count x
-        >= record reals). A block solved into them, whose betas and sinv
-        are their column views, is returned as it is; the arrays of any
-        other are copied in."""
-        rec = buffer[:block.betas.shape[0], :self._rsz // 8]
-        fields = [(rec[:, :self.p], block.betas)]
-        if self.flags & 1:
-            fields.append((rec[:, self.p:], block.sinv))
-        for dst, src in fields:
-            if not _is_view(src, dst):
-                dst[...] = src
-        return rec
+    def encode(self, first, records):
+        """The records of markers [first, first + count) as the file holds
+        them, which is `records` itself: a count x record-width float64
+        array of C-ordered rows. Anything else, or a range outside the
+        file's m markers, raises DimensionMismatch; nothing is copied."""
+        if (records.ndim != 2 or records.shape[1] != self._rsz // 8
+                or records.dtype != F64 or not records.flags.c_contiguous):
+            raise DimensionMismatch(
+                f"records {records.shape} {records.dtype} are not C-ordered "
+                f"rows of {self._rsz // 8} float64")
+        end = first + records.shape[0]
+        if first < 0 or end > self.m:
+            raise DimensionMismatch(f"records [{first}, {end}) outside a "
+                                    f"file of {self.m} markers")
+        return records
 
-    def start(self, block: ResultBlock, buffer):
-        """Begin writing the block's records at their global offsets.
-
-        `buffer` holds the encoded records (encode) and is the region
-        tracked for overlap; it must not be touched until the ticket is
-        waited."""
-        rec = np.ascontiguousarray(self.encode(block, buffer))
-        first = block.first_index
+    def start(self, first, records):
+        """Begin writing the records of markers [first, first + count) at
+        their offsets. `records` (see encode) is the memory tracked for
+        overlap; it must not be touched until the ticket is waited."""
+        rec = self.encode(first, records)
 
         def _store():
             with open(self.path, "r+b") as f:
@@ -372,10 +354,4 @@ class BlockWriter:
                 f.write(rec)
             self.bytes_written += rec.nbytes
 
-        return self._agent.submit(id(buffer), _store)
-
-    def wait(self, ticket):
-        return self._agent.wait(ticket)
-
-    def close(self):
-        self._agent.close()
+        return self._submit(rec, _store)

@@ -20,9 +20,9 @@ threads run while a block is whitened. The per-marker products of a
 block are one GEMM against the whitened [XL | y], and the bordered
 solves of all its markers are one array pass, field by field over
 count-long rows, whose last step writes every marker's GWAB record
-(p betas, then the packed S^-1 when asked for) into an output array
-the caller may give: the engines pass the staging area their writer
-stores from, so the results are never copied again. Each step of the
+(p betas, then the packed S^-1 when asked for) as one row of the
+caller's count x record-width array, the block's only result. The
+engines pass the staging area their writer stores from. Each step of the
 distributed Cholesky is factor_panel; cholesky_spd and trsolve_lower
 remain the substitution route, the tests' reference; they and the
 small solves go through _blas too.
@@ -44,38 +44,6 @@ from .errors import (
 EPS = 2.0 ** -52
 # largest order the recursions of inverse_factor hand to LAPACK whole
 BASE = 128
-
-
-@dataclass
-class SnpBlock:
-    """A contiguous run of marker columns (allele dosages), n x count."""
-
-    first_index: int
-    data: np.ndarray  # n x count, float64
-
-    def __post_init__(self):
-        if self.data.ndim != 2 or self.data.shape[1] < 1:
-            raise DimensionMismatch("SnpBlock needs an n x count matrix with count >= 1")
-
-    @property
-    def n(self):
-        return self.data.shape[0]
-
-    @property
-    def count(self):
-        return self.data.shape[1]
-
-
-@dataclass
-class ResultBlock:
-    """Results of markers first_index .. first_index + count - 1, one row
-    each. A degenerate marker's row is all NaN in betas and in sinv.
-    From solve_whitened_block, betas and sinv are the column views
-    [:, :p] and [:, p:] of one count x (p + p(p+1)/2) array of records."""
-
-    first_index: int
-    betas: np.ndarray               # count x p
-    sinv: np.ndarray | None = None  # count x p(p+1)/2 packed lower triangles
 
 
 @dataclass
@@ -361,7 +329,7 @@ def record_width(p, want_inverse):
     return p + (p * (p + 1) // 2 if want_inverse else 0)
 
 
-def cholesky_solve_batch(ctx, SBt, S_BR, want_inverse=False, out=None):
+def cholesky_solve_batch(ctx, SBt, S_BR, out, want_inverse=False):
     """Solve the bordered systems of a block of markers and write their
     records.
 
@@ -378,9 +346,8 @@ def cholesky_solve_batch(ctx, SBt, S_BR, want_inverse=False, out=None):
     of one scratch array, and the rows are then written, transposed, as
     count records of record_width(p, want_inverse) reals: p betas, then
     (want_inverse) the lower triangle of S_k^-1 in np.tril_indices order.
-    The records go to the leading rows and columns of `out` (C-ordered
-    rows, at least count x record width), or to a new array; returns
-    that count x width view.
+    The records go to the leading rows and columns of `out` (at least
+    count x record width); returns that count x width view of it.
     """
     q, count = ctx.S_TL.shape[0], SBt.shape[1]
     p = q + 1
@@ -413,43 +380,38 @@ def cholesky_solve_batch(ctx, SBt, S_BR, want_inverse=False, out=None):
         tl += ctx.S_TL_inv[ctx.tril][:, None]
         np.negative(w, out=w)
         np.divide(1.0, d, out=R[-1])
-    if out is None:
-        return np.ascontiguousarray(R.T)
     records = out[:count, :R.shape[0]]
     records[...] = R.T
     return records
 
 
-def solve_whitened_block(ctx, Xbar, first_index, emit_s_inv=False, out=None):
+def solve_whitened_block(ctx, Xbar, out, emit_s_inv=False):
     """Normal-equations assembly and bordered solve for already-whitened
-    marker columns Xbar (n x count), with the block's records written to
-    `out` as cholesky_solve_batch writes them. Shared by the in-core,
+    marker columns Xbar (n x count); returns the block's records, written
+    to `out` as cholesky_solve_batch writes them. Shared by the in-core,
     streaming and distributed engines, which pass the staging area of
     the block's buffer region as `out`."""
     # [S_BL^T; b_B] in one GEMM; S_BR needs only the diagonal of Xbar^T Xbar
     SBt = ctx.XLybar.T @ Xbar
     S_BR = np.einsum("ij,ij->j", Xbar, Xbar)
-    records = cholesky_solve_batch(ctx, SBt, S_BR, want_inverse=emit_s_inv,
-                                   out=out)
-    p = ctx.p
-    return ResultBlock(first_index=first_index, betas=records[:, :p],
-                       sinv=records[:, p:] if emit_s_inv else None)
+    return cholesky_solve_batch(ctx, SBt, S_BR, out, want_inverse=emit_s_inv)
 
 
-def gls_solve_block(ctx, blk, emit_s_inv=False):
-    """Solve every marker in the block against the prepared context.
+def gls_solve_block(ctx, X, emit_s_inv=False):
+    """Records of every marker column of X (n x count) against the
+    prepared context, in a new count x record_width(p, emit_s_inv) array.
 
     The whitening of all columns is one triangular multiply, on a copy of
-    blk.data, which is not modified; the mixed products are per-column
+    X, which is not modified; the mixed products are per-column
     reductions. Markers whose small system is numerically singular are
     flagged degenerate (all-NaN record) without aborting the rest of the
     block.
     """
-    if blk.n != ctx.n:
-        raise DimensionMismatch(f"block has n={blk.n}, context has n={ctx.n}")
-    Xbar = whiten(ctx.Linv, np.array(blk.data, dtype=np.float64, order="F"))
-    return solve_whitened_block(ctx, Xbar, blk.first_index,
-                                emit_s_inv=emit_s_inv)
+    if X.ndim != 2 or X.shape[0] != ctx.n:
+        raise DimensionMismatch(f"block is {X.shape}, context has n={ctx.n}")
+    Xbar = whiten(ctx.Linv, np.array(X, dtype=np.float64, order="F"))
+    out = np.empty((X.shape[1], record_width(ctx.p, emit_s_inv)))
+    return solve_whitened_block(ctx, Xbar, out, emit_s_inv)
 
 
 def gls_oracle(M, Xi, y):

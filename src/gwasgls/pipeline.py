@@ -207,6 +207,14 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
     t_start = time.perf_counter()
     np_ = t.size
     n, m = fileio.read_dims(paths.geno, "GWAX")
+    # the inputs agree on n before the budget, which counts it, and the
+    # O(n^3) set-up start
+    for path, kind in ((paths.cov, "GWAM"), (paths.covariates, "GWAC"),
+                       (paths.pheno, "GWAY")):
+        n_in = fileio.read_dims(path, kind)[0]
+        if n_in != n:
+            raise DimensionMismatch(f"{path} has n={n_in}, genotype file "
+                                    f"{paths.geno} has n={n}")
     m_blk = cfg.m_blk if cfg.m_blk is not None else DEFAULT_M_BLK
     if m_blk < 1:
         raise ConfigError(f"m_blk={m_blk} is not positive")
@@ -248,12 +256,11 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         if t.rank != 0:
             writer = fileio.BlockWriter(partial, m, p, flags, create=False)
 
-        def solve(first, columns, out):
+        def solve(columns, out):
             # whitened in the reader region, which the next load overwrites;
             # the records go straight to the region's staging area
-            return kernel.solve_whitened_block(
-                ctx, whiten(columns), first, emit_s_inv=cfg.emit_s_inv,
-                out=out)
+            return kernel.solve_whitened_block(ctx, whiten(columns), out,
+                                               cfg.emit_s_inv)
 
         try:
             t_compute, t_io_wait, block_cpu = sweep(
@@ -293,12 +300,12 @@ def sweep(reader, writer, blocks, in_bufs, load_ticket, solve, out_bufs):
     blocks[0] into in_bufs[0] is already in flight as load_ticket (None
     if that block is empty).
 
-    solve(first_index, columns, out) gets a view of the block in its
-    input region and out_bufs[i], the output area of the same region, and
-    returns a ResultBlock whose records it has written there, from which
-    they are stored (BlockWriter.encode copies in those of a block that
-    lives elsewhere). An empty block is neither read nor stored, but
-    solve still runs on it, because a distributed solve is collective.
+    solve(columns, out) gets a view of the block in its input region and
+    out_bufs[i], the output area of the same region, and returns the
+    block's records, a count x record-width array it has written there,
+    which the writer stores as they are. An empty block is neither read
+    nor stored, but solve still runs on it, because a distributed solve
+    is collective.
 
     Returns (t_compute, t_io_wait, per-block CPU seconds).
     """
@@ -317,13 +324,13 @@ def sweep(reader, writer, blocks, in_bufs, load_ticket, solve, out_bufs):
         if bi + 1 < len(blocks) and blocks[bi + 1][1]:
             load_ticket = reader.start(*blocks[bi + 1], in_bufs[1 - cur])
         t0 = time.perf_counter()
-        result = solve(first, in_bufs[cur][:, :count], out_bufs[cur])
+        records = solve(in_bufs[cur][:, :count], out_bufs[cur])
         t_compute += time.perf_counter() - t0
         t0 = time.perf_counter()
         if store_ticket is not None:
             writer.wait(store_ticket)
         t_io_wait += time.perf_counter() - t0
-        store_ticket = writer.start(result, out_bufs[cur]) if count else None
+        store_ticket = writer.start(first, records) if count else None
         block_cpu.append(time.process_time() - cpu0)
     t0 = time.perf_counter()
     if store_ticket is not None:

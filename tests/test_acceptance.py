@@ -117,18 +117,23 @@ def test_criterion_03_io_overlap(tmp_path_factory):
     m_blk = 500
 
     n, m = fileio.read_dims(ds.geno, "GWAX")
-    t0 = time.perf_counter()
-    reader = fileio.BlockReader(ds.geno)
     buf = np.empty((n, m_blk), order="F")
-    for first in range(0, m, m_blk):
-        reader.wait(reader.start(first, min(m_blk, m - first), buf))
-    reader.close()
-    io_total = time.perf_counter() - t0
 
+    def read_pass():
+        t0 = time.perf_counter()
+        reader = fileio.BlockReader(ds.geno)
+        for first in range(0, m, m_blk):
+            reader.wait(reader.start(first, min(m_blk, m - first), buf))
+        reader.close()
+        return time.perf_counter() - t0
+
+    io_total = np.inf
     t_incore = np.inf
     t_ooc = np.inf
     summary = None
     for rep in range(3):  # best-of-three to damp scheduler noise
+        # the read pass too, so that the precondition compares two minima
+        io_total = min(io_total, read_pass())
         t0 = time.perf_counter()
         run_incore(solve_paths(ds, str(d / f"ic{rep}.gwab")))
         t_incore = min(t_incore, time.perf_counter() - t0)

@@ -241,24 +241,33 @@ class TestFailedRuns:
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     @pytest.mark.parametrize("np_", [1, 2, 4])
-    @pytest.mark.parametrize("fault", ["truncated", "indefinite"])
+    @pytest.mark.parametrize("fault", ["truncated", "indefinite",
+                                       "first-block", "no-out-dir"])
     def test_fault_matrix(self, tmp_path, capfd, transport, np_, fault):
         # a data fault exits 3 and a numerical one 4, with one error line,
         # in bounded time, on every rank count and launch
-        if fault == "truncated":
-            d = _gen(tmp_path, n=50, m=400, p=3)
-            geno = f"{d}/genotypes.gwax"
-            os.truncate(geno, os.path.getsize(geno) - 100 * 50 * 8)
-            extra, code = ("--block-size", "64"), 3
-        else:
+        out = str(tmp_path / "o.gwab")
+        extra, code = (), 3
+        if fault in ("truncated", "first-block"):
+            # the last 100 of 400 markers cut off, or all but the first 30
+            # of 500, inside the first block
+            n, m, kept = ((50, 400, 300) if fault == "truncated"
+                          else (100, 500, 30))
+            d = _gen(tmp_path, n=n, m=m, p=3)
+            os.truncate(f"{d}/genotypes.gwax",
+                        fileio.header_size("GWAX") + 8 * n * kept)
+            extra = ("--block-size", "64")
+        elif fault == "indefinite":
             d = _gen(tmp_path, n=100, m=40, p=3)
             cov = f"{d}/covariance.gwam"
             M = fileio.read_matrix(cov, "GWAM")
             M[70, 70] = -5.0
             fileio.write_matrix(cov, "GWAM", M)
-            extra, code = (), 4
+            code = 4
+        else:
+            d = _gen(tmp_path, n=50, m=400, p=3)
+            out = str(tmp_path / "missing" / "o.gwab")
         capfd.readouterr()
-        out = str(tmp_path / "o.gwab")
         args = _solve_args(d, out, "dist", "--np", str(np_),
                            "--transport", transport, *extra)
         exits = []
@@ -270,6 +279,33 @@ class TestFailedRuns:
         err = capfd.readouterr().err.splitlines()
         assert exits == [code], err
         assert len(err) == 1 and err[0].startswith(f"error code={code} "), err
+        assert self._left_behind(out) == []
+
+    @pytest.mark.parametrize("mode,extra", [
+        ("ooc", ()), ("dist", ("--np", "2", "--transport", "socket"))],
+        ids=["ooc", "dist-socket-np2"])
+    def test_genotype_n_checked_before_setup(self, tmp_path, capfd,
+                                             monkeypatch, mode, extra):
+        # genotypes for 50 samples against a covariance of 60: the run
+        # names both files before it reads any covariance payload
+        d = _gen(tmp_path, n=60, m=300, p=3)
+        fileio.write_matrix(f"{d}/genotypes.gwax", "GWAX", np.ones((50, 300)))
+        read = tmp_path / "covariance-read"
+
+        def reading(*args, **kwargs):
+            read.touch()  # seen from forked socket ranks too
+            raise AssertionError("covariance payload read")
+
+        monkeypatch.setattr(fileio, "read_matrix", reading)
+        monkeypatch.setattr(fileio.CovarianceReader, "read", reading)
+        capfd.readouterr()
+        out = str(tmp_path / "o.gwab")
+        assert main(_solve_args(d, out, mode, *extra)) == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=3 "), err
+        assert f"{d}/covariance.gwam has n=60" in err[0], err
+        assert f"{d}/genotypes.gwax has n=50" in err[0], err
+        assert not read.exists()
         assert self._left_behind(out) == []
 
     @pytest.mark.parametrize("mode,extra", [("ooc", ()),

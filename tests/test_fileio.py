@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwasgls import fileio, kernel
+from gwasgls import fileio
 from gwasgls.errors import (
     AsymmetricCovariance,
     BadMagic,
@@ -170,8 +170,9 @@ class TestBlockReader:
         path, X = self._write(tmp_path)
         r = fileio.BlockReader(path)
         buf = np.empty((6, 9), order="F")
-        blk = r.wait(r.start(0, 9, buf))
-        assert np.array_equal(blk.data, X)
+        cols = r.wait(r.start(0, 9, buf))
+        assert np.shares_memory(cols, buf)
+        assert np.array_equal(cols, X)
         r.close()
 
     def test_partition_reconstructs_payload(self, tmp_path):
@@ -181,7 +182,7 @@ class TestBlockReader:
         buf2 = np.empty((6, 4), order="F")
         b1 = r.wait(r.start(0, 4, buf1))
         b2 = r.wait(r.start(4, 2, buf2))
-        assert np.array_equal(np.hstack([b1.data, b2.data]), X)
+        assert np.array_equal(np.hstack([b1, b2]), X)
         r.close()
 
     @settings(max_examples=20, deadline=None)
@@ -198,7 +199,7 @@ class TestBlockReader:
         first = 0
         for cnt in cuts:
             buf = np.empty((5, cnt), order="F")
-            pieces.append(r.wait(r.start(first, cnt, buf)).data.copy())
+            pieces.append(r.wait(r.start(first, cnt, buf)).copy())
             first += cnt
         assert np.array_equal(np.hstack(pieces), X)
         r.close()
@@ -235,28 +236,68 @@ class TestBlockReader:
 
 
 class TestBlockWriter:
-    def _results(self, first, count, p=3, seed=0):
-        rng = np.random.default_rng(seed + first)
-        return kernel.ResultBlock(first_index=first,
-                                  betas=rng.standard_normal((count, p)))
+    """The writer stores a block's records, one count x record-width
+    array, as they are; encode is the check that they fit the file."""
+
+    @staticmethod
+    def _records(first, count, p=3, flags=0):
+        rng = np.random.default_rng(first)
+        return rng.standard_normal((count, fileio.record_size(p, flags) // 8))
 
     def test_out_of_order_blocks_identical_file(self, tmp_path):
-        a, b = str(tmp_path / "a.gwab"), str(tmp_path / "b.gwab")
-        blocks = [self._results(0, 4), self._results(4, 3)]
-        staging = np.empty((4, 3))
-        for path, order in ((a, (0, 1)), (b, (1, 0))):
-            w = fileio.BlockWriter(path, m=7, p=3, flags=0)
-            for i in order:
-                w.wait(w.start(blocks[i], staging))
-            w.close()
-        assert open(a, "rb").read() == open(b, "rb").read()
+        for flags in (0, 1):  # betas only, then with packed S^-1
+            a = str(tmp_path / f"a{flags}.gwab")
+            b = str(tmp_path / f"b{flags}.gwab")
+            blocks = [(0, self._records(0, 4, flags=flags)),
+                      (4, self._records(4, 3, flags=flags))]
+            for path, order in ((a, (0, 1)), (b, (1, 0))):
+                w = fileio.BlockWriter(path, m=7, p=3, flags=flags)
+                for i in order:
+                    w.wait(w.start(*blocks[i]))
+                w.close()
+            assert open(a, "rb").read() == open(b, "rb").read()
+            back = fileio.read_matrix(a, "GWAB")
+            records = np.vstack([rec for _, rec in blocks])
+            assert np.array_equal(back.betas, records[:, :3])
+            if flags:
+                assert np.array_equal(back.sinv, records[:, 3:])
 
     def test_records_land_at_offsets(self, tmp_path):
         path = str(tmp_path / "r.gwab")
         w = fileio.BlockWriter(path, m=5, p=3, flags=0)
-        blk = self._results(2, 2)
-        w.wait(w.start(blk, np.empty((2, 3))))
+        rec = self._records(2, 2)
+        w.wait(w.start(2, rec))
         w.close()
         payload = fileio.read_matrix(path, "GWAB")
-        assert np.array_equal(payload.betas[2], blk.betas[0])
-        assert np.array_equal(payload.betas[3], blk.betas[1])
+        assert np.array_equal(payload.betas[2:4], rec)
+        assert np.all(payload.betas[[0, 1, 4]] == 0.0)
+
+    def test_in_flight_staging_area_rejected(self, tmp_path):
+        w = fileio.BlockWriter(str(tmp_path / "r.gwab"), m=8, p=3, flags=0)
+        staging = np.empty((4, 3))
+        staging[:] = self._records(0, 4)
+        t1 = w.start(0, staging)
+        with pytest.raises(OverlappingBuffer):
+            w.start(4, staging)
+        with pytest.raises(OverlappingBuffer):
+            w.start(4, staging[2:])  # a part of the same staging area
+        w.wait(t1)
+        w.wait(w.start(4, staging))  # fine once the ticket is retired
+        w.close()
+
+    def test_encode_rejects_records_that_do_not_fit(self, tmp_path):
+        w = fileio.BlockWriter(str(tmp_path / "r.gwab"), m=5, p=3, flags=1)
+        rec = self._records(0, 2, flags=1)  # 2 x 9
+        assert w.encode(3, rec) is rec
+        for first, bad in [
+                (0, rec[:, :3]),                    # the betas only
+                (0, np.hstack([rec, rec[:, :1]])),  # one real too many
+                (0, np.asfortranarray(rec)),        # column-ordered
+                (0, np.hstack([rec, rec])[:, :9]),  # rows not contiguous
+                (4, rec),                           # [4, 6) past m = 5
+                (-1, rec)]:
+            with pytest.raises(DimensionMismatch):
+                w.encode(first, bad)
+            with pytest.raises(DimensionMismatch):
+                w.start(first, bad)
+        w.close()

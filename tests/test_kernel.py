@@ -22,9 +22,9 @@ def maxnorm(A):
     return np.max(np.abs(A))
 
 
-def statuses(rb):
+def statuses(records):
     # the GWAB rule: a marker is degenerate iff its record is all NaN
-    return np.where(np.all(np.isnan(rb.betas), axis=1), "degenerate", "ok")
+    return np.where(np.all(np.isnan(records), axis=1), "degenerate", "ok")
 
 
 class TestCholesky:
@@ -340,7 +340,7 @@ def test_public_api_leaves_inputs_unmodified(q):
     X = np.asfortranarray(rng.standard_normal((n, 6)))
     before = [a.copy() for a in (M, XL, y, X)]
     ctx = kernel.gls_prepare(M, XL, y)
-    kernel.gls_solve_block(ctx, kernel.SnpBlock(0, X), emit_s_inv=True)
+    kernel.gls_solve_block(ctx, X, emit_s_inv=True)
     for a, a0 in zip((M, XL, y, X), before):
         assert np.array_equal(a, a0)
     for field in (ctx.Linv, ctx.XLbar, ctx.ybar):
@@ -373,39 +373,40 @@ class TestSolveBlock:
                                       np.array([1.0, 2.0, 3.0]))
 
     def test_hand_checkable_ols(self):
-        blk = kernel.SnpBlock(0, np.array([[0.0], [1.0], [2.0]]))
-        rb = kernel.gls_solve_block(self.ctx, blk)
-        assert statuses(rb)[0] == "ok"
+        blk = np.array([[0.0], [1.0], [2.0]])
+        rec = kernel.gls_solve_block(self.ctx, blk)
+        assert statuses(rec)[0] == "ok"
         # X^T X = [[3,3],[3,5]], X^T y = [6,8]
-        assert np.allclose(rb.betas[0], [1.0, 1.0])
+        assert np.allclose(rec[0], [1.0, 1.0])
 
     def test_collinear_with_intercept_degenerate(self):
-        blk = kernel.SnpBlock(0, np.ones((3, 1)))
-        rb = kernel.gls_solve_block(self.ctx, blk)
-        assert statuses(rb)[0] == "degenerate"
-        assert np.all(np.isnan(rb.betas[0]))
-        assert rb.sinv is None
+        blk = np.ones((3, 1))
+        rec = kernel.gls_solve_block(self.ctx, blk)
+        assert statuses(rec)[0] == "degenerate"
+        assert np.all(np.isnan(rec[0]))
+        assert rec.shape == (1, 2)  # p betas, no S^-1
 
     def test_degenerate_does_not_poison_block(self):
         data = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
         for emit_s_inv in (False, True):
-            rb = kernel.gls_solve_block(self.ctx, kernel.SnpBlock(0, data),
-                                        emit_s_inv=emit_s_inv)
-            assert statuses(rb)[0] == "degenerate"
-            assert statuses(rb)[1] == "ok"
-            assert np.allclose(rb.betas[1], [1.0, 1.0])
+            rec = kernel.gls_solve_block(self.ctx, data,
+                                         emit_s_inv=emit_s_inv)
+            betas, sinv = rec[:, :2], rec[:, 2:]
+            assert statuses(rec)[0] == "degenerate"
+            assert statuses(rec)[1] == "ok"
+            assert np.allclose(betas[1], [1.0, 1.0])
             if emit_s_inv:
-                assert np.all(np.isnan(rb.betas[0]))
-                assert np.all(np.isnan(rb.sinv[0]))
+                assert np.all(np.isnan(betas[0]))
+                assert np.all(np.isnan(sinv[0]))
                 # S = [[3,3],[3,5]]: S^-1 = [[5,-3],[-3,3]] / 6
-                assert np.allclose(rb.sinv[1], [5 / 6, -0.5, 0.5])
+                assert np.allclose(sinv[1], [5 / 6, -0.5, 0.5])
 
     def test_fixed_block_pivot_fails_under_large_marker(self):
         # max|S| = 5e16 puts the threshold 2 * eps * max|S| near 22, above
         # the S_TL pivot 3, while the marker's own pivot d is about 2e16
-        blk = kernel.SnpBlock(0, np.array([[0.0], [1e8], [2e8]]))
-        rb = kernel.gls_solve_block(self.ctx, blk)
-        assert statuses(rb)[0] == "degenerate"
+        blk = np.array([[0.0], [1e8], [2e8]])
+        rec = kernel.gls_solve_block(self.ctx, blk)
+        assert statuses(rec)[0] == "degenerate"
 
     def test_oracle_agreement_seed42(self):
         rng = np.random.default_rng(42)
@@ -415,10 +416,10 @@ class TestSolveBlock:
         y = rng.standard_normal(n)
         X = rng.integers(0, 3, size=(n, m)).astype(float)
         ctx = kernel.gls_prepare(M, XL, y)
-        rb = kernel.gls_solve_block(ctx, kernel.SnpBlock(0, X, ))
+        rec = kernel.gls_solve_block(ctx, X)
         for i in range(0, m, 17):
             expect = kernel.gls_oracle(M, np.hstack([XL, X[:, i:i + 1]]), y)
-            got = rb.betas[i]
+            got = rec[i]
             assert maxnorm(got - expect) <= 1e-8 * max(maxnorm(expect), 1.0)
 
     def test_block_size_independence(self):
@@ -429,13 +430,12 @@ class TestSolveBlock:
                                             rng.standard_normal((n, 2))]),
                                  rng.standard_normal(n))
         X = rng.standard_normal((n, m))
-        ref = kernel.gls_solve_block(ctx, kernel.SnpBlock(0, X)).betas
+        ref = kernel.gls_solve_block(ctx, X)
         for m_blk in (1, 7, 64):
             parts = []
             for first in range(0, m, m_blk):
-                sub = kernel.gls_solve_block(
-                    ctx, kernel.SnpBlock(first, X[:, first:first + m_blk]))
-                parts.append(sub.betas)
+                parts.append(kernel.gls_solve_block(
+                    ctx, X[:, first:first + m_blk]))
             got = np.vstack(parts)
             assert maxnorm(got - ref) <= 1e-12 * max(maxnorm(ref), 1.0)
 
@@ -448,9 +448,8 @@ class TestSolveBlock:
                                  rng.standard_normal(n))
         X = np.asfortranarray(rng.standard_normal((n, m)))
         perm = rng.permutation(m)
-        b0 = kernel.gls_solve_block(ctx, kernel.SnpBlock(0, X)).betas
-        b1 = kernel.gls_solve_block(
-            ctx, kernel.SnpBlock(0, np.asfortranarray(X[:, perm]))).betas
+        b0 = kernel.gls_solve_block(ctx, X)
+        b1 = kernel.gls_solve_block(ctx, np.asfortranarray(X[:, perm]))
         assert np.array_equal(b0[perm], b1)
 
     def test_emit_s_inv(self):
@@ -462,7 +461,7 @@ class TestSolveBlock:
                                             rng.standard_normal((n, 2))]),
                                  rng.standard_normal(n))
         X = rng.standard_normal((n, 4))
-        rb = kernel.gls_solve_block(ctx, kernel.SnpBlock(0, X), emit_s_inv=True)
+        rec = kernel.gls_solve_block(ctx, X, emit_s_inv=True)
         p = ctx.p
         L = kernel.cholesky_spd(M)
         il, jl = np.tril_indices(p)
@@ -473,7 +472,7 @@ class TestSolveBlock:
             S[p - 1, :p - 1] = S[:p - 1, p - 1] = ctx.XLbar.T @ xb
             S[p - 1, p - 1] = xb @ xb
             Sinv = np.linalg.inv(S)
-            assert maxnorm(rb.sinv[i] - Sinv[il, jl]) <= 1e-8 * maxnorm(Sinv)
+            assert maxnorm(rec[i, p:] - Sinv[il, jl]) <= 1e-8 * maxnorm(Sinv)
 
 
 class TestFieldMajorSolve:
@@ -496,29 +495,28 @@ class TestFieldMajorSolve:
         ctx = kernel.gls_prepare(M, XL, y)
         out = np.full((count + 2, p + p * (p + 1) // 2), -7.0)
         with np.errstate(invalid="ignore"):  # the non-finite column
-            rb = kernel.solve_whitened_block(
-                ctx, kernel.whiten(ctx.Linv, np.asfortranarray(X)), 0,
-                emit_s_inv=True, out=out)
+            rec = kernel.solve_whitened_block(
+                ctx, kernel.whiten(ctx.Linv, np.asfortranarray(X)), out,
+                emit_s_inv=True)
         # the records are the leading rows of out, betas then packed S^-1
-        assert np.shares_memory(rb.betas, out)
-        assert np.shares_memory(rb.sinv, out)
-        assert np.array_equal(out[:count, :p], rb.betas, equal_nan=True)
-        assert np.array_equal(out[:count, p:], rb.sinv, equal_nan=True)
+        assert rec.shape == (count, out.shape[1])
+        assert np.shares_memory(rec, out)
+        assert np.array_equal(out[:count], rec, equal_nan=True)
         assert np.all(out[count:] == -7.0)
+        betas, sinv = rec[:, :p], rec[:, p:]
         Lc = np.linalg.cholesky(M)
         il, jl = np.tril_indices(p)
         degenerate = (self.ZERO, self.COLLINEAR, self.NONFINITE)
         for k in range(count):
             if k in degenerate:
-                assert np.all(np.isnan(rb.betas[k])), k
-                assert np.all(np.isnan(rb.sinv[k])), k
+                assert np.all(np.isnan(rec[k])), k
                 continue
             W = np.linalg.solve(Lc, np.column_stack([XL, X[:, k], y]))
             S = W[:, :p].T @ W[:, :p]
             Sinv = np.linalg.inv(S)
             beta = Sinv @ (W[:, :p].T @ W[:, p])
-            assert maxnorm(rb.betas[k] - beta) <= 1e-10 * maxnorm(beta), k
-            err = maxnorm(rb.sinv[k] - Sinv[il, jl])
+            assert maxnorm(betas[k] - beta) <= 1e-10 * maxnorm(beta), k
+            err = maxnorm(sinv[k] - Sinv[il, jl])
             assert err <= 1e-10 * maxnorm(Sinv), k
 
 
@@ -547,7 +545,7 @@ class TestOracle:
         y = rng.standard_normal(n)
         x = rng.integers(0, 3, n).astype(float)
         ctx = kernel.gls_prepare(M, XL, y)
-        got = kernel.gls_solve_block(ctx, kernel.SnpBlock(0, x[:, None])).betas[0]
+        got = kernel.gls_solve_block(ctx, x[:, None])[0]
         expect = kernel.gls_oracle(M, np.hstack([XL, x[:, None]]), y)
         assert maxnorm(got - expect) <= 1e-8 * maxnorm(expect)
 
@@ -562,10 +560,10 @@ def test_structured_matches_naive_property(n, q, seed):
     y = rng.standard_normal(n)
     X = rng.standard_normal((n, 5))
     ctx = kernel.gls_prepare(M, XL, y)
-    rb = kernel.gls_solve_block(ctx, kernel.SnpBlock(0, X))
+    rec = kernel.gls_solve_block(ctx, X)
     for i in range(5):
         expect = kernel.gls_oracle(M, np.hstack([XL, X[:, i:i + 1]]), y)
-        assert maxnorm(rb.betas[i] - expect) <= 1e-8 * max(maxnorm(expect), 1.0)
+        assert maxnorm(rec[i] - expect) <= 1e-8 * max(maxnorm(expect), 1.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -576,7 +574,7 @@ def test_identity_reduction_matches_normal_equations(n, seed):
     y = rng.standard_normal(n)
     x = rng.standard_normal(n)
     ctx = kernel.gls_prepare(np.eye(n), XL, y)
-    got = kernel.gls_solve_block(ctx, kernel.SnpBlock(0, x[:, None])).betas[0]
+    got = kernel.gls_solve_block(ctx, x[:, None])[0]
     Xi = np.hstack([XL, x[:, None]])
     expect = np.linalg.solve(Xi.T @ Xi, Xi.T @ y)  # independent OLS route
     assert maxnorm(got - expect) <= 1e-10 * max(maxnorm(expect), 1.0)
@@ -592,7 +590,7 @@ def test_p_extremes_structured_vs_naive():
         y = rng.standard_normal(n)
         X = rng.standard_normal((n, 8))
         ctx = kernel.gls_prepare(M, XL, y)
-        rb = kernel.gls_solve_block(ctx, kernel.SnpBlock(0, X))
+        rec = kernel.gls_solve_block(ctx, X)
         for i in range(8):
             expect = kernel.gls_oracle(M, np.hstack([XL, X[:, i:i + 1]]), y)
-            assert maxnorm(rb.betas[i] - expect) <= 1e-8 * max(maxnorm(expect), 1.0)
+            assert maxnorm(rec[i] - expect) <= 1e-8 * max(maxnorm(expect), 1.0)

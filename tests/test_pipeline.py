@@ -114,16 +114,20 @@ class TestEngines:
     def test_records_are_solved_into_the_staging_area(
             self, run, stores, seed42_dataset, out_path, monkeypatch):
         # the records each BlockWriter.start receives are the ones the
-        # solve wrote into the output area it stores from; a copy between
+        # solve wrote into the output area it was given; a copy between
         # the small solves and the store leaves a block uncounted
-        seen = []
-        start = fileio.BlockWriter.start
+        outs, seen = [], []
+        solve, start = kernel.solve_whitened_block, fileio.BlockWriter.start
 
-        def recording(self, block, buffer):
-            seen.append(np.shares_memory(block.betas, buffer)
-                        and np.shares_memory(block.sinv, buffer))
-            return start(self, block, buffer)
+        def solving(ctx, Xbar, out, *args):
+            outs.append(out)
+            return solve(ctx, Xbar, out, *args)
 
+        def recording(self, first, records):
+            seen.append(any(np.shares_memory(records, o) for o in outs))
+            return start(self, first, records)
+
+        monkeypatch.setattr(kernel, "solve_whitened_block", solving)
         monkeypatch.setattr(fileio.BlockWriter, "start", recording)
         # incore runs one block of all m markers whatever m_blk says
         run(solve_paths(seed42_dataset, out_path("staged.gwab")),
