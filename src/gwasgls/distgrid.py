@@ -150,12 +150,12 @@ def read_share(path, grid, rank):
     i > j, of the matrix is compared by the rank that owns (i, j).
     """
     prow, pcol = grid.coord(rank)
-    with fileio.CovarianceReader(path) as f:
-        n = f.n
+    with fileio.ColumnReader(path, "GWAM") as f:
+        n = f.shape[0]
         D = DistMatrix2D.empty(n, n, grid, rank)
         buf = np.empty((n, min(DEFAULT_PANEL, n)), order="F")
         for c0, c1 in _share_runs(n, grid, prow, pcol):
-            cols = f.read(c0, buf[:, :c1 - c0])
+            cols = f.read(c0, c1 - c0, buf)
             lc, wc = _span(c0, c1, pcol, grid.c)
             D.local[:, lc] = cols[prow::grid.r, wc]
             if not np.isfinite(D.local[:, lc]).all():

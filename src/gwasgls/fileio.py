@@ -1,33 +1,42 @@
-"""Binary file formats and the asynchronous block read/write agents.
+"""Binary file formats, the one reader of every input file, and the
+asynchronous block read/write agents.
 
 Every file starts with a fixed header: 4 ASCII magic bytes, a u32
 little-endian version (always 1), then kind-specific u64 little-endian
 dimensions. Payloads are column-major 64-bit little-endian IEEE-754
 reals with no padding.
 
-Kinds:
-    GWAM  covariance        dims (n,)        payload n x n
-    GWAX  genotypes         dims (n, m)      payload n x m, one marker per column
-    GWAC  covariates        dims (n, q)      payload n x q (q = p - 1)
-    GWAY  phenotype         dims (n,)        payload n
-    GWAB  results           dims (m, p, flags)  one record per marker:
+Kinds, and the payload their header promises (payload_shape):
+    GWAM  covariance        dims (n,)        n x n
+    GWAX  genotypes         dims (n, m)      n x m, one marker per column
+    GWAC  covariates        dims (n, q)      n x q (q = p - 1)
+    GWAY  phenotype         dims (n,)        n x 1
+    GWAB  results           dims (m, p, flags)  m records, one per column:
           p betas, then (iff flags bit 0) p(p+1)/2 packed lower-triangle
           reals of the inverse normal-equations matrix. Degenerate markers
-          are all-NaN records.
+          are all-NaN records. No other flag bit is defined.
 
 The packed triangle ordering is np.tril_indices order: (0,0), (1,0),
 (1,1), (2,0), ...
 
-A block travels as one array each way. BlockReader fills the leading
-columns of a caller's n x count Fortran buffer straight from the file,
-and its wait returns them. BlockWriter stores a count x record-width
-C-ordered array of records, the staging area the engines' small solves
-write them into (kernel.solve_whitened_block's out), as it is: encode
-checks that the records fit the file and copies nothing.
+Every input file is read through one ColumnReader. It opens the file
+once and checks at open that the file holds the payload its header
+promises, so a short file, or a header no file could back, raises
+TruncatedFile before any buffer is allocated. It reads runs of whole
+columns into a caller's Fortran-ordered buffer, one readinto each.
+
+A block travels as one array each way. BlockReader runs the reads of
+the genotype file's ColumnReader on its own thread, straight into the
+leading columns of a caller's n x count buffer, and its wait returns
+them. BlockWriter stores a count x record-width C-ordered array of
+records, the staging area the engines' small solves write them into
+(kernel.solve_whitened_block's out), as it is: encode checks that the
+records fit the file and copies nothing.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -39,19 +48,13 @@ from .errors import (
     AsymmetricCovariance,
     BadMagic,
     DimensionMismatch,
+    GwasGlsError,
     OverlappingBuffer,
     TruncatedFile,
     UnsupportedVersion,
 )
 from . import kernel
 
-MAGIC = {
-    "GWAM": b"GWAM",
-    "GWAX": b"GWAX",
-    "GWAC": b"GWAC",
-    "GWAY": b"GWAY",
-    "GWAB": b"GWAB",
-}
 NDIMS = {"GWAM": 1, "GWAX": 2, "GWAC": 2, "GWAY": 1, "GWAB": 3}
 VERSION = 1
 F64 = np.dtype("<f8")
@@ -64,25 +67,21 @@ def header_size(kind):
 def pack_header(kind, dims):
     if len(dims) != NDIMS[kind]:
         raise DimensionMismatch(f"{kind} header takes {NDIMS[kind]} dims")
-    return MAGIC[kind] + struct.pack("<I", VERSION) + struct.pack(
+    return kind.encode() + struct.pack("<I", VERSION) + struct.pack(
         f"<{len(dims)}Q", *dims)
 
 
-def read_header(f, kind):
-    raw = f.read(header_size(kind))
-    if len(raw) < header_size(kind):
-        raise TruncatedFile("file shorter than header")
-    if raw[:4] != MAGIC[kind]:
-        raise BadMagic(f"expected {kind}, found {raw[:4]!r}")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != VERSION:
-        raise UnsupportedVersion(f"version {version}")
-    return struct.unpack_from(f"<{NDIMS[kind]}Q", raw, 8)
-
-
-def record_size(p, flags):
-    """Bytes in one GWAB record, the width the kernel writes them at."""
-    return 8 * kernel.record_width(p, flags & 1)
+def payload_shape(kind, dims):
+    """(rows, columns) of the column-major payload a header's dims
+    promise; a GWAB record, kernel.record_width reals, is one column. A
+    GWAB flag bit other than bit 0 raises UnsupportedVersion."""
+    if kind == "GWAB":
+        m, p, flags = dims
+        if flags & ~1:
+            raise UnsupportedVersion(f"GWAB flags {flags:#x} set a bit "
+                                     "other than bit 0")
+        return kernel.record_width(p, flags), m
+    return dims[0], 1 if kind == "GWAY" else dims[-1]
 
 
 @dataclass
@@ -101,20 +100,12 @@ def write_matrix(path, kind, payload):
     """Write a whole file of the given kind."""
     if kind == "GWAB":
         return _write_results(path, payload)
-    arr = np.asarray(payload, dtype=np.float64)
-    if kind in ("GWAM",):
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatch("covariance payload must be square")
-        dims = (arr.shape[0],)
-    elif kind in ("GWAX", "GWAC"):
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"{kind} payload must be 2-D")
-        dims = arr.shape
-    elif kind == "GWAY":
-        arr = arr.ravel()
-        dims = (arr.shape[0],)
-    else:
-        raise ValueError(f"unknown kind {kind}")
+    arr = np.asarray(payload, dtype=F64)
+    if kind == "GWAY":
+        arr = arr.reshape(-1, 1)
+    dims = arr.shape[:NDIMS[kind]]
+    if arr.shape != payload_shape(kind, dims):
+        raise DimensionMismatch(f"{kind} payload cannot be {arr.shape}")
     with open(path, "wb") as f:
         f.write(pack_header(kind, dims))
         f.write(np.asfortranarray(arr, dtype=F64).tobytes(order="F"))
@@ -129,28 +120,103 @@ def _write_results(path, payload: ResultPayload):
         f.write(np.ascontiguousarray(np.hstack(fields), dtype=F64))
 
 
+class ColumnReader:
+    """One input file of the given kind, opened once. `dims` are its
+    header's dimensions and `shape` the payload they promise, which the
+    file is checked at open to hold; a failed check names the file.
+    `bytes_read` counts the payload bytes read. A context manager."""
+
+    def __init__(self, path, kind):
+        self.path, self.bytes_read = path, 0
+        self._hdr = header_size(kind)
+        # unbuffered: a read goes to the file, never to a stale readahead
+        self._f = open(path, "rb", buffering=0)
+        try:
+            raw = self._f.read(self._hdr)
+            if len(raw) < self._hdr:
+                raise TruncatedFile("file shorter than its header")
+            if raw[:4] != kind.encode():
+                raise BadMagic(f"expected {kind}, found {raw[:4]!r}")
+            (version,) = struct.unpack_from("<I", raw, 4)
+            if version != VERSION:
+                raise UnsupportedVersion(f"version {version}")
+            self.dims = struct.unpack_from(f"<{NDIMS[kind]}Q", raw, 8)
+            self.shape = payload_shape(kind, self.dims)
+            # Python integers: no n * m overflows
+            need = 8 * self.shape[0] * self.shape[1]
+            have = os.fstat(self._f.fileno()).st_size - self._hdr
+            if have < need:
+                raise TruncatedFile(f"payload is {have} bytes, its header "
+                                    f"{kind} {self.dims} promises {need}")
+        except BaseException as e:
+            self._f.close()
+            if isinstance(e, GwasGlsError):
+                raise type(e)(f"{path}: {e}") from None
+            raise
+
+    def columns(self, first, count, buffer):
+        """The leading count columns of buffer, checked to take payload
+        columns [first, first + count): anything out of range, or not
+        Fortran-ordered float64 of the payload's rows, raises
+        DimensionMismatch."""
+        rows, cols = self.shape
+        if first < 0 or count < 0 or first + count > cols:
+            raise DimensionMismatch(f"columns [{first}, {first + count}) "
+                                    f"outside the {cols} of {self.path}")
+        if buffer.ndim != 2 or buffer.shape[0] != rows or buffer.shape[1] < count:
+            raise DimensionMismatch(f"buffer {buffer.shape} cannot take "
+                                    f"{rows} x {count} columns")
+        out = buffer[:, :count]
+        # reshaping anything else would read into a silent copy
+        if out.dtype != F64 or not out.flags.f_contiguous:
+            raise DimensionMismatch("buffer columns must be Fortran-ordered float64")
+        return out
+
+    def read(self, first, count, buffer):
+        """Read payload columns [first, first + count) into the leading
+        columns of buffer (see columns) and return them: one readinto,
+        repeated only where the system returns part of a large read."""
+        out = self.columns(first, count, buffer)
+        self._f.seek(self._hdr + 8 * self.shape[0] * first)
+        view, got = memoryview(out.reshape(-1, order="F")).cast("B"), 0
+        while got < out.nbytes and (k := self._f.readinto(view[got:])):
+            got += k
+        if got < out.nbytes:
+            raise TruncatedFile(f"{self.path} ended {out.nbytes - got} bytes "
+                                f"short of columns [{first}, {first + count})")
+        self.bytes_read += out.nbytes
+        return out
+
+    def close(self):
+        self._f.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def read_dims(path, kind):
+    """The header's dimensions, once the file is checked to hold the
+    payload they promise."""
+    with ColumnReader(path, kind) as f:
+        return f.dims
+
+
 def read_matrix(path, kind):
     """Read a whole file; inverse of write_matrix (bitwise round trip).
 
     The payload is read straight into the returned array, so the peak
     memory is the payload once."""
-    with open(path, "rb") as f:
-        dims = read_header(f, kind)
-        if kind == "GWAB":
-            m, p, flags = dims
-            rec = _read_payload(f, (m, record_size(p, flags) // 8), "C")
-            return ResultPayload(betas=rec[:, :p],
-                                 sinv=rec[:, p:] if flags & 1 else None)
-        if kind == "GWAM":
-            shape = (dims[0], dims[0])
-        elif kind in ("GWAX", "GWAC"):
-            shape = dims
-        else:
-            shape = (dims[0],)
-        arr = _read_payload(f, shape, "F")
+    with ColumnReader(path, kind) as f:
+        arr = f.read(0, f.shape[1], np.empty(f.shape, dtype=F64, order="F"))
+    if kind == "GWAB":
+        rec, p = arr.T, f.dims[1]
+        return ResultPayload(betas=rec[:, :p], sinv=rec[:, p:] if f.dims[2] else None)
     if kind == "GWAM":
         _check_symmetric(arr)
-    return arr
+    return arr[:, 0] if kind == "GWAY" else arr
 
 
 def _check_symmetric(A):
@@ -168,75 +234,17 @@ def _check_symmetric(A):
                 raise AsymmetricCovariance("covariance file is not exactly symmetric")
 
 
-def _read_payload(f, shape, order):
-    arr = np.empty(shape, dtype=F64, order=order)
-    _read_into(f, arr.reshape(-1, order=order))
-    return arr
-
-
-def _read_into(f, flat):
-    got = f.readinto(flat)
-    if got < flat.nbytes:
-        raise TruncatedFile(f"expected {flat.nbytes} payload bytes, got {got}")
-
-
 def read_covariates_and_phenotype(covariates, pheno):
     """[XL | y]: a GWAC file (n x q) and a GWAY file (n) read straight into
     the columns of one n x (q + 1) Fortran-ordered array."""
-    with open(covariates, "rb") as fc, open(pheno, "rb") as fy:
-        n, q = read_header(fc, "GWAC")
-        (ny,) = read_header(fy, "GWAY")
+    with ColumnReader(covariates, "GWAC") as fc, ColumnReader(pheno, "GWAY") as fy:
+        (n, q), (ny,) = fc.dims, fy.dims
         if ny != n:
             raise DimensionMismatch(f"covariates have {n} rows, phenotype {ny}")
         XLy = np.empty((n, q + 1), dtype=F64, order="F")
-        _read_into(fc, XLy[:, :q].reshape(-1, order="F"))
-        _read_into(fy, XLy[:, q])
+        fc.read(0, q, XLy)
+        fy.read(0, 1, XLy[:, q:])
     return XLy
-
-
-def read_dims(path, kind):
-    with open(path, "rb") as f:
-        return read_header(f, kind)
-
-
-class CovarianceReader:
-    """Runs of whole columns of a GWAM covariance file, each read straight
-    into a buffer the caller owns. `n` is the order of the matrix and
-    `bytes_read` the payload bytes read so far. A context manager; leaving
-    it closes the file."""
-
-    def __init__(self, path):
-        self._f = open(path, "rb")
-        try:
-            (self.n,) = read_header(self._f, "GWAM")
-        except BaseException:
-            self._f.close()
-            raise
-        self.bytes_read = 0
-
-    def read(self, first, out):
-        """Read columns [first, first + k) into out (n x k, Fortran-ordered
-        float64) with one readinto, and return out."""
-        k = out.shape[1]
-        if out.shape[0] != self.n or first < 0 or first + k > self.n:
-            raise DimensionMismatch(f"columns [{first}, {first + k}) of an "
-                                    f"order-{self.n} covariance into {out.shape}")
-        # reshaping anything else would read into a silent copy
-        if out.dtype != F64 or not out.flags.f_contiguous:
-            raise DimensionMismatch("buffer must be Fortran-ordered float64")
-        self._f.seek(header_size("GWAM") + 8 * self.n * first)
-        _read_into(self._f, out.reshape(-1, order="F"))
-        self.bytes_read += out.nbytes
-        return out
-
-    def close(self):
-        self._f.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 class _Agent:
@@ -271,39 +279,25 @@ class _Agent:
 
 
 class BlockReader(_Agent):
-    """Asynchronous column-block reader over a GWAX genotype file."""
+    """Asynchronous column-block reader over a GWAX genotype file: the
+    reads of its ColumnReader, `file`, run on the agent's thread."""
 
     def __init__(self, path):
-        self.path = path
-        self.n, self.m = read_dims(path, "GWAX")
-        self._hdr = header_size("GWAX")
+        self.file = ColumnReader(path, "GWAX")
+        self.n, self.m = self.file.dims
         super().__init__()
-        self.bytes_read = 0
 
     def start(self, first_index, count, buffer):
         """Begin loading columns [first_index, first_index+count) into the
         leading columns of `buffer` (n x >=count, Fortran order), reading
-        the file straight into them; wait returns those columns."""
-        if first_index < 0 or first_index + count > self.m:
-            raise DimensionMismatch("block outside file range")
-        if buffer.shape[0] != self.n or buffer.shape[1] < count:
-            raise DimensionMismatch("buffer too small for block")
-        cols = buffer[:, :count]
-        # reshaping anything else would read into a silent copy
-        if cols.dtype != F64 or not cols.flags.f_contiguous:
-            raise DimensionMismatch("buffer columns must be Fortran-ordered float64")
+        the file straight into them; wait returns those columns. A range
+        or buffer that does not fit raises here, not at wait."""
+        cols = self.file.columns(first_index, count, buffer)
+        return self._submit(cols, lambda: self.file.read(first_index, count, cols))
 
-        def _load():
-            nbytes = 8 * self.n * count
-            with open(self.path, "rb") as f:
-                f.seek(self._hdr + 8 * self.n * first_index)
-                got = f.readinto(cols.reshape(-1, order="F"))
-            if got < nbytes:
-                raise TruncatedFile("genotype file shorter than header promises")
-            self.bytes_read += nbytes
-            return cols
-
-        return self._submit(cols, _load)
+    def close(self):
+        super().close()
+        self.file.close()
 
 
 class BlockWriter(_Agent):
@@ -314,14 +308,13 @@ class BlockWriter(_Agent):
     """
 
     def __init__(self, path, m, p, flags, create=True):
-        self.path = path
-        self.m, self.p, self.flags = m, p, flags
-        self._rsz = record_size(p, flags)
+        self.path, self.m = path, m
+        self._width = payload_shape("GWAB", (m, p, flags))[0]
         self._hdr = header_size("GWAB")
         if create:
             with open(path, "wb") as f:
                 f.write(pack_header("GWAB", (m, p, flags)))
-                f.seek(self._hdr + m * self._rsz - 1)
+                f.seek(self._hdr + 8 * m * self._width - 1)
                 f.write(b"\0")
         super().__init__()
         self.bytes_written = 0
@@ -331,11 +324,11 @@ class BlockWriter(_Agent):
         them, which is `records` itself: a count x record-width float64
         array of C-ordered rows. Anything else, or a range outside the
         file's m markers, raises DimensionMismatch; nothing is copied."""
-        if (records.ndim != 2 or records.shape[1] != self._rsz // 8
+        if (records.ndim != 2 or records.shape[1] != self._width
                 or records.dtype != F64 or not records.flags.c_contiguous):
             raise DimensionMismatch(
                 f"records {records.shape} {records.dtype} are not C-ordered "
-                f"rows of {self._rsz // 8} float64")
+                f"rows of {self._width} float64")
         end = first + records.shape[0]
         if first < 0 or end > self.m:
             raise DimensionMismatch(f"records [{first}, {end}) outside a "
@@ -350,7 +343,7 @@ class BlockWriter(_Agent):
 
         def _store():
             with open(self.path, "r+b") as f:
-                f.seek(self._hdr + first * self._rsz)
+                f.seek(self._hdr + 8 * first * self._width)
                 f.write(rec)
             self.bytes_written += rec.nbytes
 

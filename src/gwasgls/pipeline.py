@@ -193,11 +193,11 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
     prepare read. The budget, checked before anything is read, counts the
     8n^2/np covariance share, the covariates, the regions, the
     field-by-field scratch of the small solves of the chunk being solved,
-    one record's reals per marker, and setup_cols n-row columns of scratch
-    that prepare holds beside the share (0 for load_prepare, which works
-    in the memory of M):
+    w = kernel.record_width reals per marker, and setup_cols n-row columns
+    of scratch that prepare holds beside the share (0 for load_prepare,
+    which works in the memory of M):
 
-        8n^2/np + 8np + regions (8 n loc + loc rsz) + loc rsz + 8 n setup_cols
+        8n^2/np + 8np + regions (8 n loc + 8 loc w) + 8 loc w + 8 n setup_cols
 
     OpenBLAS runs at the thread count the caller set before the ranks
     started (_blas.rank_threads). A failed run removes the partial result
@@ -235,14 +235,14 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
                                 "needed")
     p = q + 1
     flags = 1 if cfg.emit_s_inv else 0
-    rsz = fileio.record_size(p, flags)
+    w = kernel.record_width(p, flags)
     regions = min(2, len(chunks))
-    need = (8 * n * n // np_ + 8 * n * p + regions * (8 * n * loc + loc * rsz)
-            + loc * rsz + 8 * n * setup_cols)
+    need = (8 * n * n // np_ + 8 * n * p + regions * (8 * n * loc + 8 * loc * w)
+            + 8 * loc * w + 8 * n * setup_cols)
     check_budget(need, f"covariance share, covariates, {regions} buffer "
                  "region(s) and set-up scratch")
     in_bufs = [np.empty((n, loc), order="F") for _ in range(regions)]
-    out_bufs = [np.empty((loc, rsz // 8)) for _ in range(regions)]
+    out_bufs = [np.empty((loc, w)) for _ in range(regions)]
     partial = partial_path(paths.out)
     reader = fileio.BlockReader(paths.geno)
     try:
@@ -269,7 +269,7 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
             writer.close()
         # a rank sends its stats once its last store is done, so rank 0
         # holds every rank's only when the whole file is written
-        stats = t.allgather_obj((reader.bytes_read + prepare_bytes,
+        stats = t.allgather_obj((reader.file.bytes_read + prepare_bytes,
                                  writer.bytes_written, peak_rss_bytes()))
         if t.rank == 0:
             os.replace(partial, paths.out)

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 import gwasgls
-from gwasgls import distgrid, fileio
+from gwasgls import distgrid, fileio, pipeline
 from gwasgls.cli import main
-from gwasgls.errors import TransportFailure
+from gwasgls.errors import GwasGlsError, TransportFailure
 from gwasgls.pipeline import partial_path
 
 
@@ -170,44 +171,113 @@ class TestExitCodes:
         assert main(_solve_args(d, out, "dist", "--np", "2")) == 3
         assert 'error code=3 msg="transport failure' in capsys.readouterr().err
 
+    def test_unknown_result_flag_bits_is_3(self, tmp_path, capsys):
+        d = _gen(tmp_path, n=40, m=30)
+        out = str(tmp_path / "a.gwab")
+        assert main(_solve_args(d, out, "incore")) == 0
+        other = str(tmp_path / "b.gwab")
+        with open(out, "rb") as f, open(other, "wb") as g:
+            g.write(f.read())
+            g.seek(24)  # the flags field of the header
+            g.write((2).to_bytes(8, "little"))
+        capsys.readouterr()
+        assert main(["verify", "--a", out, "--b", other,
+                     "--tol", "1e-8"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=3 "), err
+        assert other in err[0] and "flags 0x2" in err[0], err
+
     def test_oracle_scale_limit_is_2(self, tmp_path):
         d = _gen(tmp_path, n=501, m=10)
         args = _solve_args(d, str(tmp_path / "o.gwab"), "oracle")
         assert main(args) == 2
 
 
+def _shrink_mid_run(monkeypatch, kept=64):
+    """Cut the genotype file to its first `kept` markers as soon as a rank
+    starts to load a later one: the file shrinks after the reader checked
+    it at open. Forked socket ranks inherit the patch."""
+    start = fileio.BlockReader.start
+
+    def shrinking_start(self, first_index, count, buffer):
+        if first_index >= kept:
+            os.truncate(self.file.path,
+                        fileio.header_size("GWAX") + 8 * self.n * kept)
+        return start(self, first_index, count, buffer)
+
+    monkeypatch.setattr(fileio.BlockReader, "start", shrinking_start)
+
+
+def _raise_in_solve(monkeypatch):
+    """Make the last rank raise a GwasGlsError in the solve of its second
+    block, as it whitens it."""
+    stream = pipeline.stream
+
+    def failing_stream(t, paths, cfg, prepare, *args, **kwargs):
+        def failing_prepare(t, paths):
+            ctx, whiten, nbytes = prepare(t, paths)
+            blocks = []
+
+            def failing_whiten(columns):
+                blocks.append(columns.shape)
+                if t.rank == t.size - 1 and len(blocks) == 2:
+                    raise GwasGlsError(f"rank {t.rank} fails in its second block")
+                return whiten(columns)
+
+            return ctx, failing_whiten, nbytes
+
+        return stream(t, paths, cfg, failing_prepare, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "stream", failing_stream)
+
+
 class TestFailedRuns:
-    """A run whose genotype file ends early exits 3 with one error line,
-    and leaves neither <out> nor <out>.partial behind."""
+    """A failed run exits with its documented code and one error line, in
+    bounded time, and leaves neither <out> nor <out>.partial behind."""
 
     @pytest.fixture()
-    def truncated(self, tmp_path):
-        # the last 100 of 400 markers cut off
+    def shrinking(self, tmp_path, monkeypatch):
+        # 400 markers, cut to the first 64, the first block at
+        # --block-size 64, once a rank starts to load the second
         d = _gen(tmp_path, n=50, m=400, p=3)
-        geno = f"{d}/genotypes.gwax"
-        os.truncate(geno, os.path.getsize(geno) - 100 * 50 * 8)
+        _shrink_mid_run(monkeypatch)
         return d
 
     @staticmethod
     def _left_behind(out):
         return [f for f in (out, partial_path(out)) if os.path.exists(f)]
 
-    def test_socket_ranks_exit_3(self, truncated, tmp_path):
-        # the rank whose read fails closes its sockets while its peer may
-        # be sending to it; the peer's broken pipe must not hide the cause
-        out = str(tmp_path / "o.gwab")
-        args = _solve_args(truncated, out, "dist", "--np", "2",
-                           "--transport", "socket", "--block-size", "64")
-        for _ in range(10):
-            r = subprocess.run([sys.executable, "-m", "gwasgls.cli", *args],
-                               capture_output=True, text=True, env=_child_env())
-            err = r.stderr.splitlines()
-            assert r.returncode == 3, r.stderr
-            assert len(err) == 1 and err[0].startswith("error code=3 "), err
-            assert self._left_behind(out) == []
-
     # a failed run of these sizes ends in about a second; a hang would not
     DEADLINE_S = 30.0
+
+    def _run(self, capfd, args):
+        """(exit code, stderr lines) of main(args), which must return
+        within DEADLINE_S."""
+        capfd.readouterr()
+        exits = []
+        th = threading.Thread(target=lambda: exits.append(main(args)),
+                              daemon=True)
+        th.start()
+        th.join(timeout=self.DEADLINE_S)
+        assert not th.is_alive(), "run hung"
+        return exits, capfd.readouterr().err.splitlines()
+
+    def test_socket_ranks_exit_3(self, shrinking, tmp_path, capfd):
+        # the rank whose read fails closes its sockets while its peer may
+        # be sending to it; the peer's broken pipe must not hide the cause
+        geno = f"{shrinking}/genotypes.gwax"
+        whole = open(geno, "rb").read()
+        out = str(tmp_path / "o.gwab")
+        args = _solve_args(shrinking, out, "dist", "--np", "2",
+                           "--transport", "socket", "--block-size", "64")
+        for _ in range(10):
+            with open(geno, "wb") as f:
+                f.write(whole)
+            exits, err = self._run(capfd, args)
+            assert exits == [3], err
+            assert len(err) == 1 and err[0].startswith("error code=3 "), err
+            assert f"{geno} ended" in err[0], err
+            assert self._left_behind(out) == []
 
     @pytest.mark.parametrize("np_", [2, 4])
     @pytest.mark.parametrize("bad", ["asymmetric", "non-finite"])
@@ -241,44 +311,81 @@ class TestFailedRuns:
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     @pytest.mark.parametrize("np_", [1, 2, 4])
-    @pytest.mark.parametrize("fault", ["truncated", "indefinite",
-                                       "first-block", "no-out-dir"])
-    def test_fault_matrix(self, tmp_path, capfd, transport, np_, fault):
-        # a data fault exits 3 and a numerical one 4, with one error line,
-        # in bounded time, on every rank count and launch
+    @pytest.mark.parametrize("fault", [
+        "truncated", "indefinite", "first-block", "no-out-dir",
+        "shrinks-mid-run", "raises-in-solve", "asymmetric"])
+    def test_fault_matrix(self, tmp_path, capfd, monkeypatch, transport, np_,
+                          fault):
+        # a data fault exits 3 and a numerical one 4, with one error line
+        # that names its cause, in bounded time, on every rank count and
+        # launch
         out = str(tmp_path / "o.gwab")
-        extra, code = (), 3
+        extra, code = ("--block-size", "64"), 3
         if fault in ("truncated", "first-block"):
             # the last 100 of 400 markers cut off, or all but the first 30
-            # of 500, inside the first block
+            # of 500, inside the first block: refused at open
             n, m, kept = ((50, 400, 300) if fault == "truncated"
                           else (100, 500, 30))
             d = _gen(tmp_path, n=n, m=m, p=3)
-            os.truncate(f"{d}/genotypes.gwax",
-                        fileio.header_size("GWAX") + 8 * n * kept)
-            extra = ("--block-size", "64")
-        elif fault == "indefinite":
+            cause = f"{d}/genotypes.gwax"
+            os.truncate(cause, fileio.header_size("GWAX") + 8 * n * kept)
+        elif fault in ("shrinks-mid-run", "raises-in-solve"):
+            # mid-run: after the set-up, with <out>.partial made
+            d = _gen(tmp_path, n=50, m=400, p=3)
+            if fault == "shrinks-mid-run":
+                _shrink_mid_run(monkeypatch)
+                cause = f"{d}/genotypes.gwax ended"
+            else:
+                _raise_in_solve(monkeypatch)
+                cause = "fails in its second block"
+        elif fault in ("indefinite", "asymmetric"):
             d = _gen(tmp_path, n=100, m=40, p=3)
             cov = f"{d}/covariance.gwam"
             M = fileio.read_matrix(cov, "GWAM")
-            M[70, 70] = -5.0
+            if fault == "indefinite":
+                M[70, 70] = -5.0
+                code, cause = 4, "not positive definite"
+            else:  # in the last rank's share, as in the test above
+                M[99, 1] += 1.0
+                cause = "not exactly symmetric"
             fileio.write_matrix(cov, "GWAM", M)
-            code = 4
         else:
             d = _gen(tmp_path, n=50, m=400, p=3)
             out = str(tmp_path / "missing" / "o.gwab")
-        capfd.readouterr()
+            cause = out
         args = _solve_args(d, out, "dist", "--np", str(np_),
                            "--transport", transport, *extra)
-        exits = []
-        th = threading.Thread(target=lambda: exits.append(main(args)),
-                              daemon=True)
-        th.start()
-        th.join(timeout=self.DEADLINE_S)
-        assert not th.is_alive(), "run hung"
-        err = capfd.readouterr().err.splitlines()
+        exits, err = self._run(capfd, args)
         assert exits == [code], err
         assert len(err) == 1 and err[0].startswith(f"error code={code} "), err
+        assert cause in err[0], err
+        assert self._left_behind(out) == []
+
+    @pytest.mark.parametrize("mode,huge,extra", [
+        ("oracle", "GWAM", ()), ("ooc", "GWAX", ()),
+        ("dist", "GWAX", ("--np", "2", "--transport", "socket"))],
+        ids=["oracle", "ooc", "dist-socket-np2"])
+    def test_header_no_file_backs_exits_3(self, tmp_path, mode, huge, extra):
+        # a covariance header of order 3,000,000, or a genotype header of
+        # 10^13 markers, over an empty payload: refused at open, before a
+        # buffer or a block plan is made, so the run ends at once in a
+        # child held to 1 GiB of address space
+        d = _gen(tmp_path, n=20, m=10, p=3)
+        path, dims = ((f"{d}/covariance.gwam", (3_000_000,)) if huge == "GWAM"
+                      else (f"{d}/genotypes.gwax", (20, 10 ** 13)))
+        with open(path, "wb") as f:
+            f.write(fileio.pack_header(huge, dims))
+        out = str(tmp_path / "o.gwab")
+        r = subprocess.run(
+            [sys.executable, "-m", "gwasgls.cli",
+             *_solve_args(d, out, mode, *extra)],
+            capture_output=True, text=True, env=_child_env(), timeout=5,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (2 ** 30, 2 ** 30)))
+        err = r.stderr.splitlines()
+        assert r.returncode == 3, r.stderr
+        assert len(err) == 1 and err[0].startswith("error code=3 "), err
+        assert path in err[0], err
         assert self._left_behind(out) == []
 
     @pytest.mark.parametrize("mode,extra", [
@@ -294,10 +401,9 @@ class TestFailedRuns:
 
         def reading(*args, **kwargs):
             read.touch()  # seen from forked socket ranks too
-            raise AssertionError("covariance payload read")
+            raise AssertionError("payload read")
 
-        monkeypatch.setattr(fileio, "read_matrix", reading)
-        monkeypatch.setattr(fileio.CovarianceReader, "read", reading)
+        monkeypatch.setattr(fileio.ColumnReader, "read", reading)
         capfd.readouterr()
         out = str(tmp_path / "o.gwab")
         assert main(_solve_args(d, out, mode, *extra)) == 3
@@ -311,9 +417,9 @@ class TestFailedRuns:
     @pytest.mark.parametrize("mode,extra", [("ooc", ()),
                                             ("dist", ("--np", "2"))],
                              ids=["ooc", "dist-inproc-np2"])
-    def test_no_partial_file_is_left(self, truncated, tmp_path, mode, extra):
+    def test_no_partial_file_is_left(self, shrinking, tmp_path, mode, extra):
         out = str(tmp_path / "o.gwab")
-        assert main(_solve_args(truncated, out, mode, "--block-size", "64",
+        assert main(_solve_args(shrinking, out, mode, "--block-size", "64",
                                 *extra)) == 3
         assert self._left_behind(out) == []
 

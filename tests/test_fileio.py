@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwasgls import fileio
+from gwasgls import fileio, kernel
 from gwasgls.errors import (
     AsymmetricCovariance,
     BadMagic,
     DimensionMismatch,
     OverlappingBuffer,
     TruncatedFile,
+    UnsupportedVersion,
 )
 
 from conftest import make_spd
@@ -64,6 +66,37 @@ def test_truncated_file(tmp_path):
     open(path, "wb").write(raw[:-16])
     with pytest.raises(TruncatedFile):
         fileio.read_matrix(path, "GWAX")
+
+
+@pytest.mark.parametrize("kind,dims", [
+    ("GWAM", (3_000_000,)), ("GWAX", (20, 10 ** 13)), ("GWAC", (5, 3)),
+    ("GWAY", (9,)), ("GWAB", (4, 3, 1))])
+def test_header_checked_against_file_size(tmp_path, kind, dims):
+    # a header that promises more payload than the file holds is refused
+    # at open, naming the file, before any buffer is allocated
+    path = str(tmp_path / "short.bin")
+    with open(path, "wb") as f:
+        f.write(fileio.pack_header(kind, dims) + bytes(16))
+    with pytest.raises(TruncatedFile, match="short.bin: payload is 16 bytes"):
+        fileio.read_dims(path, kind)
+    with pytest.raises(TruncatedFile, match="short.bin"):
+        fileio.read_matrix(path, kind)
+
+
+@pytest.mark.parametrize("flags", [2, 3, 1 << 63], ids=["bit1", "bits0-1", "bit63"])
+def test_unknown_result_flag_bits_rejected(tmp_path, flags):
+    # only flag bit 0 is defined; a file with another set is not read
+    # as betas-only or as carrying S^-1
+    path = str(tmp_path / "b.gwab")
+    betas, sinv = np.ones((3, 2)), np.ones((3, 3))
+    fileio.write_matrix(path, "GWAB", fileio.ResultPayload(betas, sinv))
+    with open(path, "r+b") as f:
+        f.seek(24)
+        f.write(flags.to_bytes(8, "little"))
+    with pytest.raises(UnsupportedVersion, match="b.gwab: GWAB flags"):
+        fileio.read_matrix(path, "GWAB")
+    with pytest.raises(UnsupportedVersion):
+        fileio.BlockWriter(str(tmp_path / "w.gwab"), m=3, p=2, flags=flags)
 
 
 def test_covariates_and_phenotype_read_into_one_array(tmp_path):
@@ -154,8 +187,9 @@ def test_results_round_trip_with_sinv(tmp_path):
 
 
 def test_record_size():
-    assert fileio.record_size(4, 0) == 32
-    assert fileio.record_size(4, 1) == 32 + 8 * 10
+    # a GWAB record, kernel.record_width reals, is one payload column
+    assert fileio.payload_shape("GWAB", (7, 4, 0)) == (4, 7)
+    assert fileio.payload_shape("GWAB", (7, 4, 1)) == (4 + 10, 7)
 
 
 class TestBlockReader:
@@ -216,10 +250,10 @@ class TestBlockReader:
         r.close()
 
     def test_truncated_file_raises_on_wait(self, tmp_path):
+        # the file shrinks after the reader checked it at open
         path, _ = self._write(tmp_path)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-16])
         r = fileio.BlockReader(path)
+        os.truncate(path, os.path.getsize(path) - 16)
         ticket = r.start(0, 9, np.empty((6, 9), order="F"))
         with pytest.raises(TruncatedFile):
             r.wait(ticket)
@@ -242,7 +276,7 @@ class TestBlockWriter:
     @staticmethod
     def _records(first, count, p=3, flags=0):
         rng = np.random.default_rng(first)
-        return rng.standard_normal((count, fileio.record_size(p, flags) // 8))
+        return rng.standard_normal((count, kernel.record_width(p, flags)))
 
     def test_out_of_order_blocks_identical_file(self, tmp_path):
         for flags in (0, 1):  # betas only, then with packed S^-1

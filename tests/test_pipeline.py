@@ -331,7 +331,7 @@ class TestMemoryBudget:
                                               emit, monkeypatch):
         # small-solve scratch and staged records: two records per marker
         p = solve_paths(seed42_dataset, out_path("x.gwab"))
-        rsz = fileio.record_size(4, int(emit))
+        rsz = 8 * kernel.record_width(4, emit)
         need = 8 * 100 * 500 + 8 * 100 * 100 + 8 * 100 * 4 + 2 * 500 * rsz
         monkeypatch.setenv(MEM_BUDGET_ENV, str(need - 1))
         with pytest.raises(ConfigError):
