@@ -39,7 +39,7 @@ class UnsupportedVersion(GwasGlsError):
 
 
 class TruncatedFile(GwasGlsError):
-    """File is shorter than its header promises."""
+    """File does not hold the payload its header promises."""
 
 
 class OverlappingBuffer(GwasGlsError):

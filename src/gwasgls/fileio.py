@@ -20,10 +20,11 @@ The packed triangle ordering is np.tril_indices order: (0,0), (1,0),
 (1,1), (2,0), ...
 
 Every input file is read through one ColumnReader. It opens the file
-once and checks at open that the file holds the payload its header
-promises, so a short file, or a header no file could back, raises
-TruncatedFile before any buffer is allocated. It reads runs of whole
-columns into a caller's Fortran-ordered buffer, one readinto each.
+once and checks at open that the file holds exactly the payload its
+header promises, so a short or long file, or a header no file could
+back, raises TruncatedFile before any buffer is allocated. It reads runs
+of whole columns into a caller's Fortran-ordered buffer, one readinto
+each.
 
 A block travels as one array each way. BlockReader runs the reads of
 the genotype file's ColumnReader on its own thread, straight into the
@@ -48,7 +49,6 @@ from .errors import (
     AsymmetricCovariance,
     BadMagic,
     DimensionMismatch,
-    GwasGlsError,
     OverlappingBuffer,
     TruncatedFile,
     UnsupportedVersion,
@@ -134,24 +134,25 @@ class ColumnReader:
         try:
             raw = self._f.read(self._hdr)
             if len(raw) < self._hdr:
-                raise TruncatedFile("file shorter than its header")
+                raise TruncatedFile(f"{path}: file shorter than its header")
             if raw[:4] != kind.encode():
-                raise BadMagic(f"expected {kind}, found {raw[:4]!r}")
+                raise BadMagic(f"{path}: expected {kind}, found {raw[:4]!r}")
             (version,) = struct.unpack_from("<I", raw, 4)
             if version != VERSION:
-                raise UnsupportedVersion(f"version {version}")
+                raise UnsupportedVersion(f"{path}: version {version}")
             self.dims = struct.unpack_from(f"<{NDIMS[kind]}Q", raw, 8)
-            self.shape = payload_shape(kind, self.dims)
+            try:
+                self.shape = payload_shape(kind, self.dims)
+            except UnsupportedVersion as e:
+                raise UnsupportedVersion(f"{path}: {e}") from e
             # Python integers: no n * m overflows
             need = 8 * self.shape[0] * self.shape[1]
             have = os.fstat(self._f.fileno()).st_size - self._hdr
-            if have < need:
-                raise TruncatedFile(f"payload is {have} bytes, its header "
-                                    f"{kind} {self.dims} promises {need}")
-        except BaseException as e:
+            if have != need:
+                raise TruncatedFile(f"{path}: payload holds {have} bytes, its "
+                                    f"header {kind} {self.dims} promises {need}")
+        except BaseException:
             self._f.close()
-            if isinstance(e, GwasGlsError):
-                raise type(e)(f"{path}: {e}") from None
             raise
 
     def columns(self, first, count, buffer):
@@ -284,7 +285,6 @@ class BlockReader(_Agent):
 
     def __init__(self, path):
         self.file = ColumnReader(path, "GWAX")
-        self.n, self.m = self.file.dims
         super().__init__()
 
     def start(self, first_index, count, buffer):

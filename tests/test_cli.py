@@ -193,16 +193,22 @@ class TestExitCodes:
         assert main(args) == 2
 
 
-def _shrink_mid_run(monkeypatch, kept=64):
+def _shrink_mid_run(monkeypatch, kept=96):
     """Cut the genotype file to its first `kept` markers as soon as a rank
     starts to load a later one: the file shrinks after the reader checked
-    it at open. Forked socket ranks inherit the patch."""
+    it at open. Forked socket ranks inherit the patch.
+
+    At --block-size 64 the cut lies inside the second block, so on 2 or 4
+    ranks only the ranks whose share of that block lies past it read
+    short; the others read theirs in full and go on to the block's
+    collective whitening, sending to a rank that has failed."""
     start = fileio.BlockReader.start
 
     def shrinking_start(self, first_index, count, buffer):
         if first_index >= kept:
             os.truncate(self.file.path,
-                        fileio.header_size("GWAX") + 8 * self.n * kept)
+                        fileio.header_size("GWAX")
+                        + 8 * self.file.dims[0] * kept)
         return start(self, first_index, count, buffer)
 
     monkeypatch.setattr(fileio.BlockReader, "start", shrinking_start)
@@ -237,8 +243,8 @@ class TestFailedRuns:
 
     @pytest.fixture()
     def shrinking(self, tmp_path, monkeypatch):
-        # 400 markers, cut to the first 64, the first block at
-        # --block-size 64, once a rank starts to load the second
+        # 400 markers, cut to the first 96 once a rank starts to load a
+        # later one
         d = _gen(tmp_path, n=50, m=400, p=3)
         _shrink_mid_run(monkeypatch)
         return d
@@ -263,8 +269,10 @@ class TestFailedRuns:
         return exits, capfd.readouterr().err.splitlines()
 
     def test_socket_ranks_exit_3(self, shrinking, tmp_path, capfd):
-        # the rank whose read fails closes its sockets while its peer may
-        # be sending to it; the peer's broken pipe must not hide the cause
+        # rank 1's share of the second block, markers [96, 128), reads
+        # short and that rank closes its sockets, while rank 0, whose
+        # [64, 96) read in full, is sending to it in the block's whitening;
+        # rank 0's broken pipe must not hide the short read
         geno = f"{shrinking}/genotypes.gwax"
         whole = open(geno, "rb").read()
         out = str(tmp_path / "o.gwab")
@@ -277,6 +285,7 @@ class TestFailedRuns:
             assert exits == [3], err
             assert len(err) == 1 and err[0].startswith("error code=3 "), err
             assert f"{geno} ended" in err[0], err
+            assert "short of columns [96, 128)" in err[0], err
             assert self._left_behind(out) == []
 
     @pytest.mark.parametrize("np_", [2, 4])
@@ -379,7 +388,11 @@ class TestFailedRuns:
         r = subprocess.run(
             [sys.executable, "-m", "gwasgls.cli",
              *_solve_args(d, out, mode, *extra)],
-            capture_output=True, text=True, env=_child_env(), timeout=5,
+            capture_output=True, text=True, timeout=5,
+            # one BLAS thread: the limit then measures the header check,
+            # not the thread buffers numpy's import reserves
+            env={**_child_env(), "OPENBLAS_NUM_THREADS": "1",
+                 "OMP_NUM_THREADS": "1"},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                                   (2 ** 30, 2 ** 30)))
         err = r.stderr.splitlines()

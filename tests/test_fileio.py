@@ -77,9 +77,24 @@ def test_header_checked_against_file_size(tmp_path, kind, dims):
     path = str(tmp_path / "short.bin")
     with open(path, "wb") as f:
         f.write(fileio.pack_header(kind, dims) + bytes(16))
-    with pytest.raises(TruncatedFile, match="short.bin: payload is 16 bytes"):
+    with pytest.raises(TruncatedFile, match="short.bin: payload holds 16 bytes"):
         fileio.read_dims(path, kind)
     with pytest.raises(TruncatedFile, match="short.bin"):
+        fileio.read_matrix(path, kind)
+
+
+@pytest.mark.parametrize("kind,dims,payload", [
+    ("GWAX", (8, 5), 8 * 8 * 10), ("GWAB", (4, 3, 0), 8 * 4 * 9)],
+    ids=["GWAX-10-markers-as-5", "GWAB-sinv-records-as-betas-only"])
+def test_payload_longer_than_header_promises_rejected(tmp_path, kind, dims,
+                                                      payload):
+    # a file holding more than its header promises is refused too, not read
+    # as its prefix: 10 markers under a header of 5, or S^-1 records of
+    # p = 3 (9 reals each) under a flags field of 0
+    path = str(tmp_path / "long.bin")
+    with open(path, "wb") as f:
+        f.write(fileio.pack_header(kind, dims) + bytes(payload))
+    with pytest.raises(TruncatedFile, match="long.bin: payload holds"):
         fileio.read_matrix(path, kind)
 
 
