@@ -1,9 +1,9 @@
 """Command-line front end for dataset generation, the three solver
 engines, result verification, and the benchmark reporter.
 
-Exit codes: 0 success, 2 usage/configuration, 3 data/file errors and
-transport failures (TransportFailure, a dist rank lost), 4 numerical
-errors. Failures print a single machine-parsable line
+Exit codes: 0 success, 2 usage/configuration, 3 data/file errors (any
+OSError) and transport failures (TransportFailure, a dist rank lost), 4
+numerical errors. Failures print a single machine-parsable line
 ``error code=<int> msg="..."`` on stderr.
 """
 
@@ -40,7 +40,7 @@ def _classify(exc):
         return EXIT_NUMERICAL
     if isinstance(exc, ConfigError):
         return EXIT_USAGE
-    if isinstance(exc, (GwasGlsError, FileNotFoundError)):
+    if isinstance(exc, (GwasGlsError, OSError)):
         return EXIT_DATA
     raise exc
 

@@ -133,8 +133,7 @@ def gen_dataset(spec, out_dir):
     planted = planted_indices(spec)
     planted_cols = np.zeros((n, len(planted)))
     GGt = np.zeros((n, n))
-    with open(paths.geno, "wb") as f:
-        f.write(fileio.pack_header("GWAX", (n, m)))
+    with fileio.ColumnFile(paths.geno, "GWAX", "w+", (n, m)) as geno:
         for j0 in range(0, m, _CHUNK):
             j1 = min(j0 + _CHUNK, m)
             cnt = (j1 - j0) * n
@@ -143,7 +142,7 @@ def gen_dataset(spec, out_dir):
             fcol = np.repeat(freqs[j0:j1], n)
             chunk = ((u1 < fcol).astype(np.float64) + (u2 < fcol)).reshape(
                 (n, j1 - j0), order="F")
-            f.write(chunk.tobytes(order="F"))
+            geno.write(j0, chunk)
             GGt += chunk @ chunk.T
             for kk, pj in enumerate(planted):
                 if j0 <= pj < j1:

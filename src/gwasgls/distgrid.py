@@ -150,7 +150,7 @@ def read_share(path, grid, rank):
     i > j, of the matrix is compared by the rank that owns (i, j).
     """
     prow, pcol = grid.coord(rank)
-    with fileio.ColumnReader(path, "GWAM") as f:
+    with fileio.ColumnFile(path, "GWAM") as f:
         n = f.shape[0]
         D = DistMatrix2D.empty(n, n, grid, rank)
         buf = np.empty((n, min(DEFAULT_PANEL, n)), order="F")

@@ -1,5 +1,5 @@
-"""Binary file formats, the one reader of every input file, and the
-asynchronous block read/write agents.
+"""Binary file formats, the one column file through which every file is
+read and written, and the asynchronous block read/write agents.
 
 Every file starts with a fixed header: 4 ASCII magic bytes, a u32
 little-endian version (always 1), then kind-specific u64 little-endian
@@ -19,20 +19,22 @@ Kinds, and the payload their header promises (payload_shape):
 The packed triangle ordering is np.tril_indices order: (0,0), (1,0),
 (1,1), (2,0), ...
 
-Every input file is read through one ColumnReader. It opens the file
-once and checks at open that the file holds exactly the payload its
-header promises, so a short or long file, or a header no file could
-back, raises TruncatedFile before any buffer is allocated. It reads runs
-of whole columns into a caller's Fortran-ordered buffer, one readinto
-each.
+Every file is read and written through one ColumnFile, opened once,
+with payload_shape as its one layout rule. It checks at open that the
+file holds exactly the payload its header promises, so a short or long
+file, or a header no file could back, raises TruncatedFile before any
+buffer is allocated; a file it creates gets its header and that size.
+It moves runs of whole columns between the file and a caller's
+Fortran-ordered buffer: one readinto, or one positional write, each.
 
 A block travels as one array each way. BlockReader runs the reads of
-the genotype file's ColumnReader on its own thread, straight into the
+the genotype file's ColumnFile on its own thread, straight into the
 leading columns of a caller's n x count buffer, and its wait returns
-them. BlockWriter stores a count x record-width C-ordered array of
-records, the staging area the engines' small solves write them into
-(kernel.solve_whitened_block's out), as it is: encode checks that the
-records fit the file and copies nothing.
+them. BlockWriter runs the writes of the result file's ColumnFile,
+which each rank opens once per run: a count x record-width C-ordered
+array of records, the staging area the small solves write them into
+(kernel.solve_whitened_block's out), is stored as its transpose's
+payload columns, one positional write. encode copies nothing.
 """
 
 from __future__ import annotations
@@ -97,41 +99,45 @@ class ResultPayload:
 
 
 def write_matrix(path, kind, payload):
-    """Write a whole file of the given kind."""
+    """Write a whole file of the given kind: one create, one write."""
     if kind == "GWAB":
-        return _write_results(path, payload)
-    arr = np.asarray(payload, dtype=F64)
-    if kind == "GWAY":
-        arr = arr.reshape(-1, 1)
-    dims = arr.shape[:NDIMS[kind]]
-    if arr.shape != payload_shape(kind, dims):
-        raise DimensionMismatch(f"{kind} payload cannot be {arr.shape}")
-    with open(path, "wb") as f:
-        f.write(pack_header(kind, dims))
-        f.write(np.asfortranarray(arr, dtype=F64).tobytes(order="F"))
+        m, p = payload.betas.shape
+        flags = 1 if payload.sinv is not None else 0
+        fields = [payload.betas, payload.sinv] if flags else [payload.betas]
+        # a C-ordered row per record is a Fortran-ordered payload column
+        dims, cols = (m, p, flags), np.ascontiguousarray(np.hstack(fields), dtype=F64).T
+    else:
+        arr = np.asarray(payload, dtype=F64)
+        if kind == "GWAY":
+            arr = arr.reshape(-1, 1)
+        dims, cols = arr.shape[:NDIMS[kind]], np.asfortranarray(arr)
+    if cols.shape != payload_shape(kind, dims):
+        raise DimensionMismatch(f"{kind} payload cannot be {cols.shape}")
+    with ColumnFile(path, kind, "w+", dims) as f:
+        f.write(0, cols)
 
 
-def _write_results(path, payload: ResultPayload):
-    m, p = payload.betas.shape
-    flags = 1 if payload.sinv is not None else 0
-    fields = [payload.betas, payload.sinv] if flags else [payload.betas]
-    with open(path, "wb") as f:
-        f.write(pack_header("GWAB", (m, p, flags)))
-        f.write(np.ascontiguousarray(np.hstack(fields), dtype=F64))
+class ColumnFile:
+    """One file of the given kind, opened once in a mode of open: "r"
+    reads it, "r+" writes it too, "w+" creates it with the header of dims
+    and that payload's size. `dims` are the header's dimensions and `shape`
+    the payload they promise, which the file is checked at open to hold; a
+    failed check names the file. `bytes_read` and `bytes_written` count
+    the payload bytes moved. A context manager."""
 
-
-class ColumnReader:
-    """One input file of the given kind, opened once. `dims` are its
-    header's dimensions and `shape` the payload they promise, which the
-    file is checked at open to hold; a failed check names the file.
-    `bytes_read` counts the payload bytes read. A context manager."""
-
-    def __init__(self, path, kind):
-        self.path, self.bytes_read = path, 0
+    def __init__(self, path, kind, mode="r", dims=None):
+        self.path, self.bytes_read, self.bytes_written = path, 0, 0
         self._hdr = header_size(kind)
-        # unbuffered: a read goes to the file, never to a stale readahead
-        self._f = open(path, "rb", buffering=0)
+        if mode == "w+":  # dims checked before the file is made
+            header, shape = pack_header(kind, dims), payload_shape(kind, dims)
+        # open, unlike os.open, refuses a directory by name; unbuffered: a
+        # read goes to the file, never to a stale readahead
+        self._f = open(path, mode + "b", buffering=0)
+        self._fd = self._f.fileno()
         try:
+            if mode == "w+":  # then checked as any file is
+                os.pwrite(self._fd, header, 0)
+                os.ftruncate(self._fd, self._hdr + 8 * shape[0] * shape[1])
             raw = self._f.read(self._hdr)
             if len(raw) < self._hdr:
                 raise TruncatedFile(f"{path}: file shorter than its header")
@@ -147,7 +153,7 @@ class ColumnReader:
                 raise UnsupportedVersion(f"{path}: {e}") from e
             # Python integers: no n * m overflows
             need = 8 * self.shape[0] * self.shape[1]
-            have = os.fstat(self._f.fileno()).st_size - self._hdr
+            have = os.fstat(self._fd).st_size - self._hdr
             if have != need:
                 raise TruncatedFile(f"{path}: payload holds {have} bytes, its "
                                     f"header {kind} {self.dims} promises {need}")
@@ -168,7 +174,7 @@ class ColumnReader:
             raise DimensionMismatch(f"buffer {buffer.shape} cannot take "
                                     f"{rows} x {count} columns")
         out = buffer[:, :count]
-        # reshaping anything else would read into a silent copy
+        # reshaping anything else would move a silent copy
         if out.dtype != F64 or not out.flags.f_contiguous:
             raise DimensionMismatch("buffer columns must be Fortran-ordered float64")
         return out
@@ -188,6 +194,21 @@ class ColumnReader:
         self.bytes_read += out.nbytes
         return out
 
+    def write(self, first, columns):
+        """Store `columns`, Fortran-ordered float64 of the payload's rows,
+        as payload columns [first, first + count) (checked as in columns):
+        one pwrite, repeated only where the system takes part of it; a
+        write that takes nothing raises OSError."""
+        cols = self.columns(first, columns.shape[-1], columns)
+        at = self._hdr + 8 * self.shape[0] * first
+        view, done = memoryview(cols.reshape(-1, order="F")).cast("B"), 0
+        while done < cols.nbytes:
+            if not (k := os.pwrite(self._fd, view[done:], at + done)):
+                raise OSError(f"{self.path}: a write of columns [{first}, "
+                              f"{first + cols.shape[1]}) stored nothing")
+            done += k
+        self.bytes_written += cols.nbytes
+
     def close(self):
         self._f.close()
 
@@ -201,7 +222,7 @@ class ColumnReader:
 def read_dims(path, kind):
     """The header's dimensions, once the file is checked to hold the
     payload they promise."""
-    with ColumnReader(path, kind) as f:
+    with ColumnFile(path, kind) as f:
         return f.dims
 
 
@@ -210,7 +231,7 @@ def read_matrix(path, kind):
 
     The payload is read straight into the returned array, so the peak
     memory is the payload once."""
-    with ColumnReader(path, kind) as f:
+    with ColumnFile(path, kind) as f:
         arr = f.read(0, f.shape[1], np.empty(f.shape, dtype=F64, order="F"))
     if kind == "GWAB":
         rec, p = arr.T, f.dims[1]
@@ -238,7 +259,7 @@ def _check_symmetric(A):
 def read_covariates_and_phenotype(covariates, pheno):
     """[XL | y]: a GWAC file (n x q) and a GWAY file (n) read straight into
     the columns of one n x (q + 1) Fortran-ordered array."""
-    with ColumnReader(covariates, "GWAC") as fc, ColumnReader(pheno, "GWAY") as fy:
+    with ColumnFile(covariates, "GWAC") as fc, ColumnFile(pheno, "GWAY") as fy:
         (n, q), (ny,) = fc.dims, fy.dims
         if ny != n:
             raise DimensionMismatch(f"covariates have {n} rows, phenotype {ny}")
@@ -250,11 +271,13 @@ def read_covariates_and_phenotype(covariates, pheno):
 
 class _Agent:
     """One dedicated worker thread for the transfers of a BlockReader or a
-    BlockWriter. A ticket is the transfer's future; the memory under an
-    in-flight ticket is tracked, so a transfer that overlaps it fails
-    fast. wait returns what the transfer returned."""
+    BlockWriter to or from its ColumnFile, `file`, which close closes. A
+    ticket is the transfer's future; the memory under an in-flight ticket
+    is tracked, so a transfer that overlaps it fails fast. wait returns
+    what the transfer returned."""
 
-    def __init__(self):
+    def __init__(self, file):
+        self.file = file
         self._pool = ThreadPoolExecutor(max_workers=1)
         self._inflight = {}
         self._lock = threading.Lock()
@@ -277,15 +300,14 @@ class _Agent:
 
     def close(self):
         self._pool.shutdown(wait=True)
+        self.file.close()
 
 
 class BlockReader(_Agent):
-    """Asynchronous column-block reader over a GWAX genotype file: the
-    reads of its ColumnReader, `file`, run on the agent's thread."""
+    """Asynchronous column-block reader over a GWAX genotype file."""
 
     def __init__(self, path):
-        self.file = ColumnReader(path, "GWAX")
-        super().__init__()
+        super().__init__(ColumnFile(path, "GWAX"))
 
     def start(self, first_index, count, buffer):
         """Begin loading columns [first_index, first_index+count) into the
@@ -295,44 +317,26 @@ class BlockReader(_Agent):
         cols = self.file.columns(first_index, count, buffer)
         return self._submit(cols, lambda: self.file.read(first_index, count, cols))
 
-    def close(self):
-        super().close()
-        self.file.close()
-
 
 class BlockWriter(_Agent):
-    """Asynchronous record writer over a GWAB result file.
+    """Asynchronous record writer over a GWAB result file. Given the
+    header's dims (m, p, flags) it creates the file; without, it opens the
+    file that exists, checked as a read is.
 
     Records are offset-addressed by global marker index, so blocks may be
     written in any order; the file content depends only on the results.
     """
 
-    def __init__(self, path, m, p, flags, create=True):
-        self.path, self.m = path, m
-        self._width = payload_shape("GWAB", (m, p, flags))[0]
-        self._hdr = header_size("GWAB")
-        if create:
-            with open(path, "wb") as f:
-                f.write(pack_header("GWAB", (m, p, flags)))
-                f.seek(self._hdr + 8 * m * self._width - 1)
-                f.write(b"\0")
-        super().__init__()
-        self.bytes_written = 0
+    def __init__(self, path, dims=None):
+        super().__init__(ColumnFile(path, "GWAB", "r+" if dims is None else "w+", dims))
 
     def encode(self, first, records):
         """The records of markers [first, first + count) as the file holds
         them, which is `records` itself: a count x record-width float64
-        array of C-ordered rows. Anything else, or a range outside the
-        file's m markers, raises DimensionMismatch; nothing is copied."""
-        if (records.ndim != 2 or records.shape[1] != self._width
-                or records.dtype != F64 or not records.flags.c_contiguous):
-            raise DimensionMismatch(
-                f"records {records.shape} {records.dtype} are not C-ordered "
-                f"rows of {self._width} float64")
-        end = first + records.shape[0]
-        if first < 0 or end > self.m:
-            raise DimensionMismatch(f"records [{first}, {end}) outside a "
-                                    f"file of {self.m} markers")
+        array of C-ordered rows, whose transpose is the payload columns.
+        Anything else, or a range outside the file's m markers, raises
+        DimensionMismatch; nothing is copied."""
+        self.file.columns(first, len(records), records.T)
         return records
 
     def start(self, first, records):
@@ -340,11 +344,4 @@ class BlockWriter(_Agent):
         their offsets. `records` (see encode) is the memory tracked for
         overlap; it must not be touched until the ticket is waited."""
         rec = self.encode(first, records)
-
-        def _store():
-            with open(self.path, "r+b") as f:
-                f.seek(self._hdr + 8 * first * self._width)
-                f.write(rec)
-            self.bytes_written += rec.nbytes
-
-        return self._submit(rec, _store)
+        return self._submit(rec, lambda: self.file.write(first, rec.T))

@@ -208,10 +208,10 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
     np_ = t.size
     n, m = fileio.read_dims(paths.geno, "GWAX")
     # the inputs agree on n before the budget, which counts it, and the
-    # O(n^3) set-up start
-    for path, kind in ((paths.cov, "GWAM"), (paths.covariates, "GWAC"),
-                       (paths.pheno, "GWAY")):
-        n_in = fileio.read_dims(path, kind)[0]
+    # O(n^3) set-up start; one header read each, the covariates' last
+    for path, kind in ((paths.cov, "GWAM"), (paths.pheno, "GWAY"),
+                       (paths.covariates, "GWAC")):
+        n_in, *rest = fileio.read_dims(path, kind)
         if n_in != n:
             raise DimensionMismatch(f"{path} has n={n_in}, genotype file "
                                     f"{paths.geno} has n={n}")
@@ -228,7 +228,7 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         lo = first + count * t.rank // np_
         hi = first + count * (t.rank + 1) // np_
         chunks.append((lo, hi - lo))
-    q = fileio.read_dims(paths.covariates, "GWAC")[1]
+    q = rest[0]
     if q < 1:
         raise DimensionMismatch(f"covariates file {paths.covariates} has no "
                                 "columns; at least one covariate column is "
@@ -250,11 +250,6 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         t0 = time.perf_counter()
         ctx, whiten, prepare_bytes = prepare(t, paths)
         t_prepare = time.perf_counter() - t0
-        if t.rank == 0:
-            writer = fileio.BlockWriter(partial, m, p, flags, create=True)
-        t.barrier()
-        if t.rank != 0:
-            writer = fileio.BlockWriter(partial, m, p, flags, create=False)
 
         def solve(columns, out):
             # whitened in the reader region, which the next load overwrites;
@@ -262,15 +257,22 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
             return kernel.solve_whitened_block(ctx, whiten(columns), out,
                                                cfg.emit_s_inv)
 
+        writer = None
         try:
+            if t.rank == 0:
+                writer = fileio.BlockWriter(partial, (m, p, flags))
+            t.barrier()
+            if t.rank != 0:
+                writer = fileio.BlockWriter(partial)
             t_compute, t_io_wait, block_cpu = sweep(
                 reader, writer, chunks, in_bufs, ticket, solve, out_bufs)
         finally:
-            writer.close()
+            if writer is not None:  # None if this rank failed before its open
+                writer.close()
         # a rank sends its stats once its last store is done, so rank 0
         # holds every rank's only when the whole file is written
         stats = t.allgather_obj((reader.file.bytes_read + prepare_bytes,
-                                 writer.bytes_written, peak_rss_bytes()))
+                                 writer.file.bytes_written, peak_rss_bytes()))
         if t.rank == 0:
             os.replace(partial, paths.out)
     except BaseException:

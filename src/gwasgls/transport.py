@@ -103,7 +103,7 @@ class Transport:
             while True:
                 channel, payload = _read_frame(sock)
                 self._queues[(peer, channel)].put(payload)
-        except OSError:  # the peer, or this rank, has closed
+        except Exception:  # a closed socket, or a length no allocation backs
             for channel in (0, 1):
                 self._queues[(peer, channel)].put(_GONE)
 

@@ -1,3 +1,4 @@
+import errno
 import os
 import resource
 import subprocess
@@ -187,6 +188,19 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error code=3 "), err
         assert other in err[0] and "flags 0x2" in err[0], err
 
+    def test_out_is_a_directory_is_3(self, tmp_path, capsys):
+        # the run solves, then cannot rename its results onto a directory
+        d = _gen(tmp_path, n=40, m=30)
+        out = tmp_path / "o.gwab"
+        out.mkdir()
+        capsys.readouterr()
+        assert main(_solve_args(d, str(out), "ooc", "--block-size", "8")) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=3 "), err
+        assert "Is a directory" in err[0] and str(out) in err[0], err
+        assert list(out.iterdir()) == []
+        assert not os.path.exists(partial_path(str(out)))
+
     def test_oracle_scale_limit_is_2(self, tmp_path):
         d = _gen(tmp_path, n=501, m=10)
         args = _solve_args(d, str(tmp_path / "o.gwab"), "oracle")
@@ -235,6 +249,21 @@ def _raise_in_solve(monkeypatch):
         return stream(t, paths, cfg, failing_prepare, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "stream", failing_stream)
+
+
+def _fail_second_store(monkeypatch, m_blk=64, width=3):
+    """Make every pwrite into the second block of m_blk records of `width`
+    reals, or a later one, raise ENOSPC, as a full disk would: each rank
+    fails at its second store. Forked socket ranks inherit the patch."""
+    pwrite = os.pwrite
+    second = fileio.header_size("GWAB") + 8 * width * m_blk
+
+    def failing(fd, data, offset):
+        if offset >= second:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", failing)
 
 
 class TestFailedRuns:
@@ -322,7 +351,8 @@ class TestFailedRuns:
     @pytest.mark.parametrize("np_", [1, 2, 4])
     @pytest.mark.parametrize("fault", [
         "truncated", "indefinite", "first-block", "no-out-dir",
-        "shrinks-mid-run", "raises-in-solve", "asymmetric"])
+        "shrinks-mid-run", "raises-in-solve", "asymmetric",
+        "input-is-a-directory", "store-fails"])
     def test_fault_matrix(self, tmp_path, capfd, monkeypatch, transport, np_,
                           fault):
         # a data fault exits 3 and a numerical one 4, with one error line
@@ -358,6 +388,16 @@ class TestFailedRuns:
                 M[99, 1] += 1.0
                 cause = "not exactly symmetric"
             fileio.write_matrix(cov, "GWAM", M)
+        elif fault == "input-is-a-directory":
+            d = _gen(tmp_path, n=50, m=400, p=3)
+            cause = f"{d}/covariance.gwam"
+            os.remove(cause)
+            os.mkdir(cause)
+        elif fault == "store-fails":
+            # mid-run, at the second block's store
+            d = _gen(tmp_path, n=50, m=400, p=3)
+            _fail_second_store(monkeypatch)
+            cause = "No space left on device"
         else:
             d = _gen(tmp_path, n=50, m=400, p=3)
             out = str(tmp_path / "missing" / "o.gwab")
@@ -416,7 +456,7 @@ class TestFailedRuns:
             read.touch()  # seen from forked socket ranks too
             raise AssertionError("payload read")
 
-        monkeypatch.setattr(fileio.ColumnReader, "read", reading)
+        monkeypatch.setattr(fileio.ColumnFile, "read", reading)
         capfd.readouterr()
         out = str(tmp_path / "o.gwab")
         assert main(_solve_args(d, out, mode, *extra)) == 3

@@ -111,7 +111,89 @@ def test_unknown_result_flag_bits_rejected(tmp_path, flags):
     with pytest.raises(UnsupportedVersion, match="b.gwab: GWAB flags"):
         fileio.read_matrix(path, "GWAB")
     with pytest.raises(UnsupportedVersion):
-        fileio.BlockWriter(str(tmp_path / "w.gwab"), m=3, p=2, flags=flags)
+        fileio.BlockWriter(str(tmp_path / "w.gwab"), (3, 2, flags))
+    assert not (tmp_path / "w.gwab").exists()  # refused before it is made
+
+
+@pytest.mark.parametrize("open_", [
+    lambda path: fileio.ColumnFile(path, "GWAB"),
+    lambda path: fileio.ColumnFile(path, "GWAB", "r+"),
+    fileio.BlockWriter], ids=["read", "write", "block-writer"])
+@pytest.mark.parametrize("fault,at,data,error", [
+    ("magic", 0, b"GWAX", BadMagic),
+    ("version", 4, (2).to_bytes(4, "little"), UnsupportedVersion),
+    ("short", None, 8, TruncatedFile),
+    ("long", None, 8 * 5 * 3 + 8, TruncatedFile)])
+def test_existing_file_checked_for_writing_as_for_reading(tmp_path, open_, fault,
+                                                          at, data, error):
+    # a result file opened to write, as every rank but the first opens
+    # it, is refused on the same checks as a read, and left as it is
+    path = str(tmp_path / "b.gwab")
+    fileio.write_matrix(path, "GWAB", fileio.ResultPayload(np.ones((5, 3)), None))
+    with open(path, "r+b") as f:
+        if at is None:  # a payload of `data` bytes, not 5 x 3 reals
+            f.truncate(fileio.header_size("GWAB") + data)
+        else:
+            f.seek(at)
+            f.write(data)
+    before = open(path, "rb").read()
+    with pytest.raises(error, match="b.gwab"):
+        open_(path)
+    assert open(path, "rb").read() == before
+
+
+class TestColumnFileWrite:
+    """ColumnFile.write stores whole payload columns at their offsets,
+    checked as a read is, in one positional write."""
+
+    @staticmethod
+    def _create(tmp_path, n=4, m=9):
+        return fileio.ColumnFile(str(tmp_path / "x.gwax"), "GWAX", "w+", (n, m))
+
+    def test_columns_in_any_order_equal_one_write(self, tmp_path):
+        X = np.asfortranarray(np.random.default_rng(5).standard_normal((4, 9)))
+        with self._create(tmp_path) as f:
+            assert os.path.getsize(f.path) == fileio.header_size("GWAX") + X.nbytes
+            for first, count in ((6, 3), (0, 2), (2, 4)):
+                f.write(first, X[:, first:first + count])
+            assert f.bytes_written == X.nbytes
+        whole = str(tmp_path / "whole.gwax")
+        fileio.write_matrix(whole, "GWAX", X)
+        assert open(f.path, "rb").read() == open(whole, "rb").read()
+
+    def test_write_outside_the_payload_or_from_a_bad_buffer_raises(self, tmp_path):
+        with self._create(tmp_path) as f:
+            ok = np.ones((4, 3), order="F")
+            for first, bad in [
+                    (7, ok),                              # [7, 10) past m = 9
+                    (-1, ok),
+                    (0, np.ones((5, 3), order="F")),      # 5 rows, not 4
+                    (0, np.ones((4, 3))),                 # row-ordered
+                    (0, np.ones((4, 6), order="F")[:, ::2]),
+                    (0, np.ones((4, 3), dtype=np.float32, order="F")),
+                    (0, np.ones(4))]:
+                with pytest.raises(DimensionMismatch):
+                    f.write(first, bad)
+            assert f.bytes_written == 0
+
+    def test_short_writes_repeated_and_a_write_of_nothing_raises(
+            self, tmp_path, monkeypatch):
+        X = np.asfortranarray(np.random.default_rng(6).standard_normal((4, 9)))
+        pwrite, calls = os.pwrite, []
+
+        def seven_bytes(fd, data, offset):
+            calls.append(offset)
+            return pwrite(fd, bytes(data)[:7], offset)
+
+        with self._create(tmp_path) as f:
+            monkeypatch.setattr(os, "pwrite", seven_bytes)
+            f.write(0, X)
+            assert len(calls) == -(-X.nbytes // 7)
+            monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: 0)
+            with pytest.raises(OSError, match="x.gwax: a write of columns"):
+                f.write(0, X)
+        monkeypatch.undo()
+        assert np.array_equal(fileio.read_matrix(f.path, "GWAX"), X)
 
 
 def test_covariates_and_phenotype_read_into_one_array(tmp_path):
@@ -300,7 +382,7 @@ class TestBlockWriter:
             blocks = [(0, self._records(0, 4, flags=flags)),
                       (4, self._records(4, 3, flags=flags))]
             for path, order in ((a, (0, 1)), (b, (1, 0))):
-                w = fileio.BlockWriter(path, m=7, p=3, flags=flags)
+                w = fileio.BlockWriter(path, (7, 3, flags))
                 for i in order:
                     w.wait(w.start(*blocks[i]))
                 w.close()
@@ -313,7 +395,7 @@ class TestBlockWriter:
 
     def test_records_land_at_offsets(self, tmp_path):
         path = str(tmp_path / "r.gwab")
-        w = fileio.BlockWriter(path, m=5, p=3, flags=0)
+        w = fileio.BlockWriter(path, (5, 3, 0))
         rec = self._records(2, 2)
         w.wait(w.start(2, rec))
         w.close()
@@ -322,7 +404,7 @@ class TestBlockWriter:
         assert np.all(payload.betas[[0, 1, 4]] == 0.0)
 
     def test_in_flight_staging_area_rejected(self, tmp_path):
-        w = fileio.BlockWriter(str(tmp_path / "r.gwab"), m=8, p=3, flags=0)
+        w = fileio.BlockWriter(str(tmp_path / "r.gwab"), (8, 3, 0))
         staging = np.empty((4, 3))
         staging[:] = self._records(0, 4)
         t1 = w.start(0, staging)
@@ -335,7 +417,7 @@ class TestBlockWriter:
         w.close()
 
     def test_encode_rejects_records_that_do_not_fit(self, tmp_path):
-        w = fileio.BlockWriter(str(tmp_path / "r.gwab"), m=5, p=3, flags=1)
+        w = fileio.BlockWriter(str(tmp_path / "r.gwab"), (5, 3, 1))
         rec = self._records(0, 2, flags=1)  # 2 x 9
         assert w.encode(3, rec) is rec
         for first, bad in [

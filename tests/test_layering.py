@@ -8,8 +8,8 @@ set-up. Only _blas imports ctypes, so the BLAS calls and the OpenBLAS
 thread count live in one module. No module imports scipy, not even
 inside a function, and importing the command line loads none of it: a
 run has one BLAS, numpy's, and does not pay scipy's import. Only fileio
-opens a file in a mode that reads, so every input goes through its one
-header-checked reader.
+opens a file, for reading or writing, apart from the command line's text
+report, so every file goes through its one header-checked column file.
 """
 
 import ast
@@ -124,23 +124,23 @@ def test_engine_modules_import_nothing_from_scipy(name):
     assert sorted(m for m in ABSOLUTE[name] if m.split(".")[0] == "scipy") == []
 
 
-def _read_opens(tree):
-    """Line numbers of the open() calls in tree that may read: no mode
-    (read text), a mode with r or +, or a mode that is not a literal."""
-    lines = []
-    for node in ast.walk(tree):
-        func = getattr(node, "func", None)
-        if not isinstance(node, ast.Call) or "open" not in (
-                getattr(func, "id", None), getattr(func, "attr", None)):
-            continue
-        mode = node.args[1] if len(node.args) > 1 else next(
-            (k.value for k in node.keywords if k.arg == "mode"), None)
-        if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("r+"):
-            lines.append(node.lineno)
-    return lines
+def _opens(tree):
+    """(line, first argument) of every open() or os.open() call in tree,
+    and of any other call through an attribute named open."""
+    return [(node.lineno, ast.unparse(node.args[0]) if node.args else None)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "open" in (getattr(node.func, "id", None),
+                           getattr(node.func, "attr", None))]
 
 
-def test_only_fileio_opens_files_for_reading():
-    # a second reader would skip the check of its header against the file
-    readers = {name: _read_opens(tree) for name, tree in TREES.items()}
-    assert {name for name, lines in readers.items() if lines} == {"fileio"}
+# the one open outside fileio: cli's text report of `gwasgls bench`
+TEXT_REPORT = ("cli", "args.report")
+
+
+def test_only_fileio_opens_files():
+    # a second reader would skip the check of its header against the
+    # file, and a second writer the layout of payload_shape
+    opens = {(name, arg) for name, tree in TREES.items() if name != "fileio"
+             for _, arg in _opens(tree)}
+    assert opens == {TEXT_REPORT}
+    assert _opens(TREES["fileio"])

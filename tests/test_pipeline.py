@@ -4,6 +4,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -133,6 +134,61 @@ class TestEngines:
         run(solve_paths(seed42_dataset, out_path("staged.gwab")),
             SolveConfig(m_blk=100, emit_s_inv=True))
         assert (len(seen), sum(seen)) == (stores, stores)
+
+    @pytest.mark.parametrize("run,np_", [
+        (run_ooc, 1), (lambda p, cfg: run_spmd(2, run_dist, p, cfg)[0], 2)],
+        ids=["ooc", "dist-np2"])
+    def test_each_rank_opens_the_result_file_once(
+            self, run, np_, seed42_dataset, out_path, monkeypatch):
+        # rank 0 creates it, the others open it after the barrier, and
+        # every block is stored through that one descriptor
+        opens = []
+
+        def counting(path, mode="r", *args, **kwargs):
+            opens.append((path, mode, threading.get_ident()))
+            return builtins.open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(fileio, "open", counting, raising=False)
+        p = solve_paths(seed42_dataset, out_path("once.gwab"))
+        s = run(p, SolveConfig(m_blk=100))
+        assert s.m // 100 == 5  # blocks stored per rank
+        result = [(mode, rank) for path, mode, rank in opens
+                  if path == partial_path(p.out)]
+        assert sorted(mode for mode, _ in result) == ["r+b"] * (np_ - 1) + ["w+b"]
+        assert len({rank for _, rank in result}) == np_
+
+    def test_writer_closed_when_a_rank_fails_before_the_barrier(
+            self, seed42_dataset, out_path, monkeypatch):
+        # rank 1 fails in its set-up, after rank 0 has created the result
+        # file; rank 0's writer, its thread and its descriptor, still close
+        made, closed = [], []
+        init, close, stream = (fileio.BlockWriter.__init__,
+                               fileio.BlockWriter.close, pipeline.stream)
+
+        def making(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        def closing(self):
+            closed.append(self)
+            close(self)
+
+        def failing_stream(t, paths, cfg, prepare, *args, **kwargs):
+            def failing_prepare(t, paths):
+                prepared = prepare(t, paths)  # collective: every rank ends it
+                if t.rank == 1:
+                    raise ConfigError("rank 1 fails in its set-up")
+                return prepared
+            return stream(t, paths, cfg, failing_prepare, *args, **kwargs)
+
+        monkeypatch.setattr(fileio.BlockWriter, "__init__", making)
+        monkeypatch.setattr(fileio.BlockWriter, "close", closing)
+        monkeypatch.setattr(pipeline, "stream", failing_stream)
+        p = solve_paths(seed42_dataset, out_path("failed.gwab"))
+        with pytest.raises(ConfigError, match="rank 1 fails"):
+            run_spmd(2, run_dist, p, SolveConfig(m_blk=100))
+        assert len(made) == 1 and closed == made
+        assert not os.path.exists(partial_path(p.out))
 
     @pytest.mark.parametrize("run,np_", [
         (run_ooc, 1), (run_incore, 1),

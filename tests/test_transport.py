@@ -14,7 +14,7 @@ from gwasgls.errors import (
     SizeMismatch,
     TransportFailure,
 )
-from gwasgls.transport import _read_frame, _write_frame, run_spmd
+from gwasgls.transport import Transport, _read_frame, _write_frame, run_spmd
 
 
 @pytest.mark.parametrize("transport", ["inproc", "socket"])
@@ -274,3 +274,31 @@ def test_frame_on_unknown_channel_ends_the_stream():
         a.sendall(struct.pack("<QB", 1, 7))
         with pytest.raises(ConnectionError):
             _read_frame(b)
+
+
+@pytest.mark.parametrize("length", [2**63 + 5, 2**62],
+                         ids=["overflows-ssize_t", "no-allocation"])
+def test_frame_no_allocation_can_back_ends_the_stream(length):
+    # reading its payload raises OverflowError or MemoryError in the drain
+    # thread; a drain that died of it without queuing the sentinel would
+    # leave recv from that peer waiting forever
+    a, b = socket.socketpair()
+    t = Transport(0, 2, {1: a})
+    try:
+        b.sendall(struct.pack("<QB", length, 0))
+        outcome = []
+
+        def receive():
+            try:
+                t.recv(1)
+            except TransportFailure as e:
+                outcome.append(e)
+
+        th = threading.Thread(target=receive, daemon=True)
+        th.start()
+        th.join(timeout=5)
+        assert not th.is_alive(), "recv hung"
+        assert len(outcome) == 1
+    finally:
+        b.close()
+        t.close()
