@@ -80,7 +80,7 @@ def _view(a, written=False):
 
 
 def _square(a):
-    if a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"triangular operand is {a.shape}, not square")
     return a.shape[0]
 

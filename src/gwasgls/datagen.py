@@ -115,7 +115,8 @@ def gen_dataset(spec, out_dir):
     frequency drawn from maf_range; covariates are an intercept plus
     standard-normal columns; the phenotype carries a linear signal from
     planted markers plus noise; the covariance is (1/m) G G^T + ridge * I,
-    SPD by construction.
+    SPD by construction. Each file is renamed into place once whole
+    (fileio.creating).
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = DatasetPaths.in_dir(out_dir)
@@ -133,7 +134,7 @@ def gen_dataset(spec, out_dir):
     planted = planted_indices(spec)
     planted_cols = np.zeros((n, len(planted)))
     GGt = np.zeros((n, n))
-    with fileio.ColumnFile(paths.geno, "GWAX", "w+", (n, m)) as geno:
+    with fileio.creating(paths.geno, "GWAX", (n, m)) as geno:
         for j0 in range(0, m, _CHUNK):
             j1 = min(j0 + _CHUNK, m)
             cnt = (j1 - j0) * n
@@ -182,16 +183,16 @@ ORACLE_MAX_M = 5000
 
 def oracle_solve_all(paths, out_path):
     """Ground-truth sweep: evaluate the GLS formula marker by marker with
-    no hoisting of marker-independent work. Desk scale only."""
+    no hoisting of marker-independent work. Desk scale only, which the
+    file headers are checked against before any payload is read."""
+    n, m, q = fileio.run_dims(paths, out_path)
+    if n > ORACLE_MAX_N or m > ORACLE_MAX_M:
+        raise ConfigError(
+            f"oracle limited to n<={ORACLE_MAX_N}, m<={ORACLE_MAX_M}")
     M = fileio.read_matrix(paths.cov, "GWAM")
     XL = fileio.read_matrix(paths.covariates, "GWAC")
     y = fileio.read_matrix(paths.pheno, "GWAY")
     X = fileio.read_matrix(paths.geno, "GWAX")
-    n, m = X.shape
-    if n > ORACLE_MAX_N or m > ORACLE_MAX_M:
-        raise ConfigError(
-            f"oracle limited to n<={ORACLE_MAX_N}, m<={ORACLE_MAX_M}")
-    q = XL.shape[1]
     p = q + 1
     L = kernel.cholesky_spd(M)
     betas = np.full((m, p), np.nan)

@@ -3,8 +3,8 @@ factor live element-cyclic on a 2D process grid, and marker blocks never
 leave the rank that read them. The engine is pipeline.stream; this module
 gives it the prepare of np > 1 ranks and the distributed kernels.
 No rank holds the whole covariance: each reads its own share from the
-file (read_share), checking it against the mirror entries it also reads,
-with no message sent. dist_cholesky factors M in its shares, updating
+file and checks it against its mirror (fileio.read_covariance), with
+no message sent. dist_cholesky factors M in its shares, updating
 each in place, and whitens a replicated right-hand side such as [XL | y]
 with each panel as it is factored; besides its share, a rank holds one
 (n - k) x nb column panel and its pieces. Each rank whitens its own
@@ -38,11 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas, fileio, kernel, pipeline
-from .errors import AsymmetricCovariance, ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 
 DEFAULT_PANEL = 64
 # n-row columns of set-up scratch beside the share: the larger of
-# read_share's one n x DEFAULT_PANEL buffer and dist_cholesky's panel, the
+# read_share's one n x fileio.RUN buffer and dist_cholesky's panel, the
 # pieces of its exchange and the strided copies its update reads, which
 # tests hold to four n x DEFAULT_PANEL
 SETUP_COLS = 4 * DEFAULT_PANEL
@@ -136,48 +136,11 @@ def _from_bytes(raw, shape):
 
 def read_share(path, grid, rank):
     """This rank's element-cyclic share of the GWAM covariance at path,
-    read straight from the file with no message sent; returns (share,
-    payload bytes read). Raises AsymmetricCovariance, as
-    fileio.read_matrix does, for a non-finite entry of the share or an
-    entry that differs from its mirror.
-
-    The rank reads every column that holds its share (j = pcol mod c) or
-    the mirror of a share row (i = prow mod r), in runs of at most
-    DEFAULT_PANEL consecutive columns through one buffer, and keeps rows
-    prow::r of its share columns. Each mirror column i is compared, as it
-    arrives, with share row i over the share columns read so far, those
-    before the run's end; those include every j < i, so each pair (i, j),
-    i > j, of the matrix is compared by the rank that owns (i, j).
-    """
-    prow, pcol = grid.coord(rank)
-    with fileio.ColumnFile(path, "GWAM") as f:
-        n = f.shape[0]
-        D = DistMatrix2D.empty(n, n, grid, rank)
-        buf = np.empty((n, min(DEFAULT_PANEL, n)), order="F")
-        for c0, c1 in _share_runs(n, grid, prow, pcol):
-            cols = f.read(c0, c1 - c0, buf)
-            lc, wc = _span(c0, c1, pcol, grid.c)
-            D.local[:, lc] = cols[prow::grid.r, wc]
-            if not np.isfinite(D.local[:, lc]).all():
-                raise AsymmetricCovariance("covariance file has non-finite entries")
-            lm, wm = _span(c0, c1, prow, grid.r)
-            if not np.array_equal(D.local[lm, :lc.stop],
-                                  cols[pcol::grid.c, wm][:lc.stop].T):
-                raise AsymmetricCovariance("covariance file is not exactly symmetric")
-    return D, f.bytes_read
-
-
-def _share_runs(n, grid, prow, pcol):
-    """[(c0, c1), ...]: runs of at most DEFAULT_PANEL consecutive columns,
-    in order, that cover the columns j = pcol (mod c) and i = prow (mod r)
-    of an order-n matrix and no other column."""
-    runs = []
-    for j in sorted(set(range(pcol, n, grid.c)) | set(range(prow, n, grid.r))):
-        if runs and runs[-1][1] == j and j - runs[-1][0] < DEFAULT_PANEL:
-            runs[-1][1] = j + 1
-        else:
-            runs.append([j, j + 1])
-    return runs
+    read and checked straight from the file (fileio.read_covariance) with
+    no message sent; returns (share, payload bytes read)."""
+    n = fileio.read_dims(path, "GWAM")[0]
+    local, nbytes = fileio.read_covariance(path, grid.r, grid.c, *grid.coord(rank))
+    return DistMatrix2D(n, n, grid, rank, local), nbytes
 
 
 def scatter_matrix(A, grid, t):
@@ -248,18 +211,12 @@ def redist_2d_to_1d(X, t):
     return out
 
 
-def _span(lo, hi, p, step):
-    """Local and window slices of the indices i = p (mod step), lo <= i < hi."""
-    a, b = -((p - lo) // step), -((p - hi) // step)
-    return slice(a, b), slice(p + a * step - lo, hi - lo, step)
-
-
 def _window(D, rank, r0, r1, c0, c1):
     """Slices (local, at): the entries of the window [r0:r1, c0:c1] of D
     that rank owns are its D.local[local] and sit at window[at]."""
     prow, pcol = D.grid.coord(rank)
-    lr, wr = _span(r0, r1, prow, D.grid.r)
-    lc, wc = _span(c0, c1, pcol, D.grid.c)
+    lr, wr = fileio._span(r0, r1, prow, D.grid.r)
+    lc, wc = fileio._span(c0, c1, pcol, D.grid.c)
     return (lr, lc), (wr, wc)
 
 
@@ -292,7 +249,8 @@ def dist_cholesky(M, t, nb=DEFAULT_PANEL, B=None):
 
     Each step replicates the column panel [k:n, k:k+nb] on every rank in
     one exchange and factors it there in place by kernel.factor_panel
-    (small redundant factorizations). The trailing update runs in place
+    (small redundant factorizations, each judged by kernel._pivot, as the
+    one-rank factor is). The trailing update runs in place
     on the owned entries of the lower triangle, one GEMM per block of
     columns (_update_lower), so it skips most of the entries above the
     diagonal, which nothing reads. Each panel of L overwrites the
@@ -316,7 +274,6 @@ def dist_cholesky(M, t, nb=DEFAULT_PANEL, B=None):
     for k in range(0, n, nb):
         kb = min(nb, n - k)
         panel = _replicate_finish(M, t, _replicate_start(M, t, k, n, k, k + kb))
-        kernel.check_covariance(panel[:kb], k)
         kernel.factor_panel(panel, k)
         _blas.zero_strict_upper(panel[:kb])
         local, at = _window(M, t.rank, k, n, k, k + kb)

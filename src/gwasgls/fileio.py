@@ -26,6 +26,8 @@ file, or a header no file could back, raises TruncatedFile before any
 buffer is allocated; a file it creates gets its header and that size.
 It moves runs of whole columns between the file and a caller's
 Fortran-ordered buffer: one readinto, or one positional write, each.
+A file is created at its partial_path, renamed once whole (creating).
+read_covariance alone reads and checks a covariance, whole or a share.
 
 A block travels as one array each way. BlockReader runs the reads of
 the genotype file's ColumnFile on its own thread, straight into the
@@ -39,6 +41,7 @@ payload columns, one positional write. encode copies nothing.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import threading
@@ -60,6 +63,8 @@ from . import kernel
 NDIMS = {"GWAM": 1, "GWAX": 2, "GWAC": 2, "GWAY": 1, "GWAB": 3}
 VERSION = 1
 F64 = np.dtype("<f8")
+# most consecutive whole columns read_covariance reads at once
+RUN = 64
 
 
 def header_size(kind):
@@ -113,8 +118,29 @@ def write_matrix(path, kind, payload):
         dims, cols = arr.shape[:NDIMS[kind]], np.asfortranarray(arr)
     if cols.shape != payload_shape(kind, dims):
         raise DimensionMismatch(f"{kind} payload cannot be {cols.shape}")
-    with ColumnFile(path, kind, "w+", dims) as f:
+    with creating(path, kind, dims) as f:
         f.write(0, cols)
+
+
+def partial_path(path):
+    """Where a file is written until it is whole (creating)."""
+    return path + ".partial"
+
+
+@contextlib.contextmanager
+def creating(path, kind, dims):
+    """A new ColumnFile ("w+") at partial_path(path), renamed onto path
+    when the block ends (rename(2) is atomic, so path only ever holds a
+    whole file), or removed if it raises."""
+    partial = partial_path(path)
+    try:
+        with ColumnFile(partial, kind, "w+", dims) as f:
+            yield f
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 class ColumnFile:
@@ -226,34 +252,89 @@ def read_dims(path, kind):
         return f.dims
 
 
+def run_dims(paths, out):
+    """(n, m, q) of a run from its files' headers alone: paths.geno holds
+    n x m genotypes, and paths.cov, .pheno and .covariates (q >= 1
+    columns) agree on n. An out no result could be renamed onto raises
+    first: IsADirectoryError, or FileNotFoundError for a missing folder."""
+    if os.path.isdir(out):
+        raise IsADirectoryError(f"Is a directory: {out}")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(f"No such directory for {out}")
+    n, m = read_dims(paths.geno, "GWAX")
+    for path, kind in ((paths.cov, "GWAM"), (paths.pheno, "GWAY"),
+                       (paths.covariates, "GWAC")):
+        n_in, *rest = read_dims(path, kind)
+        if n_in != n:
+            raise DimensionMismatch(f"{path} has n={n_in}, genotype file "
+                                    f"{paths.geno} has n={n}")
+    if rest[0] < 1:
+        raise DimensionMismatch(f"covariates file {paths.covariates} has no columns;"
+                                " at least one covariate column is needed")
+    return n, m, rest[0]
+
+
 def read_matrix(path, kind):
     """Read a whole file; inverse of write_matrix (bitwise round trip).
 
     The payload is read straight into the returned array, so the peak
-    memory is the payload once."""
+    memory is the payload once; a covariance is read by read_covariance."""
+    if kind == "GWAM":
+        return read_covariance(path)[0]
     with ColumnFile(path, kind) as f:
         arr = f.read(0, f.shape[1], np.empty(f.shape, dtype=F64, order="F"))
     if kind == "GWAB":
         rec, p = arr.T, f.dims[1]
         return ResultPayload(betas=rec[:, :p], sinv=rec[:, p:] if f.dims[2] else None)
-    if kind == "GWAM":
-        _check_symmetric(arr)
     return arr[:, 0] if kind == "GWAY" else arr
 
 
-def _check_symmetric(A):
-    """Raise AsymmetricCovariance unless A is finite and exactly equal to
-    A.T. Each tile on or below the diagonal is compared with its mirror,
-    so no n x n temporary is built."""
-    n = A.shape[0]
-    tile = 256
-    for i in range(0, n, tile):
-        for j in range(0, i + 1, tile):
-            low = A[i:i + tile, j:j + tile]
-            if not np.isfinite(low).all():
-                raise AsymmetricCovariance("covariance file has non-finite entries")
-            if not np.array_equal(low, A[j:j + tile, i:i + tile].T):
-                raise AsymmetricCovariance("covariance file is not exactly symmetric")
+def read_covariance(path, r=1, c=1, prow=0, pcol=0):
+    """(share, payload bytes read): rows prow::r of columns pcol::c of the
+    GWAM covariance at path, Fortran-ordered, the share of process (prow,
+    pcol) of an r x c element-cyclic grid: on a 1 x 1 grid the whole
+    matrix, read in place. Raises AsymmetricCovariance, naming the file,
+    for an entry of the share that is not finite or not its mirror.
+
+    It reads the columns j = pcol (mod c) and i = prow (mod r) in runs of
+    at most RUN, a share through one n x RUN buffer, and compares each
+    mirror column i as it arrives with share row i up to the run's end,
+    every j < i included: each pair (i, j), i > j, by the owner of (i, j).
+    """
+    with ColumnFile(path, "GWAM") as f:
+        n = f.shape[0]
+        share = np.empty((len(range(prow, n, r)), len(range(pcol, n, c))), order="F")
+        buf = share if r == c == 1 else np.empty((n, min(RUN, n)), order="F")
+        for c0, c1 in _share_runs(n, r, c, prow, pcol):
+            cols = f.read(c0, c1 - c0, share[:, c0:] if buf is share else buf)
+            lc, wc = _span(c0, c1, pcol, c)
+            if buf is not share:
+                share[:, lc] = cols[prow::r, wc]
+            lm, wm = _span(c0, c1, prow, r)
+            if not np.isfinite(share[:, lc]).all():
+                raise AsymmetricCovariance(f"{path}: covariance has non-finite entries")
+            if not np.array_equal(share[lm, :lc.stop], cols[pcol::c, wm][:lc.stop].T):
+                raise AsymmetricCovariance(f"{path}: covariance is not exactly symmetric")
+    return share, f.bytes_read
+
+
+def _share_runs(n, r, c, prow, pcol):
+    """[(c0, c1), ...]: runs of at most RUN consecutive columns, in order,
+    that cover the columns j = pcol (mod c) and i = prow (mod r) of an
+    order-n matrix and no other column."""
+    runs = []
+    for j in sorted(set(range(pcol, n, c)) | set(range(prow, n, r))):
+        if runs and runs[-1][1] == j and j - runs[-1][0] < RUN:
+            runs[-1][1] = j + 1
+        else:
+            runs.append([j, j + 1])
+    return runs
+
+
+def _span(lo, hi, p, step):
+    """Local and window slices of the indices i = p (mod step), lo <= i < hi."""
+    a, b = -((p - lo) // step), -((p - hi) // step)
+    return slice(a, b), slice(p + a * step - lo, hi - lo, step)
 
 
 def read_covariates_and_phenotype(covariates, pheno):

@@ -23,9 +23,9 @@ count-long rows, whose last step writes every marker's GWAB record
 (p betas, then the packed S^-1 when asked for) as one row of the
 caller's count x record-width array, the block's only result. The
 engines pass the staging area their writer stores from. Each step of the
-distributed Cholesky is factor_panel; cholesky_spd and trsolve_lower
-remain the substitution route, the tests' reference; they and the
-small solves go through _blas too.
+distributed Cholesky is factor_panel, and _pivot judges every factor of
+the covariance; cholesky_spd and trsolve_lower remain the substitution
+route, the tests' reference; they and the small solves go through _blas too.
 """
 
 from __future__ import annotations
@@ -97,33 +97,22 @@ def cholesky_spd(M):
     0-based pivot index) when a pivot is non-positive or non-finite.
     """
     L = np.array(M, dtype=np.float64, order="F")
-    check_covariance(L)
-    _pivot(_blas.potrf(L), 0)
+    _pivot(L, _blas.potrf(L), 0)
     _blas.zero_strict_upper(L)
     return L
 
 
-def check_covariance(M, offset=0):
-    """Raise DimensionMismatch unless M is square, and NotPositiveDefinite
-    at row offset + i for the first row i of M with a non-finite entry."""
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch("covariance must be square")
-    # the sum is finite only if every entry is, and builds no n x n mask;
-    # the mask is formed only to locate a bad entry (or rule out overflow)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = M.sum()
-    if not np.isfinite(total):
-        bad = np.argwhere(~np.isfinite(M))
-        if bad.size:
-            raise NotPositiveDefinite(offset + int(bad[0][0]),
-                                      "non-finite entry in covariance")
-
-
-def _pivot(info, offset):
-    """Raise NotPositiveDefinite for dpotrf's info on a block whose first
-    row is row `offset` of the whole matrix."""
-    if info > 0:
-        raise NotPositiveDefinite(offset + info - 1)
+def _pivot(A, info, offset):
+    """The one rule a factor of the covariance is judged by: raise
+    NotPositiveDefinite at the first pivot that dpotrf (info > 0 stops it
+    at pivot info - 1) failed or left non-finite in the block A, whose
+    first row is row `offset` of the whole matrix. OpenBLAS passes a NaN
+    pivot; a non-finite entry below the diagonal reaches its row's pivot."""
+    done = info - 1 if info > 0 else A.shape[0]
+    d = np.diagonal(A)[:done]
+    bad = np.flatnonzero(~((d > 0) & (d < np.inf)))
+    if bad.size or info > 0:
+        raise NotPositiveDefinite(offset + (int(bad[0]) if bad.size else done))
 
 
 def inverse_factor(M):
@@ -143,7 +132,8 @@ def inverse_factor(M):
     inverse of Elmroth, Gustavson, Jonsson & Kagstrom (SIAM Review 46(1),
     2004).
     """
-    check_covariance(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:  # before any of it is overwritten
+        raise DimensionMismatch(f"covariance is {M.shape}, not square")
     _factor(M, 0)
     invert_lower(M)
     _blas.zero_strict_upper(M)
@@ -156,7 +146,7 @@ def _factor(A, offset):
     failed pivot is reported by its global index."""
     n = A.shape[0]
     if n <= BASE:
-        _pivot(_blas.potrf(A), offset)
+        _pivot(A, _blas.potrf(A), offset)
         return
     h = n // 2
     factor_panel(A[:, :h], offset)

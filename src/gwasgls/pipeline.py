@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import _blas, fileio, kernel, transport
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError
 
 DEFAULT_M_BLK = 5000
 MEM_BUDGET_ENV = "GWAS_GLS_MEM_BUDGET_BYTES"
@@ -78,29 +78,17 @@ class RunSummary:
     block_cpu_times: list = field(default_factory=list)
 
     def to_record(self):
-        parts = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, list):
-                continue
-            if isinstance(v, float):
-                parts.append(f"{f.name}={v:.6f}")
-            else:
-                parts.append(f"{f.name}={v}")
-        return " ".join(parts)
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return " ".join(f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"
+                        for k, v in values if not isinstance(v, list))
 
     @classmethod
     def from_record(cls, line):
-        kw = {}
-        typed = {f.name: f.type for f in fields(cls)}
-        for tok in line.split():
-            k, v = tok.split("=", 1)
-            if k not in typed:
-                continue
-            t = typed[k]
-            kw[k] = v if t in (str, "str") else (
-                float(v) if t in (float, "float") else int(v))
-        return cls(**kw)
+        # every annotation is a string, postponed by the __future__ import
+        types = {f.name: {"str": str, "float": float, "int": int}.get(f.type)
+                 for f in fields(cls)}
+        pairs = (tok.split("=", 1) for tok in line.split())
+        return cls(**{k: types[k](v) for k, v in pairs if types.get(k)})
 
 
 @dataclass
@@ -138,13 +126,6 @@ def peak_rss_bytes():
     """This process's peak resident set so far (getrusage's ru_maxrss,
     which Linux counts in KiB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-
-
-def partial_path(out):
-    """Where a run writes its results until the last store is done; the
-    engine then renames the file onto `out` (rename(2) is atomic), so
-    `out` only ever holds a complete run, or is absent."""
-    return out + ".partial"
 
 
 def load_prepare(t, paths):
@@ -206,15 +187,9 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
     """
     t_start = time.perf_counter()
     np_ = t.size
-    n, m = fileio.read_dims(paths.geno, "GWAX")
-    # the inputs agree on n before the budget, which counts it, and the
-    # O(n^3) set-up start; one header read each, the covariates' last
-    for path, kind in ((paths.cov, "GWAM"), (paths.pheno, "GWAY"),
-                       (paths.covariates, "GWAC")):
-        n_in, *rest = fileio.read_dims(path, kind)
-        if n_in != n:
-            raise DimensionMismatch(f"{path} has n={n_in}, genotype file "
-                                    f"{paths.geno} has n={n}")
+    # the inputs agree on n, and out is no directory, before the budget,
+    # which counts n, and the O(n^3) set-up start
+    n, m, q = fileio.run_dims(paths, paths.out)
     m_blk = cfg.m_blk if cfg.m_blk is not None else DEFAULT_M_BLK
     if m_blk < 1:
         raise ConfigError(f"m_blk={m_blk} is not positive")
@@ -228,11 +203,6 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         lo = first + count * t.rank // np_
         hi = first + count * (t.rank + 1) // np_
         chunks.append((lo, hi - lo))
-    q = rest[0]
-    if q < 1:
-        raise DimensionMismatch(f"covariates file {paths.covariates} has no "
-                                "columns; at least one covariate column is "
-                                "needed")
     p = q + 1
     flags = 1 if cfg.emit_s_inv else 0
     w = kernel.record_width(p, flags)
@@ -243,7 +213,7 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
                  "region(s) and set-up scratch")
     in_bufs = [np.empty((n, loc), order="F") for _ in range(regions)]
     out_bufs = [np.empty((loc, w)) for _ in range(regions)]
-    partial = partial_path(paths.out)
+    partial = fileio.partial_path(paths.out)
     reader = fileio.BlockReader(paths.geno)
     try:
         ticket = reader.start(*chunks[0], in_bufs[0]) if chunks[0][1] else None

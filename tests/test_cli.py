@@ -13,7 +13,7 @@ import gwasgls
 from gwasgls import distgrid, fileio, pipeline
 from gwasgls.cli import main
 from gwasgls.errors import GwasGlsError, TransportFailure
-from gwasgls.pipeline import partial_path
+from gwasgls.fileio import partial_path
 
 
 def _gen(tmp_path, n=100, m=500, p=4, seed=42):
@@ -188,23 +188,85 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error code=3 "), err
         assert other in err[0] and "flags 0x2" in err[0], err
 
-    def test_out_is_a_directory_is_3(self, tmp_path, capsys):
-        # the run solves, then cannot rename its results onto a directory
+    def test_out_is_a_directory_is_3(self, tmp_path, capfd, monkeypatch):
+        # no result could be renamed onto a directory, so the run fails
+        # before its set-up reads any payload
         d = _gen(tmp_path, n=40, m=30)
         out = tmp_path / "o.gwab"
         out.mkdir()
-        capsys.readouterr()
-        assert main(_solve_args(d, str(out), "ooc", "--block-size", "8")) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error code=3 "), err
-        assert "Is a directory" in err[0] and str(out) in err[0], err
-        assert list(out.iterdir()) == []
-        assert not os.path.exists(partial_path(str(out)))
+        read = _refuse_payload_reads(monkeypatch, tmp_path)
+        for mode, *extra in (("ooc", "--block-size", "8"), ("oracle",),
+                             ("dist", "--np", "2", "--transport", "socket")):
+            capfd.readouterr()
+            assert main(_solve_args(d, str(out), mode, *extra)) == 3
+            err = capfd.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error code=3 "), err
+            assert "Is a directory" in err[0] and str(out) in err[0], err
+            assert list(out.iterdir()) == []
+            assert not os.path.exists(partial_path(str(out)))
+        assert not read.exists()
 
-    def test_oracle_scale_limit_is_2(self, tmp_path):
+    def test_out_in_a_missing_directory_is_3(self, tmp_path, capfd,
+                                             monkeypatch):
+        # refused before any payload is read, as a directory is
+        d = _gen(tmp_path, n=40, m=30)
+        out = str(tmp_path / "missing" / "o.gwab")
+        read = _refuse_payload_reads(monkeypatch, tmp_path)
+        for mode, *extra in (("ooc",), ("oracle",),
+                             ("dist", "--np", "2", "--transport", "socket")):
+            capfd.readouterr()
+            assert main(_solve_args(d, out, mode, *extra)) == 3
+            err = capfd.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error code=3 "), err
+            assert f"No such directory for {out}" in err[0], err
+        assert not read.exists()
+
+    def test_oracle_scale_limit_is_2(self, tmp_path, monkeypatch):
+        # the limits are applied to the headers, before any payload is read
         d = _gen(tmp_path, n=501, m=10)
+        read = _refuse_payload_reads(monkeypatch, tmp_path)
         args = _solve_args(d, str(tmp_path / "o.gwab"), "oracle")
         assert main(args) == 2
+        assert not read.exists()
+
+    @pytest.mark.parametrize("bad", ["asymmetric", "non-finite"])
+    def test_bad_covariance_is_one_line_in_every_engine(self, tmp_path, capfd,
+                                                       bad):
+        # one reader checks the covariance for every engine, so each
+        # refuses it with the same line, naming the file
+        d = _gen(tmp_path, n=100, m=40, p=3)
+        cov = f"{d}/covariance.gwam"
+        M = fileio.read_matrix(cov, "GWAM")
+        if bad == "asymmetric":
+            M[99, 1] += 1.0
+        else:
+            M[70, 5] = M[5, 70] = np.inf
+        fileio.write_matrix(cov, "GWAM", M)
+        out = str(tmp_path / "o.gwab")
+        lines = []
+        for mode, *extra in (("ooc",), ("incore",), ("oracle",),
+                             ("dist", "--np", "2", "--transport", "socket")):
+            capfd.readouterr()
+            assert main(_solve_args(d, out, mode, *extra)) == 3
+            lines.append(capfd.readouterr().err.splitlines())
+            assert not os.path.exists(out)
+        assert all(err == lines[0] for err in lines) and len(lines[0]) == 1, lines
+        assert cov in lines[0][0]
+        assert ("not exactly symmetric" if bad == "asymmetric"
+                else "non-finite") in lines[0][0]
+
+
+def _refuse_payload_reads(monkeypatch, tmp_path):
+    """Make every payload read fail, and touch the returned path first,
+    which forked socket ranks do too."""
+    read = tmp_path / "payload-read"
+
+    def reading(*args, **kwargs):
+        read.touch()
+        raise AssertionError("payload read")
+
+    monkeypatch.setattr(fileio.ColumnFile, "read", reading)
+    return read
 
 
 def _shrink_mid_run(monkeypatch, kept=96):
@@ -351,7 +413,7 @@ class TestFailedRuns:
     @pytest.mark.parametrize("np_", [1, 2, 4])
     @pytest.mark.parametrize("fault", [
         "truncated", "indefinite", "first-block", "no-out-dir",
-        "shrinks-mid-run", "raises-in-solve", "asymmetric",
+        "shrinks-mid-run", "raises-in-solve", "asymmetric", "non-finite",
         "input-is-a-directory", "store-fails"])
     def test_fault_matrix(self, tmp_path, capfd, monkeypatch, transport, np_,
                           fault):
@@ -377,16 +439,19 @@ class TestFailedRuns:
             else:
                 _raise_in_solve(monkeypatch)
                 cause = "fails in its second block"
-        elif fault in ("indefinite", "asymmetric"):
+        elif fault in ("indefinite", "asymmetric", "non-finite"):
             d = _gen(tmp_path, n=100, m=40, p=3)
             cov = f"{d}/covariance.gwam"
             M = fileio.read_matrix(cov, "GWAM")
             if fault == "indefinite":
                 M[70, 70] = -5.0
                 code, cause = 4, "not positive definite"
-            else:  # in the last rank's share, as in the test above
+            elif fault == "asymmetric":  # in the last rank's share, as above
                 M[99, 1] += 1.0
                 cause = "not exactly symmetric"
+            else:
+                M[99, 99] = np.nan
+                cause = f"{cov}: covariance has non-finite entries"
             fileio.write_matrix(cov, "GWAM", M)
         elif fault == "input-is-a-directory":
             d = _gen(tmp_path, n=50, m=400, p=3)
@@ -442,21 +507,15 @@ class TestFailedRuns:
         assert self._left_behind(out) == []
 
     @pytest.mark.parametrize("mode,extra", [
-        ("ooc", ()), ("dist", ("--np", "2", "--transport", "socket"))],
-        ids=["ooc", "dist-socket-np2"])
+        ("ooc", ()), ("dist", ("--np", "2", "--transport", "socket")),
+        ("oracle", ())], ids=["ooc", "dist-socket-np2", "oracle"])
     def test_genotype_n_checked_before_setup(self, tmp_path, capfd,
                                              monkeypatch, mode, extra):
-        # genotypes for 50 samples against a covariance of 60: the run
-        # names both files before it reads any covariance payload
+        # genotypes for 50 samples against a covariance of 60: every mode,
+        # the oracle too, names both files before it reads any payload
         d = _gen(tmp_path, n=60, m=300, p=3)
         fileio.write_matrix(f"{d}/genotypes.gwax", "GWAX", np.ones((50, 300)))
-        read = tmp_path / "covariance-read"
-
-        def reading(*args, **kwargs):
-            read.touch()  # seen from forked socket ranks too
-            raise AssertionError("payload read")
-
-        monkeypatch.setattr(fileio.ColumnFile, "read", reading)
+        read = _refuse_payload_reads(monkeypatch, tmp_path)
         capfd.readouterr()
         out = str(tmp_path / "o.gwab")
         assert main(_solve_args(d, out, mode, *extra)) == 3

@@ -487,10 +487,10 @@ class TestDistKernels:
     @pytest.mark.parametrize("np_", [1, 4])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_dist_cholesky_non_finite_below_the_diagonal_block(self, np_, bad):
-        # dpotrf takes a non-finite pivot without complaint, so only the
-        # finiteness check on each diagonal block stops this: the entry at
-        # (70, 5) spreads through the trailing updates into row and column
-        # 70, which first enter a diagonal block in the panel at row 64
+        # dpotrf takes a non-finite pivot without complaint, so the pivot
+        # rule reads the diagonal each dpotrf leaves: the entry at (70, 5)
+        # spreads through the trailing updates into row 70, whose pivot, in
+        # the diagonal block at row 64, is the first one it spoils
         M = make_spd(100, seed=9)
         M[70, 5] = M[5, 70] = bad
 
@@ -501,7 +501,35 @@ class TestDistKernels:
                 dist_cholesky(D, t, nb=16)
             return exc.value.pivot_index
 
-        assert run_spmd(np_, body) == [64] * np_
+        assert run_spmd(np_, body) == [70] * np_
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", ["mirrored", "below", "above"])
+    def test_every_factor_reports_the_same_pivot(self, bad, at):
+        # one pivot rule: an entry below the diagonal spoils the pivot of
+        # its row in every factorization; one above it is never read
+        M = make_spd(100, seed=9)
+        if at != "above":
+            M[70, 5] = bad
+        if at != "below":
+            M[5, 70] = bad
+
+        def pivot(factor, *args):
+            try:
+                with np.errstate(invalid="ignore"):
+                    factor(*args)
+            except NotPositiveDefinite as e:
+                return e.pivot_index
+            return None
+
+        def body(t):
+            D = scatter_matrix(M if t.rank == 0 else None, grid_create(t.size), t)
+            return pivot(dist_cholesky, D, t, 16)
+
+        found = [pivot(kernel.cholesky_spd, M),
+                 pivot(kernel.inverse_factor, np.array(M, order="F")),
+                 *run_spmd(1, body), *run_spmd(4, body)]
+        assert found == [None if at == "above" else 70] * 7
 
     @pytest.mark.parametrize("np_", [1, 4])
     def test_dist_trsolve_identity_returns_rhs(self, np_):

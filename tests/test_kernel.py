@@ -100,6 +100,14 @@ class TestInverseFactor:
         with pytest.raises(DimensionMismatch):
             kernel.inverse_factor(np.ascontiguousarray(make_spd(4, 6)))
 
+    def test_non_square_rejected_untouched(self):
+        # above BASE rows the recursion would factor the left half first
+        M = np.asfortranarray(make_spd(300, 7)[:, :200])
+        M0 = M.copy()
+        with pytest.raises(DimensionMismatch, match="not square"):
+            kernel.inverse_factor(M)
+        assert np.array_equal(M, M0)
+
 
 class TestRecursiveInverseFactor:
     """inverse_factor above kernel.BASE, where it recurses on views."""

@@ -10,6 +10,8 @@ inside a function, and importing the command line loads none of it: a
 run has one BLAS, numpy's, and does not pay scipy's import. Only fileio
 opens a file, for reading or writing, apart from the command line's text
 report, so every file goes through its one header-checked column file.
+Only fileio raises AsymmetricCovariance: the covariance's entries are
+checked where it is read, and nowhere else.
 """
 
 import ast
@@ -144,3 +146,18 @@ def test_only_fileio_opens_files():
              for _, arg in _opens(tree)}
     assert opens == {TEXT_REPORT}
     assert _opens(TREES["fileio"])
+
+
+def _raises(tree, name):
+    """Lines of tree that raise the exception class `name`."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and name in {getattr(n, "id", None) or getattr(n, "attr", None)
+                         for n in ast.walk(node.exc)}]
+
+
+def test_only_fileio_raises_asymmetric_covariance():
+    # a second check of the file's entries would be a second rule for them
+    raisers = {name for name, tree in TREES.items()
+               if _raises(tree, "AsymmetricCovariance")}
+    assert raisers == {"fileio"}

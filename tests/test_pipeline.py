@@ -16,12 +16,12 @@ from gwasgls import _blas, fileio, kernel, pipeline
 from gwasgls.datagen import compare_results, oracle_solve_all
 from gwasgls.distgrid import run_dist
 from gwasgls.errors import ConfigError
+from gwasgls.fileio import partial_path
 from gwasgls.pipeline import (
     MEM_BUDGET_ENV,
     RunSummary,
     SolveConfig,
     block_plan,
-    partial_path,
     run_incore,
     run_ooc,
 )
@@ -440,18 +440,58 @@ pipeline.run_ooc(pipeline.SolvePaths(*sys.argv[1:6]),
 """
 
 
+_KILLED_AT_PAYLOAD_WRITE = """
+import os, signal, sys
+from gwasgls import fileio
+from gwasgls.cli import main
+
+pwrite = os.pwrite
+
+def pwrite_or_die(fd, data, offset):
+    if offset >= fileio.header_size(sys.argv[1]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return pwrite(fd, data, offset)
+
+os.pwrite = pwrite_or_die
+main(sys.argv[2:])
+"""
+
+
 class TestInterruptedRun:
-    def _kill_after_first_store(self, p):
+    @staticmethod
+    def _killed(script, *args):
         src = os.path.dirname(os.path.dirname(gwasgls.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
-        r = subprocess.run(
-            [sys.executable, "-c", _KILLED_AFTER_FIRST_STORE,
-             p.cov, p.covariates, p.pheno, p.geno, p.out], env=env)
+        r = subprocess.run([sys.executable, "-c", script, *args], env=env)
         assert r.returncode == -signal.SIGKILL
+
+    def _kill_after_first_store(self, p):
+        self._killed(_KILLED_AFTER_FIRST_STORE,
+                     p.cov, p.covariates, p.pheno, p.geno, p.out)
         # the run got as far as storing records, into the partial file
         assert os.path.getsize(partial_path(p.out)) > 0
+
+    @pytest.mark.parametrize("command", ["oracle", "gen"])
+    def test_killed_write_leaves_no_file(self, seed42_dataset, tmp_path,
+                                         command):
+        # a kill at the first payload write, after the file was sized:
+        # its zeros would read back as valid results or genotypes
+        if command == "oracle":
+            out = str(tmp_path / "o.gwab")
+            self._killed(_KILLED_AT_PAYLOAD_WRITE, "GWAB", "solve",
+                         "--mode", "oracle", "--cov", seed42_dataset.cov,
+                         "--covariates", seed42_dataset.covariates,
+                         "--pheno", seed42_dataset.pheno,
+                         "--geno", seed42_dataset.geno, "--out", out)
+        else:
+            d = tmp_path / "data"
+            out = str(d / "genotypes.gwax")
+            self._killed(_KILLED_AT_PAYLOAD_WRITE, "GWAX", "gen", "--n", "20",
+                         "--m", "10", "--p", "3", "--out", str(d))
+        assert not os.path.exists(out)
+        assert os.path.getsize(partial_path(out)) > 0
 
     def test_killed_run_leaves_no_results(self, seed42_dataset, out_path):
         p = solve_paths(seed42_dataset, out_path("o.gwab"))
