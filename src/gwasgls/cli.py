@@ -68,7 +68,7 @@ def cmd_solve(args):
     paths = pipeline.SolvePaths(cov=args.cov, covariates=args.covariates,
                                 pheno=args.pheno, geno=args.geno, out=args.out)
     if args.mode == "oracle":
-        datagen.oracle_solve_all(paths, args.out)
+        datagen.oracle_solve_all(paths)
         print(f"mode=oracle out={args.out}")
         return 0
     cfg = pipeline.SolveConfig(m_blk=args.block_size, emit_s_inv=args.emit_sinv)

@@ -134,7 +134,8 @@ def gen_dataset(spec, out_dir):
     planted = planted_indices(spec)
     planted_cols = np.zeros((n, len(planted)))
     GGt = np.zeros((n, n))
-    with fileio.creating(paths.geno, "GWAX", (n, m)) as geno:
+    with (fileio.creating(paths.geno) as partial,
+          fileio.ColumnFile(partial, "GWAX", "w+", (n, m)) as geno):
         for j0 in range(0, m, _CHUNK):
             j1 = min(j0 + _CHUNK, m)
             cnt = (j1 - j0) * n
@@ -181,11 +182,12 @@ ORACLE_MAX_N = 500
 ORACLE_MAX_M = 5000
 
 
-def oracle_solve_all(paths, out_path):
+def oracle_solve_all(paths):
     """Ground-truth sweep: evaluate the GLS formula marker by marker with
-    no hoisting of marker-independent work. Desk scale only, which the
-    file headers are checked against before any payload is read."""
-    n, m, q = fileio.run_dims(paths, out_path)
+    no hoisting of marker-independent work, into paths.out. Desk scale
+    only, which the file headers are checked against before any payload
+    is read."""
+    n, m, q = fileio.run_dims(paths)
     if n > ORACLE_MAX_N or m > ORACLE_MAX_M:
         raise ConfigError(
             f"oracle limited to n<={ORACLE_MAX_N}, m<={ORACLE_MAX_M}")
@@ -206,7 +208,7 @@ def oracle_solve_all(paths, out_path):
             continue
         betas[i] = np.linalg.solve(A, b)
     payload = fileio.ResultPayload(betas=betas, sinv=None)
-    fileio.write_matrix(out_path, "GWAB", payload)
+    fileio.write_matrix(paths.out, "GWAB", payload)
     return payload
 
 

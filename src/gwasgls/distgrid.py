@@ -57,9 +57,6 @@ class GridLayout:
     def coord(self, rank):
         return rank // self.c, rank % self.c
 
-    def rank_of(self, prow, pcol):
-        return prow * self.c + pcol
-
 
 def grid_create(np_):
     """Process grid as close to a perfect square as possible:
@@ -74,8 +71,7 @@ def grid_create(np_):
 
 
 def owner_2d(i, j, grid):
-    prow, pcol = i % grid.r, j % grid.c
-    return grid.rank_of(prow, pcol), i // grid.r, j // grid.c
+    return (i % grid.r) * grid.c + j % grid.c, i // grid.r, j // grid.c
 
 
 def owner_1d(j, grid):

@@ -26,7 +26,9 @@ file, or a header no file could back, raises TruncatedFile before any
 buffer is allocated; a file it creates gets its header and that size.
 It moves runs of whole columns between the file and a caller's
 Fortran-ordered buffer: one readinto, or one positional write, each.
-A file is created at its partial_path, renamed once whole (creating).
+creating is the one rule by which a file comes into being: it is made
+at its partial_path, renamed onto its path once whole and removed if
+the making fails, and no other module renames or removes a file.
 read_covariance alone reads and checks a covariance, whole or a share.
 
 A block travels as one array each way. BlockReader runs the reads of
@@ -118,7 +120,7 @@ def write_matrix(path, kind, payload):
         dims, cols = arr.shape[:NDIMS[kind]], np.asfortranarray(arr)
     if cols.shape != payload_shape(kind, dims):
         raise DimensionMismatch(f"{kind} payload cannot be {cols.shape}")
-    with creating(path, kind, dims) as f:
+    with creating(path) as partial, ColumnFile(partial, kind, "w+", dims) as f:
         f.write(0, cols)
 
 
@@ -128,14 +130,13 @@ def partial_path(path):
 
 
 @contextlib.contextmanager
-def creating(path, kind, dims):
-    """A new ColumnFile ("w+") at partial_path(path), renamed onto path
-    when the block ends (rename(2) is atomic, so path only ever holds a
-    whole file), or removed if it raises."""
+def creating(path):
+    """Yield partial_path(path), where the block makes the file; it is
+    renamed onto path when the block ends (rename(2) is atomic, so path
+    only ever holds a whole file), or removed if the block raises."""
     partial = partial_path(path)
     try:
-        with ColumnFile(partial, kind, "w+", dims) as f:
-            yield f
+        yield partial
         os.replace(partial, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -252,16 +253,21 @@ def read_dims(path, kind):
         return f.dims
 
 
-def run_dims(paths, out):
+def run_dims(paths):
     """(n, m, q) of a run from its files' headers alone: paths.geno holds
-    n x m genotypes, and paths.cov, .pheno and .covariates (q >= 1
-    columns) agree on n. An out no result could be renamed onto raises
-    first: IsADirectoryError, or FileNotFoundError for a missing folder."""
+    n x m genotypes (n, m >= 1), and paths.cov, .pheno and .covariates
+    (q >= 1 columns) agree on n. A paths.out no result could be renamed
+    onto raises first: IsADirectoryError, or FileNotFoundError for a
+    missing folder."""
+    out = paths.out
     if os.path.isdir(out):
         raise IsADirectoryError(f"Is a directory: {out}")
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise FileNotFoundError(f"No such directory for {out}")
     n, m = read_dims(paths.geno, "GWAX")
+    if n < 1 or m < 1:
+        raise DimensionMismatch(f"genotype file {paths.geno} holds {n} samples x "
+                                f"{m} markers; at least one of each is needed")
     for path, kind in ((paths.cov, "GWAM"), (paths.pheno, "GWAY"),
                        (paths.covariates, "GWAC")):
         n_in, *rest = read_dims(path, kind)
@@ -352,10 +358,11 @@ def read_covariates_and_phenotype(covariates, pheno):
 
 class _Agent:
     """One dedicated worker thread for the transfers of a BlockReader or a
-    BlockWriter to or from its ColumnFile, `file`, which close closes. A
-    ticket is the transfer's future; the memory under an in-flight ticket
-    is tracked, so a transfer that overlaps it fails fast. wait returns
-    what the transfer returned."""
+    BlockWriter to or from its ColumnFile, `file`, which close closes; a
+    context manager. A ticket is the transfer's future; the memory under
+    an in-flight ticket is tracked, so a transfer that overlaps it fails
+    fast. wait returns what the transfer returned. A transfer of 0 columns
+    moves 0 bytes."""
 
     def __init__(self, file):
         self.file = file
@@ -382,6 +389,12 @@ class _Agent:
     def close(self):
         self._pool.shutdown(wait=True)
         self.file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 class BlockReader(_Agent):

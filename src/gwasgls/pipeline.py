@@ -66,6 +66,8 @@ class RunSummary:
     t_total: float = 0.0
     bytes_read: int = 0
     bytes_written: int = 0
+    # what the ranks sent each other, summed; the closing gather excluded
+    bytes_sent: int = 0
     peak_resident_est: int = 0
     buffer_regions: int = 0
     seed: int = -1
@@ -181,15 +183,15 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         8n^2/np + 8np + regions (8 n loc + 8 loc w) + 8 loc w + 8 n setup_cols
 
     OpenBLAS runs at the thread count the caller set before the ranks
-    started (_blas.rank_threads). A failed run removes the partial result
-    file. Returns a RunSummary; rank 0's carries the totals, and its
-    bytes_read is what the ranks read, summed.
+    started (_blas.rank_threads). Rank 0 makes the result file by
+    fileio.creating. Returns a RunSummary; rank 0's carries the totals:
+    its bytes_read, bytes_written and bytes_sent are the ranks', summed.
     """
     t_start = time.perf_counter()
     np_ = t.size
     # the inputs agree on n, and out is no directory, before the budget,
     # which counts n, and the O(n^3) set-up start
-    n, m, q = fileio.run_dims(paths, paths.out)
+    n, m, q = fileio.run_dims(paths)
     m_blk = cfg.m_blk if cfg.m_blk is not None else DEFAULT_M_BLK
     if m_blk < 1:
         raise ConfigError(f"m_blk={m_blk} is not positive")
@@ -213,10 +215,9 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
                  "region(s) and set-up scratch")
     in_bufs = [np.empty((n, loc), order="F") for _ in range(regions)]
     out_bufs = [np.empty((loc, w)) for _ in range(regions)]
-    partial = fileio.partial_path(paths.out)
-    reader = fileio.BlockReader(paths.geno)
-    try:
-        ticket = reader.start(*chunks[0], in_bufs[0]) if chunks[0][1] else None
+    with contextlib.ExitStack() as stack:
+        reader = stack.enter_context(fileio.BlockReader(paths.geno))
+        ticket = reader.start(*chunks[0], in_bufs[0])
         t0 = time.perf_counter()
         ctx, whiten, prepare_bytes = prepare(t, paths)
         t_prepare = time.perf_counter() - t0
@@ -227,41 +228,31 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
             return kernel.solve_whitened_block(ctx, whiten(columns), out,
                                                cfg.emit_s_inv)
 
-        writer = None
-        try:
-            if t.rank == 0:
-                writer = fileio.BlockWriter(partial, (m, p, flags))
-            t.barrier()
-            if t.rank != 0:
-                writer = fileio.BlockWriter(partial)
-            t_compute, t_io_wait, block_cpu = sweep(
-                reader, writer, chunks, in_bufs, ticket, solve, out_bufs)
-        finally:
-            if writer is not None:  # None if this rank failed before its open
-                writer.close()
+        # rank 0 creates the result file, the others open it after the barrier
+        if t.rank == 0:
+            partial = stack.enter_context(fileio.creating(paths.out))
+            writer = stack.enter_context(fileio.BlockWriter(partial, (m, p, flags)))
+        t.barrier()
+        if t.rank != 0:
+            writer = stack.enter_context(fileio.BlockWriter(fileio.partial_path(paths.out)))
+        t_compute, t_io_wait, block_cpu = sweep(
+            reader, writer, chunks, in_bufs, ticket, solve, out_bufs)
         # a rank sends its stats once its last store is done, so rank 0
-        # holds every rank's only when the whole file is written
+        # holds every rank's, and renames the file, only when it is whole
         stats = t.allgather_obj((reader.file.bytes_read + prepare_bytes,
-                                 writer.file.bytes_written, peak_rss_bytes()))
-        if t.rank == 0:
-            os.replace(partial, paths.out)
-    except BaseException:
-        if t.rank == 0:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(partial)
-        raise
-    finally:
-        reader.close()
+                                 writer.file.bytes_written, t.bytes_sent,
+                                 peak_rss_bytes()))
     return RunSummary(
         mode=mode, n=n, m=m, p=p, m_blk=m_blk, np_=np_,
         t_prepare=t_prepare, t_compute=t_compute, t_io_wait=t_io_wait,
         t_total=time.perf_counter() - t_start,
         bytes_read=sum(s[0] for s in stats),
         bytes_written=sum(s[1] for s in stats),
+        bytes_sent=sum(s[2] for s in stats),
         peak_resident_est=need,
         buffer_regions=regions,
         blas_threads=_blas.threads(),
-        peak_rss_bytes=max(s[2] for s in stats),
+        peak_rss_bytes=max(s[3] for s in stats),
         block_cpu_times=block_cpu,
     )
 
@@ -269,43 +260,37 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
 def sweep(reader, writer, blocks, in_bufs, load_ticket, solve, out_bufs):
     """Stream blocks [(first_index, count), ...] through the input regions
     in_bufs (two, or one when blocks holds a single block). The load of
-    blocks[0] into in_bufs[0] is already in flight as load_ticket (None
-    if that block is empty).
+    blocks[0] into in_bufs[0] is already in flight as load_ticket.
 
     solve(columns, out) gets a view of the block in its input region and
     out_bufs[i], the output area of the same region, and returns the
     block's records, a count x record-width array it has written there,
-    which the writer stores as they are. An empty block is neither read
-    nor stored, but solve still runs on it, because a distributed solve
+    which the writer stores as they are. An empty block is read and
+    stored as zero columns, and solved too, because a distributed solve
     is collective.
 
     Returns (t_compute, t_io_wait, per-block CPU seconds).
     """
-    t_compute = 0.0
-    t_io_wait = 0.0
+    t_compute = t_io_wait = 0.0
     block_cpu = []
-    store_ticket = None
     for bi, (first, count) in enumerate(blocks):
         cur = bi % 2
         cpu0 = time.process_time()
         t0 = time.perf_counter()
-        if load_ticket is not None:
-            reader.wait(load_ticket)
+        reader.wait(load_ticket)
         t_io_wait += time.perf_counter() - t0
-        load_ticket = None
-        if bi + 1 < len(blocks) and blocks[bi + 1][1]:
+        if bi + 1 < len(blocks):
             load_ticket = reader.start(*blocks[bi + 1], in_bufs[1 - cur])
         t0 = time.perf_counter()
         records = solve(in_bufs[cur][:, :count], out_bufs[cur])
         t_compute += time.perf_counter() - t0
         t0 = time.perf_counter()
-        if store_ticket is not None:
+        if bi:
             writer.wait(store_ticket)
         t_io_wait += time.perf_counter() - t0
-        store_ticket = writer.start(first, records) if count else None
+        store_ticket = writer.start(first, records)
         block_cpu.append(time.process_time() - cpu0)
     t0 = time.perf_counter()
-    if store_ticket is not None:
-        writer.wait(store_ticket)
+    writer.wait(store_ticket)
     t_io_wait += time.perf_counter() - t0
     return t_compute, t_io_wait, block_cpu

@@ -85,7 +85,6 @@ class Transport:
         self.rank = rank
         self.size = size
         self.bytes_sent = 0
-        self.bytes_received = 0
         # (src, channel) -> payloads from src; channel 1 carries collective
         # traffic so it can never be confused with user point-to-point
         # messages
@@ -125,7 +124,6 @@ class Transport:
         data = self._queues[(src, _channel)].get()
         if data is _GONE:
             raise TransportFailure(self.rank, f"rank {src} ended before sending")
-        self.bytes_received += len(data)
         return data
 
     def barrier(self):
@@ -175,9 +173,6 @@ class Transport:
 
     def allgather_obj(self, obj):
         return [pickle.loads(b) for b in self.allgather(pickle.dumps(obj))]
-
-    def counters(self):
-        return self.bytes_sent + self.bytes_received
 
     def close(self):
         """Shut every socket down, which ends each peer's drain of it and

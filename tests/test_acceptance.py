@@ -55,7 +55,7 @@ def engine_runs(seed42_dataset, tmp_path_factory):
     t0 = time.perf_counter()
     outs = {}
     outs["oracle"] = str(d / "oracle.gwab")
-    oracle_solve_all(seed42_dataset, outs["oracle"])
+    oracle_solve_all(solve_paths(seed42_dataset, outs["oracle"]))
     outs["incore"] = str(d / "incore.gwab")
     run_incore(solve_paths(seed42_dataset, outs["incore"]))
     for m_blk in (1, 64, 500):

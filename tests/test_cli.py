@@ -535,6 +535,53 @@ class TestFailedRuns:
                                 *extra)) == 3
         assert self._left_behind(out) == []
 
+    @pytest.mark.parametrize("mode,extra", [
+        ("ooc", ()), ("incore", ()), ("oracle", ()),
+        ("dist", ("--np", "2", "--transport", "socket"))],
+        ids=["ooc", "incore", "oracle", "dist-socket-np2"])
+    @pytest.mark.parametrize("empty", ["m", "n"])
+    def test_empty_dataset_exits_3(self, tmp_path, capfd, mode, extra, empty):
+        # genotypes of no marker, or four files of no sample: one error
+        # line that names the genotype file, in every engine, before any
+        # result file is made
+        d = _gen(tmp_path, n=20, m=10, p=3)
+        geno = f"{d}/genotypes.gwax"
+        if empty == "m":
+            fileio.write_matrix(geno, "GWAX", np.empty((20, 0)))
+        else:
+            for name, kind, shape in (("covariance.gwam", "GWAM", (0, 0)),
+                                      ("covariates.gwac", "GWAC", (0, 2)),
+                                      ("phenotype.gway", "GWAY", (0,)),
+                                      ("genotypes.gwax", "GWAX", (0, 10))):
+                fileio.write_matrix(f"{d}/{name}", kind, np.empty(shape))
+        out = str(tmp_path / "o.gwab")
+        exits, err = self._run(capfd, _solve_args(d, out, mode, *extra))
+        assert exits == [3], err
+        assert len(err) == 1 and err[0].startswith("error code=3 "), err
+        assert f"genotype file {geno} holds" in err[0], err
+        assert self._left_behind(out) == []
+
+    @pytest.mark.parametrize("mode,extra", [
+        ("ooc", ()), ("dist", ("--np", "2", "--transport", "socket"))],
+        ids=["ooc", "dist-socket-np2"])
+    def test_failed_run_keeps_the_earlier_results(self, tmp_path, capfd,
+                                                  monkeypatch, mode, extra):
+        # the last rank fails in its second block, after rank 0 made
+        # <out>.partial: the completed run's <out> stays byte for byte
+        d = _gen(tmp_path, n=50, m=400, p=3)
+        out = str(tmp_path / "o.gwab")
+        args = _solve_args(d, out, mode, "--block-size", "64", *extra)
+        assert main(args) == 0
+        with open(out, "rb") as f:
+            before = f.read()
+        _raise_in_solve(monkeypatch)
+        exits, err = self._run(capfd, args)
+        assert exits == [3], err
+        assert len(err) == 1 and "fails in its second block" in err[0], err
+        with open(out, "rb") as f:
+            assert f.read() == before
+        assert not os.path.exists(partial_path(out))
+
 
 class TestBench:
     def test_sweep_writes_records(self, tmp_path, capsys):

@@ -104,11 +104,11 @@ class TestOracle:
         paths = gen_dataset(GenSpec(n=501, m=10, p=3, seed=0),
                             str(tmp_path / "big"))
         with pytest.raises(ConfigError):
-            oracle_solve_all(paths, str(tmp_path / "o.gwab"))
+            oracle_solve_all(solve_paths(paths, str(tmp_path / "o.gwab")))
 
     def test_oracle_writes_complete_file(self, seed42_dataset, tmp_path):
         out = str(tmp_path / "o.gwab")
-        payload = oracle_solve_all(seed42_dataset, out)
+        payload = oracle_solve_all(solve_paths(seed42_dataset, out))
         assert payload.betas.shape == (500, 4)
         assert np.all(np.isfinite(payload.betas))
         back = fileio.read_matrix(out, "GWAB")

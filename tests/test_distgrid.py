@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from gwasgls import _blas, distgrid, fileio, kernel
 from gwasgls.datagen import GenSpec, compare_results, gen_dataset
 from gwasgls.distgrid import (
+    DEFAULT_PANEL,
     DistMatrix1D,
     DistMatrix2D,
     dist_cholesky,
@@ -746,7 +747,8 @@ class TestRunDist:
                                        m_blk):
         # rank r reads [first + count r / np, first + count (r + 1) / np)
         # of each block, so the ranks' chunks tile it and differ by at
-        # most one marker, the short last block's as well
+        # most one marker, the short last block's as well; a chunk of no
+        # marker is read too, as zero columns
         ds = self._dataset(tmp_path, n=20, m=m, p=3, seed=6)
         reads = []
         start = fileio.BlockReader.start
@@ -761,8 +763,23 @@ class TestRunDist:
         for first, count in block_plan(m, m_blk):
             ends = [first + count * r // np_ for r in range(np_ + 1)]
             chunks = sorted(c for c in reads if first <= c[0] < first + count)
-            assert chunks == [(lo, hi - lo) for lo, hi in zip(ends, ends[1:])
-                              if hi > lo]
+            assert chunks == [(lo, hi - lo) for lo, hi in zip(ends, ends[1:])]
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("np_", [1, 2, 4])
+    def test_bytes_sent_is_the_replicated_panels(self, tmp_path, seed42_dataset,
+                                                 np_, transport):
+        # each replication of L, the factor's and one per block of the
+        # sweep, sends every rank's part of each column panel L[k:n,
+        # k:k+nb] to the np - 1 others; the barrier sends empty frames and
+        # the closing gather is not counted; one rank sends nothing
+        n, nb, blocks = 100, DEFAULT_PANEL, 5
+        panels = sum((n - k) * min(nb, n - k) for k in range(0, n, nb))
+        s = run_spmd(np_, run_dist,
+                     solve_paths(seed42_dataset, str(tmp_path / "d.gwab")),
+                     SolveConfig(m_blk=100), transport=transport)[0]
+        assert (s.n, s.m) == (n, 500)
+        assert s.bytes_sent == 8 * (np_ - 1) * panels * (blocks + 1)
 
     def test_block_not_a_multiple_of_np_matches_incore(self, tmp_path,
                                                        seed42_dataset):

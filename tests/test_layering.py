@@ -10,8 +10,10 @@ inside a function, and importing the command line loads none of it: a
 run has one BLAS, numpy's, and does not pay scipy's import. Only fileio
 opens a file, for reading or writing, apart from the command line's text
 report, so every file goes through its one header-checked column file.
-Only fileio raises AsymmetricCovariance: the covariance's entries are
-checked where it is read, and nowhere else.
+Only fileio renames or removes a file: fileio.creating is the one rule
+by which a file comes into being. Only fileio raises
+AsymmetricCovariance: the covariance's entries are checked where it is
+read, and nowhere else.
 """
 
 import ast
@@ -161,3 +163,20 @@ def test_only_fileio_raises_asymmetric_covariance():
     raisers = {name for name, tree in TREES.items()
                if _raises(tree, "AsymmetricCovariance")}
     assert raisers == {"fileio"}
+
+
+def _os_calls(tree, names):
+    """Lines of tree that call os.<name> for a name in names."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr in names
+            and getattr(node.func.value, "id", None) == "os"]
+
+
+def test_only_fileio_renames_or_removes_files():
+    # a file is made at its partial path, renamed when whole and removed
+    # when its making fails, by fileio.creating alone
+    names = ("replace", "rename", "remove", "unlink")
+    callers = {name for name, tree in TREES.items() if _os_calls(tree, names)}
+    assert callers == {"fileio"}
+    imported = {f"os.{n}" for n in names} & set().union(*ABSOLUTE.values())
+    assert imported == set()

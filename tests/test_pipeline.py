@@ -74,7 +74,7 @@ class TestEngines:
         p = solve_paths(seed42_dataset, out_path("incore.gwab"))
         run_incore(p)
         oracle_out = out_path("oracle.gwab")
-        oracle_solve_all(seed42_dataset, oracle_out)
+        oracle_solve_all(solve_paths(seed42_dataset, oracle_out))
         rep = compare_results(p.out, oracle_out, 1e-8)
         assert rep.within, rep
 
@@ -536,3 +536,4 @@ class TestRunSummary:
         assert s.t_prepare + s.t_compute + s.t_io_wait <= s.t_total * 1.05
         assert s.bytes_read >= 8 * 100 * 500
         assert s.bytes_written == 500 * 32
+        assert s.bytes_sent == 0  # one rank has no one to send to

@@ -92,12 +92,14 @@ def test_barrier_and_ordered_pairs():
 
 
 def test_counters_track_traffic():
+    # the root of a broadcast sends its payload to each other rank; a
+    # receiver sends nothing, and neither does a barrier's empty frame
     def body(t):
-        before = t.counters()
+        before = t.bytes_sent
         t.broadcast(0, b"x" * 100)
-        return t.counters() - before
-    moved = run_spmd(3, body)
-    assert all(v >= 100 for v in moved)
+        t.barrier()
+        return t.bytes_sent - before
+    assert run_spmd(3, body) == [200, 0, 0]
 
 
 def _error_within(seconds, body, transport):
