@@ -12,7 +12,7 @@ class NotPositiveDefinite(GwasGlsError):
         self.pivot_index = pivot_index
         super().__init__(msg or f"matrix not positive definite (pivot {pivot_index})")
 
-    def __reduce__(self):  # socket ranks ship their errors to the launcher
+    def __reduce__(self):  # socket ranks ship their errors to rank 0's process
         return type(self), (self.pivot_index, str(self))
 
 
@@ -60,7 +60,7 @@ class TransportFailure(GwasGlsError):
         self.reason = reason
         super().__init__(f"transport failure at rank {rank}: {reason}")
 
-    def __reduce__(self):  # socket ranks ship their errors to the launcher
+    def __reduce__(self):  # socket ranks ship their errors to rank 0's process
         return type(self), (self.rank, self.reason)
 
 

@@ -65,8 +65,10 @@ from . import kernel
 NDIMS = {"GWAM": 1, "GWAX": 2, "GWAC": 2, "GWAY": 1, "GWAB": 3}
 VERSION = 1
 F64 = np.dtype("<f8")
-# most consecutive whole columns read_covariance reads at once
+# most consecutive whole columns read_covariance reads at once, and the
+# most columns of a run it compares with their mirror at once
 RUN = 64
+PIECE = 256
 
 
 def header_size(kind):
@@ -305,7 +307,8 @@ def read_covariance(path, r=1, c=1, prow=0, pcol=0):
     It reads the columns j = pcol (mod c) and i = prow (mod r) in runs of
     at most RUN, a share through one n x RUN buffer, and compares each
     mirror column i as it arrives with share row i up to the run's end,
-    every j < i included: each pair (i, j), i > j, by the owner of (i, j).
+    every j < i included, PIECE columns at a time: each pair (i, j), i > j,
+    by the owner of (i, j).
     """
     with ColumnFile(path, "GWAM") as f:
         n = f.shape[0]
@@ -319,7 +322,9 @@ def read_covariance(path, r=1, c=1, prow=0, pcol=0):
             lm, wm = _span(c0, c1, prow, r)
             if not np.isfinite(share[:, lc]).all():
                 raise AsymmetricCovariance(f"{path}: covariance has non-finite entries")
-            if not np.array_equal(share[lm, :lc.stop], cols[pcol::c, wm][:lc.stop].T):
+            strip, mirror = share[lm, :lc.stop], cols[pcol::c, wm][:lc.stop].T
+            if not all(np.array_equal(strip[:, a:a + PIECE], mirror[:, a:a + PIECE])
+                       for a in range(0, lc.stop, PIECE)):
                 raise AsymmetricCovariance(f"{path}: covariance is not exactly symmetric")
     return share, f.bytes_read
 

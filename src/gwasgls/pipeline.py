@@ -73,7 +73,8 @@ class RunSummary:
     seed: int = -1
     # the OpenBLAS thread count every rank ran at
     blas_threads: int = 0
-    # measured peak resident set (dist: the largest rank's), in bytes
+    # measured peak resident set (dist: the largest rank's, where rank 0's
+    # is the calling process's), in bytes
     peak_rss_bytes: int = 0
     # per-block CPU seconds of the streaming phase (load_wait + compute +
     # store_wait); profiling detail, not part of the one-line record

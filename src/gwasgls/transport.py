@@ -4,11 +4,11 @@ One transport class. Each rank owns one receive queue per source and
 channel, and is joined to every other rank by one local socket pair
 carrying length-prefixed binary frames; a drain thread per peer queues
 the frames that arrive, and a rank delivers to itself through its own
-queue. run_spmd makes the socket pairs and runs the ranks as threads of
-this process (transport="inproc", so in-process spies see every rank's
-calls) or as forked worker processes ("socket"), with one rank body for
-both. With no sockets, Transport(0, 1) is the one-rank transport of the
-ooc engine.
+queue. run_spmd makes the socket pairs and runs rank 0 in the calling
+thread, the others as threads of this process (transport="inproc", so
+in-process spies see every rank's calls) or as forked worker processes
+("socket"), with one rank body for all. With no sockets, Transport(0, 1)
+is the one-rank transport of the ooc engine.
 
 Messages between a fixed ordered pair of ranks are delivered in order;
 collectives are built deterministically on send/recv so two runs with the
@@ -21,11 +21,14 @@ TransportFailure instead of hanging.
 from __future__ import annotations
 
 import contextlib
+import os
 import pickle
 import queue
 import socket
 import struct
+import sys
 import threading
+import traceback
 
 from . import _blas
 from .errors import ConfigError, SizeMismatch, TransportFailure
@@ -75,9 +78,8 @@ def _read_frame(sock):
 class Transport:
     """Point-to-point send/recv plus collectives on one rank.
     `socks[peer]` is this rank's end of the socket pair it shares with
-    each other rank. A frame is an 8-byte LE length, the channel byte and
-    the payload. Only the rank's own thread sends, so the two writes of a
-    frame are never split by another frame. Made with size 1 and no
+    each other rank. Only the rank's own thread sends, so the two writes
+    of a frame are never split by another frame. Made with size 1 and no
     sockets, every collective returns this rank's own data and nothing is
     sent."""
 
@@ -86,8 +88,7 @@ class Transport:
         self.size = size
         self.bytes_sent = 0
         # (src, channel) -> payloads from src; channel 1 carries collective
-        # traffic so it can never be confused with user point-to-point
-        # messages
+        # traffic, so it is never confused with point-to-point messages
         self._queues = {(src, ch): queue.SimpleQueue()
                         for src in range(size) for ch in (0, 1)}
         self._socks = socks or {}
@@ -130,14 +131,10 @@ class Transport:
         self.allgather(b"")
 
     def broadcast(self, root, data=b""):
-        if self.size == 1:
-            return data
-        if self.rank == root:
-            for dst in range(self.size):
-                if dst != root:
-                    self.send(dst, data, _channel=1)
-            return data
-        return self.recv(root, _channel=1)
+        if self.rank != root:
+            return self.recv(root, _channel=1)
+        self.alltoall_start([data] * self.size)
+        return data
 
     def allgather(self, data):
         return self.alltoall([data] * self.size)
@@ -187,15 +184,6 @@ class Transport:
             sock.close()
 
 
-def _raise_first(errors):
-    """Re-raise the root cause: the first error that is not a
-    TransportFailure, else the first error."""
-    errors = [e for e in errors if e is not None]
-    if errors:
-        raise next((e for e in errors if not isinstance(e, TransportFailure)),
-                   errors[0])
-
-
 def _rank(rank, size, socks, fn, args):
     """The body of one rank, thread or process: fn on a transport over
     this rank's socket ends, which it closes when fn ends. Returns ("ok",
@@ -203,32 +191,54 @@ def _rank(rank, size, socks, fn, args):
     t = Transport(rank, size, socks)
     try:
         return "ok", fn(t, *args)
-    except BaseException as e:  # ship the failure back to the launcher
+    except BaseException as e:  # ship the failure back to rank 0
         return "err", e
     finally:
         t.close()
 
 
-def _forked_rank(rank, size, socks, fn, args, conn):
-    for other, ends in enumerate(socks):
-        if other != rank:
+def _fork(rank, size, socks, fn, args):
+    """Fork the worker of a socket rank; returns (its pid, its pipe's read
+    end). The worker closes the other ranks' socket ends, runs the rank,
+    writes its pickled outcome to the pipe, flushes stdout and stderr and
+    exits; one that cannot report leaves the pipe empty and exits 1."""
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    code = 1
+    try:
+        for ends in socks[:rank] + socks[rank + 1:]:
             for sock in ends.values():
                 sock.close()
-    conn.send(_rank(rank, size, socks[rank], fn, args))
-    conn.close()
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(pickle.dumps(_rank(rank, size, socks[rank], fn, args)))
+        code = 0
+    except Exception:  # such as an outcome that does not pickle
+        traceback.print_exc()
+    finally:
+        _flush_std_streams()
+        os._exit(code)
+
+
+def _flush_std_streams():
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(Exception):  # closed, or None
+            stream.flush()
 
 
 def run_spmd(size, fn, *args, transport="inproc"):
     """Run fn(transport, *args) on `size` ranks; returns per-rank results.
 
-    The ranks are joined pairwise by local socket pairs. transport="inproc"
-    runs them as threads in this process; "socket" forks worker
-    processes. Every rank is joined; if ranks raise, the first error that
-    is not a TransportFailure is re-raised here, and a socket rank that
-    exits without reporting raises TransportFailure(rank, "exited with
-    code N"). A size below 1 raises ConfigError before any rank starts.
-    OpenBLAS is capped for the size before the ranks start, and restored
-    once they are joined (_blas.rank_threads).
+    The ranks are joined pairwise by local socket pairs. Rank 0 runs in
+    the calling thread; transport="inproc" runs the others as threads of
+    this process, "socket" as forked worker processes. Every rank is
+    joined; if ranks raise, the first error that is not a TransportFailure
+    is re-raised here, and a socket rank that exits without reporting
+    raises TransportFailure(rank, "exited with code N"). A size below 1
+    raises ConfigError before any rank starts. OpenBLAS is capped for the
+    size while the ranks run (_blas.rank_threads).
     """
     if size < 1:
         raise ConfigError(f"need at least one rank, got {size}")
@@ -239,54 +249,44 @@ def run_spmd(size, fn, *args, transport="inproc"):
 
 
 def _launch(size, fn, args, transport):
-    """Make the socket pairs, then start, join and collect the ranks of
-    run_spmd."""
+    """Make the socket pairs of run_spmd, then run and join its ranks."""
     socks = [{} for _ in range(size)]  # socks[rank][peer]: rank's end
     for a in range(size):
         for b in range(a + 1, size):
             socks[a][b], socks[b][a] = socket.socketpair()
+    outcomes = [None] * size
+
+    def run(rank):
+        outcomes[rank] = _rank(rank, size, socks[rank], fn, args)
+
     if transport == "inproc":
-        outcomes = [None] * size
-
-        def worker(rank):
-            outcomes[rank] = _rank(rank, size, socks[rank], fn, args)
-
-        threads = [threading.Thread(target=worker, args=(rank,))
-                   for rank in range(size)]
+        threads = [threading.Thread(target=run, args=(rank,))
+                   for rank in range(1, size)]
         for th in threads:
             th.start()
+        run(0)
         for th in threads:
             th.join()
-        lost = []
     else:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        procs = []
-        pipes = []
-        for rank in range(size):
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(target=_forked_rank,
-                               args=(rank, size, socks, fn, args, child))
-            proc.start()
-            child.close()
-            procs.append(proc)
-            pipes.append(parent)
-        for ends in socks:
+        # fork before rank 0 starts a thread, and flush first, so that no
+        # worker inherits output buffered here
+        _flush_std_streams()
+        workers = [_fork(rank, size, socks, fn, args) for rank in range(1, size)]
+        for ends in socks[1:]:
             for sock in ends.values():
                 sock.close()
-        outcomes = []
-        for pipe in pipes:
-            try:
-                outcomes.append(pipe.recv())
-            except EOFError:  # the rank died without reporting
-                outcomes.append(("lost", None))
-            pipe.close()
-        for proc in procs:
-            proc.join()
-        # a rank that died unreported is a root cause its peers saw only as
-        # a closed connection, so its failure goes first
-        lost = [TransportFailure(rank, f"exited with code {procs[rank].exitcode}")
-                for rank, (status, _) in enumerate(outcomes) if status == "lost"]
-    _raise_first(lost + [e for status, e in outcomes if status == "err"])
+        run(0)  # a worker writes its pipe only after closing its sockets
+        for rank, (pid, rfd) in enumerate(workers, 1):
+            with os.fdopen(rfd, "rb") as pipe:
+                report = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            outcomes[rank] = (pickle.loads(report) if report and not code else
+                              ("lost", TransportFailure(rank, f"exited with code {code}")))
+    # re-raise the root cause: the first error that is not a
+    # TransportFailure, else a rank that died unreported, else the first
+    errors = ([e for status, e in outcomes if status == "lost"]
+              + [e for status, e in outcomes if status == "err"])
+    if errors:
+        raise next((e for e in errors if not isinstance(e, TransportFailure)),
+                   errors[0])
     return [payload for _, payload in outcomes]

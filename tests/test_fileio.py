@@ -254,6 +254,18 @@ def test_single_asymmetric_entry_rejected(tmp_path, entry):
         fileio.read_matrix(path, "GWAM")
 
 
+def test_asymmetric_entry_in_a_middle_piece_rejected(tmp_path):
+    # the last run compares its rows with every column in pieces of PIECE
+    # columns, three here; the one changed entry lies in the middle one
+    n = 2 * fileio.PIECE + 88
+    path = str(tmp_path / "m.gwam")
+    A = make_spd(n, 1)
+    A[n - 1, fileio.PIECE + 3] += 2.0 ** -40
+    fileio.write_matrix(path, "GWAM", A)
+    with pytest.raises(AsymmetricCovariance, match="not exactly symmetric"):
+        fileio.read_matrix(path, "GWAM")
+
+
 def test_read_covariance_builds_no_square_temporary(tmp_path):
     path = str(tmp_path / "m.gwam")
     payload = make_spd(1000, 2)

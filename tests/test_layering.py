@@ -13,7 +13,9 @@ report, so every file goes through its one header-checked column file.
 Only fileio renames or removes a file: fileio.creating is the one rule
 by which a file comes into being. Only fileio raises
 AsymmetricCovariance: the covariance's entries are checked where it is
-read, and nowhere else.
+read, and nowhere else. No module imports multiprocessing: rank 0 of a
+dist run is the calling process and the other socket ranks are bare
+forks, so there is no launcher process and no import of one.
 """
 
 import ast
@@ -121,6 +123,11 @@ def test_importing_the_cli_loads_no_scipy():
 def test_only_blas_imports_ctypes():
     assert {name for name, found in ABSOLUTE.items()
             if any(m.split(".")[0] == "ctypes" for m in found)} == {"_blas"}
+
+
+def test_no_module_imports_multiprocessing():
+    assert {name for name, found in ABSOLUTE.items()
+            if any(m.split(".")[0] == "multiprocessing" for m in found)} == set()
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))

@@ -172,6 +172,83 @@ def test_not_positive_definite_crosses_processes_intact():
     assert str(err).count("(pivot 7)") == 1
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_socket_rank_0_is_the_caller_and_the_others_are_forked():
+    # run_spmd(3) forks two workers and runs rank 0 itself, and reaps
+    # every worker before it returns
+    def body(t):
+        return os.getpid(), threading.get_ident()
+
+    got = run_spmd(3, body, transport="socket")
+    assert got[0] == (os.getpid(), threading.get_ident())
+    workers = {pid for pid, _ in got[1:]}
+    assert len(workers) == 2 and os.getpid() not in workers
+    _no_child_left()
+
+
+def test_inproc_rank_0_runs_on_the_calling_thread():
+    def body(t):
+        ident = threading.get_ident()
+        t.barrier()  # every rank's thread is alive at once
+        return ident
+
+    got = run_spmd(3, body)
+    assert got[0] == threading.get_ident()
+    assert len(set(got)) == 3
+
+
+def test_socket_rank_0_failure_reaches_the_caller_and_leaves_no_child():
+    def body(t):
+        if t.rank == 0:
+            raise RuntimeError("boom")
+        t.recv(0)
+
+    err = _error_within(30, body, "socket")
+    assert isinstance(err, RuntimeError) and str(err) == "boom"
+    _no_child_left()
+
+
+def test_socket_rank_whose_outcome_does_not_pickle_is_a_transport_failure():
+    def body(t):
+        return threading.Lock() if t.rank == 1 else t.rank
+
+    with pytest.raises(TransportFailure) as err:
+        run_spmd(2, body, transport="socket")
+    assert (err.value.rank, err.value.reason) == (1, "exited with code 1")
+    _no_child_left()
+
+
+def test_socket_outcomes_larger_than_a_pipe_buffer_arrive_whole():
+    # each worker blocks on its pipe until the caller, done with rank 0,
+    # reads it
+    def body(t):
+        return bytes([t.rank]) * (1 << 20)
+
+    got = run_spmd(3, body, transport="socket")
+    assert got == [bytes([rank]) * (1 << 20) for rank in range(3)]
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["flushed", "held"])
+def test_socket_rank_output_appears_once(capfd, monkeypatch, held):
+    # the caller flushes before it forks, so no worker prints again what
+    # the caller held, and a worker flushes before it exits, so its own
+    # line is not lost
+    with os.fdopen(os.dup(1), "w") as out:  # block-buffered: not a tty
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", out)
+            if held:
+                print("before the launch")
+            run_spmd(2, lambda t: t.rank == 1 and print("from rank 1"),
+                     transport="socket")
+            out.flush()
+    lines = capfd.readouterr().out.splitlines()
+    assert lines == ["before the launch"] * held + ["from rank 1"]
+
+
 @pytest.mark.parametrize("transport", ["inproc", "socket"])
 def test_allgather_sends_each_peer_one_copy(transport):
     data = b"x" * 1000
