@@ -184,18 +184,18 @@ ORACLE_MAX_M = 5000
 
 def oracle_solve_all(paths):
     """Ground-truth sweep: evaluate the GLS formula marker by marker with
-    no hoisting of marker-independent work, into paths.out. Desk scale
-    only, which the file headers are checked against before any payload
-    is read."""
-    n, m, q = fileio.run_dims(paths)
-    if n > ORACLE_MAX_N or m > ORACLE_MAX_M:
-        raise ConfigError(
-            f"oracle limited to n<={ORACLE_MAX_N}, m<={ORACLE_MAX_M}")
-    M = fileio.read_matrix(paths.cov, "GWAM")
-    XL = fileio.read_matrix(paths.covariates, "GWAC")
-    y = fileio.read_matrix(paths.pheno, "GWAY")
-    X = fileio.read_matrix(paths.geno, "GWAX")
-    p = q + 1
+    no hoisting of marker-independent work, into paths.out, reading the
+    inputs through fileio.opening. Desk scale only, which the file
+    headers are checked against before any payload is read."""
+    with fileio.opening(paths) as (cov, covariates, pheno, geno):
+        n, m = geno.dims
+        if n > ORACLE_MAX_N or m > ORACLE_MAX_M:
+            raise ConfigError(
+                f"oracle limited to n<={ORACLE_MAX_N}, m<={ORACLE_MAX_M}")
+        M = fileio.read_covariance(cov)
+        XLy = fileio.read_covariates_and_phenotype(covariates, pheno)
+        X = geno.read(0, m, np.empty(geno.shape, order="F"))
+    XL, y, p = XLy[:, :-1], XLy[:, -1], XLy.shape[1]
     L = kernel.cholesky_spd(M)
     betas = np.full((m, p), np.nan)
     for i in range(m):

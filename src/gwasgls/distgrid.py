@@ -130,13 +130,12 @@ def _from_bytes(raw, shape):
     return np.frombuffer(raw, dtype=np.float64).reshape(shape, order="F")
 
 
-def read_share(path, grid, rank):
-    """This rank's element-cyclic share of the GWAM covariance at path,
-    read and checked straight from the file (fileio.read_covariance) with
-    no message sent; returns (share, payload bytes read)."""
-    n = fileio.read_dims(path, "GWAM")[0]
-    local, nbytes = fileio.read_covariance(path, grid.r, grid.c, *grid.coord(rank))
-    return DistMatrix2D(n, n, grid, rank, local), nbytes
+def read_share(f, grid, rank):
+    """This rank's element-cyclic share of the GWAM covariance in the open
+    ColumnFile f, read and checked straight from the file
+    (fileio.read_covariance) with no message sent."""
+    local = fileio.read_covariance(f, grid.r, grid.c, *grid.coord(rank))
+    return DistMatrix2D(*f.shape, grid, rank, local)
 
 
 def scatter_matrix(A, grid, t):
@@ -354,20 +353,20 @@ def _substitute(panel, X, k):
     _blas.gemm_nn(-1.0, panel[kb:], X[k:k + kb], 1.0, X[k + kb:])
 
 
-def prepare(t, paths):
+def prepare(t, files):
     """The prepare of np > 1 ranks, one pass over the covariance: each
-    rank reads and checks its own share (read_share), and the grid
-    factors it while every rank whitens its copy of [XL | y] with each
-    panel (dist_cholesky's B; the small products are redundant by
-    design). The only messages are dist_cholesky's panels. Returns (ctx,
-    whiten, bytes read), where whiten(columns) is dist_trsolve of a
-    rank's own columns."""
-    Ld, nbytes = read_share(paths.cov, grid_create(t.size), t.rank)
-    XLy = fileio.read_covariates_and_phenotype(paths.covariates, paths.pheno)
+    rank reads and checks its own share from the open files
+    (fileio.opening, read_share), and the grid factors it while every rank
+    whitens its copy of [XL | y] with each panel (dist_cholesky's B; the
+    small products are redundant by design). The only messages are
+    dist_cholesky's panels. Returns (ctx, whiten), where whiten(columns)
+    is dist_trsolve of a rank's own columns."""
+    cov, covariates, pheno, _ = files
+    Ld = read_share(cov, grid_create(t.size), t.rank)
+    XLy = fileio.read_covariates_and_phenotype(covariates, pheno)
     dist_cholesky(Ld, t, B=XLy)
     ctx = kernel.prepare_whitened(np.empty((Ld.gr, 0)), XLy)
-    return (ctx, lambda columns: dist_trsolve(Ld, columns, t),
-            nbytes + XLy.nbytes)
+    return ctx, lambda columns: dist_trsolve(Ld, columns, t)
 
 
 def run_dist(t, paths, cfg=None):

@@ -29,6 +29,9 @@ Fortran-ordered buffer: one readinto, or one positional write, each.
 creating is the one rule by which a file comes into being: it is made
 at its partial_path, renamed onto its path once whole and removed if
 the making fails, and no other module renames or removes a file.
+opening is the rule for a run's inputs, as creating is for its outputs:
+each is opened once, its header checked against the others', and every
+read of the run goes through those files, which count the bytes read.
 read_covariance alone reads and checks a covariance, whole or a share.
 
 A block travels as one array each way. BlockReader runs the reads of
@@ -248,38 +251,37 @@ class ColumnFile:
         self.close()
 
 
-def read_dims(path, kind):
-    """The header's dimensions, once the file is checked to hold the
-    payload they promise."""
-    with ColumnFile(path, kind) as f:
-        return f.dims
-
-
-def run_dims(paths):
-    """(n, m, q) of a run from its files' headers alone: paths.geno holds
-    n x m genotypes (n, m >= 1), and paths.cov, .pheno and .covariates
-    (q >= 1 columns) agree on n. A paths.out no result could be renamed
-    onto raises first: IsADirectoryError, or FileNotFoundError for a
-    missing folder."""
+@contextlib.contextmanager
+def opening(paths):
+    """Yield the ColumnFiles (cov, covariates, pheno, geno) of a run's
+    inputs, each opened once, which close when the block ends: paths.geno
+    holds n x m genotypes (n, m >= 1), and paths.cov, .pheno and
+    .covariates (q >= 1 columns) agree on n. A paths.out no result could
+    be renamed onto raises first: IsADirectoryError, or FileNotFoundError
+    for a missing folder."""
     out = paths.out
     if os.path.isdir(out):
         raise IsADirectoryError(f"Is a directory: {out}")
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise FileNotFoundError(f"No such directory for {out}")
-    n, m = read_dims(paths.geno, "GWAX")
-    if n < 1 or m < 1:
-        raise DimensionMismatch(f"genotype file {paths.geno} holds {n} samples x "
-                                f"{m} markers; at least one of each is needed")
-    for path, kind in ((paths.cov, "GWAM"), (paths.pheno, "GWAY"),
-                       (paths.covariates, "GWAC")):
-        n_in, *rest = read_dims(path, kind)
-        if n_in != n:
-            raise DimensionMismatch(f"{path} has n={n_in}, genotype file "
-                                    f"{paths.geno} has n={n}")
-    if rest[0] < 1:
-        raise DimensionMismatch(f"covariates file {paths.covariates} has no columns;"
-                                " at least one covariate column is needed")
-    return n, m, rest[0]
+    with contextlib.ExitStack() as stack:
+        geno = stack.enter_context(ColumnFile(paths.geno, "GWAX"))
+        n, m = geno.dims
+        if n < 1 or m < 1:
+            raise DimensionMismatch(f"genotype file {paths.geno} holds {n} samples x "
+                                    f"{m} markers; at least one of each is needed")
+        files = []
+        for path, kind in ((paths.cov, "GWAM"), (paths.pheno, "GWAY"),
+                           (paths.covariates, "GWAC")):
+            files.append(stack.enter_context(ColumnFile(path, kind)))
+            if files[-1].dims[0] != n:
+                raise DimensionMismatch(f"{path} has n={files[-1].dims[0]}, "
+                                        f"genotype file {paths.geno} has n={n}")
+        cov, pheno, covariates = files
+        if covariates.dims[1] < 1:
+            raise DimensionMismatch(f"covariates file {paths.covariates} has no columns;"
+                                    " at least one covariate column is needed")
+        yield cov, covariates, pheno, geno
 
 
 def read_matrix(path, kind):
@@ -287,9 +289,9 @@ def read_matrix(path, kind):
 
     The payload is read straight into the returned array, so the peak
     memory is the payload once; a covariance is read by read_covariance."""
-    if kind == "GWAM":
-        return read_covariance(path)[0]
     with ColumnFile(path, kind) as f:
+        if kind == "GWAM":
+            return read_covariance(f)
         arr = f.read(0, f.shape[1], np.empty(f.shape, dtype=F64, order="F"))
     if kind == "GWAB":
         rec, p = arr.T, f.dims[1]
@@ -297,12 +299,12 @@ def read_matrix(path, kind):
     return arr[:, 0] if kind == "GWAY" else arr
 
 
-def read_covariance(path, r=1, c=1, prow=0, pcol=0):
-    """(share, payload bytes read): rows prow::r of columns pcol::c of the
-    GWAM covariance at path, Fortran-ordered, the share of process (prow,
-    pcol) of an r x c element-cyclic grid: on a 1 x 1 grid the whole
-    matrix, read in place. Raises AsymmetricCovariance, naming the file,
-    for an entry of the share that is not finite or not its mirror.
+def read_covariance(f, r=1, c=1, prow=0, pcol=0):
+    """Rows prow::r of columns pcol::c of the GWAM covariance in the open
+    ColumnFile f, Fortran-ordered, the share of process (prow, pcol) of an
+    r x c element-cyclic grid: on a 1 x 1 grid the whole matrix, read in
+    place. Raises AsymmetricCovariance, naming the file, for an entry of
+    the share that is not finite or not its mirror.
 
     It reads the columns j = pcol (mod c) and i = prow (mod r) in runs of
     at most RUN, a share through one n x RUN buffer, and compares each
@@ -310,23 +312,22 @@ def read_covariance(path, r=1, c=1, prow=0, pcol=0):
     every j < i included, PIECE columns at a time: each pair (i, j), i > j,
     by the owner of (i, j).
     """
-    with ColumnFile(path, "GWAM") as f:
-        n = f.shape[0]
-        share = np.empty((len(range(prow, n, r)), len(range(pcol, n, c))), order="F")
-        buf = share if r == c == 1 else np.empty((n, min(RUN, n)), order="F")
-        for c0, c1 in _share_runs(n, r, c, prow, pcol):
-            cols = f.read(c0, c1 - c0, share[:, c0:] if buf is share else buf)
-            lc, wc = _span(c0, c1, pcol, c)
-            if buf is not share:
-                share[:, lc] = cols[prow::r, wc]
-            lm, wm = _span(c0, c1, prow, r)
-            if not np.isfinite(share[:, lc]).all():
-                raise AsymmetricCovariance(f"{path}: covariance has non-finite entries")
-            strip, mirror = share[lm, :lc.stop], cols[pcol::c, wm][:lc.stop].T
-            if not all(np.array_equal(strip[:, a:a + PIECE], mirror[:, a:a + PIECE])
-                       for a in range(0, lc.stop, PIECE)):
-                raise AsymmetricCovariance(f"{path}: covariance is not exactly symmetric")
-    return share, f.bytes_read
+    n = f.shape[0]
+    share = np.empty((len(range(prow, n, r)), len(range(pcol, n, c))), order="F")
+    buf = share if r == c == 1 else np.empty((n, min(RUN, n)), order="F")
+    for c0, c1 in _share_runs(n, r, c, prow, pcol):
+        cols = f.read(c0, c1 - c0, share[:, c0:] if buf is share else buf)
+        lc, wc = _span(c0, c1, pcol, c)
+        if buf is not share:
+            share[:, lc] = cols[prow::r, wc]
+        lm, wm = _span(c0, c1, prow, r)
+        if not np.isfinite(share[:, lc]).all():
+            raise AsymmetricCovariance(f"{f.path}: covariance has non-finite entries")
+        strip, mirror = share[lm, :lc.stop], cols[pcol::c, wm][:lc.stop].T
+        if not all(np.array_equal(strip[:, a:a + PIECE], mirror[:, a:a + PIECE])
+                   for a in range(0, lc.stop, PIECE)):
+            raise AsymmetricCovariance(f"{f.path}: covariance is not exactly symmetric")
+    return share
 
 
 def _share_runs(n, r, c, prow, pcol):
@@ -348,16 +349,14 @@ def _span(lo, hi, p, step):
     return slice(a, b), slice(p + a * step - lo, hi - lo, step)
 
 
-def read_covariates_and_phenotype(covariates, pheno):
-    """[XL | y]: a GWAC file (n x q) and a GWAY file (n) read straight into
-    the columns of one n x (q + 1) Fortran-ordered array."""
-    with ColumnFile(covariates, "GWAC") as fc, ColumnFile(pheno, "GWAY") as fy:
-        (n, q), (ny,) = fc.dims, fy.dims
-        if ny != n:
-            raise DimensionMismatch(f"covariates have {n} rows, phenotype {ny}")
-        XLy = np.empty((n, q + 1), dtype=F64, order="F")
-        fc.read(0, q, XLy)
-        fy.read(0, 1, XLy[:, q:])
+def read_covariates_and_phenotype(fc, fy):
+    """[XL | y]: the open GWAC file fc (n x q) and GWAY file fy (n), which
+    opening has checked to agree on n, read straight into the columns of
+    one n x (q + 1) Fortran-ordered array."""
+    n, q = fc.dims
+    XLy = np.empty((n, q + 1), dtype=F64, order="F")
+    fc.read(0, q, XLy)
+    fy.read(0, 1, XLy[:, q:])
     return XLy
 
 
@@ -403,10 +402,7 @@ class _Agent:
 
 
 class BlockReader(_Agent):
-    """Asynchronous column-block reader over a GWAX genotype file."""
-
-    def __init__(self, path):
-        super().__init__(ColumnFile(path, "GWAX"))
+    """Asynchronous column-block reader over an open GWAX ColumnFile."""
 
     def start(self, first_index, count, buffer):
         """Begin loading columns [first_index, first_index+count) into the

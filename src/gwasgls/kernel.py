@@ -23,8 +23,8 @@ count-long rows, whose last step writes every marker's GWAB record
 (p betas, then the packed S^-1 when asked for) as one row of the
 caller's count x record-width array, the block's only result. The
 engines pass the staging area their writer stores from. Each step of the
-distributed Cholesky is factor_panel, and _pivot judges every factor of
-the covariance; cholesky_spd and trsolve_lower remain the substitution
+distributed Cholesky is factor_panel, and _pivot judges every factor, the
+small ones too; cholesky_spd and trsolve_lower remain the substitution
 route, the tests' reference; they and the small solves go through _blas too.
 """
 
@@ -102,15 +102,16 @@ def cholesky_spd(M):
     return L
 
 
-def _pivot(A, info, offset):
-    """The one rule a factor of the covariance is judged by: raise
-    NotPositiveDefinite at the first pivot that dpotrf (info > 0 stops it
-    at pivot info - 1) failed or left non-finite in the block A, whose
-    first row is row `offset` of the whole matrix. OpenBLAS passes a NaN
-    pivot; a non-finite entry below the diagonal reaches its row's pivot."""
+def _pivot(A, info, offset, floor=0.0):
+    """The one rule every factor is judged by: raise NotPositiveDefinite
+    at the first pivot that dpotrf (info > 0 stops it at pivot info - 1)
+    failed, left non-finite, or left with a square <= floor in the block
+    A, whose first row is row `offset` of the whole matrix. OpenBLAS
+    passes a NaN pivot; a non-finite entry below the diagonal reaches its
+    row's pivot."""
     done = info - 1 if info > 0 else A.shape[0]
     d = np.diagonal(A)[:done]
-    bad = np.flatnonzero(~((d > 0) & (d < np.inf)))
+    bad = np.flatnonzero(~(np.isfinite(d) & (d * d > floor)))
     if bad.size or info > 0:
         raise NotPositiveDefinite(offset + (int(bad[0]) if bad.size else done))
 
@@ -238,18 +239,11 @@ def gram(A):
 
 
 def _small_cholesky(S):
-    """Lower Cholesky factor of one small SPD matrix under the sweep's
-    pivot rule: raises NotPositiveDefinite(j) at the first pivot j that is
-    not finite or is <= p * eps * max|S|."""
+    """Lower Cholesky factor of one small SPD matrix under the one pivot
+    rule (_pivot), with the floor p * eps * max|S| on a pivot's square."""
     c = np.array(S, dtype=np.float64, order="F")
-    info = _blas.potrf(c)
+    _pivot(c, _blas.potrf(c), 0, S.shape[0] * EPS * np.max(np.abs(S)))
     _blas.zero_strict_upper(c)
-    # dpotrf stops at pivot info - 1; the pivots before it are complete
-    done = info - 1 if info > 0 else S.shape[0]
-    thresh = S.shape[0] * EPS * np.max(np.abs(S))
-    bad = np.flatnonzero(~(np.diag(c)[:done] ** 2 > thresh))
-    if bad.size or info > 0:
-        raise NotPositiveDefinite(int(bad[0]) if bad.size else done)
     return c
 
 

@@ -5,9 +5,9 @@ transfers overlap compute, on any number of ranks.
 its one parameter, a prepare step: on one rank (`load_prepare`) it is
 read whole and turned into L^-1 in its own memory; on several ranks
 (`distgrid.prepare`) each rank reads its own share of it, on a process
-grid. The ooc engine is `stream` on a one-rank transport in the calling
-thread, the in-core engine is the ooc engine at m_blk = m, and the dist
-engine is `stream` on np ranks, so dist at np=1 is the ooc engine.
+grid. The ooc engine is `stream` on one rank, in the calling thread,
+the in-core engine is the ooc engine at m_blk = m, and the dist engine
+is `stream` on np ranks, so dist at np=1 is the ooc engine.
 
 `sweep` is its block loop:
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import os
 import resource
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -131,96 +132,96 @@ def peak_rss_bytes():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
-def load_prepare(t, paths):
+def load_prepare(t, files):
     """The one-rank prepare: read the covariance, covariates and
-    phenotype and prepare the context in their memory. The covariance
-    becomes L^-1 and the others their whitened values, so no n x n copy is
-    made. Returns (ctx, whiten, bytes read), where whiten(columns)
-    multiplies a block by L^-1 in place. t is unused: one rank holds all
-    of M."""
-    M = fileio.read_matrix(paths.cov, "GWAM")
-    XLy = fileio.read_covariates_and_phenotype(paths.covariates, paths.pheno)
-    nbytes = M.nbytes + XLy.nbytes
+    phenotype from the open files (fileio.opening) and prepare the context
+    in their memory. The covariance becomes L^-1 and the others their
+    whitened values, so no n x n copy is made. Returns (ctx, whiten), where
+    whiten(columns) multiplies a block by L^-1 in place. t is unused: one
+    rank holds all of M."""
+    cov, covariates, pheno, _ = files
+    M = fileio.read_covariance(cov)
+    XLy = fileio.read_covariates_and_phenotype(covariates, pheno)
     ctx = kernel.prepare_in_place(M, XLy)
-    return ctx, lambda columns: kernel.whiten(ctx.Linv, columns), nbytes
+    return ctx, lambda columns: kernel.whiten(ctx.Linv, columns)
 
 
 def run_incore(paths, cfg=None):
     """Solve the whole genotype matrix as one block: the out-of-core
-    sweep with m_blk = m, which holds one buffer region. Reference engine
-    for equivalence and overlap tests. Raises ConfigError when the
-    dataset does not fit the memory budget.
+    sweep with a block wider than any file, which stream narrows to m and
+    which holds one buffer region. Reference engine for equivalence and
+    overlap tests. Raises ConfigError when the dataset does not fit the
+    memory budget.
     """
-    cfg = cfg or SolveConfig()
-    m = fileio.read_dims(paths.geno, "GWAX")[1]
-    summary = run_ooc(paths, replace(cfg, m_blk=m))
+    summary = run_ooc(paths, replace(cfg or SolveConfig(), m_blk=sys.maxsize))
     summary.mode = "incore"
     return summary
 
 
 def run_ooc(paths, cfg=None):
     """Out-of-core engine: the streaming engine on one rank, in the
-    calling thread."""
-    with _blas.rank_threads(1):
-        return stream(transport.Transport(0, 1), paths,
-                      cfg or SolveConfig(), load_prepare, "ooc")
+    calling thread (transport.run_spmd)."""
+    return transport.run_spmd(1, stream, paths, cfg or SolveConfig(),
+                              load_prepare, "ooc")[0]
 
 
 def stream(t, paths, cfg, prepare, mode, setup_cols=0):
     """The streaming engine, run on every rank of transport t.
 
-    Each rank reads its own contiguous chunk of every block of m_blk
+    Each rank opens the inputs once (fileio.opening) and reads only
+    through those files: its own contiguous chunk of every block of m_blk
     markers, an even share of it, into one of its buffer regions (two, or
     one when a single block covers m), and the first chunk loads while
-    prepare(t, paths) returns (ctx, whiten, bytes read): the kernel
-    context, the in-place whitening of a chunk and the payload bytes
-    prepare read. The budget, checked before anything is read, counts the
-    8n^2/np covariance share, the covariates, the regions, the
-    field-by-field scratch of the small solves of the chunk being solved,
-    w = kernel.record_width reals per marker, and setup_cols n-row columns
-    of scratch that prepare holds beside the share (0 for load_prepare,
-    which works in the memory of M):
+    prepare(t, files) returns (ctx, whiten): the kernel context and the
+    in-place whitening of a chunk. The budget, checked before anything is
+    read, counts the 8n^2/np covariance share, the covariates, the
+    regions, the field-by-field scratch of the small solves of the chunk
+    being solved, w = kernel.record_width reals per marker, and
+    setup_cols n-row columns of scratch that prepare holds beside the
+    share (0 for load_prepare, which works in the memory of M):
 
         8n^2/np + 8np + regions (8 n loc + 8 loc w) + 8 loc w + 8 n setup_cols
 
     OpenBLAS runs at the thread count the caller set before the ranks
     started (_blas.rank_threads). Rank 0 makes the result file by
     fileio.creating. Returns a RunSummary; rank 0's carries the totals:
-    its bytes_read, bytes_written and bytes_sent are the ranks', summed.
+    its bytes_read, bytes_written and bytes_sent are the ranks', summed,
+    as the files and the transport count them.
     """
     t_start = time.perf_counter()
     np_ = t.size
-    # the inputs agree on n, and out is no directory, before the budget,
-    # which counts n, and the O(n^3) set-up start
-    n, m, q = fileio.run_dims(paths)
-    m_blk = cfg.m_blk if cfg.m_blk is not None else DEFAULT_M_BLK
-    if m_blk < 1:
-        raise ConfigError(f"m_blk={m_blk} is not positive")
-    m_blk = min(m_blk, m)
-    loc = -(-m_blk // np_)
-    # this rank's chunk of every block, [first + count r / np, first +
-    # count (r + 1) / np): at most loc markers, an even share of the
-    # block, which is empty only where count < np
-    chunks = []
-    for first, count in block_plan(m, m_blk):
-        lo = first + count * t.rank // np_
-        hi = first + count * (t.rank + 1) // np_
-        chunks.append((lo, hi - lo))
-    p = q + 1
-    flags = 1 if cfg.emit_s_inv else 0
-    w = kernel.record_width(p, flags)
-    regions = min(2, len(chunks))
-    need = (8 * n * n // np_ + 8 * n * p + regions * (8 * n * loc + 8 * loc * w)
-            + 8 * loc * w + 8 * n * setup_cols)
-    check_budget(need, f"covariance share, covariates, {regions} buffer "
-                 "region(s) and set-up scratch")
-    in_bufs = [np.empty((n, loc), order="F") for _ in range(regions)]
-    out_bufs = [np.empty((loc, w)) for _ in range(regions)]
     with contextlib.ExitStack() as stack:
-        reader = stack.enter_context(fileio.BlockReader(paths.geno))
+        # the inputs agree on n, and out is no directory, before the
+        # budget, which counts n, and the O(n^3) set-up start
+        files = stack.enter_context(fileio.opening(paths))
+        _, covariates, _, geno = files
+        (n, m), p = geno.dims, covariates.dims[1] + 1
+        m_blk = cfg.m_blk if cfg.m_blk is not None else DEFAULT_M_BLK
+        if m_blk < 1:
+            raise ConfigError(f"m_blk={m_blk} is not positive")
+        m_blk = min(m_blk, m)
+        loc = -(-m_blk // np_)
+        # this rank's chunk of every block, [first + count r / np, first +
+        # count (r + 1) / np): at most loc markers, an even share of the
+        # block, which is empty only where count < np
+        chunks = []
+        for first, count in block_plan(m, m_blk):
+            lo = first + count * t.rank // np_
+            hi = first + count * (t.rank + 1) // np_
+            chunks.append((lo, hi - lo))
+        flags = 1 if cfg.emit_s_inv else 0
+        w = kernel.record_width(p, flags)
+        regions = min(2, len(chunks))
+        need = (8 * n * n // np_ + 8 * n * p + regions * (8 * n * loc + 8 * loc * w)
+                + 8 * loc * w + 8 * n * setup_cols)
+        check_budget(need, f"covariance share, covariates, {regions} buffer "
+                     "region(s) and set-up scratch")
+        in_bufs = [np.empty((n, loc), order="F") for _ in range(regions)]
+        out_bufs = [np.empty((loc, w)) for _ in range(regions)]
+        reader = stack.enter_context(fileio.BlockReader(geno))
         ticket = reader.start(*chunks[0], in_bufs[0])
         t0 = time.perf_counter()
-        ctx, whiten, prepare_bytes = prepare(t, paths)
+        ctx, whiten = prepare(t, files)
         t_prepare = time.perf_counter() - t0
 
         def solve(columns, out):
@@ -240,7 +241,7 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
             reader, writer, chunks, in_bufs, ticket, solve, out_bufs)
         # a rank sends its stats once its last store is done, so rank 0
         # holds every rank's, and renames the file, only when it is whole
-        stats = t.allgather_obj((reader.file.bytes_read + prepare_bytes,
+        stats = t.allgather_obj((sum(f.bytes_read for f in files),
                                  writer.file.bytes_written, t.bytes_sent,
                                  peak_rss_bytes()))
     return RunSummary(

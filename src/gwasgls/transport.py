@@ -7,8 +7,8 @@ the frames that arrive, and a rank delivers to itself through its own
 queue. run_spmd makes the socket pairs and runs rank 0 in the calling
 thread, the others as threads of this process (transport="inproc", so
 in-process spies see every rank's calls) or as forked worker processes
-("socket"), with one rank body for all. With no sockets, Transport(0, 1)
-is the one-rank transport of the ooc engine.
+("socket"), with one rank body for all. The ooc engine is run_spmd on
+one rank: no socket pair, and rank 0 in the calling thread.
 
 Messages between a fixed ordered pair of ranks are delivered in order;
 collectives are built deterministically on send/recv so two runs with the

@@ -116,12 +116,13 @@ def test_criterion_03_io_overlap(tmp_path_factory):
     ds = gen_dataset(GenSpec(n=800, m=4000, p=4, seed=42), str(d / "data"))
     m_blk = 500
 
-    n, m = fileio.read_dims(ds.geno, "GWAX")
+    with fileio.ColumnFile(ds.geno, "GWAX") as f:
+        n, m = f.dims
     buf = np.empty((n, m_blk), order="F")
 
     def read_pass():
         t0 = time.perf_counter()
-        reader = fileio.BlockReader(ds.geno)
+        reader = fileio.BlockReader(fileio.ColumnFile(ds.geno, "GWAX"))
         for first in range(0, m, m_blk):
             reader.wait(reader.start(first, min(m_blk, m - first), buf))
         reader.close()

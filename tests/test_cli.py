@@ -255,6 +255,32 @@ class TestExitCodes:
         assert ("not exactly symmetric" if bad == "asymmetric"
                 else "non-finite") in lines[0][0]
 
+    @pytest.mark.parametrize("mode", ["ooc", "incore", "oracle"])
+    @pytest.mark.parametrize("swap", ["plus-identity", "n90"])
+    def test_a_replaced_covariance_is_not_read(self, tmp_path, monkeypatch,
+                                               mode, swap):
+        # the covariance is replaced by rename, as gen makes it, after the
+        # run has opened it and before it reads it: the run reads the file
+        # it opened, and writes the undisturbed run's results byte for byte
+        d = _gen(tmp_path, n=100, m=40, p=3)
+        cov = f"{d}/covariance.gwam"
+        ref, out = str(tmp_path / "ref.gwab"), str(tmp_path / "o.gwab")
+        assert main(_solve_args(d, ref, mode)) == 0
+        M = fileio.read_matrix(cov, "GWAM")
+        new = M + np.eye(100) if swap == "plus-identity" else M[:90, :90]
+        read = fileio.read_covariance
+
+        def replacing(f, *args):
+            fileio.write_matrix(f.path, "GWAM", new)
+            return read(f, *args)
+
+        monkeypatch.setattr(fileio, "read_covariance", replacing)
+        assert main(_solve_args(d, out, mode)) == 0
+        monkeypatch.undo()
+        assert np.array_equal(fileio.read_matrix(cov, "GWAM"), new)
+        with open(ref, "rb") as a, open(out, "rb") as b:
+            assert a.read() == b.read()
+
 
 def _refuse_payload_reads(monkeypatch, tmp_path):
     """Make every payload read fail, and touch the returned path first,
@@ -296,8 +322,8 @@ def _raise_in_solve(monkeypatch):
     stream = pipeline.stream
 
     def failing_stream(t, paths, cfg, prepare, *args, **kwargs):
-        def failing_prepare(t, paths):
-            ctx, whiten, nbytes = prepare(t, paths)
+        def failing_prepare(t, files):
+            ctx, whiten = prepare(t, files)
             blocks = []
 
             def failing_whiten(columns):
@@ -306,7 +332,7 @@ def _raise_in_solve(monkeypatch):
                     raise GwasGlsError(f"rank {t.rank} fails in its second block")
                 return whiten(columns)
 
-            return ctx, failing_whiten, nbytes
+            return ctx, failing_whiten
 
         return stream(t, paths, cfg, failing_prepare, *args, **kwargs)
 
@@ -523,6 +549,30 @@ class TestFailedRuns:
         assert len(err) == 1 and err[0].startswith("error code=3 "), err
         assert f"{d}/covariance.gwam has n=60" in err[0], err
         assert f"{d}/genotypes.gwax has n=50" in err[0], err
+        assert not read.exists()
+        assert self._left_behind(out) == []
+
+    @pytest.mark.parametrize("mode,extra", [
+        ("ooc", ()), ("dist", ("--np", "2", "--transport", "socket")),
+        ("oracle", ())], ids=["ooc", "dist-socket-np2", "oracle"])
+    @pytest.mark.parametrize("name,kind,shape", [
+        ("covariance.gwam", "GWAM", (50, 50)), ("phenotype.gway", "GWAY", (50,)),
+        ("covariates.gwac", "GWAC", (50, 2))], ids=["GWAM", "GWAY", "GWAC"])
+    def test_input_n_checked_before_setup(self, tmp_path, capfd, monkeypatch,
+                                          mode, extra, name, kind, shape):
+        # a covariance, phenotype or covariates file of 50 samples beside
+        # genotypes of 60: every mode names both files before it reads any
+        # payload
+        d = _gen(tmp_path, n=60, m=300, p=3)
+        fileio.write_matrix(f"{d}/{name}", kind, np.ones(shape))
+        read = _refuse_payload_reads(monkeypatch, tmp_path)
+        capfd.readouterr()
+        out = str(tmp_path / "o.gwab")
+        assert main(_solve_args(d, out, mode, *extra)) == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=3 "), err
+        assert f"{d}/{name} has n=50" in err[0], err
+        assert f"{d}/genotypes.gwax has n=60" in err[0], err
         assert not read.exists()
         assert self._left_behind(out) == []
 

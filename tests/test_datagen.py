@@ -83,9 +83,11 @@ class TestDatasetContents:
 
     def test_dims_as_specified(self, small):
         spec, paths = small
-        assert fileio.read_dims(paths.geno, "GWAX") == (60, 120)
-        assert fileio.read_dims(paths.pheno, "GWAY") == (60,)
-        assert fileio.read_dims(paths.cov, "GWAM") == (60,)
+        for path, kind, dims in ((paths.geno, "GWAX", (60, 120)),
+                                 (paths.pheno, "GWAY", (60,)),
+                                 (paths.cov, "GWAM", (60,))):
+            with fileio.ColumnFile(path, kind) as f:
+                assert f.dims == dims
 
     def test_planted_markers_rank_high(self, tmp_path):
         # planted effects dominate: all 5 land in the top decile by |beta|

@@ -228,6 +228,12 @@ def _lower_pair(n, grid, off):
     raise AssertionError("no such entry")
 
 
+def _read_share(path, grid, rank):
+    """(read_share's share, the payload bytes its file counts)."""
+    with fileio.ColumnFile(path, "GWAM") as f:
+        return distgrid.read_share(f, grid, rank), f.bytes_read
+
+
 class TestShareRead:
     @pytest.mark.parametrize("np_", [1, 2, 4, 6])  # grids 1x1, 1x2, 2x2, 2x3
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 150])
@@ -241,7 +247,7 @@ class TestShareRead:
         def body(t):
             grid = grid_create(t.size)
             D = scatter_matrix(M if t.rank == 0 else None, grid, t)
-            S, nbytes = distgrid.read_share(path, grid, t.rank)
+            S, nbytes = _read_share(path, grid, t.rank)
             return (np.array_equal(S.local, D.local) and S.local.flags.f_contiguous,
                     nbytes == 8 * n * len(_share_columns(n, grid, t.rank)))
 
@@ -272,7 +278,7 @@ class TestShareRead:
         path = str(tmp_path / "m.gwam")
         fileio.write_matrix(path, "GWAM", M)
         with pytest.raises(AsymmetricCovariance):
-            distgrid.read_share(path, grid, rank)
+            _read_share(path, grid, rank)
 
     @pytest.mark.parametrize("np_", [2, 4, 6])
     def test_every_changed_entry_is_seen_by_some_rank(self, tmp_path, np_):
@@ -292,7 +298,7 @@ class TestShareRead:
             seen = 0
             for rank in range(np_):
                 try:
-                    distgrid.read_share(path, grid, rank)
+                    _read_share(path, grid, rank)
                 except AsymmetricCovariance:
                     seen += 1
             missed += [(i, j)] if not seen else []
@@ -868,7 +874,7 @@ class TestRunDist:
                             lambda M, t, B=None: cholesky(M, t, nb, B))
         sizes = {}
 
-        def logged_prepare(t, paths):
+        def logged_prepare(t, files):
             log = sizes[t.rank] = []
             send = t.send
 
@@ -878,7 +884,7 @@ class TestRunDist:
 
             t.send = logged_send
             try:
-                return prepare(t, paths)
+                return prepare(t, files)
             finally:
                 t.send = send
 
@@ -919,8 +925,8 @@ class TestRunDist:
         prepare = distgrid.prepare
         peaks = []
 
-        def traced_prepare(t, paths):
-            out = prepare(t, paths)
+        def traced_prepare(t, files):
+            out = prepare(t, files)
             peaks.append(tracemalloc.get_traced_memory()[1])
             return out
 

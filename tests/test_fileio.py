@@ -78,7 +78,7 @@ def test_header_checked_against_file_size(tmp_path, kind, dims):
     with open(path, "wb") as f:
         f.write(fileio.pack_header(kind, dims) + bytes(16))
     with pytest.raises(TruncatedFile, match="short.bin: payload holds 16 bytes"):
-        fileio.read_dims(path, kind)
+        fileio.ColumnFile(path, kind)
     with pytest.raises(TruncatedFile, match="short.bin"):
         fileio.read_matrix(path, kind)
 
@@ -202,17 +202,19 @@ def test_covariates_and_phenotype_read_into_one_array(tmp_path):
     xc, yc = str(tmp_path / "x.gwac"), str(tmp_path / "y.gway")
     fileio.write_matrix(xc, "GWAC", XL)
     fileio.write_matrix(yc, "GWAY", y)
-    XLy = fileio.read_covariates_and_phenotype(xc, yc)
+    with fileio.ColumnFile(xc, "GWAC") as fc, fileio.ColumnFile(yc, "GWAY") as fy:
+        XLy = fileio.read_covariates_and_phenotype(fc, fy)
+        assert (fc.bytes_read, fy.bytes_read) == (8 * 7 * 3, 8 * 7)
     assert XLy.flags.f_contiguous
     assert np.array_equal(XLy, np.column_stack([XL, y]))
+    # a phenotype of another n is refused by fileio.opening, before this
+    # read (test_cli's test_input_n_checked_before_setup)
     fileio.write_matrix(yc, "GWAY", y[:6])
-    with pytest.raises(DimensionMismatch):
-        fileio.read_covariates_and_phenotype(xc, yc)
     with open(yc, "r+b") as f:  # header promises 7 entries, payload has 6
         f.seek(8)
         f.write((7).to_bytes(8, "little"))
     with pytest.raises(TruncatedFile):
-        fileio.read_covariates_and_phenotype(xc, yc)
+        fileio.ColumnFile(yc, "GWAY")
 
 
 def test_read_matrix_peak_is_one_payload(tmp_path):
@@ -311,7 +313,7 @@ class TestBlockReader:
 
     def test_single_block_equals_full_read(self, tmp_path):
         path, X = self._write(tmp_path)
-        r = fileio.BlockReader(path)
+        r = fileio.BlockReader(fileio.ColumnFile(path, "GWAX"))
         buf = np.empty((6, 9), order="F")
         cols = r.wait(r.start(0, 9, buf))
         assert np.shares_memory(cols, buf)
@@ -320,7 +322,7 @@ class TestBlockReader:
 
     def test_partition_reconstructs_payload(self, tmp_path):
         path, X = self._write(tmp_path, m=6)
-        r = fileio.BlockReader(path)
+        r = fileio.BlockReader(fileio.ColumnFile(path, "GWAX"))
         buf1 = np.empty((6, 4), order="F")
         buf2 = np.empty((6, 4), order="F")
         b1 = r.wait(r.start(0, 4, buf1))
@@ -337,7 +339,7 @@ class TestBlockReader:
         X = np.asfortranarray(rng.standard_normal((5, m)))
         path = str(tmp_path / "x.gwax")
         fileio.write_matrix(path, "GWAX", X)
-        r = fileio.BlockReader(path)
+        r = fileio.BlockReader(fileio.ColumnFile(path, "GWAX"))
         pieces = []
         first = 0
         for cnt in cuts:
@@ -349,7 +351,7 @@ class TestBlockReader:
 
     def test_overlapping_buffer_rejected(self, tmp_path):
         path, _ = self._write(tmp_path)
-        r = fileio.BlockReader(path)
+        r = fileio.BlockReader(fileio.ColumnFile(path, "GWAX"))
         buf = np.empty((6, 4), order="F")
         t1 = r.start(0, 4, buf)
         with pytest.raises(OverlappingBuffer):
@@ -361,7 +363,7 @@ class TestBlockReader:
     def test_truncated_file_raises_on_wait(self, tmp_path):
         # the file shrinks after the reader checked it at open
         path, _ = self._write(tmp_path)
-        r = fileio.BlockReader(path)
+        r = fileio.BlockReader(fileio.ColumnFile(path, "GWAX"))
         os.truncate(path, os.path.getsize(path) - 16)
         ticket = r.start(0, 9, np.empty((6, 9), order="F"))
         with pytest.raises(TruncatedFile):
@@ -370,7 +372,7 @@ class TestBlockReader:
 
     def test_non_fortran_buffer_rejected(self, tmp_path):
         path, _ = self._write(tmp_path)
-        r = fileio.BlockReader(path)
+        r = fileio.BlockReader(fileio.ColumnFile(path, "GWAX"))
         with pytest.raises(DimensionMismatch):
             r.start(0, 4, np.empty((6, 4)))
         with pytest.raises(DimensionMismatch):

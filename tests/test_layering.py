@@ -10,6 +10,8 @@ inside a function, and importing the command line loads none of it: a
 run has one BLAS, numpy's, and does not pay scipy's import. Only fileio
 opens a file, for reading or writing, apart from the command line's text
 report, so every file goes through its one header-checked column file.
+The engines, pipeline and distgrid, open no file by its path: a run's
+inputs are opened once, by fileio.opening, and read through those files.
 Only fileio renames or removes a file: fileio.creating is the one rule
 by which a file comes into being. Only fileio raises
 AsymmetricCovariance: the covariance's entries are checked where it is
@@ -163,6 +165,16 @@ def _raises(tree, name):
             if isinstance(node, ast.Raise) and node.exc is not None
             and name in {getattr(n, "id", None) or getattr(n, "attr", None)
                          for n in ast.walk(node.exc)}]
+
+
+@pytest.mark.parametrize("name", ["pipeline", "distgrid"])
+def test_engines_read_only_through_the_opened_inputs(name):
+    # a run's inputs are opened once, by fileio.opening, and read through
+    # those files: an engine that opened one again by its path could read
+    # another file than the one whose header was checked
+    calls = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+             for node in ast.walk(TREES[name]) if isinstance(node, ast.Call)}
+    assert calls & {"read_matrix", "read_dims", "ColumnFile"} == set()
 
 
 def test_only_fileio_raises_asymmetric_covariance():

@@ -1,4 +1,5 @@
 import builtins
+import collections
 import os
 import pathlib
 import signal
@@ -157,6 +158,29 @@ class TestEngines:
         assert sorted(mode for mode, _ in result) == ["r+b"] * (np_ - 1) + ["w+b"]
         assert len({rank for _, rank in result}) == np_
 
+    @pytest.mark.parametrize("run,np_", [
+        (run_ooc, 1), (run_incore, 1), (lambda p, cfg: oracle_solve_all(p), 1),
+        (lambda p, cfg: run_spmd(2, run_dist, p, cfg)[0], 2)],
+        ids=["ooc", "incore", "oracle", "dist-np2"])
+    def test_each_rank_opens_each_input_once(
+            self, run, np_, seed42_dataset, out_path, monkeypatch):
+        # fileio.opening opens the four inputs, and every read of the run,
+        # the set-up's and the sweep's, goes through those files
+        opened = []
+        init = fileio.ColumnFile.__init__
+
+        def counting(self, path, *args, **kwargs):
+            opened.append((path, threading.get_ident()))
+            init(self, path, *args, **kwargs)
+
+        monkeypatch.setattr(fileio.ColumnFile, "__init__", counting)
+        p = solve_paths(seed42_dataset, out_path("inputs.gwab"))
+        run(p, SolveConfig(m_blk=100))
+        inputs = [(path, rank) for path, rank in opened
+                  if path in (p.cov, p.covariates, p.pheno, p.geno)]
+        assert len({rank for _, rank in inputs}) == np_
+        assert sorted(collections.Counter(inputs).values()) == [1] * 4 * np_
+
     def test_writer_closed_when_a_rank_fails_before_the_barrier(
             self, seed42_dataset, out_path, monkeypatch):
         # rank 1 fails in its set-up, after rank 0 has created the result
@@ -174,8 +198,8 @@ class TestEngines:
             close(self)
 
         def failing_stream(t, paths, cfg, prepare, *args, **kwargs):
-            def failing_prepare(t, paths):
-                prepared = prepare(t, paths)  # collective: every rank ends it
+            def failing_prepare(t, files):
+                prepared = prepare(t, files)  # collective: every rank ends it
                 if t.rank == 1:
                     raise ConfigError("rank 1 fails in its set-up")
                 return prepared
