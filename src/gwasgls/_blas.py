@@ -183,17 +183,18 @@ def _gemm(trans_b, alpha, a, b, beta, c):
 
 @contextmanager
 def rank_threads(np_):
-    """Cap OpenBLAS at max(1, cpu_count // np_) threads for the body, so
-    np_ ranks on one host do not oversubscribe it, and restore the count
-    after; a count is never raised.
+    """Cap OpenBLAS at max(1, cpus // np_) threads for the body, cpus the
+    size of the process's CPU set, so np_ ranks do not oversubscribe the
+    CPUs they may run on, and restore the count after; a count is never
+    raised.
 
     OpenBLAS keeps one count per process, which forked ranks inherit, so a
-    run sets it once, before its ranks start (transport.run_spmd,
-    pipeline.run_ooc): every rank then runs at that count, and no forked
-    rank calls the setter, which would restart the thread pool in that
-    rank.
+    run sets it once, before its ranks start (transport.run_spmd, through
+    which every engine runs): every rank then runs at that count, and no
+    forked rank calls the setter, which would restart the thread pool in
+    that rank.
     """
-    cap = max(1, (os.cpu_count() or 1) // np_)
+    cap = max(1, len(os.sched_getaffinity(0)) // np_)
     old = threads()
     if cap < old:
         _set_threads(cap)

@@ -1,5 +1,5 @@
 """Command-line front end for dataset generation, the three solver
-engines, result verification, and the benchmark reporter.
+engines and result verification.
 
 Exit codes: 0 success, 2 usage/configuration, 3 data/file errors (any
 OSError) and transport failures (TransportFailure, a dist rank lost), 4
@@ -14,7 +14,6 @@ import gc
 # argparse's messages import locale on first use; imported here, a run
 # does not pay for it inside its set-up
 import locale  # noqa: F401
-import os
 import sys
 
 from . import datagen, distgrid, pipeline, transport
@@ -55,15 +54,6 @@ def cmd_gen(args):
     return 0
 
 
-def _run(mode, paths, cfg, np_, transport_name):
-    """Run one engine; returns its RunSummary (rank 0's for dist)."""
-    if mode == "dist":
-        return transport.run_spmd(np_, distgrid.run_dist, paths, cfg,
-                                   transport=transport_name)[0]
-    runner = pipeline.run_incore if mode == "incore" else pipeline.run_ooc
-    return runner(paths, cfg)
-
-
 def cmd_solve(args):
     paths = pipeline.SolvePaths(cov=args.cov, covariates=args.covariates,
                                 pheno=args.pheno, geno=args.geno, out=args.out)
@@ -72,7 +62,12 @@ def cmd_solve(args):
         print(f"mode=oracle out={args.out}")
         return 0
     cfg = pipeline.SolveConfig(m_blk=args.block_size, emit_s_inv=args.emit_sinv)
-    summary = _run(args.mode, paths, cfg, args.np, args.transport)
+    if args.mode == "dist":
+        summary = transport.run_spmd(args.np, distgrid.run_dist, paths, cfg,
+                                     transport=args.transport)[0]
+    else:
+        runner = pipeline.run_incore if args.mode == "incore" else pipeline.run_ooc
+        summary = runner(paths, cfg)
     print(summary.to_record())
     return 0
 
@@ -84,39 +79,6 @@ def cmd_verify(args):
           f"compared={report.compared} tol={report.tol:.1e} "
           f"within={report.within}")
     return report.exit_code
-
-
-def cmd_bench(args):
-    try:
-        values = [int(v) for v in args.values.split(",")]
-    except ValueError:
-        raise ConfigError(f"--values {args.values!r} is not a comma-separated "
-                          "list of integers") from None
-    os.makedirs(args.workdir, exist_ok=True)
-    records = []
-    for v in values:
-        n = v if args.sweep == "n" else args.n
-        m = v if args.sweep == "m" else args.m
-        np_ = v if args.sweep == "np" else args.np
-        data_dir = os.path.join(args.workdir,
-                                f"data_n{n}_m{m}_p{args.p}_s{args.seed}")
-        dpaths = datagen.DatasetPaths.in_dir(data_dir)
-        if not os.path.exists(dpaths.geno):
-            spec = datagen.GenSpec(n=n, m=m, p=args.p, seed=args.seed)
-            datagen.gen_dataset(spec, data_dir)
-        mode = "dist" if args.sweep == "np" else args.mode
-        out = os.path.join(args.workdir,
-                           f"result_{args.sweep}{v}_s{args.seed}_{mode}.gwab")
-        paths = pipeline.SolvePaths(cov=dpaths.cov, covariates=dpaths.covariates,
-                                    pheno=dpaths.pheno, geno=dpaths.geno, out=out)
-        summary = _run(mode, paths, pipeline.SolveConfig(m_blk=args.block_size),
-                       np_, args.transport)
-        summary.seed = args.seed
-        records.append(summary.to_record())
-        print(records[-1])
-    with open(args.report, "w") as f:
-        f.write("\n".join(records) + "\n")
-    return 0
 
 
 def build_parser():
@@ -155,21 +117,6 @@ def build_parser():
     v.add_argument("--tol", type=float, required=True)
     v.set_defaults(fn=cmd_verify)
 
-    b = sub.add_parser("bench", help="sweep a dimension, one record per run")
-    b.add_argument("--sweep", choices=["m", "n", "np"], required=True)
-    b.add_argument("--values", required=True, help="comma-separated values")
-    b.add_argument("--report", required=True)
-    b.add_argument("--n", type=int, default=1000)
-    b.add_argument("--m", type=int, default=4096)
-    b.add_argument("--p", type=int, default=4)
-    b.add_argument("--seed", type=int, default=42)
-    b.add_argument("--mode", choices=["incore", "ooc", "dist"], default="ooc")
-    b.add_argument("--block-size", type=int, default=None)
-    b.add_argument("--np", type=int, default=1)
-    b.add_argument("--transport", choices=["inproc", "socket"],
-                   default="inproc")
-    b.add_argument("--workdir", default="bench_work")
-    b.set_defaults(fn=cmd_bench)
     return ap
 
 

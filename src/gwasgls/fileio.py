@@ -68,8 +68,8 @@ from . import kernel
 NDIMS = {"GWAM": 1, "GWAX": 2, "GWAC": 2, "GWAY": 1, "GWAB": 3}
 VERSION = 1
 F64 = np.dtype("<f8")
-# most consecutive whole columns read_covariance reads at once, and the
-# most columns of a run it compares with their mirror at once
+# the whole columns read_covariance reads at once, and the most columns
+# of a run it compares with their mirror at once
 RUN = 64
 PIECE = 256
 
@@ -306,16 +306,16 @@ def read_covariance(f, r=1, c=1, prow=0, pcol=0):
     place. Raises AsymmetricCovariance, naming the file, for an entry of
     the share that is not finite or not its mirror.
 
-    It reads the columns j = pcol (mod c) and i = prow (mod r) in runs of
-    at most RUN, a share through one n x RUN buffer, and compares each
-    mirror column i as it arrives with share row i up to the run's end,
-    every j < i included, PIECE columns at a time: each pair (i, j), i > j,
-    by the owner of (i, j).
+    It reads every column, in runs of RUN (a share through one n x RUN
+    buffer), and compares each column i = prow (mod r) as it arrives with
+    share row i up to the run's end, every j < i included, PIECE columns
+    at a time: each pair (i, j), i > j, by the owner of (i, j).
     """
     n = f.shape[0]
     share = np.empty((len(range(prow, n, r)), len(range(pcol, n, c))), order="F")
     buf = share if r == c == 1 else np.empty((n, min(RUN, n)), order="F")
-    for c0, c1 in _share_runs(n, r, c, prow, pcol):
+    for c0 in range(0, n, RUN):
+        c1 = min(c0 + RUN, n)
         cols = f.read(c0, c1 - c0, share[:, c0:] if buf is share else buf)
         lc, wc = _span(c0, c1, pcol, c)
         if buf is not share:
@@ -328,19 +328,6 @@ def read_covariance(f, r=1, c=1, prow=0, pcol=0):
                    for a in range(0, lc.stop, PIECE)):
             raise AsymmetricCovariance(f"{f.path}: covariance is not exactly symmetric")
     return share
-
-
-def _share_runs(n, r, c, prow, pcol):
-    """[(c0, c1), ...]: runs of at most RUN consecutive columns, in order,
-    that cover the columns j = pcol (mod c) and i = prow (mod r) of an
-    order-n matrix and no other column."""
-    runs = []
-    for j in sorted(set(range(pcol, n, c)) | set(range(prow, n, r))):
-        if runs and runs[-1][1] == j and j - runs[-1][0] < RUN:
-            runs[-1][1] = j + 1
-        else:
-            runs.append([j, j + 1])
-    return runs
 
 
 def _span(lo, hi, p, step):

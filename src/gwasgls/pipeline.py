@@ -71,7 +71,6 @@ class RunSummary:
     bytes_sent: int = 0
     peak_resident_est: int = 0
     buffer_regions: int = 0
-    seed: int = -1
     # the OpenBLAS thread count every rank ran at
     blas_threads: int = 0
     # measured peak resident set (dist: the largest rank's, where rank 0's

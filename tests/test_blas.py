@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,13 @@ def test_a_missing_export_fails_with_one_line_naming_it():
     with pytest.raises(ImportError, match="scipy_dnosuch_64_") as e:
         _blas._bind("scipy_dnosuch_64_", "")
     assert "\n" not in str(e.value)
+
+
+def test_rank_cap_counts_the_cpus_the_process_may_use(monkeypatch):
+    # a process bound to one CPU runs one BLAS thread, however many CPUs
+    # the host has, as OpenBLAS's own default does under taskset
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    before = _blas.threads()
+    with _blas.rank_threads(1):
+        assert _blas.threads() == 1
+    assert _blas.threads() == before

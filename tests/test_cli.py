@@ -1,6 +1,11 @@
+import argparse
 import errno
+import itertools
 import os
+import pathlib
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import threading
@@ -11,7 +16,7 @@ import pytest
 
 import gwasgls
 from gwasgls import distgrid, fileio, pipeline
-from gwasgls.cli import main
+from gwasgls.cli import build_parser, main
 from gwasgls.errors import GwasGlsError, TransportFailure
 from gwasgls.fileio import partial_path
 
@@ -633,54 +638,6 @@ class TestFailedRuns:
         assert not os.path.exists(partial_path(out))
 
 
-class TestBench:
-    def test_sweep_writes_records(self, tmp_path, capsys):
-        report = str(tmp_path / "report.txt")
-        args = ["bench", "--sweep", "m", "--values", "40,80",
-                "--report", report, "--n", "30", "--p", "3",
-                "--mode", "ooc", "--block-size", "16",
-                "--workdir", str(tmp_path / "wk")]
-        assert main(args) == 0
-        lines = open(report).read().strip().splitlines()
-        assert len(lines) == 2
-        for line, m in zip(lines, (40, 80)):
-            assert f"m={m}" in line and "mode=ooc" in line
-            assert "t_compute=" in line and "bytes_read=" in line
-
-    def test_bad_values_is_2(self, tmp_path, capsys):
-        args = ["bench", "--sweep", "m", "--values", "1,x",
-                "--report", str(tmp_path / "r.txt"),
-                "--workdir", str(tmp_path / "wk")]
-        assert main(args) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error code=2 ")
-
-    def test_seeds_get_their_own_datasets(self, tmp_path):
-        wk = str(tmp_path / "wk")
-        for seed in (1, 2):
-            report = str(tmp_path / f"r{seed}.txt")
-            assert main(["bench", "--sweep", "m", "--values", "40",
-                         "--report", report, "--n", "30", "--p", "3",
-                         "--seed", str(seed), "--workdir", wk]) == 0
-            assert f"seed={seed}" in open(report).read()
-        assert sorted(os.listdir(wk)) == [
-            "data_n30_m40_p3_s1", "data_n30_m40_p3_s2",
-            "result_m40_s1_ooc.gwab", "result_m40_s2_ooc.gwab"]
-        betas = [fileio.read_matrix(f"{wk}/result_m40_s{seed}_ooc.gwab",
-                                    "GWAB").betas for seed in (1, 2)]
-        assert not np.array_equal(betas[0], betas[1])
-
-    def test_modes_keep_their_own_results(self, tmp_path):
-        wk = str(tmp_path / "wk")
-        for mode in ("ooc", "incore"):
-            assert main(["bench", "--sweep", "m", "--values", "40",
-                         "--report", str(tmp_path / f"r_{mode}.txt"),
-                         "--n", "30", "--p", "3", "--mode", mode,
-                         "--workdir", wk]) == 0
-        results = sorted(f for f in os.listdir(wk) if f.startswith("result_"))
-        assert results == ["result_m40_s42_incore.gwab", "result_m40_s42_ooc.gwab"]
-
-
 def _child_env():
     """This environment, with the package this process imports, installed
     or not, first on a child's path."""
@@ -697,3 +654,31 @@ def test_console_script_smoke(tmp_path):
         capture_output=True, text=True, env=_child_env())
     assert r.returncode == 0
     assert "gen n=20 m=10 p=3" in r.stdout
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+SHELL_OPERATORS = {"|", "||", "&&", ";", "&", "<", ">", ">>"}
+
+
+def _readme_commands():
+    """(subcommand, its --options) of every `gwasgls` command in README's
+    code blocks, continuation lines joined."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.S | re.M)
+    commands = []
+    for line in "\n".join(blocks).replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        for at in (i for i, w in enumerate(words) if w == "gwasgls"):
+            args = itertools.takewhile(lambda w: w not in SHELL_OPERATORS,
+                                       words[at + 2:])
+            commands.append((words[at + 1], [w for w in args if w.startswith("--")]))
+    return commands
+
+
+def test_readme_commands_exist_in_the_parser():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    commands = _readme_commands()
+    assert {name for name, _ in commands} == set(sub.choices)
+    for name, options in commands:
+        known = sub.choices[name]._option_string_actions
+        assert [o for o in options if o not in known] == [], name

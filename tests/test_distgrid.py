@@ -209,12 +209,6 @@ class TestWindow:
         assert owns_nothing > 0 if np_ > 1 else owns_nothing == 0
 
 
-def _share_columns(n, grid, rank):
-    """The columns a rank reads: those of its share and of its mirror."""
-    prow, pcol = grid.coord(rank)
-    return set(range(pcol, n, grid.c)) | set(range(prow, n, grid.r))
-
-
 def _lower_pair(n, grid, off):
     """(rank, (i, j)): the last rank with an entry (i, j), i > j, of its
     share, and that entry; with off, one whose mirror (j, i) the rank does
@@ -238,8 +232,9 @@ class TestShareRead:
     @pytest.mark.parametrize("np_", [1, 2, 4, 6])  # grids 1x1, 1x2, 2x2, 2x3
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 150])
     def test_equals_the_scattered_share(self, tmp_path, np_, n):
-        # bitwise, Fortran-ordered, from whole-column runs (150 > one run of
-        # DEFAULT_PANEL columns); n < np leaves ranks with no rows or columns
+        # bitwise, Fortran-ordered, from whole-column runs (150 is three runs
+        # of fileio.RUN columns), every column read by every rank; n < np
+        # leaves ranks with no rows or columns
         M = make_spd(n, seed=n)
         path = str(tmp_path / "m.gwam")
         fileio.write_matrix(path, "GWAM", M)
@@ -249,7 +244,7 @@ class TestShareRead:
             D = scatter_matrix(M if t.rank == 0 else None, grid, t)
             S, nbytes = _read_share(path, grid, t.rank)
             return (np.array_equal(S.local, D.local) and S.local.flags.f_contiguous,
-                    nbytes == 8 * n * len(_share_columns(n, grid, t.rank)))
+                    nbytes == 8 * n * n)
 
         assert run_spmd(np_, body) == [(True, True)] * np_
 
@@ -902,16 +897,12 @@ class TestRunDist:
     def test_bytes_read_is_what_the_ranks_read(self, tmp_path, seed42_dataset,
                                                np_):
         # genotypes once over all ranks; each rank its covariates and
-        # phenotype and the whole columns of its share and mirror, which at
-        # np=1 is the covariance once
+        # phenotype and the whole covariance
         n, m, p = 100, 500, 4
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         s = run_spmd(np_, run_dist, paths, SolveConfig(m_blk=100))[0]
-        grid = grid_create(np_)
-        columns = sum(len(_share_columns(n, grid, rank)) for rank in range(np_))
-        assert s.bytes_read == 8 * (n * m + n * columns + np_ * n * p)
+        assert s.bytes_read == 8 * (n * m + np_ * n * n + np_ * n * p)
         if np_ == 1:
-            assert s.bytes_read == 8 * (n * m + n * n + n * p)
             ooc = solve_paths(seed42_dataset, str(tmp_path / "o.gwab"))
             assert run_ooc(ooc, SolveConfig(m_blk=100)).bytes_read == s.bytes_read
 
@@ -985,9 +976,10 @@ class TestRunDist:
 
     def test_socket_ranks_cap_blas_threads_and_report_peak(self, tmp_path,
                                                            seed42_dataset):
-        # each rank's BLAS gets max(1, cpu_count // np) threads when it
-        # runs more; the record carries the largest rank's measured peak
-        cap = max(1, os.cpu_count() // 2)
+        # each rank's BLAS gets max(1, cpus // np) threads, over the
+        # process's CPU set, when it runs more; the record carries the
+        # largest rank's measured peak
+        cap = max(1, len(os.sched_getaffinity(0)) // 2)
         count = _blas.threads()
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         s = run_spmd(2, run_dist, paths, SolveConfig(), transport="socket")[0]
@@ -998,7 +990,7 @@ class TestRunDist:
                                                 seed42_dataset):
         # the cap is set once, before the ranks start, so no rank's report
         # depends on which rank reached the setter first
-        want = min(_blas.threads(), max(1, os.cpu_count() // 2))
+        want = min(_blas.threads(), max(1, len(os.sched_getaffinity(0)) // 2))
         paths = solve_paths(seed42_dataset, str(tmp_path / "d.gwab"))
         for _ in range(12):
             summaries = run_spmd(2, run_dist, paths, SolveConfig())

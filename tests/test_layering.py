@@ -146,16 +146,12 @@ def _opens(tree):
                            getattr(node.func, "attr", None))]
 
 
-# the one open outside fileio: cli's text report of `gwasgls bench`
-TEXT_REPORT = ("cli", "args.report")
-
-
 def test_only_fileio_opens_files():
     # a second reader would skip the check of its header against the
     # file, and a second writer the layout of payload_shape
     opens = {(name, arg) for name, tree in TREES.items() if name != "fileio"
              for _, arg in _opens(tree)}
-    assert opens == {TEXT_REPORT}
+    assert opens == set()
     assert _opens(TREES["fileio"])
 
 

@@ -222,9 +222,9 @@ class TestEngines:
                                         out_path, monkeypatch):
         # one OpenBLAS runs `@` and every _blas routine, from the set-up's
         # products to the last block's, at one count: the rank cap
-        # max(1, cpu_count // np), never raised
+        # max(1, cpus // np) over the process's CPU set, never raised
         before = _blas.threads()
-        cap = max(1, (os.cpu_count() or 1) // np_)
+        cap = max(1, len(os.sched_getaffinity(0)) // np_)
         seen = {"prepare_whitened": [], "solve_whitened_block": []}
 
         def counted(name):
@@ -543,7 +543,7 @@ class TestRunSummary:
     def test_record_round_trip(self):
         s = RunSummary(mode="ooc", n=10, m=20, p=4, m_blk=5, np_=1,
                        t_prepare=0.5, t_compute=1.25,
-                       bytes_read=1600, seed=42)
+                       bytes_read=1600, buffer_regions=2)
         back = RunSummary.from_record(s.to_record())
         assert back == s
 
