@@ -1,10 +1,11 @@
 """Command-line front end for dataset generation, the three solver
 engines and result verification.
 
-Exit codes: 0 success, 2 usage/configuration, 3 data/file errors (any
-OSError) and transport failures (TransportFailure, a dist rank lost), 4
-numerical errors. Failures print a single machine-parsable line
-``error code=<int> msg="..."`` on stderr.
+Exit codes: 0 success, 2 usage/configuration and memory exhausted
+(MemoryError), 3 data/file errors (any OSError) and transport failures
+(TransportFailure, a dist rank lost), 4 numerical errors. Failures
+print a single machine-parsable line ``error code=<int> msg="..."`` on
+stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +29,16 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
+# the options of `solve` beside its files, and those each mode takes; a
+# mode would ignore any other, so it is refused
+SOLVE_OPTIONS = ("block_size", "np", "transport", "emit_sinv")
+MODE_OPTIONS = {
+    "incore": {"emit_sinv"},
+    "ooc": {"block_size", "emit_sinv"},
+    "dist": {"block_size", "np", "transport", "emit_sinv"},
+    "oracle": set(),
+}
+
 
 def _fail(code, msg):
     print(f'error code={code} msg="{msg}"', file=sys.stderr)
@@ -37,7 +48,7 @@ def _fail(code, msg):
 def _classify(exc):
     if isinstance(exc, (NotPositiveDefinite, RankDeficientCovariates)):
         return EXIT_NUMERICAL
-    if isinstance(exc, ConfigError):
+    if isinstance(exc, (ConfigError, MemoryError)):
         return EXIT_USAGE
     if isinstance(exc, (GwasGlsError, OSError)):
         return EXIT_DATA
@@ -45,9 +56,7 @@ def _classify(exc):
 
 
 def cmd_gen(args):
-    spec = datagen.GenSpec(n=args.n, m=args.m, p=args.p, seed=args.seed,
-                           maf_range=(args.maf_lo, args.maf_hi),
-                           ridge=args.ridge)
+    spec = datagen.GenSpec(n=args.n, m=args.m, p=args.p, seed=args.seed)
     paths = datagen.gen_dataset(spec, args.out)
     print(f"gen n={spec.n} m={spec.m} p={spec.p} seed={spec.seed} "
           f"out={args.out} geno={paths.geno}")
@@ -55,6 +64,11 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
+    for dest in SOLVE_OPTIONS:
+        if (dest not in MODE_OPTIONS[args.mode]
+                and getattr(args, dest) not in (None, False)):
+            raise ConfigError(f"--{dest.replace('_', '-')} does not apply "
+                              f"to --mode {args.mode}")
     paths = pipeline.SolvePaths(cov=args.cov, covariates=args.covariates,
                                 pheno=args.pheno, geno=args.geno, out=args.out)
     if args.mode == "oracle":
@@ -63,8 +77,9 @@ def cmd_solve(args):
         return 0
     cfg = pipeline.SolveConfig(m_blk=args.block_size, emit_s_inv=args.emit_sinv)
     if args.mode == "dist":
-        summary = transport.run_spmd(args.np, distgrid.run_dist, paths, cfg,
-                                     transport=args.transport)[0]
+        summary = transport.run_spmd(
+            1 if args.np is None else args.np, distgrid.run_dist, paths, cfg,
+            transport=args.transport or "inproc")[0]
     else:
         runner = pipeline.run_incore if args.mode == "incore" else pipeline.run_ooc
         summary = runner(paths, cfg)
@@ -91,9 +106,6 @@ def build_parser():
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--seed", type=int, default=42)
     g.add_argument("--out", required=True)
-    g.add_argument("--maf-lo", type=float, default=0.05)
-    g.add_argument("--maf-hi", type=float, default=0.5)
-    g.add_argument("--ridge", type=float, default=1.0)
     g.set_defaults(fn=cmd_gen)
 
     s = sub.add_parser("solve", help="run one of the solver engines")
@@ -105,9 +117,8 @@ def build_parser():
     s.add_argument("--geno", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--block-size", type=int, default=None)
-    s.add_argument("--np", type=int, default=1)
-    s.add_argument("--transport", choices=["inproc", "socket"],
-                   default="inproc")
+    s.add_argument("--np", type=int)  # dist: 1 rank unless given
+    s.add_argument("--transport", choices=["inproc", "socket"])  # dist: inproc
     s.add_argument("--emit-sinv", action="store_true")
     s.set_defaults(fn=cmd_solve)
 
@@ -134,7 +145,8 @@ def main(argv=None):
     try:
         return args.fn(args)
     except Exception as e:
-        return _fail(_classify(e), str(e).replace('"', "'"))
+        msg = str(e) or type(e).__name__  # a bare MemoryError has no text
+        return _fail(_classify(e), msg.replace('"', "'"))
 
 
 if __name__ == "__main__":

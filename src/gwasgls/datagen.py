@@ -26,6 +26,7 @@ STREAM_WEIGHTS = 4
 STREAM_NOISE = 5
 STREAM_PLANT = 6
 
+MAF_RANGE = (0.05, 0.5)
 N_PLANTED = 5
 PLANT_EFFECT = 2.0
 NOISE_STD = 0.5
@@ -65,7 +66,6 @@ class GenSpec:
     m: int
     p: int
     seed: int
-    maf_range: tuple = (0.05, 0.5)
     ridge: float = 1.0
 
     def __post_init__(self):
@@ -112,7 +112,7 @@ def gen_dataset(spec, out_dir):
     """Write the four input files for a synthetic association study.
 
     Genotypes are dosages in {0, 1, 2}, binomial at a per-marker allele
-    frequency drawn from maf_range; covariates are an intercept plus
+    frequency drawn from MAF_RANGE; covariates are an intercept plus
     standard-normal columns; the phenotype carries a linear signal from
     planted markers plus noise; the covariance is (1/m) G G^T + ridge * I,
     SPD by construction. Each file is renamed into place once whole
@@ -122,8 +122,8 @@ def gen_dataset(spec, out_dir):
     paths = DatasetPaths.in_dir(out_dir)
     n, m, p, seed = spec.n, spec.m, spec.p, spec.seed
 
-    freqs = spec.maf_range[0] + _stream_uniform(seed, STREAM_MAF, 0, m) * (
-        spec.maf_range[1] - spec.maf_range[0])
+    freqs = MAF_RANGE[0] + _stream_uniform(seed, STREAM_MAF, 0, m) * (
+        MAF_RANGE[1] - MAF_RANGE[0])
 
     XL = np.empty((n, p - 1), order="F")
     XL[:, 0] = 1.0

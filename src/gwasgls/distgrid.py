@@ -70,14 +70,6 @@ def grid_create(np_):
     return GridLayout(np_=np_, r=r, c=np_ // r)
 
 
-def owner_2d(i, j, grid):
-    return (i % grid.r) * grid.c + j % grid.c, i // grid.r, j // grid.c
-
-
-def owner_1d(j, grid):
-    return j % grid.np_, j // grid.np_
-
-
 def _rows_of(gr, grid, prow):
     return np.arange(prow, gr, grid.r)
 

@@ -396,16 +396,3 @@ def gls_solve_block(ctx, X, emit_s_inv=False):
     Xbar = whiten(ctx.Linv, np.array(X, dtype=np.float64, order="F"))
     out = np.empty((X.shape[1], record_width(ctx.p, emit_s_inv)))
     return solve_whitened_block(ctx, Xbar, out, emit_s_inv)
-
-
-def gls_oracle(M, Xi, y):
-    """Literal evaluation of the GLS formula through a general linear solve
-    against M. Reference route for tests; no structure exploitation."""
-    M = np.asarray(M, dtype=np.float64)
-    Xi = np.asarray(Xi, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    MinvX = np.linalg.solve(M, Xi)
-    Minvy = np.linalg.solve(M, y)
-    A = Xi.T @ MinvX
-    b = Xi.T @ Minvy
-    return np.linalg.solve(A, b)

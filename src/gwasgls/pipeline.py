@@ -85,14 +85,6 @@ class RunSummary:
         return " ".join(f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"
                         for k, v in values if not isinstance(v, list))
 
-    @classmethod
-    def from_record(cls, line):
-        # every annotation is a string, postponed by the __future__ import
-        types = {f.name: {"str": str, "float": float, "int": int}.get(f.type)
-                 for f in fields(cls)}
-        pairs = (tok.split("=", 1) for tok in line.split())
-        return cls(**{k: types[k](v) for k, v in pairs if types.get(k)})
-
 
 @dataclass
 class SolvePaths:

@@ -203,7 +203,12 @@ def _fork(rank, size, socks, fn, args):
     writes its pickled outcome to the pipe, flushes stdout and stderr and
     exits; one that cannot report leaves the pipe empty and exits 1."""
     rfd, wfd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(rfd)
+        os.close(wfd)
+        raise
     if pid:
         os.close(wfd)
         return pid, rfd
@@ -220,6 +225,21 @@ def _fork(rank, size, socks, fn, args):
     finally:
         _flush_std_streams()
         os._exit(code)
+
+
+def _join(pid, rfd):
+    """(what the worker pid wrote to its pipe, its exit code): read the
+    pipe's read end rfd to EOF, close it and reap the worker."""
+    with os.fdopen(rfd, "rb") as pipe:
+        report = pipe.read()
+    return report, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _close_ends(socks):
+    """Close every socket end of the ranks' maps in socks."""
+    for ends in socks:
+        for sock in ends.values():
+            sock.close()
 
 
 def _flush_std_streams():
@@ -271,15 +291,21 @@ def _launch(size, fn, args, transport):
         # fork before rank 0 starts a thread, and flush first, so that no
         # worker inherits output buffered here
         _flush_std_streams()
-        workers = [_fork(rank, size, socks, fn, args) for rank in range(1, size)]
-        for ends in socks[1:]:
-            for sock in ends.values():
-                sock.close()
+        workers = []
+        try:
+            for rank in range(1, size):
+                workers.append(_fork(rank, size, socks, fn, args))
+        except BaseException:
+            # with every socket end here closed, each worker's peers are
+            # gone, so it ends and reports, and is reaped
+            _close_ends(socks)
+            for worker in workers:
+                _join(*worker)
+            raise
+        _close_ends(socks[1:])
         run(0)  # a worker writes its pipe only after closing its sockets
         for rank, (pid, rfd) in enumerate(workers, 1):
-            with os.fdopen(rfd, "rb") as pipe:
-                report = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            report, code = _join(pid, rfd)
             outcomes[rank] = (pickle.loads(report) if report and not code else
                               ("lost", TransportFailure(rank, f"exited with code {code}")))
     # re-raise the root cause: the first error that is not a

@@ -1,10 +1,17 @@
+import importlib.util
 import os
+import pathlib
+import sys
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from gwasgls.datagen import DatasetPaths, GenSpec, gen_dataset
-from gwasgls.pipeline import SolvePaths
+from gwasgls.pipeline import RunSummary, SolvePaths
+
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def make_spd(n, seed):
@@ -12,6 +19,39 @@ def make_spd(n, seed):
     G = rng.standard_normal((n, 2 * n))
     M = G @ G.T / (2 * n) + np.eye(n)
     return np.tril(M) + np.tril(M, -1).T
+
+
+def gls_oracle(M, Xi, y):
+    """Literal evaluation of the GLS formula through a general linear solve
+    against M. Reference route for tests; no structure exploitation."""
+    M = np.asarray(M, dtype=np.float64)
+    Xi = np.asarray(Xi, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    MinvX = np.linalg.solve(M, Xi)
+    Minvy = np.linalg.solve(M, y)
+    A = Xi.T @ MinvX
+    b = Xi.T @ Minvy
+    return np.linalg.solve(A, b)
+
+
+def summary_from_record(line):
+    """The RunSummary whose RunSummary.to_record is line."""
+    # every annotation is a string, postponed by the __future__ import
+    types = {f.name: {"str": str, "float": float, "int": int}.get(f.type)
+             for f in fields(RunSummary)}
+    pairs = (tok.split("=", 1) for tok in line.split())
+    return RunSummary(**{k: types[k](v) for k, v in pairs if types.get(k)})
+
+
+def load_traced():
+    """perfbench/spans.py's TRACED, {layer: [qualified names]}: the entry
+    points the benchmark wraps to trace a solve."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their module through sys.modules
+    with mock.patch.dict(sys.modules, {spec.name: spans}):
+        spec.loader.exec_module(spans)
+    return spans.TRACED
 
 
 def solve_paths(dataset: DatasetPaths, out):

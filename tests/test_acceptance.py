@@ -21,12 +21,12 @@ from gwasgls.datagen import (
     oracle_solve_all,
 )
 from gwasgls.distgrid import (
+    DistMatrix2D,
+    _window,
     dist_cholesky,
     dist_trsolve,
     gather_matrix,
     grid_create,
-    owner_1d,
-    owner_2d,
     redist_1d_to_2d,
     redist_2d_to_1d,
     run_dist,
@@ -238,16 +238,24 @@ def test_criterion_06_distribution_round_trips():
             return True
 
         assert all(run_spmd(np_, body))
-    # owner maps round-trip for every index of a 64x64 grid of indices
+    # the engine's layout: the _window slices of all ranks place every
+    # entry (i, j) of a 64 x 64 index matrix once, at local position
+    # (i div r, j div c) of grid process (i mod r, j mod c)
+    index = np.arange(64 * 64).reshape(64, 64)
     for np_ in range(1, 9):
         grid = grid_create(np_)
-        for i in range(64):
-            for j in range(64):
-                rank, li, lj = owner_2d(i, j, grid)
-                prow, pcol = grid.coord(rank)
-                assert (li * grid.r + prow, lj * grid.c + pcol) == (i, j)
-            rank, lc = owner_1d(j, grid)
-            assert lc * np_ + rank == j
+        placed = np.zeros(index.shape, dtype=int)
+        for rank in range(np_):
+            D = DistMatrix2D.empty(64, 64, grid, rank)
+            D.local[...] = -1
+            local, at = _window(D, rank, 0, 64, 0, 64)
+            D.local[local] = index[at]
+            placed[at] += 1
+            prow, pcol = grid.coord(rank)
+            li, lj = np.indices(D.local.shape)
+            assert np.array_equal(
+                D.local, index[li * grid.r + prow, lj * grid.c + pcol])
+        assert (placed == 1).all()
     _report(6, "distribution round trips", True, f"trials={trials}")
 
 

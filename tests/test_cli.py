@@ -10,12 +10,13 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
 
 import gwasgls
-from gwasgls import distgrid, fileio, pipeline
+from gwasgls import distgrid, fileio, pipeline, transport
 from gwasgls.cli import build_parser, main
 from gwasgls.errors import GwasGlsError, TransportFailure
 from gwasgls.fileio import partial_path
@@ -166,6 +167,36 @@ class TestExitCodes:
             assert main(args) == 2
             assert "need at least one rank" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("mode,option", [
+        ("incore", ("--block-size", "7")), ("oracle", ("--block-size", "7")),
+        ("oracle", ("--emit-sinv",)), ("ooc", ("--np", "4")),
+        ("ooc", ("--transport", "socket")), ("incore", ("--np", "1")),
+        ("oracle", ("--transport", "inproc"))])
+    def test_an_option_the_mode_ignores_is_2(self, tmp_path, capsys, mode,
+                                             option):
+        d = _gen(tmp_path, n=20, m=10)
+        out = str(tmp_path / "o.gwab")
+        assert main(_solve_args(d, out, mode, *option)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f'error code=2 msg="{option[0]} does not apply '
+                       f'to --mode {mode}"']
+        assert not os.path.exists(out)
+
+    def test_dist_runs_one_inproc_rank_by_default(self, tmp_path, capsys,
+                                                  monkeypatch):
+        launched = []
+        run_spmd = transport.run_spmd
+
+        def spy(size, *args, transport):
+            launched.append((size, transport))
+            return run_spmd(size, *args, transport=transport)
+
+        monkeypatch.setattr(transport, "run_spmd", spy)
+        d = _gen(tmp_path, n=20, m=10)
+        assert main(_solve_args(d, str(tmp_path / "o.gwab"), "dist")) == 0
+        assert launched == [(1, "inproc")]
+        assert " np_=1 " in capsys.readouterr().out
 
     def test_transport_failure_is_3(self, tmp_path, monkeypatch, capsys):
         def rank_lost(t, paths, cfg):
@@ -591,6 +622,46 @@ class TestFailedRuns:
         assert self._left_behind(out) == []
 
     @pytest.mark.parametrize("mode,extra", [
+        ("ooc", ()), ("dist", ("--np", "2", "--transport", "inproc"))],
+        ids=["ooc", "dist-inproc-np2"])
+    def test_out_of_memory_exits_2(self, tmp_path, capfd, monkeypatch, mode,
+                                   extra):
+        # as numpy does when a buffer region cannot be allocated
+        def empty(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        d = _gen(tmp_path, n=20, m=10)
+        monkeypatch.setattr(pipeline, "np", types.SimpleNamespace(empty=empty))
+        out = str(tmp_path / "o.gwab")
+        exits, err = self._run(capfd, _solve_args(d, out, mode, *extra))
+        assert exits == [2]
+        assert err == ['error code=2 msg="Unable to allocate 7.45 GiB '
+                       'for an array"']
+        assert self._left_behind(out) == []
+
+    def test_a_fork_that_fails_mid_launch_exits_3(self, tmp_path, capfd,
+                                                  monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            return real_fork()
+
+        d = _gen(tmp_path, n=20, m=10)
+        monkeypatch.setattr(os, "fork", fork)
+        out = str(tmp_path / "o.gwab")
+        exits, err = self._run(capfd, _solve_args(
+            d, out, "dist", "--np", "3", "--transport", "socket"))
+        assert exits == [3]
+        assert err == [f'error code=3 msg="[Errno {errno.EAGAIN}] fork refused"']
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert self._left_behind(out) == []
+
+    @pytest.mark.parametrize("mode,extra", [
         ("ooc", ()), ("incore", ()), ("oracle", ()),
         ("dist", ("--np", "2", "--transport", "socket"))],
         ids=["ooc", "incore", "oracle", "dist-socket-np2"])
@@ -682,3 +753,9 @@ def test_readme_commands_exist_in_the_parser():
     for name, options in commands:
         known = sub.choices[name]._option_string_actions
         assert [o for o in options if o not in known] == [], name
+    # and the other way: README shows every option of every subcommand
+    for name, parser in sub.choices.items():
+        shown = {o for command, options in commands if command == name
+                 for o in options}
+        assert [o for o in parser._option_string_actions
+                if o.startswith("--") and o not in shown | {"--help"}] == [], name

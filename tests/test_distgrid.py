@@ -21,8 +21,6 @@ from gwasgls.distgrid import (
     dist_trsolve,
     gather_matrix,
     grid_create,
-    owner_1d,
-    owner_2d,
     redist_1d_to_2d,
     redist_2d_to_1d,
     run_dist,
@@ -60,35 +58,6 @@ class TestGrid:
         g = grid_create(np_)
         assert (g.r, g.c) == (r, c)
         assert g.r * g.c == np_
-
-    def test_owner_2d_example(self):
-        g = grid_create(6)  # 2 x 3
-        rank, li, lj = owner_2d(3, 4, g)
-        assert g.coord(rank) == (1, 1)
-        assert (li, lj) == (1, 1)
-
-    def test_owner_1d_example(self):
-        g = grid_create(6)
-        rank, lcol = owner_1d(7, g)
-        assert rank == 1
-        assert g.coord(rank) == (0, 1)
-
-    def test_single_rank_identity(self):
-        g = grid_create(1)
-        for i in range(4):
-            for j in range(5):
-                assert owner_2d(i, j, g) == (0, i, j)
-            assert owner_1d(j, g) == (0, j)
-
-    @settings(max_examples=50, deadline=None)
-    @given(np_=st.integers(1, 8), i=st.integers(0, 63), j=st.integers(0, 63))
-    def test_owner_maps_round_trip(self, np_, i, j):
-        g = grid_create(np_)
-        rank, li, lj = owner_2d(i, j, g)
-        prow, pcol = g.coord(rank)
-        assert (li * g.r + prow, lj * g.c + pcol) == (i, j)
-        r1, lc = owner_1d(j, g)
-        assert lc * np_ + r1 == j
 
 
 def _dist_roundtrip(np_, gr, gc, seed):

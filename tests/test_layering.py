@@ -8,8 +8,8 @@ set-up. Only _blas imports ctypes, so the BLAS calls and the OpenBLAS
 thread count live in one module. No module imports scipy, not even
 inside a function, and importing the command line loads none of it: a
 run has one BLAS, numpy's, and does not pay scipy's import. Only fileio
-opens a file, for reading or writing, apart from the command line's text
-report, so every file goes through its one header-checked column file.
+opens a file, for reading or writing, so every file goes through its one
+header-checked column file.
 The engines, pipeline and distgrid, open no file by its path: a run's
 inputs are opened once, by fileio.opening, and read through those files.
 Only fileio renames or removes a file: fileio.creating is the one rule
@@ -17,16 +17,22 @@ by which a file comes into being. Only fileio raises
 AsymmetricCovariance: the covariance's entries are checked where it is
 read, and nowhere else. No module imports multiprocessing: rank 0 of a
 dist run is the calling process and the other socket ranks are bare
-forks, so there is no launcher process and no import of one.
+forks, so there is no launcher process and no import of one. Every
+function, class and method of the package is reached from the package
+itself, or is an entry point the benchmark traces: a helper only tests
+call lives under tests/.
 """
 
 import ast
+import collections
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from conftest import load_traced
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "gwasgls"
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
@@ -195,3 +201,40 @@ def test_only_fileio_renames_or_removes_files():
     assert callers == {"fileio"}
     imported = {f"os.{n}" for n in names} & set().union(*ABSOLUTE.values())
     assert imported == set()
+
+
+def _definitions(tree):
+    """(qualified name, node) of every top-level def and class of tree,
+    and of every method of its top-level classes but the dunder ones."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _names_used(node):
+    """The names that the ast.Name and ast.Attribute nodes under node use,
+    with their counts."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_src_holds_only_what_src_or_the_trace_reaches():
+    # by name alone: a def counts as reached when any code of the package
+    # outside its own body uses its name, whatever the name is bound to
+    used = sum((_names_used(tree) for tree in TREES.values()),
+               collections.Counter())
+    traced = {f"{layer}.{qual}" for layer, names in load_traced().items()
+              for qual in names}
+    unreached = sorted(
+        f"{module}.{qual}" for module, tree in TREES.items()
+        for qual, node in _definitions(tree)
+        if used[node.name] == _names_used(node)[node.name]
+        and f"{module}.{qual}" not in traced)
+    assert unreached == []

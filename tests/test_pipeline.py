@@ -29,7 +29,7 @@ from gwasgls.pipeline import (
 from gwasgls.transport import run_spmd
 
 import conftest
-from conftest import solve_paths
+from conftest import gls_oracle, solve_paths, summary_from_record
 
 
 class TestBlockPlan:
@@ -90,7 +90,7 @@ class TestEngines:
         y = fileio.read_matrix(ds.pheno, "GWAY")
         X = fileio.read_matrix(ds.geno, "GWAX")
         for i in range(20):
-            expect = kernel.gls_oracle(M, np.hstack([XL, X[:, i:i + 1]]), y)
+            expect = gls_oracle(M, np.hstack([XL, X[:, i:i + 1]]), y)
             assert np.max(np.abs(payload.betas[i] - expect)) <= \
                 1e-8 * max(np.max(np.abs(expect)), 1.0)
 
@@ -544,13 +544,13 @@ class TestRunSummary:
         s = RunSummary(mode="ooc", n=10, m=20, p=4, m_blk=5, np_=1,
                        t_prepare=0.5, t_compute=1.25,
                        bytes_read=1600, buffer_regions=2)
-        back = RunSummary.from_record(s.to_record())
+        back = summary_from_record(s.to_record())
         assert back == s
 
     def test_measured_fields_round_trip(self):
         s = RunSummary(mode="dist", n=10, np_=2, blas_threads=1,
                        peak_rss_bytes=123456789)
-        back = RunSummary.from_record(s.to_record())
+        back = summary_from_record(s.to_record())
         assert (back.blas_threads, back.peak_rss_bytes) == (1, 123456789)
 
     def test_phase_times_nonnegative(self, seed42_dataset, out_path):

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import os
 import pickle
 import socket
@@ -102,14 +103,14 @@ def test_counters_track_traffic():
     assert run_spmd(3, body) == [200, 0, 0]
 
 
-def _error_within(seconds, body, transport):
-    """The error run_spmd(2, body) raises; fails if it has not returned
+def _error_within(seconds, body, transport, size=2):
+    """The error run_spmd(size, body) raises; fails if it has not returned
     within `seconds`, so a hang fails the test instead of the suite."""
     outcome = []
 
     def launch():
         try:
-            run_spmd(2, body, transport=transport)
+            run_spmd(size, body, transport=transport)
         except BaseException as e:
             outcome.append(e)
 
@@ -210,6 +211,39 @@ def test_socket_rank_0_failure_reaches_the_caller_and_leaves_no_child():
     err = _error_within(30, body, "socket")
     assert isinstance(err, RuntimeError) and str(err) == "boom"
     _no_child_left()
+
+
+def test_a_fork_that_fails_mid_launch_leaves_no_worker_and_no_pipe(monkeypatch):
+    # the second fork fails: the first worker, already in its barrier, is
+    # ended and reaped, and every socket end and pipe end here is closed
+    ends, pipes, forks = [], [], []
+    real_socketpair, real_pipe, real_fork = socket.socketpair, os.pipe, os.fork
+
+    def socketpair():
+        ends.extend(real_socketpair())
+        return ends[-2:]
+
+    def pipe():
+        pipes.extend(real_pipe())
+        return pipes[-2:]
+
+    def fork():
+        forks.append(os.getpid())
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(socket, "socketpair", socketpair)
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    err = _error_within(30, lambda t: t.barrier(), "socket", size=3)
+    assert isinstance(err, BlockingIOError) and len(forks) == 2
+    _no_child_left()
+    assert len(ends) == 6 and all(end.fileno() == -1 for end in ends)
+    assert len(pipes) == 4
+    for fd in pipes:
+        with pytest.raises(OSError, match="Bad file descriptor"):
+            os.fstat(fd)
 
 
 def test_socket_rank_whose_outcome_does_not_pickle_is_a_transport_failure():
