@@ -70,32 +70,18 @@ def grid_create(np_):
     return GridLayout(np_=np_, r=r, c=np_ // r)
 
 
-def _rows_of(gr, grid, prow):
-    return np.arange(prow, gr, grid.r)
-
-
-def _cols_of(gc, grid, pcol):
-    return np.arange(pcol, gc, grid.c)
-
-
-def _cols_1d(gc, grid, rank):
-    return np.arange(rank, gc, grid.np_)
-
-
 @dataclass
 class DistMatrix2D:
     gr: int
     gc: int
     grid: GridLayout
-    rank: int
     local: np.ndarray  # rows i = prow (mod r), cols j = pcol (mod c); Fortran
 
     @classmethod
     def empty(cls, gr, gc, grid, rank):
         prow, pcol = grid.coord(rank)
-        shape = (len(_rows_of(gr, grid, prow)), len(_cols_of(gc, grid, pcol)))
-        return cls(gr=gr, gc=gc, grid=grid, rank=rank,
-                   local=np.empty(shape, order="F"))
+        shape = (len(range(prow, gr, grid.r)), len(range(pcol, gc, grid.c)))
+        return cls(gr=gr, gc=gc, grid=grid, local=np.empty(shape, order="F"))
 
 
 @dataclass
@@ -103,13 +89,12 @@ class DistMatrix1D:
     gr: int
     gc: int
     grid: GridLayout
-    rank: int
     local: np.ndarray  # full columns j = rank (mod np), global order kept
 
     @classmethod
     def empty(cls, gr, gc, grid, rank):
-        return cls(gr=gr, gc=gc, grid=grid, rank=rank,
-                   local=np.empty((gr, len(_cols_1d(gc, grid, rank)))))
+        return cls(gr=gr, gc=gc, grid=grid,
+                   local=np.empty((gr, len(range(rank, gc, grid.np_)))))
 
 
 def _as_bytes(arr):
@@ -127,7 +112,7 @@ def read_share(f, grid, rank):
     ColumnFile f, read and checked straight from the file
     (fileio.read_covariance) with no message sent."""
     local = fileio.read_covariance(f, grid.r, grid.c, *grid.coord(rank))
-    return DistMatrix2D(*f.shape, grid, rank, local)
+    return DistMatrix2D(*f.shape, grid, local)
 
 
 def scatter_matrix(A, grid, t):
@@ -349,10 +334,11 @@ def prepare(t, files):
     """The prepare of np > 1 ranks, one pass over the covariance: each
     rank reads and checks its own share from the open files
     (fileio.opening, read_share), and the grid factors it while every rank
-    whitens its copy of [XL | y] with each panel (dist_cholesky's B; the
-    small products are redundant by design). The only messages are
-    dist_cholesky's panels. Returns (ctx, whiten), where whiten(columns)
-    is dist_trsolve of a rank's own columns."""
+    whitens its copy of [XL | y] with each panel (dist_cholesky's B) for
+    kernel.prepare_whitened, with an n x 0 Linv (the small products are
+    redundant by design). The only messages are dist_cholesky's panels.
+    Returns (ctx, whiten), where whiten(columns) is dist_trsolve of a
+    rank's own columns."""
     cov, covariates, pheno, _ = files
     Ld = read_share(cov, grid_create(t.size), t.rank)
     XLy = fileio.read_covariates_and_phenotype(covariates, pheno)

@@ -20,6 +20,10 @@ class AsymmetricCovariance(GwasGlsError):
     """Covariance input is not exactly symmetric; refused rather than symmetrized."""
 
 
+class NonFiniteInput(GwasGlsError):
+    """A covariates or phenotype file holds a NaN or infinite entry."""
+
+
 class RankDeficientCovariates(GwasGlsError):
     """The whitened covariate block has numerically dependent columns."""
 

@@ -59,6 +59,7 @@ from .errors import (
     AsymmetricCovariance,
     BadMagic,
     DimensionMismatch,
+    NonFiniteInput,
     OverlappingBuffer,
     TruncatedFile,
     UnsupportedVersion,
@@ -339,11 +340,16 @@ def _span(lo, hi, p, step):
 def read_covariates_and_phenotype(fc, fy):
     """[XL | y]: the open GWAC file fc (n x q) and GWAY file fy (n), which
     opening has checked to agree on n, read straight into the columns of
-    one n x (q + 1) Fortran-ordered array."""
+    one n x (q + 1) Fortran-ordered array. Raises NonFiniteInput, naming
+    the file, for an entry that is not finite."""
     n, q = fc.dims
     XLy = np.empty((n, q + 1), dtype=F64, order="F")
     fc.read(0, q, XLy)
     fy.read(0, 1, XLy[:, q:])
+    for f, part, what in ((fc, XLy[:, :q], "covariates have"),
+                          (fy, XLy[:, q:], "phenotype has")):
+        if not np.isfinite(part).all():
+            raise NonFiniteInput(f"{f.path}: {what} non-finite entries")
     return XLy
 
 

@@ -52,14 +52,14 @@ class PreparedContext:
 
     Linv is L^-1 for the Cholesky factor L of M, Fortran-ordered in the
     memory of the M it was formed from (the dist engine, which whitens
-    with its distributed L, leaves it n x 0); XLybar = [XLbar | ybar] holds
-    the whitened covariates and phenotype, so one GEMM forms every
-    marker's products with them; S_TL and b_T are the fixed top-left block
-    of the normal equations and its right-hand side. L_TL_inv is the
-    inverse of the Cholesky factor of S_TL, minpivot_TL that factor's
-    smallest pivot, beta_T0 = S_TL^-1 b_T, S_TL_inv = S_TL^-1, tril its
-    np.tril_indices and max_S_TL = max|S_TL|; every marker's bordered
-    system shares them.
+    with its distributed L, leaves it n x 0); XLybar = L^-1 [XL | y] holds
+    the whitened covariates, then the whitened phenotype in its last
+    column, so one GEMM forms every marker's products with them; S_TL
+    and b_T are the fixed top-left block of the normal equations and its
+    right-hand side. L_TL_inv is the inverse of the Cholesky factor of
+    S_TL, minpivot_TL that factor's smallest pivot, beta_T0 = S_TL^-1 b_T,
+    S_TL_inv = S_TL^-1, tril its np.tril_indices and max_S_TL = max|S_TL|;
+    every marker's bordered system shares them.
     """
 
     Linv: np.ndarray      # n x n lower triangular, Fortran order
@@ -72,14 +72,6 @@ class PreparedContext:
     S_TL_inv: np.ndarray  # (p-1) x (p-1)
     tril: tuple           # np.tril_indices(p - 1)
     max_S_TL: float
-
-    @property
-    def XLbar(self):
-        return self.XLybar[:, :-1]
-
-    @property
-    def ybar(self):
-        return self.XLybar[:, -1]
 
     @property
     def n(self):
@@ -280,17 +272,6 @@ def prepare_whitened(Linv, XLybar):
         max_S_TL=float(np.max(np.abs(S_TL))))
 
 
-def prepare_in_place(M, XLy):
-    """gls_prepare on arrays the caller gives up: M (n x n) becomes L^-1
-    and XLy = [XL | y] (n x p) its whitened value, and the context holds
-    them. Both must be Fortran-ordered float64.
-    """
-    if XLy.ndim != 2 or XLy.shape[0] != M.shape[0]:
-        raise DimensionMismatch(f"prepare: M is {M.shape}, [XL | y] {XLy.shape}")
-    Linv = inverse_factor(M)
-    return prepare_whitened(Linv, whiten(Linv, XLy))
-
-
 def gls_prepare(M, XL, y):
     """Hoist all marker-independent work: factor M, whiten XL and y, and
     factor the fixed block of the normal equations.
@@ -302,9 +283,10 @@ def gls_prepare(M, XL, y):
     y = np.asarray(y, dtype=np.float64).ravel()
     if XL.ndim != 2 or y.shape != (XL.shape[0],):
         raise DimensionMismatch(f"prepare: XL is {XL.shape}, y {y.shape}")
+    XLy = np.asfortranarray(np.column_stack([XL, y]))
     # np.array copies M even where np.asfortranarray would return it
-    return prepare_in_place(np.array(M, dtype=np.float64, order="F"),
-                            np.asfortranarray(np.column_stack([XL, y])))
+    Linv = inverse_factor(np.array(M, dtype=np.float64, order="F"))
+    return prepare_whitened(Linv, whiten(Linv, XLy))
 
 
 def record_width(p, want_inverse):

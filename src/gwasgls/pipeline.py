@@ -125,16 +125,17 @@ def peak_rss_bytes():
 
 def load_prepare(t, files):
     """The one-rank prepare: read the covariance, covariates and
-    phenotype from the open files (fileio.opening) and prepare the context
-    in their memory. The covariance becomes L^-1 and the others their
-    whitened values, so no n x n copy is made. Returns (ctx, whiten), where
-    whiten(columns) multiplies a block by L^-1 in place. t is unused: one
-    rank holds all of M."""
+    phenotype from the open files (fileio.opening), turn the covariance
+    into L^-1 in its own memory, so no n x n copy is made, and whiten
+    [XL | y] in its memory for kernel.prepare_whitened. Returns (ctx,
+    whiten), where whiten(columns) multiplies a block by L^-1 in place. t
+    is unused: one rank holds all of M."""
     cov, covariates, pheno, _ = files
     M = fileio.read_covariance(cov)
     XLy = fileio.read_covariates_and_phenotype(covariates, pheno)
-    ctx = kernel.prepare_in_place(M, XLy)
-    return ctx, lambda columns: kernel.whiten(ctx.Linv, columns)
+    Linv = kernel.inverse_factor(M)
+    ctx = kernel.prepare_whitened(Linv, kernel.whiten(Linv, XLy))
+    return ctx, lambda columns: kernel.whiten(Linv, columns)
 
 
 def run_incore(paths, cfg=None):

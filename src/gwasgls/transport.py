@@ -78,25 +78,29 @@ def _read_frame(sock):
 class Transport:
     """Point-to-point send/recv plus collectives on one rank.
     `socks[peer]` is this rank's end of the socket pair it shares with
-    each other rank. Only the rank's own thread sends, so the two writes
-    of a frame are never split by another frame. Made with size 1 and no
-    sockets, every collective returns this rank's own data and nothing is
-    sent."""
+    each other rank, which a failed __init__ closes. Only the rank's own
+    thread sends, so the two writes of a frame are never split by another
+    frame. Made with size 1 and no sockets, every collective returns this
+    rank's own data and nothing is sent."""
 
     def __init__(self, rank, size, socks=None):
         self.rank = rank
         self.size = size
         self.bytes_sent = 0
-        # (src, channel) -> payloads from src; channel 1 carries collective
-        # traffic, so it is never confused with point-to-point messages
-        self._queues = {(src, ch): queue.SimpleQueue()
-                        for src in range(size) for ch in (0, 1)}
-        self._socks = socks or {}
-        self._drains = [threading.Thread(target=self._drain, args=(peer, sock),
-                                         daemon=True)
-                        for peer, sock in self._socks.items()]
-        for th in self._drains:
-            th.start()
+        self._socks, self._drains = socks or {}, []
+        try:
+            # (src, channel) -> payloads from src; channel 1 carries
+            # collective traffic, never confused with point-to-point messages
+            self._queues = {(src, ch): queue.SimpleQueue()
+                            for src in range(size) for ch in (0, 1)}
+            for peer, sock in self._socks.items():
+                th = threading.Thread(target=self._drain, args=(peer, sock),
+                                      daemon=True)
+                th.start()
+                self._drains.append(th)
+        except BaseException:  # such as a drain thread that cannot start
+            self.close()
+            raise
 
     def _drain(self, peer, sock):
         try:
@@ -187,8 +191,12 @@ class Transport:
 def _rank(rank, size, socks, fn, args):
     """The body of one rank, thread or process: fn on a transport over
     this rank's socket ends, which it closes when fn ends. Returns ("ok",
-    result) or ("err", the exception fn raised)."""
-    t = Transport(rank, size, socks)
+    result), ("err", the exception fn raised) or, if the transport does
+    not start, ("lost", a TransportFailure naming the rank)."""
+    try:
+        t = Transport(rank, size, socks)
+    except Exception as e:  # the transport has closed the ends
+        return "lost", TransportFailure(rank, f"its transport did not start: {e}")
     try:
         return "ok", fn(t, *args)
     except BaseException as e:  # ship the failure back to rank 0
@@ -256,9 +264,10 @@ def run_spmd(size, fn, *args, transport="inproc"):
     this process, "socket" as forked worker processes. Every rank is
     joined; if ranks raise, the first error that is not a TransportFailure
     is re-raised here, and a socket rank that exits without reporting
-    raises TransportFailure(rank, "exited with code N"). A size below 1
-    raises ConfigError before any rank starts. OpenBLAS is capped for the
-    size while the ranks run (_blas.rank_threads).
+    raises TransportFailure(rank, "exited with code N"); a rank whose
+    thread or transport cannot start, a TransportFailure naming it. A size
+    below 1 raises ConfigError before any rank starts. OpenBLAS is capped
+    for the size while the ranks run (_blas.rank_threads).
     """
     if size < 1:
         raise ConfigError(f"need at least one rank, got {size}")
@@ -280,10 +289,19 @@ def _launch(size, fn, args, transport):
         outcomes[rank] = _rank(rank, size, socks[rank], fn, args)
 
     if transport == "inproc":
-        threads = [threading.Thread(target=run, args=(rank,))
-                   for rank in range(1, size)]
-        for th in threads:
-            th.start()
+        threads = []
+        for rank in range(1, size):
+            th = threading.Thread(target=run, args=(rank,))
+            try:
+                th.start()
+            except Exception as e:
+                # the started ranks find the ranks that never run gone,
+                # end and close their own ends
+                _close_ends([socks[0]] + socks[rank:])
+                for started in threads:
+                    started.join()
+                raise TransportFailure(rank, f"its thread did not start: {e}") from e
+            threads.append(th)
         run(0)
         for th in threads:
             th.join()
@@ -308,8 +326,8 @@ def _launch(size, fn, args, transport):
             report, code = _join(pid, rfd)
             outcomes[rank] = (pickle.loads(report) if report and not code else
                               ("lost", TransportFailure(rank, f"exited with code {code}")))
-    # re-raise the root cause: the first error that is not a
-    # TransportFailure, else a rank that died unreported, else the first
+    # re-raise the root cause: the first error that is not a TransportFailure,
+    # else a rank that died unreported or did not start, else the first
     errors = ([e for status, e in outcomes if status == "lost"]
               + [e for status, e in outcomes if status == "err"])
     if errors:

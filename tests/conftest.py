@@ -2,6 +2,7 @@ import importlib.util
 import os
 import pathlib
 import sys
+import threading
 from dataclasses import fields
 from unittest import mock
 
@@ -10,6 +11,7 @@ import pytest
 
 from gwasgls.datagen import DatasetPaths, GenSpec, gen_dataset
 from gwasgls.pipeline import RunSummary, SolvePaths
+from gwasgls.transport import Transport
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,6 +43,35 @@ def summary_from_record(line):
              for f in fields(RunSummary)}
     pairs = (tok.split("=", 1) for tok in line.split())
     return RunSummary(**{k: types[k](v) for k, v in pairs if types.get(k)})
+
+
+def refuse_thread_start(monkeypatch, picks):
+    """Make the first thread for which picks(thread) holds fail to start,
+    as threading.Thread.start does when no thread can be made."""
+    real = threading.Thread.start
+    refused = []
+
+    def start(self):
+        if not refused and picks(self):
+            refused.append(self)
+            raise RuntimeError("can't start new thread")
+        return real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+
+def drain_thread(rank, peer):
+    """picks for refuse_thread_start: the drain thread of rank's transport
+    that reads the socket end it shares with peer."""
+    return lambda th: (getattr(th._target, "__func__", None) is Transport._drain
+                       and th._target.__self__.rank == rank
+                       and th._args[0] == peer)
+
+
+def rank_thread(rank):
+    """picks for refuse_thread_start: the thread of an inproc rank."""
+    return lambda th: (getattr(th._target, "__qualname__", None)
+                       == "_launch.<locals>.run" and th._args == (rank,))
 
 
 def load_traced():

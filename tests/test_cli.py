@@ -21,6 +21,8 @@ from gwasgls.cli import build_parser, main
 from gwasgls.errors import GwasGlsError, TransportFailure
 from gwasgls.fileio import partial_path
 
+from conftest import drain_thread, rank_thread, refuse_thread_start
+
 
 def _gen(tmp_path, n=100, m=500, p=4, seed=42):
     d = str(tmp_path / "data")
@@ -659,6 +661,52 @@ class TestFailedRuns:
         assert err == [f'error code=3 msg="[Errno {errno.EAGAIN}] fork refused"']
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert self._left_behind(out) == []
+
+    @pytest.mark.parametrize("mode,extra", [
+        ("ooc", ()), ("incore", ()), ("oracle", ()),
+        ("dist", ("--np", "2", "--transport", "inproc")),
+        ("dist", ("--np", "2", "--transport", "socket"))],
+        ids=["ooc", "incore", "oracle", "dist-inproc-np2", "dist-socket-np2"])
+    @pytest.mark.parametrize("bad", ["phenotype", "covariates"])
+    def test_non_finite_phenotype_or_covariate_exits_3(self, tmp_path, capfd,
+                                                       mode, extra, bad):
+        # every engine and the oracle read them through one reader, before
+        # any result file is made: one error line that names the file
+        d = _gen(tmp_path, n=50, m=40, p=3)
+        if bad == "phenotype":
+            path, kind = f"{d}/phenotype.gway", "GWAY"
+            A = fileio.read_matrix(path, kind)
+            A[17] = np.nan
+            cause = f"{path}: phenotype has non-finite entries"
+        else:
+            path, kind = f"{d}/covariates.gwac", "GWAC"
+            A = fileio.read_matrix(path, kind)
+            A[30, 1] = -np.inf
+            cause = f"{path}: covariates have non-finite entries"
+        fileio.write_matrix(path, kind, A)
+        out = str(tmp_path / "o.gwab")
+        exits, err = self._run(capfd, _solve_args(d, out, mode, *extra))
+        assert exits == [3], err
+        assert err == [f'error code=3 msg="{cause}"']
+        assert self._left_behind(out) == []
+
+    @pytest.mark.parametrize("transport,fails", [
+        ("inproc", "drain"), ("socket", "drain"), ("inproc", "rank")])
+    def test_a_thread_that_cannot_start_exits_3(self, tmp_path, capfd,
+                                                monkeypatch, transport, fails):
+        # rank 1's transport, or rank 2's thread, cannot start
+        d = _gen(tmp_path, n=20, m=10)
+        refuse_thread_start(monkeypatch, drain_thread(1, 2) if fails == "drain"
+                            else rank_thread(2))
+        out = str(tmp_path / "o.gwab")
+        exits, err = self._run(capfd, _solve_args(
+            d, out, "dist", "--np", "3", "--transport", transport))
+        assert exits == [3], err
+        rank = 1 if fails == "drain" else 2
+        assert len(err) == 1 and err[0].startswith(
+            f'error code=3 msg="transport failure at rank {rank}: '), err
+        assert "can't start new thread" in err[0], err
         assert self._left_behind(out) == []
 
     @pytest.mark.parametrize("mode,extra", [

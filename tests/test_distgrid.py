@@ -161,9 +161,9 @@ class TestWindow:
         owns_nothing = 0
         for rank in range(np_):
             prow, pcol = grid.coord(rank)
-            D = DistMatrix2D(gr, gc, grid, rank, A[prow::grid.r, pcol::grid.c])
-            rows = distgrid._rows_of(gr, grid, prow)
-            cols = distgrid._cols_of(gc, grid, pcol)
+            D = DistMatrix2D(gr, gc, grid, A[prow::grid.r, pcol::grid.c])
+            rows = np.arange(prow, gr, grid.r)
+            cols = np.arange(pcol, gc, grid.c)
             for r0, r1 in itertools.combinations(range(gr + 1), 2):
                 for c0, c1 in itertools.combinations(range(gc + 1), 2):
                     rsel = rows[(rows >= r0) & (rows < r1)]

@@ -304,15 +304,15 @@ class TestPrepare:
     def test_identity_covariance(self):
         ctx = kernel.gls_prepare(np.eye(3), np.ones((3, 1)),
                                  np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(ctx.XLbar, np.ones((3, 1)))
-        assert np.array_equal(ctx.ybar, np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(ctx.XLybar[:, :-1], np.ones((3, 1)))
+        assert np.array_equal(ctx.XLybar[:, -1], np.array([1.0, 2.0, 3.0]))
         assert np.allclose(ctx.S_TL, [[3.0]])
         assert np.allclose(ctx.b_T, [6.0])
 
     def test_scalar_covariance(self):
         ctx = kernel.gls_prepare(2.0 * np.eye(3), np.ones((3, 1)),
                                  np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(ctx.XLbar, np.ones((3, 1)) / np.sqrt(2))
+        assert np.allclose(ctx.XLybar[:, :-1], np.ones((3, 1)) / np.sqrt(2))
         assert np.allclose(ctx.S_TL, [[1.5]])
         assert np.allclose(ctx.b_T, [3.0])
 
@@ -324,10 +324,15 @@ class TestPrepare:
         y = rng.standard_normal(n)
         ctx = kernel.gls_prepare(M, XL, y)
         L = kernel.cholesky_spd(M)
-        assert maxnorm(L @ ctx.XLbar - XL) <= 1e-10 * maxnorm(XL)
-        assert maxnorm(L @ ctx.ybar - y) <= 1e-10 * maxnorm(y)
+        assert maxnorm(L @ ctx.XLybar[:, :-1] - XL) <= 1e-10 * maxnorm(XL)
+        assert maxnorm(L @ ctx.XLybar[:, -1] - y) <= 1e-10 * maxnorm(y)
         assert np.array_equal(ctx.S_TL, ctx.S_TL.T)
-        assert np.allclose(ctx.b_T, ctx.XLbar.T @ ctx.ybar)
+        assert np.allclose(ctx.b_T, ctx.XLybar[:, :-1].T @ ctx.XLybar[:, -1])
+
+    def test_covariance_and_covariates_disagree_on_n(self):
+        # the whitening's triangular multiply refuses the shapes
+        with pytest.raises(DimensionMismatch):
+            kernel.gls_prepare(np.eye(4), np.ones((3, 1)), np.zeros(3))
 
     def test_rank_deficient_covariates(self):
         XL = np.ones((10, 2))  # duplicated intercept
@@ -351,7 +356,7 @@ def test_public_api_leaves_inputs_unmodified(q):
     kernel.gls_solve_block(ctx, X, emit_s_inv=True)
     for a, a0 in zip((M, XL, y, X), before):
         assert np.array_equal(a, a0)
-    for field in (ctx.Linv, ctx.XLbar, ctx.ybar):
+    for field in (ctx.Linv, ctx.XLybar):
         assert not any(np.shares_memory(field, a) for a in (M, XL, y))
 
 
@@ -477,7 +482,7 @@ class TestSolveBlock:
             S = np.empty((p, p))
             xb = kernel.trsolve_lower(L, X[:, i])
             S[:p - 1, :p - 1] = ctx.S_TL
-            S[p - 1, :p - 1] = S[:p - 1, p - 1] = ctx.XLbar.T @ xb
+            S[p - 1, :p - 1] = S[:p - 1, p - 1] = ctx.XLybar[:, :-1].T @ xb
             S[p - 1, p - 1] = xb @ xb
             Sinv = np.linalg.inv(S)
             assert maxnorm(rec[i, p:] - Sinv[il, jl]) <= 1e-8 * maxnorm(Sinv)

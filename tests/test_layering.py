@@ -20,7 +20,9 @@ dist run is the calling process and the other socket ranks are bare
 forks, so there is no launcher process and no import of one. Every
 function, class and method of the package is reached from the package
 itself, or is an entry point the benchmark traces: a helper only tests
-call lives under tests/.
+call lives under tests/. A def is matched by how it is bound: a method
+through an attribute, a module-level def through a bare name in its own
+module or an attribute or from-import in another.
 """
 
 import ast
@@ -217,24 +219,45 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def _names_used(node):
-    """The names that the ast.Name and ast.Attribute nodes under node use,
-    with their counts."""
-    return collections.Counter(
-        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute)))
+def _uses(node):
+    """How the code under node uses names, with counts: ("name", id) for a
+    bare name it reads, ("attr", name) for an attribute x.name, and
+    ("import", name) for a name a from-import binds."""
+    uses = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            uses["name", n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            uses["attr", n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            uses.update(("import", alias.name) for alias in n.names)
+    return uses
+
+
+USES = {name: _uses(tree) for name, tree in TREES.items()}
+
+
+def _reached(module, qual, node):
+    """Whether code of the package outside node's own body uses the def
+    node, of module, as it is bound: a method or property only through an
+    attribute x.name; a module-level def through a bare name in its own
+    module, or an attribute or a from-import in another."""
+    name, own = node.name, _uses(node)
+    if "." in qual:
+        return sum(u["attr", name] for u in USES.values()) > own["attr", name]
+    return (USES[module]["name", name] > own["name", name]
+            or any(u["attr", name] or u["import", name]
+                   for other, u in USES.items() if other != module))
 
 
 def test_src_holds_only_what_src_or_the_trace_reaches():
-    # by name alone: a def counts as reached when any code of the package
-    # outside its own body uses its name, whatever the name is bound to
-    used = sum((_names_used(tree) for tree in TREES.values()),
-               collections.Counter())
+    # a local variable, or a method of another class, does not reach a
+    # def that only shares its name
     traced = {f"{layer}.{qual}" for layer, names in load_traced().items()
               for qual in names}
     unreached = sorted(
         f"{module}.{qual}" for module, tree in TREES.items()
         for qual, node in _definitions(tree)
-        if used[node.name] == _names_used(node)[node.name]
+        if not _reached(module, qual, node)
         and f"{module}.{qual}" not in traced)
     assert unreached == []

@@ -17,6 +17,8 @@ from gwasgls.errors import (
 )
 from gwasgls.transport import Transport, _read_frame, _write_frame, run_spmd
 
+from conftest import drain_thread, rank_thread, refuse_thread_start
+
 
 @pytest.mark.parametrize("transport", ["inproc", "socket"])
 @pytest.mark.parametrize("size", [0, -1])
@@ -336,6 +338,36 @@ def test_threaded_ranks_leave_no_thread_or_socket_behind(fails, monkeypatch):
     assert set(threading.enumerate()) <= before
     assert len(pairs) == 3 * 6
     assert all(end.fileno() == -1 for pair in pairs for end in pair)
+
+
+@pytest.mark.parametrize("transport,fails", [
+    ("inproc", "drain"), ("socket", "drain"), ("inproc", "rank")])
+def test_a_thread_that_cannot_start_ends_the_run(transport, fails,
+                                                 monkeypatch):
+    # rank 1's drain of its second peer, after that of its first has
+    # started, or rank 2's own thread, after rank 1's has started: the run
+    # ends with a TransportFailure naming the rank, and every thread and
+    # socket end of it is gone
+    pairs = []
+    real = socket.socketpair
+
+    def recording():
+        pairs.append(real())
+        return pairs[-1]
+
+    monkeypatch.setattr(socket, "socketpair", recording)
+    before = set(threading.enumerate())
+    refuse_thread_start(monkeypatch, drain_thread(1, 2) if fails == "drain"
+                        else rank_thread(2))
+    err = _error_within(10, lambda t: t.barrier(), transport, size=3)
+    assert isinstance(err, TransportFailure), err
+    assert err.rank == (1 if fails == "drain" else 2)
+    assert "can't start new thread" in err.reason
+    assert set(threading.enumerate()) <= before
+    assert len(pairs) == 3
+    assert all(end.fileno() == -1 for pair in pairs for end in pair)
+    if transport == "socket":
+        _no_child_left()
 
 
 def test_threaded_ranks_under_frequent_thread_switches():
