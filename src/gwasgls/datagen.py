@@ -195,6 +195,9 @@ def oracle_solve_all(paths):
         M = fileio.read_covariance(cov)
         XLy = fileio.read_covariates_and_phenotype(covariates, pheno)
         X = geno.read(0, m, np.empty(geno.shape, order="F"))
+        if not np.isfinite(X).all():
+            bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
+            raise fileio.non_finite_genotypes(geno, int(bad[0]))
     XL, y, p = XLy[:, :-1], XLy[:, -1], XLy.shape[1]
     L = kernel.cholesky_spd(M)
     betas = np.full((m, p), np.nan)

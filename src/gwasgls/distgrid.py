@@ -89,12 +89,12 @@ class DistMatrix1D:
     gr: int
     gc: int
     grid: GridLayout
-    local: np.ndarray  # full columns j = rank (mod np), global order kept
+    local: np.ndarray  # full columns j = rank (mod np), global order kept; Fortran
 
     @classmethod
     def empty(cls, gr, gc, grid, rank):
-        return cls(gr=gr, gc=gc, grid=grid,
-                   local=np.empty((gr, len(range(rank, gc, grid.np_)))))
+        shape = (gr, len(range(rank, gc, grid.np_)))
+        return cls(gr=gr, gc=gc, grid=grid, local=np.empty(shape, order="F"))
 
 
 def _as_bytes(arr):

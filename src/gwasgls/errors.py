@@ -21,7 +21,12 @@ class AsymmetricCovariance(GwasGlsError):
 
 
 class NonFiniteInput(GwasGlsError):
-    """A covariates or phenotype file holds a NaN or infinite entry."""
+    """An input file holds a NaN or infinite entry. `marker` is the index
+    of the first genotype column that does, where one is named."""
+
+    def __init__(self, msg, marker=None):
+        self.marker = marker
+        super().__init__(msg)
 
 
 class RankDeficientCovariates(GwasGlsError):

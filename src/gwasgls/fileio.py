@@ -353,6 +353,13 @@ def read_covariates_and_phenotype(fc, fy):
     return XLy
 
 
+def non_finite_genotypes(f, marker):
+    """NonFiniteInput naming the GWAX file f and its first marker that
+    holds a NaN or infinite entry, at index `marker`."""
+    return NonFiniteInput(f"{f.path}: genotypes have non-finite entries "
+                          f"(first at marker {marker})", marker)
+
+
 class _Agent:
     """One dedicated worker thread for the transfers of a BlockReader or a
     BlockWriter to or from its ColumnFile, `file`, which close closes; a

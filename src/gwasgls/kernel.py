@@ -37,6 +37,7 @@ import numpy as np
 from . import _blas
 from .errors import (
     DimensionMismatch,
+    NonFiniteInput,
     NotPositiveDefinite,
     RankDeficientCovariates,
 )
@@ -54,9 +55,9 @@ class PreparedContext:
     memory of the M it was formed from (the dist engine, which whitens
     with its distributed L, leaves it n x 0); XLybar = L^-1 [XL | y] holds
     the whitened covariates, then the whitened phenotype in its last
-    column, so one GEMM forms every marker's products with them; S_TL
-    and b_T are the fixed top-left block of the normal equations and its
-    right-hand side. L_TL_inv is the inverse of the Cholesky factor of
+    column, so one GEMM forms every marker's products with them. With
+    S_TL the fixed top-left block of the normal equations and b_T its
+    right-hand side, L_TL_inv is the inverse of the Cholesky factor of
     S_TL, minpivot_TL that factor's smallest pivot, beta_T0 = S_TL^-1 b_T,
     S_TL_inv = S_TL^-1, tril its np.tril_indices and max_S_TL = max|S_TL|;
     every marker's bordered system shares them.
@@ -64,8 +65,6 @@ class PreparedContext:
 
     Linv: np.ndarray      # n x n lower triangular, Fortran order
     XLybar: np.ndarray    # n x p, Fortran order
-    S_TL: np.ndarray      # (p-1) x (p-1)
-    b_T: np.ndarray       # p-1
     L_TL_inv: np.ndarray  # (p-1) x (p-1) lower triangular
     minpivot_TL: float
     beta_T0: np.ndarray   # p-1
@@ -265,7 +264,7 @@ def prepare_whitened(Linv, XLybar):
     L_TL_inv = L_TL.copy(order="F")
     invert_lower(L_TL_inv)
     return PreparedContext(
-        Linv=Linv, XLybar=XLybar, S_TL=S_TL, b_T=b_T, L_TL_inv=L_TL_inv,
+        Linv=Linv, XLybar=XLybar, L_TL_inv=L_TL_inv,
         minpivot_TL=float(np.min(np.diag(L_TL)) ** 2),
         beta_T0=cho_solve(L_TL, b_T), S_TL_inv=L_TL_inv.T @ L_TL_inv,
         tril=np.tril_indices(S_TL.shape[0]),
@@ -315,7 +314,7 @@ def cholesky_solve_batch(ctx, SBt, S_BR, out, want_inverse=False):
     The records go to the leading rows and columns of `out` (at least
     count x record width); returns that count x width view of it.
     """
-    q, count = ctx.S_TL.shape[0], SBt.shape[1]
+    q, count = ctx.L_TL_inv.shape[0], SBt.shape[1]
     p = q + 1
     S_BLt, b_B = SBt[:q], SBt[q]
     l = ctx.L_TL_inv @ S_BLt
@@ -356,10 +355,20 @@ def solve_whitened_block(ctx, Xbar, out, emit_s_inv=False):
     marker columns Xbar (n x count); returns the block's records, written
     to `out` as cholesky_solve_batch writes them. Shared by the in-core,
     streaming and distributed engines, which pass the staging area of
-    the block's buffer region as `out`."""
-    # [S_BL^T; b_B] in one GEMM; S_BR needs only the diagonal of Xbar^T Xbar
-    SBt = ctx.XLybar.T @ Xbar
+    the block's buffer region as `out`. Raises NonFiniteInput, with the
+    block's column as its marker, at the first column that holds a NaN
+    or infinite entry."""
+    # S_BR needs only the diagonal of Xbar^T Xbar. L^-1 has a non-zero
+    # diagonal, so a marker's S_BR is non-finite when its column holds a
+    # non-finite entry (or its whitening overflows): one sum checks the
+    # block, before the GEMM would warn of an infinite entry
     S_BR = np.einsum("ij,ij->j", Xbar, Xbar)
+    if not np.isfinite(S_BR.sum()):
+        bad = np.flatnonzero(~np.isfinite(S_BR))
+        if bad.size:
+            raise NonFiniteInput(f"marker column {bad[0]} is not finite",
+                                 int(bad[0]))
+    SBt = ctx.XLybar.T @ Xbar  # [S_BL^T; b_B] in one GEMM
     return cholesky_solve_batch(ctx, SBt, S_BR, out, want_inverse=emit_s_inv)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import _blas, fileio, kernel, transport
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteInput
 
 DEFAULT_M_BLK = 5000
 MEM_BUDGET_ENV = "GWAS_GLS_MEM_BUDGET_BYTES"
@@ -261,7 +261,8 @@ def sweep(reader, writer, blocks, in_bufs, load_ticket, solve, out_bufs):
     block's records, a count x record-width array it has written there,
     which the writer stores as they are. An empty block is read and
     stored as zero columns, and solved too, because a distributed solve
-    is collective.
+    is collective. A marker that solve finds non-finite is reported by its
+    index in the file (fileio.non_finite_genotypes).
 
     Returns (t_compute, t_io_wait, per-block CPU seconds).
     """
@@ -276,7 +277,10 @@ def sweep(reader, writer, blocks, in_bufs, load_ticket, solve, out_bufs):
         if bi + 1 < len(blocks):
             load_ticket = reader.start(*blocks[bi + 1], in_bufs[1 - cur])
         t0 = time.perf_counter()
-        records = solve(in_bufs[cur][:, :count], out_bufs[cur])
+        try:
+            records = solve(in_bufs[cur][:, :count], out_bufs[cur])
+        except NonFiniteInput as e:
+            raise fileio.non_finite_genotypes(reader.file, first + e.marker) from None
         t_compute += time.perf_counter() - t0
         t0 = time.perf_counter()
         if bi:

@@ -1,21 +1,22 @@
 """Rank-addressed message passing for the distributed engine.
 
-One transport class. Each rank owns one receive queue per source and
-channel, and is joined to every other rank by one local socket pair
-carrying length-prefixed binary frames; a drain thread per peer queues
-the frames that arrive, and a rank delivers to itself through its own
+One transport class. Each pair of ranks is joined by one local socket
+pair carrying one ordered stream of length-prefixed binary frames, and a
+drain thread per peer queues the frames that arrive in that peer's
 queue. run_spmd makes the socket pairs and runs rank 0 in the calling
 thread, the others as threads of this process (transport="inproc", so
 in-process spies see every rank's calls) or as forked worker processes
 ("socket"), with one rank body for all. The ooc engine is run_spmd on
 one rank: no socket pair, and rank 0 in the calling thread.
 
-Messages between a fixed ordered pair of ranks are delivered in order;
-collectives are built deterministically on send/recv so two runs with the
-same inputs move the same bytes in the same order, and no rank relays
-another's data. A rank that ends closes its sockets, and its peers queue
-a sentinel behind its last message, so a peer still waiting on it raises
-TransportFailure instead of hanging.
+No rank sends to itself, and nothing tags a message, so one rule keeps
+point-to-point messages and collectives apart: a rank receives every
+point-to-point message sent to it before it and the sender enter their
+next collective. Collectives are built deterministically on send/recv
+so two runs with the same inputs move the same bytes in the same order,
+and no rank relays another's data. A rank that ends closes its sockets,
+and its peers queue a sentinel behind its last message, so a peer still
+waiting on it raises TransportFailure instead of hanging.
 """
 
 from __future__ import annotations
@@ -35,16 +36,15 @@ from .errors import ConfigError, SizeMismatch, TransportFailure
 
 _GONE = None  # queued behind a peer's last message once it has ended
 
-# a frame's header: its length (the channel byte and the payload), little
-# endian, then the channel byte
-_HEADER = struct.Struct("<QB")
+# a frame's header: the length of its payload, little endian
+_HEADER = struct.Struct("<Q")
 
 
-def _write_frame(sock, channel, data):
+def _write_frame(sock, data):
     """Send one frame: the header, then data as it is, with no copy. An
     empty payload is not sent at all: the peer may have read the header,
     finished and closed, and a send of nothing to it would fail."""
-    sock.sendall(_HEADER.pack(len(data) + 1, channel))
+    sock.sendall(_HEADER.pack(len(data)))
     if data:
         sock.sendall(data)
 
@@ -66,13 +66,9 @@ def _read_exact(sock, nbytes):
 
 
 def _read_frame(sock):
-    """(channel, payload) of the next frame on sock."""
-    ln, channel = _HEADER.unpack(_read_exact(sock, _HEADER.size))
-    if ln < 1:
-        raise ConnectionError(f"frame of length {ln} has no channel byte")
-    if channel > 1:
-        raise ConnectionError(f"frame on unknown channel {channel}")
-    return channel, _read_exact(sock, ln - 1)
+    """The payload of the next frame on sock."""
+    (ln,) = _HEADER.unpack(_read_exact(sock, _HEADER.size))
+    return _read_exact(sock, ln)
 
 
 class Transport:
@@ -89,10 +85,8 @@ class Transport:
         self.bytes_sent = 0
         self._socks, self._drains = socks or {}, []
         try:
-            # (src, channel) -> payloads from src; channel 1 carries
-            # collective traffic, never confused with point-to-point messages
-            self._queues = {(src, ch): queue.SimpleQueue()
-                            for src in range(size) for ch in (0, 1)}
+            # peer -> the payloads it sent this rank, in order
+            self._queues = {peer: queue.SimpleQueue() for peer in self._socks}
             for peer, sock in self._socks.items():
                 th = threading.Thread(target=self._drain, args=(peer, sock),
                                       daemon=True)
@@ -105,28 +99,23 @@ class Transport:
     def _drain(self, peer, sock):
         try:
             while True:
-                channel, payload = _read_frame(sock)
-                self._queues[(peer, channel)].put(payload)
+                self._queues[peer].put(_read_frame(sock))
         except Exception:  # a closed socket, or a length no allocation backs
-            for channel in (0, 1):
-                self._queues[(peer, channel)].put(_GONE)
+            self._queues[peer].put(_GONE)
 
-    def send(self, dst, data, _channel=0):
-        if not 0 <= dst < self.size:
+    def send(self, dst, data):
+        if dst not in self._socks:
             raise TransportFailure(self.rank, f"bad destination {dst}")
         self.bytes_sent += len(data)
-        if dst == self.rank:
-            self._queues[(dst, _channel)].put(bytes(data))
-            return
         try:
-            _write_frame(self._socks[dst], _channel, data)
+            _write_frame(self._socks[dst], data)
         except OSError as e:  # the peer has closed its end
             raise TransportFailure(self.rank, f"send to rank {dst}: {e}") from None
 
-    def recv(self, src, _channel=0):
-        if not 0 <= src < self.size:
+    def recv(self, src):
+        if src not in self._socks:
             raise TransportFailure(self.rank, f"bad source {src}")
-        data = self._queues[(src, _channel)].get()
+        data = self._queues[src].get()
         if data is _GONE:
             raise TransportFailure(self.rank, f"rank {src} ended before sending")
         return data
@@ -136,7 +125,7 @@ class Transport:
 
     def broadcast(self, root, data=b""):
         if self.rank != root:
-            return self.recv(root, _channel=1)
+            return self.recv(root)
         self.alltoall_start([data] * self.size)
         return data
 
@@ -156,13 +145,13 @@ class Transport:
             raise SizeMismatch(f"alltoall needs {self.size} slices, got {len(slices)}")
         for dst in range(self.size):
             if dst != self.rank:
-                self.send(dst, slices[dst], _channel=1)
+                self.send(dst, slices[dst])
         return bytes(slices[self.rank])
 
     def alltoall_finish(self, own):
         """Second half of alltoall: the slices every rank sent this one,
         in rank order, with `own` at this rank's place."""
-        return [own if src == self.rank else self.recv(src, _channel=1)
+        return [own if src == self.rank else self.recv(src)
                 for src in range(self.size)]
 
     # object-level conveniences (pickled payloads)

@@ -666,24 +666,36 @@ class TestFailedRuns:
     @pytest.mark.parametrize("mode,extra", [
         ("ooc", ()), ("incore", ()), ("oracle", ()),
         ("dist", ("--np", "2", "--transport", "inproc")),
-        ("dist", ("--np", "2", "--transport", "socket"))],
-        ids=["ooc", "incore", "oracle", "dist-inproc-np2", "dist-socket-np2"])
-    @pytest.mark.parametrize("bad", ["phenotype", "covariates"])
+        ("dist", ("--np", "2", "--transport", "socket")),
+        ("dist", ("--np", "4", "--transport", "inproc")),
+        ("dist", ("--np", "4", "--transport", "socket"))],
+        ids=["ooc", "incore", "oracle", "dist-inproc-np2", "dist-socket-np2",
+             "dist-inproc-np4", "dist-socket-np4"])
+    @pytest.mark.parametrize("bad", ["phenotype", "covariates", "genotypes"])
     def test_non_finite_phenotype_or_covariate_exits_3(self, tmp_path, capfd,
                                                        mode, extra, bad):
-        # every engine and the oracle read them through one reader, before
-        # any result file is made: one error line that names the file
+        # every engine and the oracle read the phenotype and covariates
+        # through one reader, before any result file is made; the sweep
+        # finds the genotypes in the last rank's chunk of the one block,
+        # after rank 0 has made <out>.partial: one error line that names
+        # the file, and no file left
         d = _gen(tmp_path, n=50, m=40, p=3)
         if bad == "phenotype":
             path, kind = f"{d}/phenotype.gway", "GWAY"
             A = fileio.read_matrix(path, kind)
             A[17] = np.nan
             cause = f"{path}: phenotype has non-finite entries"
-        else:
+        elif bad == "covariates":
             path, kind = f"{d}/covariates.gwac", "GWAC"
             A = fileio.read_matrix(path, kind)
             A[30, 1] = -np.inf
             cause = f"{path}: covariates have non-finite entries"
+        else:
+            path, kind = f"{d}/genotypes.gwax", "GWAX"
+            A = fileio.read_matrix(path, kind)
+            A[49, 37] = np.inf  # whitened, still inf, not NaN
+            A[4, 39] = np.nan
+            cause = f"{path}: genotypes have non-finite entries (first at marker 37)"
         fileio.write_matrix(path, kind, A)
         out = str(tmp_path / "o.gwab")
         exits, err = self._run(capfd, _solve_args(d, out, mode, *extra))

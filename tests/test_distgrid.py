@@ -143,6 +143,20 @@ class TestDistribution:
         assert sent[0] == 8 * (gr * gc - own) + (np_ - 1) * shape
         assert sent[1:] == [0] * (np_ - 1)
 
+    @pytest.mark.parametrize("np_", [2, 4, 6])  # grids 1x2, 2x2, 2x3
+    def test_redistributed_columns_are_column_major(self, np_):
+        # like every share and panel of the module; at 11 columns each
+        # rank but the last of np 6 holds two
+        A = np.random.default_rng(np_).standard_normal((13, 11))
+
+        def body(t):
+            D = scatter_matrix(A if t.rank == 0 else None, grid_create(t.size), t)
+            local = redist_2d_to_1d(D, t).local
+            return (local.flags.f_contiguous,
+                    np.array_equal(local, A[:, t.rank::t.size]))
+
+        assert run_spmd(np_, body) == [(True, True)] * np_
+
     @settings(max_examples=15, deadline=None)
     @given(np_=st.integers(1, 8), gr=st.integers(1, 64), gc=st.integers(1, 64),
            seed=st.integers(0, 10**6))

@@ -11,6 +11,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from gwasgls import kernel
 from gwasgls.errors import (
     DimensionMismatch,
+    NonFiniteInput,
     NotPositiveDefinite,
     RankDeficientCovariates,
 )
@@ -306,15 +307,17 @@ class TestPrepare:
                                  np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(ctx.XLybar[:, :-1], np.ones((3, 1)))
         assert np.array_equal(ctx.XLybar[:, -1], np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(ctx.S_TL, [[3.0]])
-        assert np.allclose(ctx.b_T, [6.0])
+        XLbar, ybar = ctx.XLybar[:, :-1], ctx.XLybar[:, -1]
+        assert np.allclose(kernel.gram(XLbar), [[3.0]])
+        assert np.allclose(XLbar.T @ ybar, [6.0])
 
     def test_scalar_covariance(self):
         ctx = kernel.gls_prepare(2.0 * np.eye(3), np.ones((3, 1)),
                                  np.array([1.0, 2.0, 3.0]))
         assert np.allclose(ctx.XLybar[:, :-1], np.ones((3, 1)) / np.sqrt(2))
-        assert np.allclose(ctx.S_TL, [[1.5]])
-        assert np.allclose(ctx.b_T, [3.0])
+        XLbar, ybar = ctx.XLybar[:, :-1], ctx.XLybar[:, -1]
+        assert np.allclose(kernel.gram(XLbar), [[1.5]])
+        assert np.allclose(XLbar.T @ ybar, [3.0])
 
     def test_residual_invariants_seed42(self):
         rng = np.random.default_rng(42)
@@ -326,8 +329,11 @@ class TestPrepare:
         L = kernel.cholesky_spd(M)
         assert maxnorm(L @ ctx.XLybar[:, :-1] - XL) <= 1e-10 * maxnorm(XL)
         assert maxnorm(L @ ctx.XLybar[:, -1] - y) <= 1e-10 * maxnorm(y)
-        assert np.array_equal(ctx.S_TL, ctx.S_TL.T)
-        assert np.allclose(ctx.b_T, ctx.XLybar[:, :-1].T @ ctx.XLybar[:, -1])
+        XLbar, ybar = ctx.XLybar[:, :-1], ctx.XLybar[:, -1]
+        S_TL = kernel.gram(XLbar)
+        assert np.array_equal(S_TL, S_TL.T)
+        assert np.allclose(ctx.S_TL_inv @ S_TL, np.eye(p - 1))
+        assert np.allclose(S_TL @ ctx.beta_T0, XLbar.T @ ybar)
 
     def test_covariance_and_covariates_disagree_on_n(self):
         # the whitening's triangular multiply refuses the shapes
@@ -481,7 +487,7 @@ class TestSolveBlock:
         for i in range(X.shape[1]):
             S = np.empty((p, p))
             xb = kernel.trsolve_lower(L, X[:, i])
-            S[:p - 1, :p - 1] = ctx.S_TL
+            S[:p - 1, :p - 1] = kernel.gram(ctx.XLybar[:, :-1])
             S[p - 1, :p - 1] = S[:p - 1, p - 1] = ctx.XLybar[:, :-1].T @ xb
             S[p - 1, p - 1] = xb @ xb
             Sinv = np.linalg.inv(S)
@@ -492,7 +498,7 @@ class TestFieldMajorSolve:
     """The block solve against an independent reference: per marker, the
     bordered S_k and its inverse from np.linalg, with no hoisting."""
 
-    ZERO, COLLINEAR, NONFINITE = 3, 5, 8
+    ZERO, COLLINEAR = 3, 5
 
     @pytest.mark.parametrize("p", [2, 4, 7])
     def test_records_match_bordered_inverse(self, p):
@@ -504,13 +510,11 @@ class TestFieldMajorSolve:
         X = rng.standard_normal((n, count))
         X[:, self.ZERO] = 0.0
         X[:, self.COLLINEAR] = 1.0  # the intercept covariate
-        X[2, self.NONFINITE] = np.inf
         ctx = kernel.gls_prepare(M, XL, y)
         out = np.full((count + 2, p + p * (p + 1) // 2), -7.0)
-        with np.errstate(invalid="ignore"):  # the non-finite column
-            rec = kernel.solve_whitened_block(
-                ctx, kernel.whiten(ctx.Linv, np.asfortranarray(X)), out,
-                emit_s_inv=True)
+        rec = kernel.solve_whitened_block(
+            ctx, kernel.whiten(ctx.Linv, np.asfortranarray(X)), out,
+            emit_s_inv=True)
         # the records are the leading rows of out, betas then packed S^-1
         assert rec.shape == (count, out.shape[1])
         assert np.shares_memory(rec, out)
@@ -519,7 +523,7 @@ class TestFieldMajorSolve:
         betas, sinv = rec[:, :p], rec[:, p:]
         Lc = np.linalg.cholesky(M)
         il, jl = np.tril_indices(p)
-        degenerate = (self.ZERO, self.COLLINEAR, self.NONFINITE)
+        degenerate = (self.ZERO, self.COLLINEAR)
         for k in range(count):
             if k in degenerate:
                 assert np.all(np.isnan(rec[k])), k
@@ -531,6 +535,23 @@ class TestFieldMajorSolve:
             assert maxnorm(betas[k] - beta) <= 1e-10 * maxnorm(beta), k
             err = maxnorm(sinv[k] - Sinv[il, jl])
             assert err <= 1e-10 * maxnorm(Sinv), k
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_column_is_refused_by_its_index(self, bad):
+        # not flagged as degenerate: the first such column of the block is
+        # named, and no record is written
+        rng = np.random.default_rng(7)
+        n, count = 40, 12
+        ctx = kernel.gls_prepare(make_spd(n, 3), np.ones((n, 1)),
+                                 rng.standard_normal(n))
+        X = rng.standard_normal((n, count))
+        X[n - 1, 8] = X[0, 10] = bad
+        out = np.full((count, 2), -7.0)
+        with pytest.raises(NonFiniteInput) as err:
+            kernel.solve_whitened_block(
+                ctx, kernel.whiten(ctx.Linv, np.asfortranarray(X)), out)
+        assert err.value.marker == 8
+        assert np.all(out == -7.0)
 
 
 class TestOracle:

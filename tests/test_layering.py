@@ -17,7 +17,9 @@ by which a file comes into being. Only fileio raises
 AsymmetricCovariance: the covariance's entries are checked where it is
 read, and nowhere else. No module imports multiprocessing: rank 0 of a
 dist run is the calling process and the other socket ranks are bare
-forks, so there is no launcher process and no import of one. Every
+forks, so there is no launcher process and no import of one. Only
+transport imports socket or calls os.fork or os.pipe, so the ranks have
+one transport, which makes and closes every socket, fork and pipe. Every
 function, class and method of the package is reached from the package
 itself, or is an entry point the benchmark traces: a helper only tests
 call lives under tests/. A def is matched by how it is bound: a method
@@ -138,6 +140,22 @@ def test_only_blas_imports_ctypes():
 def test_no_module_imports_multiprocessing():
     assert {name for name, found in ABSOLUTE.items()
             if any(m.split(".")[0] == "multiprocessing" for m in found)} == set()
+
+
+def _names_fork_or_pipe(tree):
+    """Whether tree names os.fork or os.pipe as an attribute of os."""
+    return any(isinstance(node, ast.Attribute) and node.attr in ("fork", "pipe")
+               and getattr(node.value, "id", None) == "os"
+               for node in ast.walk(tree))
+
+
+def test_only_transport_imports_socket_or_forks():
+    # one transport: every socket pair, fork and pipe of a run is made,
+    # and closed, by it
+    assert {name for name, found in ABSOLUTE.items()
+            if _names_fork_or_pipe(TREES[name])
+            or any(m.split(".")[0] == "socket" or m in ("os.fork", "os.pipe")
+                   for m in found)} == {"transport"}
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))

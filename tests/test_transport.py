@@ -83,15 +83,30 @@ def test_alltoall_size_mismatch():
 
 def test_barrier_and_ordered_pairs():
     def body(t):
-        # messages between a fixed pair arrive in order
+        # messages between a fixed pair arrive in order, and each is
+        # received before the pair enters its next collective
+        got = None
         if t.rank == 0:
             for i in range(10):
                 t.send(1, bytes([i]))
+        else:
+            got = [t.recv(0)[0] for i in range(10)]
         t.barrier()
-        if t.rank == 1:
-            return [t.recv(0)[0] for i in range(10)]
-        return None
+        return got
     assert run_spmd(2, body)[1] == list(range(10))
+
+
+@pytest.mark.parametrize("call", ["send", "recv"])
+def test_no_rank_addresses_itself(call):
+    # every collective keeps a rank's own data, so a message to or from
+    # the rank itself is refused, not queued where nothing would take it
+    def body(t):
+        if t.rank == 1:
+            t.send(1, b"x") if call == "send" else t.recv(1)
+
+    err = _error_within(10, body, "inproc")
+    assert isinstance(err, TransportFailure) and err.rank == 1
+    assert err.reason == ("bad destination 1" if call == "send" else "bad source 1")
 
 
 def test_counters_track_traffic():
@@ -397,8 +412,22 @@ def test_threaded_ranks_under_frequent_thread_switches():
 def test_frame_round_trip():
     a, b = socket.socketpair()
     with a, b:
-        _write_frame(a, 1, b"payload")
-        assert _read_frame(b) == (1, b"payload")
+        _write_frame(a, b"payload")
+        assert _read_frame(b) == b"payload"
+
+
+@pytest.mark.parametrize("payload", [b"", b"payload"], ids=["empty", "seven"])
+def test_frame_is_its_length_then_its_payload(payload):
+    # 8 bytes of little-endian length, then the payload: no other byte
+    a, b = socket.socketpair()
+    with a, b:
+        _write_frame(a, payload)
+        a.shutdown(socket.SHUT_WR)
+        wire = b""
+        while chunk := b.recv(64):
+            wire += chunk
+    assert wire == struct.pack("<Q", len(payload)) + payload
+    assert len(wire) == 8 + len(payload)
 
 
 def test_frame_length_beyond_u32_is_not_truncated():
@@ -407,16 +436,6 @@ def test_frame_length_beyond_u32_is_not_truncated():
     with a, b:
         a.sendall(struct.pack("<Q", 2**32 + 1) + b"\x01")
         a.close()
-        with pytest.raises(ConnectionError):
-            _read_frame(b)
-
-
-def test_frame_on_unknown_channel_ends_the_stream():
-    # a drain thread that took it would die without queuing the sentinel,
-    # and the rank waiting on that peer would hang
-    a, b = socket.socketpair()
-    with a, b:
-        a.sendall(struct.pack("<QB", 1, 7))
         with pytest.raises(ConnectionError):
             _read_frame(b)
 
@@ -430,7 +449,7 @@ def test_frame_no_allocation_can_back_ends_the_stream(length):
     a, b = socket.socketpair()
     t = Transport(0, 2, {1: a})
     try:
-        b.sendall(struct.pack("<QB", length, 0))
+        b.sendall(struct.pack("<Q", length))
         outcome = []
 
         def receive():
