@@ -233,7 +233,9 @@ class CompareReport:
 
 def compare_results(file_a, file_b, tol):
     """Max relative infinity-norm discrepancy over non-degenerate markers
-    plus the count of status disagreements."""
+    plus the count of status disagreements. A marker's discrepancy is that
+    of its betas and, when both files carry S^-1 (flag bit 0), the larger
+    of it and that of its packed S^-1."""
     a = fileio.read_matrix(file_a, "GWAB")
     b = fileio.read_matrix(file_b, "GWAB")
     if a.betas.shape != b.betas.shape:
@@ -242,10 +244,15 @@ def compare_results(file_a, file_b, tol):
     mismatches = int(np.sum(sa != sb))
     both_ok = (sa == "ok") & (sb == "ok")
     max_rel = 0.0
-    if np.any(both_ok):
-        diff = np.max(np.abs(a.betas[both_ok] - b.betas[both_ok]), axis=1)
-        scale = np.maximum(np.max(np.abs(a.betas[both_ok]), axis=1), 1e-300)
-        max_rel = float(np.max(diff / scale))
+    fields = [(a.betas, b.betas)]
+    if a.sinv is not None and b.sinv is not None:
+        fields.append((a.sinv, b.sinv))
+    for fa, fb in fields:
+        if np.any(both_ok):
+            fa, fb = fa[both_ok], fb[both_ok]
+            diff = np.max(np.abs(fa - fb), axis=1)
+            scale = np.maximum(np.max(np.abs(fa), axis=1), 1e-300)
+            max_rel = max(max_rel, float(np.max(diff / scale)))
     return CompareReport(max_rel_discrepancy=max_rel,
                          status_mismatches=mismatches,
                          compared=int(np.sum(both_ok)), tol=tol)

@@ -16,16 +16,18 @@ block is one in-place triangular multiply (dtrmm) in the buffer it was
 read into, instead of a triangular solve (dtrsm) into a new array. The
 factorizations, the inversions and the whitening call LAPACK and BLAS
 through _blas, which releases the GIL, so the block reader and writer
-threads run while a block is whitened. The per-marker products of a
-block are one GEMM against the whitened [XL | y], and the bordered
-solves of all its markers are one array pass, field by field over
-count-long rows, whose last step writes every marker's GWAB record
-(p betas, then the packed S^-1 when asked for) as one row of the
-caller's count x record-width array, the block's only result. The
-engines pass the staging area their writer stores from. Each step of the
-distributed Cholesky is factor_panel, and _pivot judges every factor, the
-small ones too; cholesky_spd and trsolve_lower remain the substitution
-route, the tests' reference; they and the small solves go through _blas too.
+threads run while a block is whitened. The covariate-only fit is
+hoisted too, as [Q | r] (PreparedContext), so a block's per-marker
+products are one GEMM against it, and each marker's bordered solve is
+one Frisch-Waugh-Lovell step; those of all its markers are one array
+pass, field by field over count-long rows, whose last step writes
+every marker's GWAB record (p betas, then the packed S^-1 when asked
+for) as one row of the caller's count x record-width array, the
+block's only result. The engines pass the staging area their writer
+stores from. Each step of the distributed Cholesky is factor_panel,
+and _pivot judges every factor, the small ones too; cholesky_spd and
+trsolve_lower remain the substitution route, the tests' reference;
+they and the small solves go through _blas too.
 """
 
 from __future__ import annotations
@@ -53,18 +55,17 @@ class PreparedContext:
 
     Linv is L^-1 for the Cholesky factor L of M, Fortran-ordered in the
     memory of the M it was formed from (the dist engine, which whitens
-    with its distributed L, leaves it n x 0); XLybar = L^-1 [XL | y] holds
-    the whitened covariates, then the whitened phenotype in its last
-    column, so one GEMM forms every marker's products with them. With
-    S_TL the fixed top-left block of the normal equations and b_T its
-    right-hand side, L_TL_inv is the inverse of the Cholesky factor of
-    S_TL, minpivot_TL that factor's smallest pivot, beta_T0 = S_TL^-1 b_T,
-    S_TL_inv = S_TL^-1, tril its np.tril_indices and max_S_TL = max|S_TL|;
-    every marker's bordered system shares them.
+    with its distributed L, leaves it n x 0). With XLbar and ybar the
+    whitened covariates and phenotype and L_TL the Cholesky factor of
+    S_TL = XLbar^T XLbar, the fixed block of the normal equations, Qr
+    holds Q = XLbar L_TL^-T, an orthonormal basis of the covariates, then
+    ybar's residual r = ybar - Q Q^T ybar on them. L_TL_inv = L_TL^-1,
+    minpivot_TL is L_TL's smallest pivot, beta_T0 = S_TL^-1 XLbar^T ybar,
+    S_TL_inv = S_TL^-1, tril its np.tril_indices and max_S_TL = max|S_TL|.
     """
 
     Linv: np.ndarray      # n x n lower triangular, Fortran order
-    XLybar: np.ndarray    # n x p, Fortran order
+    Qr: np.ndarray        # n x p, Fortran order
     L_TL_inv: np.ndarray  # (p-1) x (p-1) lower triangular
     minpivot_TL: float
     beta_T0: np.ndarray   # p-1
@@ -74,11 +75,11 @@ class PreparedContext:
 
     @property
     def n(self):
-        return self.XLybar.shape[0]
+        return self.Qr.shape[0]
 
     @property
     def p(self):
-        return self.XLybar.shape[1]
+        return self.Qr.shape[1]
 
 
 def cholesky_spd(M):
@@ -246,27 +247,31 @@ def solve_small_spd(S, rhs):
 
 def prepare_whitened(Linv, XLybar):
     """Context from the whitened covariates and phenotype [XLbar | ybar]
-    (n x p, Fortran order): form the fixed block S_TL of the normal
-    equations and factor it once.
+    (n x p, Fortran order), which it overwrites with the context's Qr:
+    form the fixed block S_TL of the normal equations and factor it once,
+    then fit ybar on the covariates once (PreparedContext).
 
     Shared by every engine. Raises RankDeficientCovariates when S_TL fails
     the pivot rule.
     """
-    XLbar, ybar = XLybar[:, :-1], XLybar[:, -1]
-    S_TL = gram(XLbar)
-    b_T = XLbar.T @ ybar
+    # XLbar and ybar, which become Q and r in their own memory
+    Q, r = XLybar[:, :-1], XLybar[:, -1]
+    S_TL = gram(Q)
     try:
         L_TL = _small_cholesky(S_TL)
     except NotPositiveDefinite as e:
         raise RankDeficientCovariates(
             f"whitened covariates are rank deficient (pivot {e.pivot_index})"
         ) from e
+    _solve_right(L_TL, Q)
+    c = Q.T @ r
+    r -= Q @ c
     L_TL_inv = L_TL.copy(order="F")
     invert_lower(L_TL_inv)
     return PreparedContext(
-        Linv=Linv, XLybar=XLybar, L_TL_inv=L_TL_inv,
+        Linv=Linv, Qr=XLybar, L_TL_inv=L_TL_inv,
         minpivot_TL=float(np.min(np.diag(L_TL)) ** 2),
-        beta_T0=cho_solve(L_TL, b_T), S_TL_inv=L_TL_inv.T @ L_TL_inv,
+        beta_T0=_substitute(L_TL, c, "T"), S_TL_inv=L_TL_inv.T @ L_TL_inv,
         tril=np.tril_indices(S_TL.shape[0]),
         max_S_TL=float(np.max(np.abs(S_TL))))
 
@@ -294,18 +299,19 @@ def record_width(p, want_inverse):
     return p + (p * (p + 1) // 2 if want_inverse else 0)
 
 
-def cholesky_solve_batch(ctx, SBt, S_BR, out, want_inverse=False):
+def cholesky_solve_batch(ctx, Qrt_X, S_BR, out, want_inverse=False):
     """Solve the bordered systems of a block of markers and write their
     records.
 
-    SBt = [S_BL^T; b_B] is p x count, column k marker k's products with
-    [XLbar | ybar]. Marker k's system is S_k [beta_T; beta_B] = [b_T;
-    b_B[k]] with S_k = [[S_TL, S_BL[k]^T], [S_BL[k], S_BR[k]]]. The factor
-    of S_TL is shared, so only the last Cholesky step is per marker:
-    l = L_TL_inv S_BL[k]^T and the pivot d = S_BR[k] - |l|^2. The context
-    holds L_TL^-1, so both triangular steps are multiplies. A marker is
-    degenerate, with an all-NaN record, iff min(minpivot_TL, d) <=
-    p * eps * max|S_k| or d is not finite.
+    Qrt_X = Qr^T Xbar is p x count, column k holding marker k's l = Q^T
+    xbar, then e = r^T xbar. Marker k's system has the Gram matrix S_k =
+    [[S_TL, S_BL[k]^T], [S_BL[k], S_BR[k]]]. S_TL's factor is shared, so
+    the last Cholesky pivot d = S_BR[k] - |l|^2 is the only per-marker
+    step, and the solve is Frisch-Waugh-Lovell's: beta_B = e / d and
+    beta_T = beta_T0 - u beta_B, u = L_TL^-T l. A marker is degenerate,
+    with an all-NaN record, iff min(minpivot_TL, d) <= p * eps * max|S_k|
+    or d is not finite; max|S_k| = max(max|S_TL|, S_BR[k]) by
+    Cauchy-Schwarz.
 
     Every field is computed for all markers at once, as a count-long row
     of one scratch array, and the rows are then written, transposed, as
@@ -314,25 +320,17 @@ def cholesky_solve_batch(ctx, SBt, S_BR, out, want_inverse=False):
     The records go to the leading rows and columns of `out` (at least
     count x record width); returns that count x width view of it.
     """
-    q, count = ctx.L_TL_inv.shape[0], SBt.shape[1]
+    q, count = ctx.L_TL_inv.shape[0], Qrt_X.shape[1]
     p = q + 1
-    S_BLt, b_B = SBt[:q], SBt[q]
-    l = ctx.L_TL_inv @ S_BLt
+    l = Qrt_X[:q]
     d = S_BR - np.einsum("ij,ij->j", l, l)
-    max_S = np.maximum(ctx.max_S_TL,
-                       np.maximum(np.max(np.abs(S_BLt), axis=0), np.abs(S_BR)))
+    max_S = np.maximum(ctx.max_S_TL, S_BR)
     ok = np.isfinite(d) & (np.minimum(ctx.minpivot_TL, d) > p * EPS * max_S)
     # a NaN pivot turns every field of a degenerate marker's record NaN
     d = np.where(ok, d, np.nan)
     u = ctx.L_TL_inv.T @ l  # S_TL^-1 S_BL^T, q x count
     R = np.empty((record_width(p, want_inverse), count))
-    # S_BL beta_T0 one term at a time: elementwise, so a marker's value
-    # does not depend on its position in the block, as a gemv's does
-    Sb = ctx.beta_T0[0] * S_BLt[0]
-    for k in range(1, q):
-        Sb += ctx.beta_T0[k] * S_BLt[k]
-    beta_B = np.subtract(b_B, Sb, out=R[q])
-    beta_B /= d
+    beta_B = np.divide(Qrt_X[q], d, out=R[q])
     np.multiply(u, beta_B, out=R[:q])
     np.subtract(ctx.beta_T0[:, None], R[:q], out=R[:q])
     if want_inverse:
@@ -368,8 +366,8 @@ def solve_whitened_block(ctx, Xbar, out, emit_s_inv=False):
         if bad.size:
             raise NonFiniteInput(f"marker column {bad[0]} is not finite",
                                  int(bad[0]))
-    SBt = ctx.XLybar.T @ Xbar  # [S_BL^T; b_B] in one GEMM
-    return cholesky_solve_batch(ctx, SBt, S_BR, out, want_inverse=emit_s_inv)
+    Qrt_X = ctx.Qr.T @ Xbar  # [Q^T Xbar; r^T Xbar] in one GEMM
+    return cholesky_solve_batch(ctx, Qrt_X, S_BR, out, want_inverse=emit_s_inv)
 
 
 def gls_solve_block(ctx, X, emit_s_inv=False):

@@ -76,6 +76,8 @@ class RunSummary:
     # measured peak resident set (dist: the largest rank's, where rank 0's
     # is the calling process's), in bytes
     peak_rss_bytes: int = 0
+    # markers whose record is all NaN (degenerate), summed over ranks
+    degenerate: int = 0
     # per-block CPU seconds of the streaming phase (load_wait + compute +
     # store_wait); profiling detail, not part of the one-line record
     block_cpu_times: list = field(default_factory=list)
@@ -177,8 +179,8 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
     OpenBLAS runs at the thread count the caller set before the ranks
     started (_blas.rank_threads). Rank 0 makes the result file by
     fileio.creating. Returns a RunSummary; rank 0's carries the totals:
-    its bytes_read, bytes_written and bytes_sent are the ranks', summed,
-    as the files and the transport count them.
+    its bytes_read, bytes_written, bytes_sent and degenerate are the
+    ranks', summed, as the files, the transport and the solves count them.
     """
     t_start = time.perf_counter()
     np_ = t.size
@@ -216,11 +218,16 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         ctx, whiten = prepare(t, files)
         t_prepare = time.perf_counter() - t0
 
+        degenerate = 0
+
         def solve(columns, out):
             # whitened in the reader region, which the next load overwrites;
             # the records go straight to the region's staging area
-            return kernel.solve_whitened_block(ctx, whiten(columns), out,
-                                               cfg.emit_s_inv)
+            nonlocal degenerate
+            records = kernel.solve_whitened_block(ctx, whiten(columns), out,
+                                                  cfg.emit_s_inv)
+            degenerate += int(np.count_nonzero(np.isnan(records).all(axis=1)))
+            return records
 
         # rank 0 creates the result file, the others open it after the barrier
         if t.rank == 0:
@@ -235,7 +242,7 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         # holds every rank's, and renames the file, only when it is whole
         stats = t.allgather_obj((sum(f.bytes_read for f in files),
                                  writer.file.bytes_written, t.bytes_sent,
-                                 peak_rss_bytes()))
+                                 peak_rss_bytes(), degenerate))
     return RunSummary(
         mode=mode, n=n, m=m, p=p, m_blk=m_blk, np_=np_,
         t_prepare=t_prepare, t_compute=t_compute, t_io_wait=t_io_wait,
@@ -247,6 +254,7 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         buffer_regions=regions,
         blas_threads=_blas.threads(),
         peak_rss_bytes=max(s[3] for s in stats),
+        degenerate=sum(s[4] for s in stats),
         block_cpu_times=block_cpu,
     )
 

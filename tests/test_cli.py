@@ -21,7 +21,8 @@ from gwasgls.cli import build_parser, main
 from gwasgls.errors import GwasGlsError, TransportFailure
 from gwasgls.fileio import partial_path
 
-from conftest import drain_thread, rank_thread, refuse_thread_start
+from conftest import (drain_thread, rank_thread, refuse_thread_start,
+                      summary_from_record)
 
 
 def _gen(tmp_path, n=100, m=500, p=4, seed=42):
@@ -71,6 +72,37 @@ class TestPipelines:
                             fileio.ResultPayload(betas=betas, sinv=None))
         assert main(["verify", "--a", out, "--b", other,
                      "--tol", "1e-8"]) == 1
+
+    def test_verify_flags_an_s_inverse_disagreement(self, tmp_path):
+        d = _gen(tmp_path, n=40, m=30)
+        out = str(tmp_path / "a.gwab")
+        assert main(_solve_args(d, out, "incore", "--emit-sinv")) == 0
+        payload = fileio.read_matrix(out, "GWAB")
+        sinv = payload.sinv.copy()
+        sinv[3, np.argmax(np.abs(sinv[3]))] *= 1 + 1e-6
+        other = str(tmp_path / "b.gwab")
+        fileio.write_matrix(other, "GWAB", fileio.ResultPayload(
+            betas=payload.betas, sinv=sinv))
+        assert main(["verify", "--a", out, "--b", out, "--tol", "1e-10"]) == 0
+        assert main(["verify", "--a", out, "--b", other,
+                     "--tol", "1e-10"]) == 1
+
+    @pytest.mark.parametrize("mode,extra", [
+        ("ooc", ()), ("incore", ()),
+        ("dist", ("--np", "2", "--transport", "inproc")),
+        ("dist", ("--np", "2", "--transport", "socket"))],
+        ids=["ooc", "incore", "dist-inproc-np2", "dist-socket-np2"])
+    def test_record_counts_degenerate_markers(self, degenerate_dataset,
+                                              tmp_path, capfd, mode, extra):
+        # at 16-marker blocks, each of the two ranks holds one of them
+        ds, flagged = degenerate_dataset
+        out = str(tmp_path / "o.gwab")
+        args = _solve_args(os.path.dirname(ds.geno), out, mode, *extra)
+        if mode != "incore":
+            args += ["--block-size", "16"]
+        assert main(args) == 0
+        record = summary_from_record(capfd.readouterr().out)
+        assert record.degenerate == len(flagged) == 2
 
     def test_emit_sinv_flag(self, tmp_path):
         d = _gen(tmp_path, n=40, m=30)
@@ -664,13 +696,13 @@ class TestFailedRuns:
         assert self._left_behind(out) == []
 
     @pytest.mark.parametrize("mode,extra", [
-        ("ooc", ()), ("incore", ()), ("oracle", ()),
+        ("ooc", ()), ("incore", ()), ("oracle", ()), ("dist", ()),
         ("dist", ("--np", "2", "--transport", "inproc")),
         ("dist", ("--np", "2", "--transport", "socket")),
         ("dist", ("--np", "4", "--transport", "inproc")),
         ("dist", ("--np", "4", "--transport", "socket"))],
-        ids=["ooc", "incore", "oracle", "dist-inproc-np2", "dist-socket-np2",
-             "dist-inproc-np4", "dist-socket-np4"])
+        ids=["ooc", "incore", "oracle", "dist-np1", "dist-inproc-np2",
+             "dist-socket-np2", "dist-inproc-np4", "dist-socket-np4"])
     @pytest.mark.parametrize("bad", ["phenotype", "covariates", "genotypes"])
     def test_non_finite_phenotype_or_covariate_exits_3(self, tmp_path, capfd,
                                                        mode, extra, bad):

@@ -1,5 +1,6 @@
 """Forward-error gate: every engine's betas against an extended-precision
-reference, at three conditionings of the covariance.
+reference, at three conditionings of the covariance, and with nearly
+collinear covariates.
 
 The data are generated at m < n, so G G^T is singular and the ridge sets
 cond(M). The reference factors M in np.longdouble (eps 1.1e-19 on x86-64),
@@ -7,6 +8,13 @@ so its own error is far below the float64 engines'. The gate bounds each
 marker's normwise relative error by C * cond2(M) * eps. On the generated
 data every engine read 0.01-0.03 cond2(M) * eps, so C leaves a margin of
 about 8 while still catching an error tenfold the kept algorithms'.
+
+In the collinear case one covariate is a copy of another plus 1e-4 noise,
+so the whitened covariates' Gram matrix S_TL has cond2 about 5e8, and the
+betas lose digits to it as a least-squares solution does (Higham,
+"Accuracy and Stability of Numerical Algorithms", 2nd ed., ch. 20). The
+bound adds C_COV * cond2(S_TL) * eps; every engine read 1.2-1.5
+cond2(S_TL) * eps, so C_COV leaves a margin of about 3.
 """
 
 import numpy as np
@@ -21,6 +29,7 @@ from gwasgls.transport import run_spmd
 from conftest import solve_paths
 
 C = 0.25
+C_COV = 4.0
 EPS = np.finfo(np.float64).eps
 LD = np.longdouble
 
@@ -72,15 +81,28 @@ ENGINES = {
 }
 
 
-@pytest.fixture(scope="module", params=[1e-1, 1e-4, 1e-7],
-                ids=["ridge1e-1", "ridge1e-4", "ridge1e-7"])
+@pytest.fixture(scope="module",
+                params=[(1e-1, False), (1e-4, False), (1e-7, False),
+                        (1e-1, True)],
+                ids=["ridge1e-1", "ridge1e-4", "ridge1e-7", "collinear"])
 def conditioned(request, tmp_path_factory):
-    """(dataset, reference betas, C * cond2(M) * eps) at one ridge."""
+    """(dataset, reference betas, bound) at one ridge, the bound C *
+    cond2(M) * eps, plus C_COV * cond2(S_TL) * eps when the last covariate
+    is made nearly collinear with the one before it."""
+    ridge, collinear = request.param
     d = tmp_path_factory.mktemp("cond")
-    ds = gen_dataset(GenSpec(n=200, m=16, p=4, seed=42, ridge=request.param),
-                     str(d))
-    cond = np.linalg.cond(fileio.read_matrix(ds.cov, "GWAM"))
-    return ds, _reference_betas(ds), C * cond * EPS
+    ds = gen_dataset(GenSpec(n=200, m=16, p=4, seed=42, ridge=ridge), str(d))
+    M = fileio.read_matrix(ds.cov, "GWAM")
+    bound = C * np.linalg.cond(M) * EPS
+    if collinear:
+        XL = fileio.read_matrix(ds.covariates, "GWAC")
+        noise = np.random.default_rng(42).standard_normal(XL.shape[0])
+        XL[:, -1] = XL[:, -2] + 1e-4 * noise
+        fileio.write_matrix(ds.covariates, "GWAC", XL)
+        # cond2(S_TL) = cond2(XLbar)^2, without forming S_TL
+        XLbar = np.linalg.solve(np.linalg.cholesky(M), XL)
+        bound += C_COV * np.linalg.cond(XLbar) ** 2 * EPS
+    return ds, _reference_betas(ds), bound
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -302,22 +302,24 @@ class TestGram:
 
 
 class TestPrepare:
+    """Qr = [Q | r] is defined by Q^T Q = I, L Q L_TL^T = XL, Q^T r = 0
+    and L r = y - XL beta_T0."""
+
     def test_identity_covariance(self):
         ctx = kernel.gls_prepare(np.eye(3), np.ones((3, 1)),
                                  np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(ctx.XLybar[:, :-1], np.ones((3, 1)))
-        assert np.array_equal(ctx.XLybar[:, -1], np.array([1.0, 2.0, 3.0]))
-        XLbar, ybar = ctx.XLybar[:, :-1], ctx.XLybar[:, -1]
-        assert np.allclose(kernel.gram(XLbar), [[3.0]])
-        assert np.allclose(XLbar.T @ ybar, [6.0])
+        assert np.allclose(ctx.Qr[:, :-1], np.ones((3, 1)) / np.sqrt(3))
+        assert np.allclose(ctx.Qr[:, -1], [-1.0, 0.0, 1.0])
+        assert np.allclose(ctx.S_TL_inv, [[1 / 3]])
+        assert np.allclose(ctx.beta_T0, [2.0])
 
     def test_scalar_covariance(self):
         ctx = kernel.gls_prepare(2.0 * np.eye(3), np.ones((3, 1)),
                                  np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(ctx.XLybar[:, :-1], np.ones((3, 1)) / np.sqrt(2))
-        XLbar, ybar = ctx.XLybar[:, :-1], ctx.XLybar[:, -1]
-        assert np.allclose(kernel.gram(XLbar), [[1.5]])
-        assert np.allclose(XLbar.T @ ybar, [3.0])
+        assert np.allclose(ctx.Qr[:, :-1], np.ones((3, 1)) / np.sqrt(3))
+        assert np.allclose(ctx.Qr[:, -1], np.array([-1.0, 0.0, 1.0]) / 2 ** 0.5)
+        assert np.allclose(ctx.S_TL_inv, [[1 / 1.5]])
+        assert np.allclose(ctx.beta_T0, [2.0])
 
     def test_residual_invariants_seed42(self):
         rng = np.random.default_rng(42)
@@ -327,12 +329,16 @@ class TestPrepare:
         y = rng.standard_normal(n)
         ctx = kernel.gls_prepare(M, XL, y)
         L = kernel.cholesky_spd(M)
-        assert maxnorm(L @ ctx.XLybar[:, :-1] - XL) <= 1e-10 * maxnorm(XL)
-        assert maxnorm(L @ ctx.XLybar[:, -1] - y) <= 1e-10 * maxnorm(y)
-        XLbar, ybar = ctx.XLybar[:, :-1], ctx.XLybar[:, -1]
+        Q, r = ctx.Qr[:, :-1], ctx.Qr[:, -1]
+        L_TL = np.linalg.inv(ctx.L_TL_inv)
+        assert maxnorm(Q.T @ Q - np.eye(p - 1)) <= 1e-13
+        assert maxnorm(L @ Q @ L_TL.T - XL) <= 1e-10 * maxnorm(XL)
+        assert maxnorm(Q.T @ r) <= 1e-13 * maxnorm(r)
+        assert maxnorm(L @ r - (y - XL @ ctx.beta_T0)) <= 1e-10 * maxnorm(y)
+        XLbar = kernel.trsolve_lower(L, XL)
         S_TL = kernel.gram(XLbar)
-        assert np.array_equal(S_TL, S_TL.T)
         assert np.allclose(ctx.S_TL_inv @ S_TL, np.eye(p - 1))
+        ybar = kernel.trsolve_lower(L, y)
         assert np.allclose(S_TL @ ctx.beta_T0, XLbar.T @ ybar)
 
     def test_covariance_and_covariates_disagree_on_n(self):
@@ -362,7 +368,7 @@ def test_public_api_leaves_inputs_unmodified(q):
     kernel.gls_solve_block(ctx, X, emit_s_inv=True)
     for a, a0 in zip((M, XL, y, X), before):
         assert np.array_equal(a, a0)
-    for field in (ctx.Linv, ctx.XLybar):
+    for field in (ctx.Linv, ctx.Qr):
         assert not any(np.shares_memory(field, a) for a in (M, XL, y))
 
 
@@ -475,20 +481,19 @@ class TestSolveBlock:
         rng = np.random.default_rng(11)
         n = 30
         M = make_spd(n, 12)
-        ctx = kernel.gls_prepare(M,
-                                 np.hstack([np.ones((n, 1)),
-                                            rng.standard_normal((n, 2))]),
-                                 rng.standard_normal(n))
+        XL = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 2))])
+        ctx = kernel.gls_prepare(M, XL, rng.standard_normal(n))
         X = rng.standard_normal((n, 4))
         rec = kernel.gls_solve_block(ctx, X, emit_s_inv=True)
         p = ctx.p
         L = kernel.cholesky_spd(M)
+        XLbar = kernel.trsolve_lower(L, XL)
         il, jl = np.tril_indices(p)
         for i in range(X.shape[1]):
             S = np.empty((p, p))
             xb = kernel.trsolve_lower(L, X[:, i])
-            S[:p - 1, :p - 1] = kernel.gram(ctx.XLybar[:, :-1])
-            S[p - 1, :p - 1] = S[:p - 1, p - 1] = ctx.XLybar[:, :-1].T @ xb
+            S[:p - 1, :p - 1] = kernel.gram(XLbar)
+            S[p - 1, :p - 1] = S[:p - 1, p - 1] = XLbar.T @ xb
             S[p - 1, p - 1] = xb @ xb
             Sinv = np.linalg.inv(S)
             assert maxnorm(rec[i, p:] - Sinv[il, jl]) <= 1e-8 * maxnorm(Sinv)
@@ -552,6 +557,27 @@ class TestFieldMajorSolve:
                 ctx, kernel.whiten(ctx.Linv, np.asfortranarray(X)), out)
         assert err.value.marker == 8
         assert np.all(out == -7.0)
+
+    def test_small_solves_make_no_block_sized_temporary(self):
+        # the fields are count-long rows: the scratch of w = 14 record
+        # rows, Qr^T Xbar (p rows), u (p - 1), S_BR, d and transient
+        # masks read 28.3 rows here; one n x count array is 1000 rows
+        rng = np.random.default_rng(5)
+        n, count, p = 1000, 2000, 4
+        ctx = kernel.gls_prepare(make_spd(n, 5),
+                                 np.hstack([np.ones((n, 1)),
+                                            rng.standard_normal((n, p - 2))]),
+                                 rng.standard_normal(n))
+        Xbar = kernel.whiten(ctx.Linv,
+                             np.asfortranarray(rng.standard_normal((n, count))))
+        out = np.empty((count, kernel.record_width(p, True)))
+        tracemalloc.start()
+        try:
+            kernel.solve_whitened_block(ctx, Xbar, out, emit_s_inv=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * count, peak / (8 * count)
 
 
 class TestOracle:
