@@ -335,16 +335,15 @@ def prepare(t, files):
     rank reads and checks its own share from the open files
     (fileio.opening, read_share), and the grid factors it while every rank
     whitens its copy of [XL | y] with each panel (dist_cholesky's B) for
-    kernel.prepare_whitened, with an n x 0 Linv (the small products are
-    redundant by design). The only messages are dist_cholesky's panels.
-    Returns (ctx, whiten), where whiten(columns) is dist_trsolve of a
-    rank's own columns."""
+    kernel.prepare_whitened (the small products are redundant by design).
+    The only messages are dist_cholesky's panels. Returns the kernel
+    context, whose whiten is dist_trsolve of a rank's own columns."""
     cov, covariates, pheno, _ = files
     Ld = read_share(cov, grid_create(t.size), t.rank)
     XLy = fileio.read_covariates_and_phenotype(covariates, pheno)
     dist_cholesky(Ld, t, B=XLy)
-    ctx = kernel.prepare_whitened(np.empty((Ld.gr, 0)), XLy)
-    return ctx, lambda columns: dist_trsolve(Ld, columns, t)
+    return kernel.prepare_whitened(
+        XLy, lambda columns: dist_trsolve(Ld, columns, t))
 
 
 def run_dist(t, paths, cfg=None):

@@ -304,8 +304,9 @@ def read_covariance(f, r=1, c=1, prow=0, pcol=0):
     """Rows prow::r of columns pcol::c of the GWAM covariance in the open
     ColumnFile f, Fortran-ordered, the share of process (prow, pcol) of an
     r x c element-cyclic grid: on a 1 x 1 grid the whole matrix, read in
-    place. Raises AsymmetricCovariance, naming the file, for an entry of
-    the share that is not finite or not its mirror.
+    place. Raises NonFiniteInput, naming the file, for an entry of the
+    share that is not finite, and AsymmetricCovariance for one that is
+    not its mirror.
 
     It reads every column, in runs of RUN (a share through one n x RUN
     buffer), and compares each column i = prow (mod r) as it arrives with
@@ -323,7 +324,7 @@ def read_covariance(f, r=1, c=1, prow=0, pcol=0):
             share[:, lc] = cols[prow::r, wc]
         lm, wm = _span(c0, c1, prow, r)
         if not np.isfinite(share[:, lc]).all():
-            raise AsymmetricCovariance(f"{f.path}: covariance has non-finite entries")
+            raise NonFiniteInput(f"{f.path}: covariance has non-finite entries")
         strip, mirror = share[lm, :lc.stop], cols[pcol::c, wm][:lc.stop].T
         if not all(np.array_equal(strip[:, a:a + PIECE], mirror[:, a:a + PIECE])
                    for a in range(0, lc.stop, PIECE)):

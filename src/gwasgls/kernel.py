@@ -32,6 +32,7 @@ they and the small solves go through _blas too.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,33 +54,26 @@ BASE = 128
 class PreparedContext:
     """Marker-independent quantities, computed once per dataset.
 
-    Linv is L^-1 for the Cholesky factor L of M, Fortran-ordered in the
-    memory of the M it was formed from (the dist engine, which whitens
-    with its distributed L, leaves it n x 0). With XLbar and ybar the
-    whitened covariates and phenotype and L_TL the Cholesky factor of
-    S_TL = XLbar^T XLbar, the fixed block of the normal equations, Qr
-    holds Q = XLbar L_TL^-T, an orthonormal basis of the covariates, then
-    ybar's residual r = ybar - Q Q^T ybar on them. L_TL_inv = L_TL^-1,
-    minpivot_TL is L_TL's smallest pivot, beta_T0 = S_TL^-1 XLbar^T ybar,
-    S_TL_inv = S_TL^-1, tril its np.tril_indices and max_S_TL = max|S_TL|.
+    whiten(B) overwrites an n-row, Fortran-ordered block B with L^-1 B
+    for the Cholesky factor L of M, and returns it: a multiply by L^-1 on
+    one rank, the distributed forward substitution on several. With
+    XLbar and ybar the whitened covariates and phenotype and L_TL the
+    Cholesky factor of S_TL = XLbar^T XLbar, the fixed block of the
+    normal equations, Qr holds Q = XLbar L_TL^-T, an orthonormal basis of
+    the covariates, then ybar's residual r = ybar - Q Q^T ybar on them.
+    L_TL_inv = L_TL^-1, minpivot_TL is the square of L_TL's smallest
+    pivot, beta_T0 = S_TL^-1 XLbar^T ybar, S_TL_inv = S_TL^-1, tril its
+    np.tril_indices and max_S_TL = max|S_TL|.
     """
 
-    Linv: np.ndarray      # n x n lower triangular, Fortran order
     Qr: np.ndarray        # n x p, Fortran order
+    whiten: Callable      # B -> L^-1 B, in B's memory
     L_TL_inv: np.ndarray  # (p-1) x (p-1) lower triangular
     minpivot_TL: float
     beta_T0: np.ndarray   # p-1
     S_TL_inv: np.ndarray  # (p-1) x (p-1)
     tril: tuple           # np.tril_indices(p - 1)
     max_S_TL: float
-
-    @property
-    def n(self):
-        return self.Qr.shape[0]
-
-    @property
-    def p(self):
-        return self.Qr.shape[1]
 
 
 def cholesky_spd(M):
@@ -245,11 +239,13 @@ def solve_small_spd(S, rhs):
     return cho_solve(_small_cholesky(S), rhs)
 
 
-def prepare_whitened(Linv, XLybar):
+def prepare_whitened(XLybar, whiten):
     """Context from the whitened covariates and phenotype [XLbar | ybar]
-    (n x p, Fortran order), which it overwrites with the context's Qr:
-    form the fixed block S_TL of the normal equations and factor it once,
-    then fit ybar on the covariates once (PreparedContext).
+    (n x p, Fortran order), which it overwrites with the context's Qr,
+    and the rank's in-place whitening of a block, which it keeps as the
+    context's whiten: form the fixed block S_TL of the normal equations
+    and factor it once, then fit ybar on the covariates once
+    (PreparedContext).
 
     Shared by every engine. Raises RankDeficientCovariates when S_TL fails
     the pivot rule.
@@ -269,7 +265,7 @@ def prepare_whitened(Linv, XLybar):
     L_TL_inv = L_TL.copy(order="F")
     invert_lower(L_TL_inv)
     return PreparedContext(
-        Linv=Linv, Qr=XLybar, L_TL_inv=L_TL_inv,
+        Qr=XLybar, whiten=whiten, L_TL_inv=L_TL_inv,
         minpivot_TL=float(np.min(np.diag(L_TL)) ** 2),
         beta_T0=_substitute(L_TL, c, "T"), S_TL_inv=L_TL_inv.T @ L_TL_inv,
         tril=np.tril_indices(S_TL.shape[0]),
@@ -290,7 +286,7 @@ def gls_prepare(M, XL, y):
     XLy = np.asfortranarray(np.column_stack([XL, y]))
     # np.array copies M even where np.asfortranarray would return it
     Linv = inverse_factor(np.array(M, dtype=np.float64, order="F"))
-    return prepare_whitened(Linv, whiten(Linv, XLy))
+    return prepare_whitened(whiten(Linv, XLy), lambda B: whiten(Linv, B))
 
 
 def record_width(p, want_inverse):
@@ -324,10 +320,11 @@ def cholesky_solve_batch(ctx, Qrt_X, S_BR, out, want_inverse=False):
     p = q + 1
     l = Qrt_X[:q]
     d = S_BR - np.einsum("ij,ij->j", l, l)
-    max_S = np.maximum(ctx.max_S_TL, S_BR)
-    ok = np.isfinite(d) & (np.minimum(ctx.minpivot_TL, d) > p * EPS * max_S)
-    # a NaN pivot turns every field of a degenerate marker's record NaN
-    d = np.where(ok, d, np.nan)
+    # a NaN pivot turns every field of a degenerate marker's record NaN;
+    # the comparison is False for a NaN or -inf d, and d <= S_BR, which
+    # solve_whitened_block has checked finite
+    d[~(np.minimum(ctx.minpivot_TL, d)
+        > p * EPS * np.maximum(ctx.max_S_TL, S_BR))] = np.nan
     u = ctx.L_TL_inv.T @ l  # S_TL^-1 S_BL^T, q x count
     R = np.empty((record_width(p, want_inverse), count))
     beta_B = np.divide(Qrt_X[q], d, out=R[q])
@@ -380,8 +377,9 @@ def gls_solve_block(ctx, X, emit_s_inv=False):
     flagged degenerate (all-NaN record) without aborting the rest of the
     block.
     """
-    if X.ndim != 2 or X.shape[0] != ctx.n:
-        raise DimensionMismatch(f"block is {X.shape}, context has n={ctx.n}")
-    Xbar = whiten(ctx.Linv, np.array(X, dtype=np.float64, order="F"))
-    out = np.empty((X.shape[1], record_width(ctx.p, emit_s_inv)))
+    n, p = ctx.Qr.shape
+    if X.ndim != 2 or X.shape[0] != n:
+        raise DimensionMismatch(f"block is {X.shape}, context has n={n}")
+    Xbar = ctx.whiten(np.array(X, dtype=np.float64, order="F"))
+    out = np.empty((X.shape[1], record_width(p, emit_s_inv)))
     return solve_whitened_block(ctx, Xbar, out, emit_s_inv)

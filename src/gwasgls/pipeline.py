@@ -32,7 +32,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -78,14 +78,15 @@ class RunSummary:
     peak_rss_bytes: int = 0
     # markers whose record is all NaN (degenerate), summed over ranks
     degenerate: int = 0
-    # per-block CPU seconds of the streaming phase (load_wait + compute +
-    # store_wait); profiling detail, not part of the one-line record
-    block_cpu_times: list = field(default_factory=list)
+    # max|S_TL| over the square of L_TL's smallest pivot: a lower bound on
+    # cond2(S_TL), S_TL the whitened covariates' Gram matrix
+    # (kernel.PreparedContext); rank 0's, as every rank's context is alike
+    cond_covariates: float = 0.0
 
     def to_record(self):
         values = ((f.name, getattr(self, f.name)) for f in fields(self))
         return " ".join(f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"
-                        for k, v in values if not isinstance(v, list))
+                        for k, v in values)
 
 
 @dataclass
@@ -129,15 +130,15 @@ def load_prepare(t, files):
     """The one-rank prepare: read the covariance, covariates and
     phenotype from the open files (fileio.opening), turn the covariance
     into L^-1 in its own memory, so no n x n copy is made, and whiten
-    [XL | y] in its memory for kernel.prepare_whitened. Returns (ctx,
-    whiten), where whiten(columns) multiplies a block by L^-1 in place. t
+    [XL | y] in its memory for kernel.prepare_whitened. Returns the
+    kernel context, whose whiten multiplies a block by L^-1 in place. t
     is unused: one rank holds all of M."""
     cov, covariates, pheno, _ = files
     M = fileio.read_covariance(cov)
     XLy = fileio.read_covariates_and_phenotype(covariates, pheno)
     Linv = kernel.inverse_factor(M)
-    ctx = kernel.prepare_whitened(Linv, kernel.whiten(Linv, XLy))
-    return ctx, lambda columns: kernel.whiten(Linv, columns)
+    return kernel.prepare_whitened(kernel.whiten(Linv, XLy),
+                                   lambda columns: kernel.whiten(Linv, columns))
 
 
 def run_incore(paths, cfg=None):
@@ -166,9 +167,9 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
     through those files: its own contiguous chunk of every block of m_blk
     markers, an even share of it, into one of its buffer regions (two, or
     one when a single block covers m), and the first chunk loads while
-    prepare(t, files) returns (ctx, whiten): the kernel context and the
-    in-place whitening of a chunk. The budget, checked before anything is
-    read, counts the 8n^2/np covariance share, the covariates, the
+    prepare(t, files) returns the kernel context, whose whiten is the
+    rank's in-place whitening of a chunk. The budget, checked before
+    anything is read, counts the 8n^2/np covariance share, the covariates, the
     regions, the field-by-field scratch of the small solves of the chunk
     being solved, w = kernel.record_width reals per marker, and
     setup_cols n-row columns of scratch that prepare holds beside the
@@ -215,7 +216,7 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         reader = stack.enter_context(fileio.BlockReader(geno))
         ticket = reader.start(*chunks[0], in_bufs[0])
         t0 = time.perf_counter()
-        ctx, whiten = prepare(t, files)
+        ctx = prepare(t, files)
         t_prepare = time.perf_counter() - t0
 
         degenerate = 0
@@ -224,8 +225,8 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
             # whitened in the reader region, which the next load overwrites;
             # the records go straight to the region's staging area
             nonlocal degenerate
-            records = kernel.solve_whitened_block(ctx, whiten(columns), out,
-                                                  cfg.emit_s_inv)
+            records = kernel.solve_whitened_block(
+                ctx, ctx.whiten(columns), out, cfg.emit_s_inv)
             # a degenerate record is all NaN and an ok one all finite, so
             # one column counts them without a pass over the whole block
             degenerate += int(np.count_nonzero(np.isnan(records[:, 0])))
@@ -238,8 +239,8 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         t.barrier()
         if t.rank != 0:
             writer = stack.enter_context(fileio.BlockWriter(fileio.partial_path(paths.out)))
-        t_compute, t_io_wait, block_cpu = sweep(
-            reader, writer, chunks, in_bufs, ticket, solve, out_bufs)
+        t_compute, t_io_wait = sweep(reader, writer, chunks, in_bufs, ticket,
+                                     solve, out_bufs)
         # a rank sends its stats once its last store is done, so rank 0
         # holds every rank's, and renames the file, only when it is whole
         stats = t.allgather_obj((sum(f.bytes_read for f in files),
@@ -257,7 +258,7 @@ def stream(t, paths, cfg, prepare, mode, setup_cols=0):
         blas_threads=_blas.threads(),
         peak_rss_bytes=max(s[3] for s in stats),
         degenerate=sum(s[4] for s in stats),
-        block_cpu_times=block_cpu,
+        cond_covariates=ctx.max_S_TL / ctx.minpivot_TL,
     )
 
 
@@ -274,13 +275,11 @@ def sweep(reader, writer, blocks, in_bufs, load_ticket, solve, out_bufs):
     is collective. A marker that solve finds non-finite is reported by its
     index in the file (fileio.non_finite_genotypes).
 
-    Returns (t_compute, t_io_wait, per-block CPU seconds).
+    Returns (t_compute, t_io_wait).
     """
     t_compute = t_io_wait = 0.0
-    block_cpu = []
     for bi, (first, count) in enumerate(blocks):
         cur = bi % 2
-        cpu0 = time.process_time()
         t0 = time.perf_counter()
         reader.wait(load_ticket)
         t_io_wait += time.perf_counter() - t0
@@ -297,8 +296,7 @@ def sweep(reader, writer, blocks, in_bufs, load_ticket, solve, out_bufs):
             writer.wait(store_ticket)
         t_io_wait += time.perf_counter() - t0
         store_ticket = writer.start(first, records)
-        block_cpu.append(time.process_time() - cpu0)
     t0 = time.perf_counter()
     writer.wait(store_ticket)
     t_io_wait += time.perf_counter() - t0
-    return t_compute, t_io_wait, block_cpu
+    return t_compute, t_io_wait

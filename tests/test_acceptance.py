@@ -157,21 +157,39 @@ def test_criterion_03_io_overlap(tmp_path_factory):
     assert io_frac <= 0.10
 
 
-def test_criterion_04_linear_m_scaling(tmp_path_factory):
+def test_criterion_04_linear_m_scaling(tmp_path_factory, monkeypatch):
     # The streaming phase is timed per block in CPU seconds (the host
     # shares the single core, so wall clock and even whole-run CPU time
-    # are polluted by contention bursts). With a fixed block size the
-    # per-block cost is m-independent, so streaming time for a given m is
-    # the pooled per-block median times the number of blocks.
+    # are polluted by contention bursts), from the entry of the block's
+    # BlockReader.wait to the return of its BlockWriter.start: its load
+    # wait, solve and store wait. With a fixed block size the per-block
+    # cost is m-independent, so streaming time for a given m is the pooled
+    # per-block cost times the number of blocks.
     d = tmp_path_factory.mktemp("mscale")
     sizes = (4096, 8192, 16384)
     dsets = {m: gen_dataset(GenSpec(n=1000, m=m, p=4, seed=42),
                             str(d / f"m{m}")) for m in sizes}
+    entered, block_cpu = [], []
+    wait, start = fileio.BlockReader.wait, fileio.BlockWriter.start
+
+    def stamped_wait(self, ticket):
+        entered.append(time.process_time())
+        return wait(self, ticket)
+
+    def stamped_start(self, first, records):
+        ticket = start(self, first, records)
+        block_cpu.append(time.process_time() - entered.pop())
+        return ticket
+
+    monkeypatch.setattr(fileio.BlockReader, "wait", stamped_wait)
+    monkeypatch.setattr(fileio.BlockWriter, "start", stamped_start)
 
     def one_run(m, tag):
-        s = run_ooc(solve_paths(dsets[m], str(d / f"{tag}.gwab")),
-                    SolveConfig(m_blk=1024))
-        return s.block_cpu_times
+        block_cpu.clear()
+        run_ooc(solve_paths(dsets[m], str(d / f"{tag}.gwab")),
+                SolveConfig(m_blk=1024))
+        assert entered == [] and len(block_cpu) == m // 1024
+        return list(block_cpu)
 
     one_run(16384, "warmup")
     # the sizes take turns, so a slow phase of the host lands on all of

@@ -393,8 +393,8 @@ def _raise_in_solve(monkeypatch):
 
     def failing_stream(t, paths, cfg, prepare, *args, **kwargs):
         def failing_prepare(t, files):
-            ctx, whiten = prepare(t, files)
-            blocks = []
+            ctx = prepare(t, files)
+            whiten, blocks = ctx.whiten, []
 
             def failing_whiten(columns):
                 blocks.append(columns.shape)
@@ -402,7 +402,8 @@ def _raise_in_solve(monkeypatch):
                     raise GwasGlsError(f"rank {t.rank} fails in its second block")
                 return whiten(columns)
 
-            return ctx, failing_whiten
+            ctx.whiten = failing_whiten
+            return ctx
 
         return stream(t, paths, cfg, failing_prepare, *args, **kwargs)
 

@@ -14,7 +14,9 @@ so the whitened covariates' Gram matrix S_TL has cond2 about 5e8, and the
 betas lose digits to it as a least-squares solution does (Higham,
 "Accuracy and Stability of Numerical Algorithms", 2nd ed., ch. 20). The
 bound adds C_COV * cond2(S_TL) * eps; every engine read 1.2-1.5
-cond2(S_TL) * eps, so C_COV leaves a margin of about 3.
+cond2(S_TL) * eps, so C_COV leaves a margin of about 3. Every engine's
+run record bounds cond2(S_TL) from below (cond_covariates), and reads it
+as ill-conditioned in the collinear case.
 """
 
 import numpy as np
@@ -75,9 +77,9 @@ def _reference_betas(ds):
 ENGINES = {
     "incore": lambda p: run_incore(p),
     "ooc-5": lambda p: run_ooc(p, SolveConfig(m_blk=5)),
-    "dist-np1": lambda p: run_spmd(1, run_dist, p, SolveConfig()),
-    "dist-np2": lambda p: run_spmd(2, run_dist, p, SolveConfig()),
-    "dist-np4": lambda p: run_spmd(4, run_dist, p, SolveConfig()),
+    "dist-np1": lambda p: run_spmd(1, run_dist, p, SolveConfig())[0],
+    "dist-np2": lambda p: run_spmd(2, run_dist, p, SolveConfig())[0],
+    "dist-np4": lambda p: run_spmd(4, run_dist, p, SolveConfig())[0],
 }
 
 
@@ -86,31 +88,37 @@ ENGINES = {
                         (1e-1, True)],
                 ids=["ridge1e-1", "ridge1e-4", "ridge1e-7", "collinear"])
 def conditioned(request, tmp_path_factory):
-    """(dataset, reference betas, bound) at one ridge, the bound C *
-    cond2(M) * eps, plus C_COV * cond2(S_TL) * eps when the last covariate
-    is made nearly collinear with the one before it."""
+    """(dataset, reference betas, bound, cond2(S_TL)) at one ridge, the
+    bound C * cond2(M) * eps, plus C_COV * cond2(S_TL) * eps when the last
+    covariate is made nearly collinear with the one before it."""
     ridge, collinear = request.param
     d = tmp_path_factory.mktemp("cond")
     ds = gen_dataset(GenSpec(n=200, m=16, p=4, seed=42, ridge=ridge), str(d))
     M = fileio.read_matrix(ds.cov, "GWAM")
     bound = C * np.linalg.cond(M) * EPS
+    XL = fileio.read_matrix(ds.covariates, "GWAC")
     if collinear:
-        XL = fileio.read_matrix(ds.covariates, "GWAC")
         noise = np.random.default_rng(42).standard_normal(XL.shape[0])
         XL[:, -1] = XL[:, -2] + 1e-4 * noise
         fileio.write_matrix(ds.covariates, "GWAC", XL)
-        # cond2(S_TL) = cond2(XLbar)^2, without forming S_TL
-        XLbar = np.linalg.solve(np.linalg.cholesky(M), XL)
-        bound += C_COV * np.linalg.cond(XLbar) ** 2 * EPS
-    return ds, _reference_betas(ds), bound
+    # cond2(S_TL) = cond2(XLbar)^2, without forming S_TL
+    cond_S_TL = np.linalg.cond(np.linalg.solve(np.linalg.cholesky(M), XL)) ** 2
+    if collinear:
+        bound += C_COV * cond_S_TL * EPS
+    return ds, _reference_betas(ds), bound, cond_S_TL
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_betas_within_c_cond_eps(conditioned, engine, tmp_path):
-    ds, ref, bound = conditioned
+    ds, ref, bound, cond_S_TL = conditioned
     paths = solve_paths(ds, str(tmp_path / "out.gwab"))
-    ENGINES[engine](paths)
+    summary = ENGINES[engine](paths)
     betas = fileio.read_matrix(paths.out, "GWAB").betas
     err = (np.linalg.norm((betas - ref).astype(np.float64), axis=1)
            / np.linalg.norm(ref.astype(np.float64), axis=1))
     assert np.max(err) <= bound, (np.max(err), bound)
+    # max|S_TL| <= lambda_max and every squared pivot of S_TL's Cholesky
+    # factor >= lambda_min, so the record's figure cannot exceed cond2(S_TL)
+    assert 1.0 <= summary.cond_covariates <= cond_S_TL * (1 + 1e-6)
+    if cond_S_TL > 1e8:  # the collinear case, about 5e8
+        assert summary.cond_covariates >= 1e7

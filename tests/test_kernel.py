@@ -365,11 +365,15 @@ def test_public_api_leaves_inputs_unmodified(q):
     X = np.asfortranarray(rng.standard_normal((n, 6)))
     before = [a.copy() for a in (M, XL, y, X)]
     ctx = kernel.gls_prepare(M, XL, y)
-    kernel.gls_solve_block(ctx, X, emit_s_inv=True)
+    rec = kernel.gls_solve_block(ctx, X, emit_s_inv=True)
     for a, a0 in zip((M, XL, y, X), before):
         assert np.array_equal(a, a0)
-    for field in (ctx.Linv, ctx.Qr):
-        assert not any(np.shares_memory(field, a) for a in (M, XL, y))
+    assert not any(np.shares_memory(ctx.Qr, a) for a in (M, XL, y))
+    # nor does the context's whitening hold a view of them: overwritten,
+    # they leave its records as they were
+    for a in (M, XL, y):
+        a[...] = np.nan
+    assert np.array_equal(kernel.gls_solve_block(ctx, X, emit_s_inv=True), rec)
 
 
 class TestSolveSmallSpd:
@@ -485,7 +489,7 @@ class TestSolveBlock:
         ctx = kernel.gls_prepare(M, XL, rng.standard_normal(n))
         X = rng.standard_normal((n, 4))
         rec = kernel.gls_solve_block(ctx, X, emit_s_inv=True)
-        p = ctx.p
+        p = ctx.Qr.shape[1]
         L = kernel.cholesky_spd(M)
         XLbar = kernel.trsolve_lower(L, XL)
         il, jl = np.tril_indices(p)
@@ -518,8 +522,7 @@ class TestFieldMajorSolve:
         ctx = kernel.gls_prepare(M, XL, y)
         out = np.full((count + 2, p + p * (p + 1) // 2), -7.0)
         rec = kernel.solve_whitened_block(
-            ctx, kernel.whiten(ctx.Linv, np.asfortranarray(X)), out,
-            emit_s_inv=True)
+            ctx, ctx.whiten(np.asfortranarray(X)), out, emit_s_inv=True)
         # the records are the leading rows of out, betas then packed S^-1
         assert rec.shape == (count, out.shape[1])
         assert np.shares_memory(rec, out)
@@ -554,22 +557,21 @@ class TestFieldMajorSolve:
         out = np.full((count, 2), -7.0)
         with pytest.raises(NonFiniteInput) as err:
             kernel.solve_whitened_block(
-                ctx, kernel.whiten(ctx.Linv, np.asfortranarray(X)), out)
+                ctx, ctx.whiten(np.asfortranarray(X)), out)
         assert err.value.marker == 8
         assert np.all(out == -7.0)
 
     def test_small_solves_make_no_block_sized_temporary(self):
         # the fields are count-long rows: the scratch of w = 14 record
-        # rows, Qr^T Xbar (p rows), u (p - 1), S_BR, d and transient
-        # masks read 28.3 rows here; one n x count array is 1000 rows
+        # rows, Qr^T Xbar (p rows), u (p - 1), S_BR, d and a transient
+        # mask read 27.2 rows here; one n x count array is 1000 rows
         rng = np.random.default_rng(5)
         n, count, p = 1000, 2000, 4
         ctx = kernel.gls_prepare(make_spd(n, 5),
                                  np.hstack([np.ones((n, 1)),
                                             rng.standard_normal((n, p - 2))]),
                                  rng.standard_normal(n))
-        Xbar = kernel.whiten(ctx.Linv,
-                             np.asfortranarray(rng.standard_normal((n, count))))
+        Xbar = ctx.whiten(np.asfortranarray(rng.standard_normal((n, count))))
         out = np.empty((count, kernel.record_width(p, True)))
         tracemalloc.start()
         try:
